@@ -72,7 +72,7 @@ def report_schema() -> dict:
 
 
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _resolve_seed(flag: int | None) -> int:
@@ -96,6 +96,11 @@ def _load(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}", path=path) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}", path=path) from exc
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise InputError(f"--samples must be at least 1, got {samples}", path="$.samples")
 
 
 def _parse_exponent(raw: str) -> float:
@@ -140,6 +145,10 @@ def _exponent_json(p: float) -> Any:
 # --------------------------------------------------------------------------
 
 def _cmd_laws(args: argparse.Namespace) -> tuple[int, dict]:
+    _require_samples(args.samples)
+    if not (math.isfinite(args.ring_tol) and args.ring_tol >= 0.0):
+        raise InputError(f"--ring-tol must be finite and nonnegative, got {args.ring_tol!r}",
+                         path="$.ring_tol")
     structure = FiniteFStructure.from_json(_load(args.structure))
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
@@ -218,6 +227,7 @@ def _cmd_dual(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_pushforward(args: argparse.Namespace) -> tuple[int, dict]:
+    _require_samples(args.samples)
     module = FiberModule.from_json(_load(args.module))
     mapping = _load(args.map)
     if not isinstance(mapping, dict) or "target" not in mapping or "atom_map" not in mapping:
@@ -257,10 +267,16 @@ def _cmd_hahn_banach(args: argparse.Namespace) -> tuple[int, dict]:
     module = FiberModule.from_json(problem["module"], "$.module")
     bases = tuple(np.array(b, dtype=float) for b in problem["basis"])
     sub = Submodule(module, bases)
+    functional = problem["functional"]
+    if not isinstance(functional, list) or len(functional) != module.space.n:
+        raise InputError(f"functional must list the values on each of the {module.space.n} atoms",
+                         path="$.functional")
     gauge = Fn(problem["gauge"], module.space)
+    if not np.all(np.isfinite(gauge.values)):
+        raise InputError("gauge values must be finite", path="$.gauge")
     seed = _resolve_seed(args.seed)
     try:
-        extension = hahn_banach_extend(sub, problem["functional"], gauge)
+        extension = hahn_banach_extend(sub, functional, gauge)
     except DominationViolated as exc:
         payload = {"failures": [{"code": exc.code, "message": exc.message}]}
         return 1, _report("hahn-banach", seed, payload)
@@ -358,15 +374,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, report = _HANDLERS[args.command](args)
+        text = _dumps(report)
     except RieszmodError as exc:
         sys.stdout.write(_dumps(exc.to_json()))
         return 2
     except (ValueError, TypeError) as exc:
-        # Malformed arrays and the like surface from numpy as ValueError.
+        # Malformed arrays and the like surface from numpy as ValueError, and
+        # a report holding a NaN or an infinity from json.dumps.
         err = InputError(str(exc))
         sys.stdout.write(_dumps(err.to_json()))
         return 2
-    sys.stdout.write(_dumps(report))
+    sys.stdout.write(text)
     return code
 
 

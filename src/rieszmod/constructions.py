@@ -139,15 +139,18 @@ def graph_gradient(graph: Graph, p: float) -> SublinearMap:
     if math.isnan(p) or p < 1.0:
         raise InvalidStructure(f"gradient exponent must lie in [1, inf], got {p!r}")
     n = len(graph.vertices)
+    # One pass over the edges, in the row order Graph.neighbors gives.
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in graph.edges:
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
     mats = []
-    for x in range(n):
-        rows = []
-        for y, w in graph.neighbors(x):
-            row = np.zeros(n)
+    for x, nbrs in enumerate(adjacency):
+        m = np.zeros((len(nbrs), n))
+        for r, (y, w) in enumerate(nbrs):
             scale = 1.0 if p == math.inf else w ** (1.0 / p)
-            row[y], row[x] = scale, -scale
-            rows.append(row)
-        mats.append(np.stack(rows) if rows else np.zeros((0, n)))
+            m[r, y], m[r, x] = scale, -scale
+        mats.append(m)
     return _from_matrices(mats, p, kind="graph_gradient")
 
 
@@ -171,25 +174,43 @@ def _from_matrices(mats: Sequence[np.ndarray], p: float, kind: str) -> Sublinear
 
 
 class _MatrixEval:
-    """Evaluate a matrix-realized sublinear map; binds to a space lazily."""
+    """Evaluate a matrix-realized sublinear map; binds to a space lazily.
+
+    The per-atom matrices are stacked into one, so an evaluation is a single
+    matrix-vector product followed by a segmented lp reduction.  ``starts``
+    holds the first stacked row of every atom that has rows and ``owners``
+    those atoms; atoms without rows evaluate to 0.
+    """
 
     def __init__(self, mats: tuple[np.ndarray, ...], lp: LpNorm):
-        self.mats = mats
-        self.lp = lp
+        counts = np.array([m.shape[0] for m in mats])
+        self.n = len(mats)
+        self.stacked = np.concatenate(mats, axis=0)
+        self.owners = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.owners]
+        self.p = lp.p
         self.space: FiniteMeasureSpace | None = None
 
     def bind(self, space: FiniteMeasureSpace) -> None:
-        if len(self.mats) != space.n:
+        if self.n != space.n:
             raise InvalidStructure(
-                f"sublinear map covers {len(self.mats)} atoms, space has {space.n}"
+                f"sublinear map covers {self.n} atoms, space has {space.n}"
             )
         self.space = space
 
     def __call__(self, v: np.ndarray) -> Fn:
         if self.space is None:
             raise InvalidStructure("sublinear map is not bound to a space yet")
-        v = np.asarray(v, dtype=float)
-        return Fn([self.lp.norm(m @ v) for m in self.mats], self.space)
+        a = np.abs(self.stacked @ np.asarray(v, dtype=float))
+        out = np.zeros(self.n)
+        if self.starts.size:
+            if self.p == math.inf:
+                out[self.owners] = np.maximum.reduceat(a, self.starts)
+            elif self.p == 1.0:
+                out[self.owners] = np.add.reduceat(a, self.starts)
+            else:
+                out[self.owners] = np.add.reduceat(a ** self.p, self.starts) ** (1.0 / self.p)
+        return Fn(out, self.space)
 
 
 @dataclass(frozen=True)

@@ -275,9 +275,14 @@ class FiberModule:
             here = f"{where}.fibers[{i}]"
             _require(isinstance(f, dict) and "dim" in f and "norm" in f,
                      "each fiber needs 'dim' and 'norm'", here)
+            dim = f["dim"]
+            # JSON integers may be written as 2.0; 2.7 and true are not dims.
+            integral = isinstance(dim, int) or isinstance(dim, float) and dim.is_integer()
+            _require(integral and not isinstance(dim, bool),
+                     "fiber dim must be an integer", here + ".dim")
             norm = FiberNorm.from_json(f["norm"], here + ".norm")
             try:
-                fibers.append(Fiber(int(f["dim"]), norm))
+                fibers.append(Fiber(int(dim), norm))
             except (InvalidStructure, DimensionMismatch) as exc:
                 raise InputError(exc.message, path=here) from exc
         try:

@@ -171,6 +171,66 @@ def test_structural_rejections_exit_two(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+def input_error_at(capsys, path, *argv):
+    """Run a command that must fail on its input: exit 2, one JSON error envelope."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "input_error"
+    assert err["path"] == path
+    return err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_are_input_errors(capsys, samples):
+    input_error_at(capsys, "$.samples", "laws", "--structure",
+                   str(DATA / "structure_l2.json"), "--samples", samples)
+    input_error_at(capsys, "$.samples", "pushforward", "--module", str(DATA / "module_push.json"),
+                   "--map", str(DATA / "map_dup.json"), "--samples", samples)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_bad_ring_tol_is_an_input_error(capsys, tol):
+    input_error_at(capsys, "$.ring_tol", "laws", "--structure",
+                   str(DATA / "structure_l2.json"), "--samples", "10", f"--ring-tol={tol}")
+
+
+def test_report_never_prints_nan(capsys):
+    code = main(["cotangent", "--graph", str(DATA / "path2.json"), "--p", "2", "--fn", "[NaN,1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert "NaN" not in captured.out
+    assert json.loads(captured.out)["error"]["code"] == "input_error"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("functional", []),
+    ("functional", [[1.0], [0.0]]),
+    ("gauge", [float("nan")]),
+    ("gauge", [float("inf")]),
+])
+@pytest.mark.parametrize("lp", [1.0, 2.0, 3.0])
+def test_hahn_banach_rejects_malformed_problems(capsys, tmp_path, key, value, lp):
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    problem["module"]["fibers"][0]["norm"] = {"lp": lp}
+    problem[key] = value
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(problem))
+    input_error_at(capsys, f"$.{key}", "hahn-banach", "--problem", str(bad))
+
+
+@pytest.mark.parametrize("dim", [2.7, True, "2"])
+def test_non_integer_fiber_dim_is_an_input_error(capsys, tmp_path, dim):
+    module = json.loads((DATA / "module_221.json").read_text())
+    module["fibers"][1]["dim"] = dim
+    bad = tmp_path / "module.json"
+    bad.write_text(json.dumps(module))
+    input_error_at(capsys, "$.fibers[1].dim", "decompose", "--module", str(bad))
+
+
 # --------------------------------------------------------------------------
 # Seed resolution
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from rieszmod import (
     InputError,
     InvalidStructure,
     Kind,
+    LpNorm,
     ModuleElement,
     NotSublinear,
     StructureHom,
@@ -106,6 +107,19 @@ def test_graph_gradient_matrices():
         graph_gradient(g, 0.5)
 
 
+def test_graph_gradient_rows_follow_neighbor_order():
+    rng = np.random.default_rng(3)
+    pairs = {tuple(sorted(map(int, e))) for e in rng.integers(0, 9, (20, 2)) if e[0] != e[1]}
+    edges = tuple((u, v, float(rng.uniform(0.5, 2.0))) for u, v in sorted(pairs, key=lambda e: -e[1]))
+    g = Graph(tuple("abcdefghi"), edges)
+    psi = graph_gradient(g, 3.0)
+    for x in range(9):
+        want = np.zeros((len(g.neighbors(x)), 9))
+        for r, (y, w) in enumerate(g.neighbors(x)):
+            want[r, y], want[r, x] = w ** (1.0 / 3.0), -w ** (1.0 / 3.0)
+        assert psi.matrices[x].tobytes() == want.tobytes()
+
+
 def test_graph_gradient_evaluation():
     g = Graph(("a", "b", "c"), ((0, 1, 1.0), (1, 2, 1.0)))
     structure, gen = cotangent_module(g, 1.0)
@@ -113,6 +127,24 @@ def test_graph_gradient_evaluation():
     f = np.array([0.0, 1.0, 3.0])
     # p = 1: sum of absolute neighbor differences at each vertex.
     assert psi.evaluate(f).values.tolist() == [1.0, 3.0, 2.0]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_stacked_evaluation_matches_per_atom_norms(p):
+    rng = np.random.default_rng(11)
+    # Vertex "e" is isolated, so its atom has no rows.
+    g = Graph(("a", "b", "c", "d", "e"),
+              ((0, 1, 1.5), (1, 2, 0.25), (0, 2, 2.0), (2, 3, 1.0)))
+    mats = [rng.standard_normal((k, 4)) for k in (3, 0, 1, 5, 2)]
+    cases = [(cotangent_module(g, p)[1].psi, 4),
+             (generate_module(seminorm_family(mats, p), make_structure(5)).psi, 1)]
+    for psi, empty in cases:
+        for v in rng.standard_normal((20, psi.domain_dim)):
+            got = psi.evaluate(v).values
+            want = np.array([LpNorm(p).norm(m @ v) for m in psi.matrices])
+            assert got.shape == (5,)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            assert got[empty] == 0.0
 
 
 def test_seminorm_family_requires_common_domain():
