@@ -441,7 +441,7 @@ def universal_factor(
     if phi is None and target.space != gen.module.space:
         raise InvalidStructure("target lives over a different space; pass the structure hom")
     basis_images = [s(e) for e in np.eye(d)]
-    amap = phi._precomposition() if phi is not None else range(target.space.n)
+    amap = phi.atom_map if phi is not None else range(target.space.n)
     psi_on_basis = [gen.psi.evaluate(e) for e in np.eye(d)]
     for e_img, psi_e in zip(basis_images, psi_on_basis):
         allowed = phi.apply(psi_e) if phi is not None else psi_e
@@ -476,10 +476,9 @@ def pushforward_module(phi: StructureHom, m: FiberModule) -> tuple[FiberModule, 
     pointwise norm satisfies |phi_* v| = phi(|v|) exactly (fiber values are
     copied, not recomputed).
     """
-    amap = phi._precomposition()
     if m.structure != phi.source:
         raise InvalidStructure("module does not live over the hom's source structure")
-    fibers = tuple(m.fibers[a] for a in amap)
+    fibers = tuple(m.fibers[a] for a in phi.atom_map)
     pm = FiberModule(phi.target, fibers)
     pf = HomElement([np.eye(f.dim) for f in fibers], m, pm, hom=phi)
     return pm, pf
@@ -488,8 +487,7 @@ def pushforward_module(phi: StructureHom, m: FiberModule) -> tuple[FiberModule, 
 def pushforward_hom(phi: StructureHom, t: HomElement,
                     pm: FiberModule, pn: FiberModule) -> HomElement:
     """Transport a hom between modules along phi: matrices copy along the map."""
-    amap = phi._precomposition()
-    return HomElement([t.matrices[a] for a in amap], pm, pn)
+    return HomElement([t.matrices[a] for a in phi.atom_map], pm, pn)
 
 
 def complete(m: FiberModule) -> tuple[FiberModule, HomElement]:

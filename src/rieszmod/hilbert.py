@@ -16,11 +16,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import EmptySet, InputError, InvalidStructure, ModuleMismatch, NotHilbert
-from .homdual import _as_gram, bidual_embed, dual_module
+from .homdual import bidual_embed, dual_module
 from .modules import (
     FiberModule,
     ModuleElement,
     Submodule,
+    _as_gram,
     kernel_basis,
     pointwise_norm,
 )

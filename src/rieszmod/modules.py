@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
+    DominationViolated,
     InputError,
     InvalidExponent,
     InvalidStructure,
@@ -465,6 +467,229 @@ class Submodule:
         return True
 
 
+def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
+    """Per atom, the fiber-norm distance from the fiber vector to the subspace.
+
+    This is the pointwise norm of the class of v in the quotient module,
+    min over t of |v + basis^T t|, computed by the gauge kernel
+    ``_extension_value`` with gauge 1 and zero values on the basis: exact (a
+    linear program or a closed form) for lp fibers with p in {1, 2, infinity},
+    for image-lp fibers with those p and for gram fibers, line-search descent
+    for every other fiber norm.
+    """
+    if not v.module.same_module(n.module):
+        raise DimensionMismatch("element and submodule live in different modules")
+    vals = [
+        _extension_value(fiber.norm, 1.0, b, np.zeros(b.shape[0]), vec)
+        for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
+    ]
+    return Fn(vals, v.module.space)
+
+
+# --------------------------------------------------------------------------
+# Minimizing a gauge over an affine subspace
+# --------------------------------------------------------------------------
+
+def _lp_conjugate(p: float) -> float:
+    if p == 1.0:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1.0)
+
+
+def _norm_subgradient(norm: FiberNorm, y: np.ndarray) -> np.ndarray:
+    """A subgradient of the norm at y (the zero vector at y = 0).
+
+    A callable fiber norm has no formula to differentiate and gets the zero
+    vector too, which leaves the kernel's descent to coordinate directions.
+    """
+    n = norm.norm(y)
+    if n == 0.0 or y.size == 0 or not isinstance(norm, (LpNorm, GramNorm, ImageLpNorm)):
+        return np.zeros_like(y)
+    if isinstance(norm, GramNorm):
+        return norm.gram @ y / n
+    if isinstance(norm, ImageLpNorm):
+        return norm.matrix.T @ _norm_subgradient(LpNorm(norm.p), norm.matrix @ y)
+    p = norm.p
+    if p == 1.0:
+        return np.sign(y)
+    if p == math.inf:
+        i = int(np.argmax(np.abs(y)))
+        g = np.zeros_like(y)
+        g[i] = np.sign(y[i])
+        return g
+    return np.sign(y) * np.abs(y) ** (p - 1.0) / n ** (p - 1.0)
+
+
+def _sqrtm_spd(g: np.ndarray) -> np.ndarray:
+    w, q = np.linalg.eigh(g)
+    return q @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ q.T
+
+
+def _as_gram(norm: FiberNorm, dim: int) -> np.ndarray | None:
+    if isinstance(norm, GramNorm):
+        return norm.gram
+    if isinstance(norm, LpNorm) and norm.p == 2.0:
+        return np.eye(dim)
+    if isinstance(norm, ImageLpNorm) and norm.p == 2.0:
+        return norm.matrix.T @ norm.matrix
+    return None
+
+
+def _extension_value(norm: FiberNorm, g: float, rows: np.ndarray,
+                     r: np.ndarray, e: np.ndarray) -> float:
+    """inf over t of g * norm(e + rows^T t) - r.t: a gauge over an affine subspace.
+
+    This is the one kernel behind quotient norms (g = 1, r = 0), each
+    Hahn-Banach step (the value the extension takes at a new direction e,
+    given the values r on ``rows``) and the exact domination test, which
+    runs it on the dual side.  Minimax duality turns the infimum into
+    max { w.e : rows @ w = r, dual_norm(w) <= g }, a linear objective over a
+    compact convex set, so the value is always attained and never overshoots
+    domination.  Polyhedral gauges (p = 1 or p = infinity, plain or through
+    an image matrix) solve that program as an exact linear program; euclidean
+    gauges (l2, image-l2 and gram) use the closed form for a linear
+    functional over an affine slice of a ball.  Remaining gauges fall back to
+    line-search descent on the primal, which returns an upper bound.
+    """
+    if g == 0.0 or e.size == 0:
+        return 0.0
+    if isinstance(norm, LpNorm) and norm.p in (1.0, math.inf):
+        return _polyhedral_dual_program(rows, r, e, g, norm.p)
+    if isinstance(norm, ImageLpNorm) and norm.p in (1.0, math.inf):
+        return _polyhedral_dual_program(
+            rows @ norm.matrix.T, r, norm.matrix @ e, g, norm.p
+        )
+    gram = _as_gram(norm, rows.shape[1])
+    if gram is not None:
+        return _ball_dual_program(gram, rows, r, e, g)
+    kk = rows.shape[0]
+    bt = rows.T
+
+    def h(tt: np.ndarray) -> float:
+        return g * norm.norm(bt @ tt + e) - float(r @ tt)
+
+    def dirs(tt: np.ndarray) -> list[np.ndarray]:
+        out = [np.eye(kk)[i] for i in range(kk)]
+        out.append(rows @ _norm_subgradient(norm, bt @ tt + e) * g - r)
+        return out
+
+    _, val = _minimize_convex(h, kk, dirs)
+    return val
+
+
+def _polyhedral_dual_program(eq: np.ndarray, r: np.ndarray, obj: np.ndarray,
+                             g: float, p: float) -> float:
+    """max of obj.u over eq @ u = r and the polyhedral dual ball, as an LP.
+
+    For p = 1 the dual ball is the box |u_i| <= g; for p = infinity it is
+    sum |u_i| <= g, kept linear by splitting u into positive and negative
+    parts.  Infeasibility certifies that no dominated extension exists.
+    """
+    m = obj.size
+    a_eq = eq if eq.shape[0] else None
+    b_eq = r if eq.shape[0] else None
+    if p == 1.0:
+        res = linprog(-obj, A_eq=a_eq, b_eq=b_eq, bounds=[(-g, g)] * m,
+                      method="highs")
+    else:
+        split_eq = np.hstack([a_eq, -a_eq]) if a_eq is not None else None
+        res = linprog(np.concatenate([-obj, obj]),
+                      A_ub=np.ones((1, 2 * m)), b_ub=np.array([g]),
+                      A_eq=split_eq, b_eq=b_eq,
+                      bounds=[(0.0, None)] * (2 * m), method="highs")
+    if res.status == 2:
+        raise DominationViolated("functional exceeds the gauge on the extension domain")
+    if not res.success:
+        raise RuntimeError(f"extension linear program failed: {res.message}")
+    return float(-res.fun)
+
+
+def _ball_dual_program(gram: np.ndarray, rows: np.ndarray, r: np.ndarray,
+                       e: np.ndarray, g: float) -> float:
+    """max of w.e over rows @ w = r and the gram dual ball, in closed form.
+
+    Whitening by the gram square root turns the constraint into a euclidean
+    ball; the minimum-norm particular solution is orthogonal to the kernel of
+    the whitened rows, so the feasible slice is a centered ball of radius
+    sqrt(g^2 - |particular|^2) inside that kernel.
+    """
+    s = _sqrtm_spd(gram)
+    a = rows @ s
+    c = s @ e
+    if rows.shape[0] == 0:
+        return g * float(np.linalg.norm(c))
+    q0 = np.linalg.pinv(a) @ r
+    rho2 = g * g - float(q0 @ q0)
+    if rho2 < -1e-9 * max(1.0, g * g):
+        raise DominationViolated("functional exceeds the gauge on the extension domain")
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
+    null = vh[rank:]
+    return float(c @ q0) + math.sqrt(max(rho2, 0.0)) * float(np.linalg.norm(null @ c))
+
+
+def _minimize_convex(phi: Callable[[np.ndarray], float], k: int,
+                     directions: Callable[[np.ndarray], list[np.ndarray]],
+                     max_searches: int = 10_000, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """Minimize a convex phi over R^k by golden-section line searches.
+
+    Each line restriction of a convex function is unimodal, so golden
+    section is exact up to the bracket; the bracket is grown geometrically
+    to cover minimizers far from the current point (or to approximate an
+    infimum attained only asymptotically, whose value a wide bracket already
+    pins down to the tolerance).
+    """
+    t = np.zeros(k)
+    best = phi(t)
+    if k == 0:
+        return t, best
+    searches = 0
+    while searches < max_searches:
+        prev = best
+        for d in directions(t):
+            nd = float(np.linalg.norm(d))
+            if nd == 0.0:
+                continue
+            d = d / nd
+
+            def g(s: float) -> float:
+                return phi(t + s * d)
+
+            radius = 1.0
+            while radius < 2.0 ** 40 and min(g(-radius), g(radius)) < best - 1e-15:
+                radius *= 4.0
+            s_star = _line_min(g, radius)
+            searches += 1
+            val = g(s_star)
+            if val < best:
+                best = val
+                t = t + s_star * d
+            if searches >= max_searches:
+                break
+        if prev - best <= tol * max(1.0, abs(prev)):
+            break
+    return t, best
+
+
+def _line_min(g: Callable[[float], float], radius: float) -> float:
+    """Argmin of a unimodal g on [-radius, radius], by staged golden sections.
+
+    Re-bracketing keeps the final absolute tolerance small even when the
+    initial bracket had to grow very wide.
+    """
+    lo, hi = -radius, radius
+    for _ in range(3):
+        width = hi - lo
+        if width <= 4e-12:
+            break
+        s = _golden_section(g, lo, hi, max(1e-12, 1e-4 * width))
+        step = 2e-4 * width
+        lo, hi = s - step, s + step
+    return 0.5 * (lo + hi)
+
+
 def _golden_section(g, lo: float, hi: float, xtol: float) -> float:
     """Argmin of a convex g on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -482,70 +707,6 @@ def _golden_section(g, lo: float, hi: float, xtol: float) -> float:
             d = a + invphi * (b - a)
             gd = g(d)
     return 0.5 * (a + b)
-
-
-def _min_norm_over_span(norm: FiberNorm, v: np.ndarray, basis: np.ndarray) -> float:
-    """min over t of norm(v + basis^T t), by line searches along convex cuts.
-
-    Coordinate descent with golden-section line searches; to avoid the
-    classical stalls of coordinate descent at nonsmooth points (l1 and
-    l-infinity fibers), each sweep also searches along the offset toward the
-    least-squares minimizer and along the all-ones direction.  Convergence
-    tolerance 1e-10, at most 10^4 line searches; dims <= 3 are cross-checked
-    against brute-force grids in the test suite.
-    """
-    k = basis.shape[0]
-    if k == 0:
-        return norm.norm(v)
-    if isinstance(norm, GramNorm):
-        g = norm.gram
-        a = basis @ g @ basis.T
-        rhs = -(basis @ g @ v)
-        t = np.linalg.lstsq(a, rhs, rcond=None)[0]
-        return norm.norm(v + basis.T @ t)
-
-    t = np.zeros(k)
-    t_ls = np.linalg.lstsq(basis.T, -v, rcond=None)[0]
-
-    def phi(tt: np.ndarray) -> float:
-        return norm.norm(v + basis.T @ tt)
-
-    best = phi(t)
-    searches = 0
-    directions = [np.eye(k)[j] for j in range(k)] + [np.ones(k)]
-    while searches < 10_000:
-        prev = best
-        for d in directions + [t_ls - t]:
-            nd = float(np.linalg.norm(basis.T @ d))
-            if nd == 0.0:
-                continue
-            radius = 2.0 * best / nd + 1.0
-
-            def g1(s: float) -> float:
-                return phi(t + s * d)
-
-            s_star = _golden_section(g1, -radius, radius, 1e-12 * max(1.0, radius))
-            searches += 1
-            if g1(s_star) < best:
-                t = t + s_star * d
-                best = phi(t)
-        if prev - best <= 1e-10 * max(1.0, prev):
-            break
-    return best
-
-
-def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
-    """Per atom, the fiber-norm distance from the fiber vector to the subspace.
-
-    This is the pointwise norm of the class of v in the quotient module.
-    """
-    if not v.module.same_module(n.module):
-        raise DimensionMismatch("element and submodule live in different modules")
-    vals = [
-        _min_norm_over_span(fiber.norm, vec, b)
-        for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
-    ]
-    return Fn(vals, v.module.space)
 
 
 # --------------------------------------------------------------------------

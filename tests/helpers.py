@@ -5,7 +5,10 @@ modules with small fibers, and seeded random elements.  Tests that need a
 specific oracle value construct their inputs inline instead.
 """
 
+import math
+
 import numpy as np
+from scipy.optimize import linprog
 
 from rieszmod import (
     Fiber,
@@ -71,3 +74,20 @@ def random_fn(rng, space, scale=1.0):
 
 def indicator(space, mask):
     return space.indicator(np.asarray(mask, dtype=bool))
+
+
+def primal_lp_distance(p, v, basis):
+    """min over t of |v + basis^T t|_p for p in {1, inf}, as a primal LP.
+
+    Epigraph form over (t, s): for p = 1, |(v + basis^T t)_i| <= s_i and
+    the sum of s is minimized; for p = inf one s bounds every coordinate.
+    """
+    k, d = basis.shape
+    s_count = d if p == 1.0 else 1
+    cost = np.concatenate([np.zeros(k), np.ones(s_count)])
+    spread = np.eye(d) if p == 1.0 else np.ones((d, 1))
+    a_ub = np.block([[basis.T, -spread], [-basis.T, -spread]])
+    res = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([-v, v]),
+                  bounds=[(None, None)] * k + [(0.0, None)] * s_count, method="highs")
+    assert res.success, res.message
+    return float(res.fun)

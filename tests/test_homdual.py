@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from rieszmod import (
     DominationViolated,
@@ -42,6 +43,7 @@ from helpers import (
     lp_module,
     make_space,
     make_structure,
+    primal_lp_distance,
     random_element,
     random_fn,
     random_spd,
@@ -242,6 +244,29 @@ def test_dual_vector_norm_is_conjugate():
             assert abs(dual_vector_norm(LpNorm(p), a) - LpNorm(q).norm(a)) <= 1e-9
 
 
+def test_image_lp_dual_norm_matches_lp_and_closed_form():
+    # On x -> |A x|_p the dual norm of a row a is min { |u|_q : A^T u = a }:
+    # a primal LP over the null space of A^T for p in {1, inf}, and
+    # |pinv(A^T) a|_2 for p = 2.  A one-row hom into |.| has the same norm.
+    rng = np.random.default_rng(151)
+    structure = make_structure(1)
+    for p in (1.0, 2.0, math.inf):
+        for _ in range(10):
+            a_mat = rng.standard_normal((4, 3))
+            row = rng.standard_normal(3)
+            u0 = np.linalg.pinv(a_mat.T) @ row
+            if p == 2.0:
+                exact = float(np.linalg.norm(u0))
+            else:
+                q = 1.0 if p == math.inf else math.inf
+                exact = primal_lp_distance(q, u0, null_space(a_mat.T).T)
+            norm = ImageLpNorm(a_mat, p)
+            src = FiberModule(structure, (Fiber(3, norm),))
+            t = HomElement([row.reshape(1, -1)], src, scalar_target(structure))
+            for got in (dual_vector_norm(norm, row), hom_norm(t).values[0]):
+                assert abs(got - exact) <= 1e-9 * max(1.0, exact)
+
+
 def test_pairing_and_hoelder_bound():
     rng = np.random.default_rng(109)
     structure = make_structure(2)
@@ -348,12 +373,23 @@ def test_extension_of_zero_functional_is_dominated():
 
 
 def test_extension_rejects_undominated_data():
-    m = lp_module(make_structure(1), (2,), p=2.0)
-    n = Submodule(m, (np.array([[1.0, 0.0]]),))
-    with pytest.raises(DominationViolated):
-        hahn_banach_extend(n, [[2.0]], m.space.one_fn())
-    with pytest.raises(DominationViolated):
-        hahn_banach_extend(n, [[0.5]], m.space.one_fn().scale(-1.0))
+    structure = make_structure(1)
+    m = lp_module(structure, (2,), p=2.0)
+    linf = lp_module(structure, (20,), p=math.inf)
+    one = m.space.one_fn()
+    cases = [
+        (Submodule(m, (np.array([[1.0, 0.0]]),)), [[2.0]], one),
+        (Submodule(m, (np.array([[1.0, 0.0]]),)), [[0.5]], one.scale(-1.0)),
+        # Each basis row alone is dominated (0.06 <= 1), but the only
+        # extension takes 0.06 on every coordinate: l1 dual norm 1.2 > 1.
+        (Submodule(linf, (np.eye(20),)), [np.full(20, 0.06)], one),
+        # A repeated basis row with values 1e-6 apart: no linear functional
+        # takes them, although f stays under the gauge off a thin wedge.
+        (Submodule(m, (np.array([[1.0, 0.0], [1.0, 0.0]]),)), [[0.5, 0.5 + 1e-6]], one),
+    ]
+    for n, f_rows, gauge in cases:
+        with pytest.raises(DominationViolated):
+            hahn_banach_extend(n, f_rows, gauge)
 
 
 # --------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from helpers import (
     lp_module,
     make_space,
     make_structure,
+    primal_lp_distance,
     random_element,
     random_fn,
     random_spd,
@@ -415,6 +416,23 @@ def test_quotient_norm_grid_cross_check():
             brute = brute_quotient(norm, vec, basis, radius=4.0, steps=steps)
             assert q <= brute + 1e-9
             assert q >= brute - 1e-3 * max(1.0, brute)
+
+
+def test_quotient_norm_matches_primal_lp_on_polyhedral_fibers():
+    # Beyond the d <= 3 grids: l1 and l-infinity fibers up to d = 12, with
+    # the coordinate-descent counterexamples l1 (d = 8, k = 4) and
+    # l-infinity (d = 12, k = 6) among the shapes.
+    rng = np.random.default_rng(73)
+    structure = make_structure(1)
+    for p in (1.0, math.inf):
+        for d, k in ((4, 2), (8, 2), (8, 4), (12, 3), (12, 6)):
+            m = lp_module(structure, (d,), p=p)
+            for _ in range(4):
+                vec = rng.standard_normal(d)
+                basis = rng.standard_normal((k, d))
+                q = quotient_norm(ModuleElement([vec], m), Submodule(m, (basis,))).values[0]
+                exact = primal_lp_distance(p, vec, basis)
+                assert abs(q - exact) <= 1e-9 * max(1.0, exact)
 
 
 # --------------------------------------------------------------------------
