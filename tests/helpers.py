@@ -5,8 +5,6 @@ modules with small fibers, and seeded random elements.  Tests that need a
 specific oracle value construct their inputs inline instead.
 """
 
-import math
-
 import numpy as np
 from scipy.optimize import linprog
 

@@ -419,9 +419,9 @@ def test_quotient_norm_grid_cross_check():
 
 
 def test_quotient_norm_matches_primal_lp_on_polyhedral_fibers():
-    # Beyond the d <= 3 grids: l1 and l-infinity fibers up to d = 12, with
-    # the coordinate-descent counterexamples l1 (d = 8, k = 4) and
-    # l-infinity (d = 12, k = 6) among the shapes.
+    # Beyond the d <= 3 grids: l1 and l-infinity fibers up to d = 12.  The
+    # shapes include l1 (d = 8, k = 4) and l-infinity (d = 12, k = 6), where
+    # coordinate descent stalls far above the optimum.
     rng = np.random.default_rng(73)
     structure = make_structure(1)
     for p in (1.0, math.inf):
