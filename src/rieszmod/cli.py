@@ -271,7 +271,7 @@ def _cmd_hahn_banach(args: argparse.Namespace) -> tuple[int, dict]:
     if not isinstance(functional, list) or len(functional) != module.space.n:
         raise InputError(f"functional must list the values on each of the {module.space.n} atoms",
                          path="$.functional")
-    gauge = Fn(problem["gauge"], module.space)
+    gauge = module.space.fn(problem["gauge"])
     if not np.all(np.isfinite(gauge.values)):
         raise InputError("gauge values must be finite", path="$.gauge")
     seed = _resolve_seed(args.seed)
@@ -297,7 +297,7 @@ def _cmd_stone(args: argparse.Namespace) -> tuple[int, dict]:
         raise InputError("generators must be {\"generators\": [[0/1, ...], ...]}",
                          path=args.generators)
     space = structure.space
-    gens = [Fn(g, space) for g in data["generators"]]
+    gens = [space.fn(g) for g in data["generators"]]
     atoms, embedding = stone_atoms(gens)
     payload = {
         "atoms": [[int(round(x)) for x in a.element.values] for a in atoms],

@@ -390,8 +390,9 @@ class Extension:
 
     ``functional`` is the extension as a row functional per atom;
     ``basis``/``values`` store the completed interpolation data, whose first
-    rows are the submodule basis with the given values (restriction is exact
-    by construction in this representation).
+    rows are a maximal independent subset of the submodule basis (all of it
+    when the basis is independent) with the given values (restriction is
+    exact by construction in this representation).
     """
 
     functional: HomElement
@@ -439,16 +440,20 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
                     f"atom {a}: functional exceeds the gauge on the submodule"
                     f" (it needs a gauge of at least {need:.6g}, got {g_a:.6g})"
                 )
-        cur_b = [row for row in b]
-        cur_r = [float(x) for x in r]
-        for j in range(fiber.dim):
-            e = np.eye(fiber.dim)[j]
-            stacked = np.stack(cur_b) if cur_b else np.zeros((0, fiber.dim))
-            if matrix_rank(np.vstack([stacked, e[None, :]])) == matrix_rank(stacked):
+        # Keep a maximal independent subset of the basis rows with their
+        # values (consistent, as checked above), then complete it with unit
+        # vectors whose values are the one-dimensional extension steps.
+        cur_b: list[np.ndarray] = []
+        cur_r: list[float] = []
+        given = [(row, float(x)) for row, x in zip(b, r)]
+        for row, val in given + [(e, None) for e in np.eye(fiber.dim)]:
+            stacked = np.array(cur_b).reshape(len(cur_b), fiber.dim)
+            if matrix_rank(np.vstack([stacked, row[None, :]])) == len(cur_b):
                 continue
-            bval = _extension_value(fiber.norm, g_a, stacked, np.array(cur_r), e)
-            cur_b.append(e)
-            cur_r.append(bval)
+            if val is None:
+                val = _extension_value(fiber.norm, g_a, stacked, np.array(cur_r), row)
+            cur_b.append(row)
+            cur_r.append(val)
         if fiber.dim == 0:
             out_rows.append(np.zeros((1, 0)))
             bases.append(np.zeros((0, 0)))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -587,6 +586,9 @@ def _polyhedral_dual_program(eq: np.ndarray, r: np.ndarray, obj: np.ndarray,
     sum |u_i| <= g, kept linear by splitting u into positive and negative
     parts.  Infeasibility certifies that no dominated extension exists.
     """
+    # Imported here: scipy.optimize would double the package's import time.
+    from scipy.optimize import linprog
+
     m = obj.size
     a_eq = eq if eq.shape[0] else None
     b_eq = r if eq.shape[0] else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,12 @@ from .order import (
 def _require(cond: bool, message: str, path: str) -> None:
     if not cond:
         raise InputError(message, path=path)
+
+
+def _frozen(values: Sequence[float]) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -78,16 +85,21 @@ class FiniteMeasureSpace:
     def n(self) -> int:
         return len(self.atoms)
 
-    @property
+    # Cached read-only arrays: every distance reads them.
+    @cached_property
     def mu(self) -> np.ndarray:
-        return np.asarray(self.weights)
+        return _frozen(self.weights)
 
-    @property
+    @cached_property
     def mu_aux(self) -> np.ndarray:
-        return np.asarray(self.aux_weights)
+        return _frozen(self.aux_weights)
 
     def fn(self, values: Sequence[float]) -> "Fn":
-        return Fn(values, self)
+        """One function on this space: exactly n values, never a batch."""
+        f = Fn(values, self)
+        if f.values.ndim != 1:
+            raise SpaceMismatch(f"expected {self.n} values, got shape {f.values.shape}")
+        return f
 
     def zero_fn(self) -> "Fn":
         return Fn(np.zeros(self.n), self)
@@ -129,18 +141,23 @@ class FiniteMeasureSpace:
 
 
 class Fn:
-    """A real-valued function on a finite measure space (the shipped carrier).
+    """Real-valued functions on a finite measure space (the shipped carrier).
 
     Implements the full lattice/f-algebra interface: pointwise ring and
     lattice operations, order, and the strictly-positive-part indicator.
-    Values are immutable numpy arrays.
+    Values are immutable numpy arrays, of shape ``(n,)`` for one function or
+    ``(S, n)`` for a batch of S functions on the same space.  Elementwise
+    operations keep the shape and need operands of equal shape; ``leq``,
+    ``equals``, ``deviation`` and ``sup_abs`` reduce over the atoms, giving a
+    Python bool or float for one function and an array of shape ``(S,)`` for
+    a batch.
     """
 
     __slots__ = ("values", "space")
 
     def __init__(self, values: Sequence[float] | np.ndarray, space: FiniteMeasureSpace):
         arr = np.array(values, dtype=float)
-        if arr.shape != (space.n,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != space.n:
             raise SpaceMismatch(
                 f"expected {space.n} values, got shape {arr.shape}"
             )
@@ -153,6 +170,15 @@ class Fn:
             raise TypeError(f"expected Fn, got {type(other).__name__}")
         if other.space is not self.space and other.space != self.space:
             raise SpaceMismatch("operands live on different measure spaces")
+        if other.values.shape != self.values.shape:
+            raise SpaceMismatch(
+                f"operand shapes differ: {self.values.shape} and {other.values.shape}"
+            )
+
+    @staticmethod
+    def _reduced(out: np.ndarray) -> Any:
+        """A per-function reduction: a Python scalar for one function."""
+        return out.item() if out.ndim == 0 else out
 
     def __repr__(self) -> str:
         return f"Fn({self.values.tolist()!r})"
@@ -190,25 +216,23 @@ class Fn:
         self._check(other)
         return Fn(np.minimum(self.values, other.values), self.space)
 
-    def leq(self, other: "Fn") -> bool:
+    def leq(self, other: "Fn") -> Any:
         self._check(other)
-        return bool(np.all(self.values <= other.values))
+        return self._reduced((self.values <= other.values).all(axis=-1))
 
-    def equals(self, other: "Fn") -> bool:
+    def equals(self, other: "Fn") -> Any:
         self._check(other)
-        return bool(np.array_equal(self.values, other.values))
+        return self._reduced((self.values == other.values).all(axis=-1))
 
-    def deviation(self, other: "Fn") -> float:
+    def deviation(self, other: "Fn") -> Any:
         self._check(other)
-        if self.values.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values - other.values)))
+        return self._reduced(np.abs(self.values - other.values).max(axis=-1))
 
     def zero(self) -> "Fn":
-        return Fn(np.zeros(self.space.n), self.space)
+        return Fn(np.zeros(self.values.shape), self.space)
 
     def one(self) -> "Fn":
-        return Fn(np.ones(self.space.n), self.space)
+        return Fn(np.ones(self.values.shape), self.space)
 
     def chi_pos(self) -> "Fn":
         return Fn(np.where(self.values > 0.0, 1.0, 0.0), self.space)
@@ -217,11 +241,11 @@ class Fn:
         return Fn(np.abs(self.values), self.space)
 
     @property
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+    def sup_abs(self) -> Any:
+        return self._reduced(np.abs(self.values).max(axis=-1))
 
-    def to_json(self) -> list[float]:
-        return [float(x) for x in self.values]
+    def to_json(self) -> list:
+        return self.values.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -490,18 +514,11 @@ def stone_atoms(
         raise InputError("stone_atoms needs at least one idempotent")
     space = gens[0].element.space
     member = np.stack([g.element.values > 0.5 for g in gens])
-    signatures: list[tuple[bool, ...]] = []
-    masks: list[np.ndarray] = []
-    for j in range(space.n):
-        sig = tuple(bool(b) for b in member[:, j])
-        if sig in signatures:
-            masks[signatures.index(sig)][j] = True
-        else:
-            signatures.append(sig)
-            mask = np.zeros(space.n, dtype=bool)
-            mask[j] = True
-            masks.append(mask)
-    atom_sets = [Idempotent(space.indicator(m)) for m in masks]
+    # Signature -> atom index, in order of first occurrence.
+    index: dict[tuple[bool, ...], int] = {}
+    labels = np.array([index.setdefault(tuple(sig), len(index)) for sig in member.T.tolist()])
+    signatures = list(index)
+    atom_sets = [Idempotent(space.indicator(labels == k)) for k in range(len(signatures))]
     embedding = tuple(
         tuple(k for k, sig in enumerate(signatures) if sig[i])
         for i in range(len(gens))

@@ -18,7 +18,9 @@ from rieszmod import (
     Kind,
     LpNorm,
     ModuleElement,
+    positive_part,
 )
+from rieszmod.order import LAW_TABLE, RING_TOL
 
 
 def make_space(n, weights=None, aux=None):
@@ -89,3 +91,34 @@ def primal_lp_distance(p, v, basis):
                   bounds=[(None, None)] * k + [(0.0, None)] * s_count, method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def sequential_law_report(samples, law_ids=None, ring_tol=RING_TOL):
+    """The law suite's report, computed one sample triple at a time.
+
+    A reference for ``riesz_law_suite``: for each sample in order, each law
+    that has not failed yet runs its checks on that one triple, and the first
+    failing check fixes the counterexample at the atom where its sides differ
+    most.
+    """
+    table = [e for e in LAW_TABLE if law_ids is None or e[0] in law_ids]
+    laws = {law_id: {"id": law_id, "passed": True, "counterexample": None}
+            for law_id, _, _ in table}
+    for k, (u, v, w) in enumerate(samples):
+        for law_id, klass, evaluate in table:
+            if not laws[law_id]["passed"]:
+                continue
+            tol = 0.0 if klass == "lattice" else ring_tol
+            for lhs, rhs, relation in evaluate(u, v, w):
+                if relation == "eq":
+                    ok = lhs.equals(rhs) if tol == 0.0 else lhs.deviation(rhs) <= tol
+                else:
+                    excess = positive_part(lhs - rhs)
+                    ok = lhs.leq(rhs) if tol == 0.0 else excess.deviation(excess.zero()) <= tol
+                if not ok:
+                    atom = int(np.argmax(np.abs(lhs.values - rhs.values)))
+                    laws[law_id] = {"id": law_id, "passed": False, "counterexample": {
+                        "sample": k, "atom": atom,
+                        "lhs": float(lhs.values[atom]), "rhs": float(rhs.values[atom])}}
+                    break
+    return {"laws": [laws[law_id] for law_id, _, _ in table]}

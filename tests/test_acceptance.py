@@ -152,6 +152,25 @@ def test_criterion_01_law_suite_on_ten_thousand_triples():
             f"atoms in {elapsed:.2f}s")
 
 
+def test_criterion_01_law_suite_on_ten_thousand_direct_triples():
+    # The same budget without stacking: 1250 triples on each of the spaces
+    # with 1 to 8 atoms, every triple a separate sample.
+    started = time.perf_counter()
+    rng = np.random.default_rng(20240817)
+    samples = []
+    for size in range(1, 9):
+        space = make_space(size)
+        samples.extend(tuple(Fn(rng.standard_normal(size), space) for _ in range(3))
+                       for _ in range(1250))
+    report = riesz_law_suite(samples)
+    elapsed = time.perf_counter() - started
+    assert len(samples) == 10_000
+    assert report.all_passed(), report.failed_ids()
+    assert len(report.laws) == 18
+    assert elapsed < 5.0, f"law suite took {elapsed:.2f}s"
+    done(1, f"18 laws on 10000 direct triples over 1-8 atoms in {elapsed:.2f}s")
+
+
 # --------------------------------------------------------------------------
 # 2. Partition machinery
 # --------------------------------------------------------------------------

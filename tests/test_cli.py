@@ -1,10 +1,14 @@
 """CLI contract: deterministic byte output, golden files, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rieszmod
 from rieszmod.cli import main, report_schema
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -220,6 +224,44 @@ def test_hahn_banach_rejects_malformed_problems(capsys, tmp_path, key, value, lp
     bad = tmp_path / "problem.json"
     bad.write_text(json.dumps(problem))
     input_error_at(capsys, f"$.{key}", "hahn-banach", "--problem", str(bad))
+
+
+def space_mismatch(capsys, *argv):
+    """Run a command whose input has the wrong shape: exit 2, space_mismatch."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "space_mismatch"
+    return err["message"]
+
+
+def test_nested_stone_generator_is_a_space_mismatch(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"generators": [[1, 0], [[1, 0], [0, 1]]]}))
+    message = space_mismatch(capsys, "stone", "--structure", str(DATA / "structure_l2.json"),
+                             "--generators", str(gens))
+    assert message == "expected 2 values, got shape (2, 2)"
+
+
+def test_nested_hahn_banach_gauge_is_a_space_mismatch(capsys, tmp_path):
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    n = len(problem["gauge"])
+    problem["gauge"] = [problem["gauge"]]
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(problem))
+    message = space_mismatch(capsys, "hahn-banach", "--problem", str(bad))
+    assert message == f"expected {n} values, got shape (1, {n})"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported on the first linear program only.
+    src = pathlib.Path(rieszmod.__file__).resolve().parent.parent
+    code = "import sys, rieszmod.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("dim", [2.7, True, "2"])

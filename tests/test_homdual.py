@@ -372,6 +372,18 @@ def test_extension_of_zero_functional_is_dominated():
         assert abs(row @ x) <= np.abs(x).sum() + 1e-9
 
 
+def test_extension_on_rank_deficient_consistent_basis():
+    # A repeated basis row with equal values: the completion keeps one copy.
+    m = lp_module(make_structure(1), (2,), p=2.0)
+    basis = np.array([[1.0, 0.0], [1.0, 0.0]])
+    ext = hahn_banach_extend(Submodule(m, (basis,)), [[0.5, 0.5]], m.space.one_fn())
+    row = ext.functional.matrices[0][0]
+    assert np.array_equal(basis @ row, [0.5, 0.5])
+    assert np.linalg.norm(row) <= 1.0 + 1e-12
+    assert ext.basis[0].shape == (2, 2)
+    assert np.array_equal(ext.basis[0][0], basis[0])
+
+
 def test_extension_rejects_undominated_data():
     structure = make_structure(1)
     m = lp_module(structure, (2,), p=2.0)

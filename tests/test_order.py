@@ -25,7 +25,8 @@ from rieszmod import (
     riesz_law_suite,
     simple_combine,
 )
-from helpers import make_space, random_fn
+from rieszmod.order import RING_TOL
+from helpers import make_space, random_fn, sequential_law_report
 
 
 def triples(space, count, seed):
@@ -115,6 +116,44 @@ def test_ring_tolerance_override():
     assert tight.failed_ids() == ["falg-8c", "falg-prod"]
 
 
+class ShiftedScale(Fn):
+    """Carrier whose scaling adds 0.25: riesz-1b fails on two of its checks."""
+
+    def scale(self, lam):
+        return Fn(self.values * float(lam) + 0.25, self.space)
+
+
+def test_law_suite_matches_sequential_reference():
+    a, b = make_space(3, [1.0, 0.5, 2.0]), make_space(4)
+    rng = np.random.default_rng(17)
+
+    def broken(space, count):
+        return [tuple(BrokenMeet(rng.standard_normal(space.n), space) for _ in range(3))
+                for _ in range(count)]
+
+    fuzz = [tuple(FuzzyMul(rng.standard_normal(2), make_space(2)) for _ in range(3))
+            for _ in range(12)]
+    # A run of clean triples on a, then broken ones on b and a again: the
+    # first failures lie in the second run, later ones in the third.
+    two_spaces = triples(a, 6, seed=19) + broken(b, 5) + broken(a, 5)
+    cases = [
+        (triples(a, 40, seed=13), {}),
+        (broken(a, 20), {}),
+        (fuzz, {"ring_tol": 1e-14}),
+        (broken(b, 20), {"law_ids": ["riesz-4b", "riesz-5", "falg-9"]}),
+        ([tuple(ShiftedScale(rng.standard_normal(3), a) for _ in range(3))
+          for _ in range(4)], {}),
+        ([], {}),
+        (two_spaces, {}),
+    ]
+    for samples, kwargs in cases:
+        got = riesz_law_suite(samples, **kwargs).to_json()
+        assert got == sequential_law_report(samples, **kwargs)
+    report = riesz_law_suite(two_spaces).to_json()["laws"]
+    failed_at = [e["counterexample"]["sample"] for e in report if not e["passed"]]
+    assert 6 <= min(failed_at) <= 10 and max(failed_at) <= 15
+
+
 def test_law_report_json_shape():
     space = make_space(2)
     report = riesz_law_suite(triples(space, 5, seed=1))
@@ -191,6 +230,77 @@ def test_partition_rejects_overlap_and_bad_total():
         FinitePartition((a, one), one)
     with pytest.raises(NotAPartition):
         FinitePartition((a,), one)
+
+
+def test_partition_errors_on_many_parts():
+    space = make_space(60)
+    one = Idempotent(space.one_fn())
+    cells = [Idempotent(space.indicator(np.arange(60) == k)) for k in range(60)]
+    FinitePartition(tuple(cells), one)
+    shared = list(cells)
+    # Part 59 also takes atom 17, which part 17 already covers.
+    shared[59] = Idempotent(space.indicator((np.arange(60) == 59) | (np.arange(60) == 17)))
+    with pytest.raises(NotAPartition, match="not pairwise disjoint"):
+        FinitePartition(tuple(shared), one)
+    with pytest.raises(NotAPartition, match="do not sum"):
+        FinitePartition(tuple(cells[:-1]), one)
+
+
+def _pairwise_verdict(parts, of):
+    """The partition check over all pairs of parts, as a reference."""
+    elems = [p.element for p in parts]
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if (elems[i] * elems[j]).deviation(elems[i].zero()) > RING_TOL:
+                return "not pairwise disjoint"
+    total = of.element.zero()
+    for e in elems:
+        total = total + e
+    if total.deviation(of.element) > RING_TOL:
+        return "do not sum"
+    return None
+
+
+def _assert_matches_pairwise(parts, of):
+    want = _pairwise_verdict(parts, of)
+    if want is None:
+        FinitePartition(tuple(parts), of)
+    else:
+        with pytest.raises(NotAPartition, match=want):
+            FinitePartition(tuple(parts), of)
+
+
+@hypothesis.given(st.data())
+def test_partition_check_matches_pairwise_reference(data):
+    # Near-idempotent parts: 0/1 cells from atom labels (-1 leaves an atom
+    # uncovered), up to two extra overlapping atoms, and perturbations of
+    # up to 1e-12, which put both the products and the sums near RING_TOL.
+    n = 4
+    space = make_space(n)
+    k = data.draw(st.integers(1, 6))
+    labels = data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+    base = np.array([[float(lab == j) for lab in labels] for j in range(k)])
+    for j, atom in data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)),
+                                      max_size=2)):
+        base[j, atom] = 1.0
+    eps = data.draw(st.lists(st.floats(min_value=-1e-12, max_value=1e-12),
+                             min_size=k * n, max_size=k * n))
+    try:
+        parts = [Idempotent(Fn(row, space)) for row in base + np.reshape(eps, (k, n))]
+    except NonIdempotentInput:
+        hypothesis.assume(False)
+    cover = np.array(labels) >= 0 if data.draw(st.booleans()) else np.ones(n, bool)
+    _assert_matches_pairwise(parts, Idempotent(space.indicator(cover)))
+
+
+def test_partition_check_at_the_tolerance():
+    space = make_space(2)
+    one = Idempotent(space.one_fn())
+    # Products of 1e-12 * (1 + 5e-13), just above RING_TOL, and of exactly
+    # 1e-12, which passes the disjointness check but spoils the sum.
+    for first in ([1.0 + 5e-13, 0.0], [1.0, 0.0]):
+        parts = [Idempotent(Fn(first, space)), Idempotent(Fn([1e-12, 1.0], space))]
+        _assert_matches_pairwise(parts, one)
 
 
 def test_simple_element_needs_matching_coefficients():

@@ -67,6 +67,34 @@ def test_fn_shape_and_space_checks():
         Fn([1.0, 2.0], space) + Fn([1.0, 2.0], other)
 
 
+def test_fn_batches_keep_shape_and_reduce_per_function():
+    space = make_space(3)
+    rows = np.array([[2.0, 0.0, -1.0], [1.0, 1.0, 1.0]])
+    f, g = Fn(rows, space), Fn(np.abs(rows), space)
+    for op in (f + g, f - g, -f, f * g, f.scale(2.0), f.join(g), f.meet(g),
+               f.zero(), f.one(), f.chi_pos(), f.abs()):
+        assert op.values.shape == (2, 3)
+    assert (f * g).values.tolist() == [[4.0, 0.0, -1.0], [1.0, 1.0, 1.0]]
+    assert f.leq(g).tolist() == [True, True]
+    assert g.leq(f).tolist() == [False, True]
+    assert f.equals(g).tolist() == [False, True]
+    assert f.deviation(g).tolist() == [2.0, 0.0]
+    assert f.sup_abs.tolist() == [2.0, 1.0]
+    assert f.to_json() == rows.tolist()
+    # One function reduces to Python scalars, as it always did.
+    one = Fn(rows[0], space)
+    assert type(one.leq(one)) is bool and type(one.equals(one)) is bool
+    assert type(one.deviation(one.zero())) is float and one.deviation(one.zero()) == 2.0
+    assert one.zero().values.shape == (3,)
+    with pytest.raises(SpaceMismatch):
+        f + one
+    with pytest.raises(SpaceMismatch):
+        Fn(np.zeros((2, 2, 3)), space)
+    with pytest.raises(SpaceMismatch):
+        space.fn(rows)
+    assert space.fn(rows[0]).equals(one)
+
+
 def test_fn_chi_pos_and_lattice_ops():
     space = make_space(3)
     f = Fn([2.0, 0.0, -1.0], space)
