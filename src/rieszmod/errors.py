@@ -91,3 +91,7 @@ class NotHilbert(RieszmodError):
 
 class EmptySet(RieszmodError):
     code = "empty_set"
+
+
+class SolverFailed(RieszmodError):
+    code = "solver_failed"

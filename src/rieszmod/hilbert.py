@@ -81,10 +81,10 @@ class HilbertModule:
             v = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
             w = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
             defect = parallelogram_defect(v, w)
-            scale = max(1.0, float(pointwise_norm(v).sup_abs), float(pointwise_norm(w).sup_abs))
+            nv = pointwise_norm(v)
+            scale = max(1.0, float(nv.sup_abs), float(pointwise_norm(w).sup_abs))
             if defect.deviation(zero) > 1e-9 * scale * scale:
                 raise NotHilbert("sampled pointwise parallelogram rule fails")
-            nv = pointwise_norm(v)
             dist_sq = module.structure.d_V(nv, zero) ** 2
             pair = system.d_Z(Fn(nv.values ** 2, module.space), zero)
             if pair > 0.0:

@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedHom,
 )
 from .modules import (
+    RANK_RTOL,
     Fiber,
     FiberModule,
     FiberNorm,
@@ -38,7 +39,10 @@ from .modules import (
     Submodule,
     _as_gram,
     _extension_value,
+    _FiberGroup,
     _lp_conjugate,
+    _lp_rows,
+    _matvec_rows,
     _norm_subgradient,
     _sqrtm_spd,
     kernel_basis,
@@ -213,11 +217,18 @@ def dual_vector_norm(norm: FiberNorm, a: np.ndarray) -> float:
     """
     if a.size == 0:
         return 0.0
-    if isinstance(norm, LpNorm):
-        return LpNorm(_lp_conjugate(norm.p)).norm(a)
-    if isinstance(norm, GramNorm):
-        return float(math.sqrt(max(0.0, float(a @ np.linalg.solve(norm.gram, a)))))
-    return _min_dual_norm(norm, np.eye(a.size), a)
+    return float(_dual_norms(_FiberGroup.single(norm, a.size), a.reshape(1, -1))[0])
+
+
+def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
+    """The dual norm of rows[i] under member i of the group, for every i."""
+    if src.stacked and isinstance(src.proto, LpNorm):
+        return _lp_rows(_lp_conjugate(src.proto.p), rows)
+    if src.stacked and isinstance(src.proto, GramNorm):
+        sol = np.linalg.solve(src.mats, rows[..., None])[..., 0]
+        return np.sqrt(np.maximum(np.sum(rows * sol, axis=1), 0.0))
+    return np.array([_min_dual_norm(norm, np.eye(row.size), row)
+                     for norm, row in zip(src.norms, rows)], dtype=float)
 
 
 def _min_dual_norm(norm: FiberNorm, rows: np.ndarray, r: np.ndarray) -> float:
@@ -286,51 +297,78 @@ def _operator_norm_ascent(src: FiberNorm, tgt: FiberNorm, a: np.ndarray) -> floa
     return best
 
 
-def _fiber_operator_norm(src: FiberNorm, src_dim: int,
-                         tgt: FiberNorm, tgt_dim: int, a: np.ndarray) -> float:
-    """Operator norm of the matrix a between two fiber norms.
+def _sign_vectors(d: int) -> np.ndarray:
+    """The 2^(d-1) sign vectors with first entry +1, as rows."""
+    bits = np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1)
+    return np.hstack([np.ones((bits.shape[0], 1)), np.where(bits & 1, -1.0, 1.0)])
 
-    Closed forms: zero fibers; one-dimensional targets (dual norm of the
-    row, from the gauge kernel on image-lp sources); l1 sources (max over
-    columns); l-infinity sources (sign-pattern enumeration); gram-to-gram
-    (whitened spectral norm).  Everything else falls back to the seeded
-    ascent.
+
+def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.ndarray:
+    """Operator norm of each stacked matrix a[i], from member i of src to member i of tgt.
+
+    Closed forms, each evaluated once for the whole stack: zero fibers and
+    zero matrices; one-dimensional targets (dual norm of the row, from the
+    gauge kernel on image-lp sources); l1 sources (max over columns);
+    l-infinity sources (sign-pattern enumeration); euclidean sources and
+    targets (whitened spectral norm).  Everything else falls back to the
+    seeded ascent, one matrix at a time.
     """
-    if src_dim == 0 or tgt_dim == 0 or not a.any():
-        return 0.0
-    if tgt_dim == 1 and isinstance(src, (LpNorm, GramNorm, ImageLpNorm)):
-        return tgt.norm(np.ones(1)) * dual_vector_norm(src, a[0])
-    if isinstance(src, LpNorm) and src.p == 1.0:
-        return max(tgt.norm(a[:, j]) for j in range(src_dim))
-    if isinstance(src, LpNorm) and src.p == math.inf and src_dim <= 16:
-        best = 0.0
-        for bits in range(2 ** (src_dim - 1)):
-            signs = np.array(
-                [1.0] + [1.0 if (bits >> i) & 1 == 0 else -1.0 for i in range(src_dim - 1)]
-            )
-            best = max(best, tgt.norm(a @ signs))
+    k = a.shape[0]
+    if src.dim == 0 or tgt.dim == 0:
+        return np.zeros(k)
+    live = np.flatnonzero(a.reshape(k, -1).any(axis=1))
+    if live.size < k:
+        out = np.zeros(k)
+        if live.size:
+            out[live] = _operator_norms(src.take(live), tgt.take(live), a[live])
+        return out
+    if tgt.dim == 1 and src.stacked:
+        return tgt.norms_of(np.ones((k, 1))) * _dual_norms(src, a[:, 0, :])
+    lp_src = src.proto.p if src.stacked and isinstance(src.proto, LpNorm) else None
+    if lp_src == 1.0:
+        return np.max([tgt.norms_of(a[:, :, j]) for j in range(src.dim)], axis=0)
+    if lp_src == math.inf and src.dim <= 16:
+        # Every sign vector at once, in chunks of at most 2^15 images.
+        signs = _sign_vectors(src.dim)
+        step = max(1, 2 ** 15 // k)
+        best = np.zeros(k)
+        for c in range(0, signs.shape[0], step):
+            chunk = signs[c:c + step]
+            images = np.swapaxes(a @ chunk.T, 1, 2).reshape(-1, tgt.dim)
+            each = tgt.take(np.repeat(np.arange(k), chunk.shape[0])).norms_of(images)
+            best = np.maximum(best, each.reshape(k, -1).max(axis=1))
         return best
-    g_src = _as_gram(src, src_dim)
-    g_tgt = _as_gram(tgt, tgt_dim)
+    g_src = _as_gram(src.proto, src.dim, src.mats) if src.stacked else None
+    g_tgt = _as_gram(tgt.proto, tgt.dim, tgt.mats) if tgt.stacked else None
     if g_src is not None and g_tgt is not None:
         white = _sqrtm_spd(g_tgt) @ a @ np.linalg.inv(_sqrtm_spd(g_src))
-        return float(np.linalg.norm(white, 2))
-    return _operator_norm_ascent(src, tgt, a)
+        return np.linalg.norm(white, 2, axis=(1, 2))
+    return np.array([_operator_norm_ascent(s, t, m)
+                     for s, t, m in zip(src.norms, tgt.norms, a)], dtype=float)
 
 
 def hom_norm(t: HomElement) -> Fn:
     """The pointwise operator norm of a hom, as a function on the space.
 
     Atomwise this is sup { |T v| : |v| <= 1 } on the fiber, which coincides
-    with the least pointwise bound w with |T v| <= w |v|.
+    with the least pointwise bound w with |T v| <= w |v|.  Target atoms are
+    grouped by the fiber groups of their source and target fibers, and each
+    group runs one stacked closed form.
     """
-    amap = t._amap()
-    vals = []
-    for i, m in enumerate(t.matrices):
-        src = t.source.fibers[amap[i]]
-        tgt = t.target.fibers[i]
-        vals.append(_fiber_operator_norm(src.norm, src.dim, tgt.norm, tgt.dim, m))
-    return Fn(vals, t.target.space)
+    src_gid, src_pos = t.source._group_of
+    tgt_gid, tgt_pos = t.target._group_of
+    amap = np.asarray(t._amap(), dtype=np.intp)
+    pair = src_gid[amap] * len(t.target._groups) + tgt_gid
+    order = np.argsort(pair, kind="stable")
+    out = np.zeros(t.target.space.n)
+    for atoms in np.split(order, np.flatnonzero(np.diff(pair[order])) + 1):
+        if atoms.size == 0:
+            continue
+        src = t.source._groups[src_gid[amap[atoms[0]]]].take(src_pos[amap[atoms]])
+        tgt = t.target._groups[tgt_gid[atoms[0]]].take(tgt_pos[atoms])
+        mats = np.stack([t.matrices[i] for i in atoms])
+        out[atoms] = _operator_norms(src, tgt, mats)
+    return Fn(out, t.target.space)
 
 
 def _dual_fiber_norm(norm: FiberNorm) -> FiberNorm:
@@ -349,15 +387,23 @@ def _dual_fiber_norm(norm: FiberNorm) -> FiberNorm:
 def z_module(system: DualSystem) -> FiberModule:
     """The pairing space Z realized as a module: scalar fibers with |.|"""
     structure = FiniteFStructure(system.space, system.base.u_kind, system.z_kind)
-    return FiberModule(structure, tuple(Fiber(1, LpNorm(1.0)) for _ in range(system.space.n)))
+    return FiberModule(structure, (Fiber(1, LpNorm(1.0)),) * system.space.n)
 
 
 def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
     """Hom(M, Z) as a W-normed module: dual fibers with dual norms."""
     structure = FiniteFStructure(system.space, m.structure.u_kind, system.w_kind)
-    return FiberModule(
-        structure, tuple(Fiber(f.dim, _dual_fiber_norm(f.norm)) for f in m.fibers)
-    )
+    fibers = list(m.fibers)
+    for g in m._groups:
+        if g.stacked and isinstance(g.proto, LpNorm):
+            # One shared dual fiber per lp group.
+            dual = Fiber(g.dim, _dual_fiber_norm(g.proto))
+            for a in g.atoms:
+                fibers[a] = dual
+        else:
+            for a, norm in zip(g.atoms, g.norms):
+                fibers[a] = Fiber(g.dim, _dual_fiber_norm(norm))
+    return FiberModule(structure, tuple(fibers))
 
 
 def dual_element(m: FiberModule, rows: Sequence[Sequence[float]],
@@ -473,43 +519,50 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
 def norming_functional(v: ModuleElement, system: DualSystem | None = None) -> HomElement:
     """The functional omega with <omega, v> = |v| and |omega| = chi_{v != 0}.
 
-    Closed forms per fiber kind: the sign vector for l1, the first maximal
-    coordinate for l-infinity, the (p-1)-power profile for finite p, and the
-    Riesz row Gv/|v| for gram fibers.  Zero fibers get the zero functional.
+    Closed forms per fiber kind, one stacked evaluation per fiber group: the
+    sign vector for l1, the first maximal coordinate for l-infinity, the
+    (p-1)-power profile for finite p, the Riesz row Gv/|v| for gram fibers
+    and A^T u for image-lp fibers x -> |A x|_p, u the row norming A x.  Zero
+    fibers get the zero functional.
     """
     m = v.module
     if system is None:
         system = DualSystem.default(m.structure)
-    rows = []
-    for fiber, x in zip(m.fibers, v.vectors):
-        nrm = fiber.norm.norm(x)
-        if nrm == 0.0 or fiber.dim == 0:
-            rows.append(np.zeros((1, fiber.dim)))
+    flat = np.zeros(v.flat.size)
+    for g in m._groups:
+        x = v.flat[g.cols]
+        nrm = g.norms_of(x)
+        live = np.flatnonzero(nrm != 0.0)
+        if g.dim == 0 or live.size == 0:
             continue
-        norm = fiber.norm
-        if isinstance(norm, GramNorm):
-            rows.append((norm.gram @ x / nrm).reshape(1, -1))
-            continue
-        if isinstance(norm, ImageLpNorm):
-            y = norm.matrix @ x
-            u = _attaining_row(norm.p, y, LpNorm(norm.p).norm(y))
-            rows.append((norm.matrix.T @ u).reshape(1, -1))
-            continue
-        rows.append(_attaining_row(norm.p, x, nrm).reshape(1, -1))
-    return HomElement(rows, m, z_module(system))
+        if not g.stacked:
+            raise UnsupportedHom(
+                "norming functionals are implemented for lp, gram and image-lp fibers")
+        x, nrm, mats = x[live], nrm[live], None if g.mats is None else g.mats[live]
+        if isinstance(g.proto, GramNorm):
+            rows = _matvec_rows(mats, x) / nrm[:, None]
+        elif isinstance(g.proto, ImageLpNorm):
+            u = _attaining_rows(g.proto.p, _matvec_rows(mats, x), nrm)
+            rows = _matvec_rows(np.swapaxes(mats, 1, 2), u)
+        else:
+            rows = _attaining_rows(g.proto.p, x, nrm)
+        flat[g.cols[live]] = rows
+    return HomElement([flat[a:b].reshape(1, -1) for a, b in m._bounds], m, z_module(system))
 
 
-def _attaining_row(p: float, x: np.ndarray, nrm: float) -> np.ndarray:
+def _attaining_rows(p: float, x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Per row, the unit dual row u with u.x = |x|_p = nrm (nrm > 0)."""
     if p == 1.0:
         return np.sign(x)
     if p == math.inf:
-        i = int(np.argmax(np.abs(x)))
-        row = np.zeros_like(x)
-        row[i] = math.copysign(1.0, x[i])
-        return row
+        rows = np.zeros_like(x)
+        i = np.argmax(np.abs(x), axis=1)
+        k = np.arange(x.shape[0])
+        rows[k, i] = np.copysign(1.0, x[k, i])
+        return rows
     if p == 2.0:
-        return x / nrm
-    return np.sign(x) * np.abs(x) ** (p - 1.0) / nrm ** (p - 1.0)
+        return x / nrm[:, None]
+    return np.sign(x) * np.abs(x) ** (p - 1.0) / nrm[:, None] ** (p - 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -535,21 +588,24 @@ def bidual_embed(m: FiberModule, system: DualSystem | None = None) -> HomElement
 
 
 def is_reflexive(m: FiberModule, system: DualSystem | None = None) -> bool:
-    """True iff J is surjective: every bidual element has a preimage.
+    """True iff J: M -> M** is surjective, certified exactly.
 
-    Finite-dimensional fibers are always reflexive; the witness solves the
-    fiber systems explicitly rather than citing the dimension count.
+    J is surjective iff every fiber matrix of J is square and of full rank.
+    For each fiber dimension the matrices are stacked and one batched
+    singular-value decomposition checks that the smallest singular value
+    exceeds ``RANK_RTOL`` times the largest (or 1), the package-wide rank
+    threshold.  Finite-dimensional fibers always pass; the certificate
+    checks the construction of J rather than citing the dimension count.
     """
     j = bidual_embed(m, system)
-    rng = np.random.default_rng(_ASCENT_SEED + 2)
-    for _ in range(8):
-        target = [rng.standard_normal(f.dim) for f in j.target.fibers]
-        for mat, y in zip(j.matrices, target):
-            if mat.shape[0] != mat.shape[1]:
-                return False
-            x = np.linalg.solve(mat, y) if mat.size else np.zeros(0)
-            if mat.size and not np.allclose(mat @ x, y, atol=1e-9):
-                return False
+    if j.source.dims != j.target.dims:
+        return False
+    dims = j.target._dim_array
+    for d in np.unique(dims[dims > 0]):
+        stack = np.stack([j.matrices[a] for a in np.flatnonzero(dims == d)])
+        s = np.linalg.svd(stack, compute_uv=False)
+        if np.any(s[:, -1] <= RANK_RTOL * np.maximum(s[:, 0], 1.0)):
+            return False
     return True
 
 

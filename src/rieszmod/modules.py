@@ -5,12 +5,18 @@ element is one vector per atom.  The pointwise norm collects the fiber norms
 into a function on the space, and every module-level notion (distance,
 glueing, quotients, dimensional decomposition) reduces to a per-fiber
 computation plus the behaviour of the structure's V-distance.
+
+An element stores its fiber vectors as one flat vector.  A module groups
+its atoms by fiber signature (norm kind, exponent, dimension and matrix
+shape), so a fiberwise map such as the pointwise norm costs one array
+operation per group rather than a Python call per atom.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -23,6 +29,8 @@ from .errors import (
     InvalidStructure,
     ModuleMismatch,
     NotAPartition,
+    SolverFailed,
+    SpaceMismatch,
 )
 from .order import FinitePartition, Idempotent
 from .spaces import FiniteFStructure, Fn, _require
@@ -59,6 +67,51 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# Stacked fiber-norm kernels
+# --------------------------------------------------------------------------
+#
+# Each kernel takes a stack x of k fiber vectors, one per row, and returns
+# the k norms.  ``FiberNorm.norm`` runs the same kernel on a one-row stack,
+# so a value has the same bits whether it is computed alone or in a group
+# (numpy's array and scalar powers can differ in the last bit).
+
+def _lp_rows(p: float, x: np.ndarray) -> np.ndarray:
+    """The lp norm of every row of x."""
+    if x.shape[1] == 0:
+        return np.zeros(x.shape[0])
+    a = np.abs(x)
+    if p == math.inf:
+        return np.maximum.reduce(a, axis=1)
+    if p == 1.0:
+        return np.add.reduce(a, axis=1)
+    return np.add.reduce(a ** p, axis=1) ** (1.0 / p)
+
+
+def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mats[i] @ x[i] for every i.
+
+    Elementwise products and one reduction rather than BLAS or ``einsum``,
+    whose summation order can change with the stack, so that a row's bits
+    do not depend on the other rows.
+    """
+    return np.add.reduce(mats * x[:, None, :], axis=2)
+
+
+def _gram_rows(grams: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sqrt(x[i]^T G[i] x[i]) for every i."""
+    return np.sqrt(np.maximum(np.add.reduce(x * _matvec_rows(grams, x), axis=1), 0.0))
+
+
+def _image_rows(p: float, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|A[i] x[i]|_p for every i."""
+    return _lp_rows(p, _matvec_rows(mats, x))
+
+
+def _one_row(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
+# --------------------------------------------------------------------------
 # Fiber norms
 # --------------------------------------------------------------------------
 
@@ -91,18 +144,32 @@ class FiberNorm:
             except InvalidExponent as exc:
                 raise InputError(exc.message, path=where + ".lp") from exc
         if key == "gram":
-            g = obj["gram"]
+            g = _finite_matrix(obj["gram"], "gram matrix", where + ".gram")
             try:
-                return GramNorm(np.asarray(g, dtype=float))
-            except (InvalidStructure, ValueError) as exc:
-                raise InputError(str(getattr(exc, "message", exc)), path=where + ".gram") from exc
+                return GramNorm(g)
+            except InvalidStructure as exc:
+                raise InputError(exc.message, path=where + ".gram") from exc
         if key == "image_lp":
             inner = obj["image_lp"]
             _require(isinstance(inner, dict) and "matrix" in inner and "p" in inner,
                      "image_lp needs 'matrix' and 'p'", where + ".image_lp")
             p = math.inf if inner["p"] == "inf" else float(inner["p"])
-            return ImageLpNorm(np.asarray(inner["matrix"], dtype=float), p)
+            return ImageLpNorm(
+                _finite_matrix(inner["matrix"], "image matrix", where + ".image_lp.matrix"), p)
         raise InputError(f"unknown fiber norm kind {key!r}", path=where)
+
+
+def _finite_matrix(raw: Any, what: str, where: str) -> np.ndarray:
+    """A JSON matrix as floats; NaN and infinities are refused at their entry."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a matrix of numbers", path=where) from exc
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        raise InputError(f"{what} entries must be finite",
+                         path=where + "".join(f"[{i}]" for i in bad[0]))
+    return arr
 
 
 @dataclass(frozen=True)
@@ -114,14 +181,7 @@ class LpNorm(FiberNorm):
             raise InvalidExponent(f"fiber exponent must lie in [1, inf], got {self.p!r}")
 
     def norm(self, x: np.ndarray) -> float:
-        if x.size == 0:
-            return 0.0
-        a = np.abs(x)
-        if self.p == math.inf:
-            return float(a.max())
-        if self.p == 1.0:
-            return float(a.sum())
-        return float(np.sum(a ** self.p) ** (1.0 / self.p))
+        return float(_lp_rows(self.p, _one_row(x))[0])
 
     def to_json(self) -> dict:
         return {"lp": "inf" if self.p == math.inf else float(self.p)}
@@ -137,8 +197,11 @@ class GramNorm(FiberNorm):
         g = np.asarray(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidStructure("gram matrix must be square")
-        if g.size and not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
-            raise InvalidStructure("gram matrix must be symmetric")
+        if g.size:
+            # np.allclose(g, g.T, atol=...) without its per-call overhead.
+            mag = np.abs(g)
+            if not np.all(np.abs(g - g.T) <= 1e-12 * max(1.0, float(mag.max())) + 1e-5 * mag.T):
+                raise InvalidStructure("gram matrix must be symmetric")
         if g.size:
             eig = np.linalg.eigvalsh(g)
             if eig[0] <= RANK_RTOL * max(1.0, float(eig[-1])):
@@ -148,9 +211,7 @@ class GramNorm(FiberNorm):
         object.__setattr__(self, "gram", g)
 
     def norm(self, x: np.ndarray) -> float:
-        if x.size == 0:
-            return 0.0
-        return float(math.sqrt(max(0.0, float(x @ self.gram @ x))))
+        return float(_gram_rows(self.gram[None], _one_row(x))[0])
 
     def check_dim(self, dim: int) -> None:
         if self.gram.shape != (dim, dim):
@@ -159,7 +220,7 @@ class GramNorm(FiberNorm):
             )
 
     def to_json(self) -> dict:
-        return {"gram": [[float(x) for x in row] for row in self.gram]}
+        return {"gram": self.gram.tolist()}
 
     def __eq__(self, other):
         return isinstance(other, GramNorm) and np.array_equal(self.gram, other.gram)
@@ -187,9 +248,7 @@ class ImageLpNorm(FiberNorm):
             raise InvalidExponent(f"fiber exponent must lie in [1, inf], got {self.p!r}")
 
     def norm(self, x: np.ndarray) -> float:
-        if x.size == 0:
-            return 0.0
-        return LpNorm(self.p).norm(self.matrix @ x)
+        return float(_image_rows(self.p, self.matrix[None], _one_row(x))[0])
 
     def check_dim(self, dim: int) -> None:
         if self.matrix.ndim != 2 or self.matrix.shape[1] != dim:
@@ -200,7 +259,7 @@ class ImageLpNorm(FiberNorm):
     def to_json(self) -> dict:
         return {
             "image_lp": {
-                "matrix": [[float(x) for x in row] for row in self.matrix],
+                "matrix": self.matrix.tolist(),
                 "p": "inf" if self.p == math.inf else float(self.p),
             }
         }
@@ -227,6 +286,74 @@ class Fiber:
         return {"dim": self.dim, "norm": self.norm.to_json()}
 
 
+#: Norm classes with a stacked kernel; any other fiber norm, subclasses
+#: included, is evaluated one fiber at a time.
+_STACKED = (LpNorm, GramNorm, ImageLpNorm)
+
+
+def _signature(fiber: Fiber) -> tuple:
+    """Fibers with equal signatures share one stacked kernel call."""
+    norm, kind = fiber.norm, type(fiber.norm)
+    if kind is LpNorm:
+        return kind, norm.p, fiber.dim
+    if kind is GramNorm:
+        return kind, fiber.dim
+    if kind is ImageLpNorm:
+        return kind, norm.p, fiber.dim, norm.matrix.shape[0]
+    return FiberNorm, fiber.dim
+
+
+class _FiberGroup:
+    """Atoms whose fibers share a signature.
+
+    ``atoms`` lists them in ascending order and ``cols`` gathers their
+    coordinates from an element's flat vector, one row per atom.  ``mats``
+    stacks their gram or image matrices (None for lp fibers); ``norms``
+    keeps the fiber norms as an object array, which a kind without a
+    stacked kernel evaluates one at a time.
+    """
+
+    __slots__ = ("proto", "dim", "atoms", "cols", "mats", "norms", "stacked", "norms_of")
+
+    def __init__(self, norms: Sequence[FiberNorm], dim: int, atoms: np.ndarray,
+                 cols: np.ndarray, mats: np.ndarray | None = None):
+        if not isinstance(norms, np.ndarray):
+            norms, objs = np.empty(len(norms), dtype=object), norms
+            norms[:] = objs
+        self.proto = norms[0]
+        self.dim = dim
+        self.atoms = atoms
+        self.cols = cols
+        self.norms = norms
+        kind = type(self.proto)
+        self.stacked = kind in _STACKED
+        if mats is None and kind in (GramNorm, ImageLpNorm):
+            mats = np.stack([n.gram if kind is GramNorm else n.matrix for n in norms])
+        self.mats = mats
+        #: norms_of(x): the fiber norms of the rows of x, row i under member i.
+        if kind is LpNorm:
+            self.norms_of = partial(_lp_rows, self.proto.p)
+        elif kind is GramNorm:
+            self.norms_of = partial(_gram_rows, mats)
+        elif kind is ImageLpNorm:
+            self.norms_of = partial(_image_rows, self.proto.p, mats)
+        else:
+            self.norms_of = self._one_by_one
+
+    @classmethod
+    def single(cls, norm: FiberNorm, dim: int) -> "_FiberGroup":
+        """A group of one fiber, for per-fiber entry points."""
+        return cls([norm], dim, np.zeros(1, dtype=np.intp), np.arange(dim)[None])
+
+    def take(self, pos: np.ndarray) -> "_FiberGroup":
+        """The members at positions ``pos``, in that order."""
+        return _FiberGroup(self.norms[pos], self.dim, self.atoms[pos], self.cols[pos],
+                           None if self.mats is None else self.mats[pos])
+
+    def _one_by_one(self, x: np.ndarray) -> np.ndarray:
+        return np.array([n.norm(row) for n, row in zip(self.norms, x)], dtype=float)
+
+
 # --------------------------------------------------------------------------
 # Modules and elements
 # --------------------------------------------------------------------------
@@ -244,15 +371,53 @@ class FiberModule:
     def space(self):
         return self.structure.space
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.fibers)
+
+    # The flat layout and the fiber groups, computed once per module.
+    @cached_property
+    def _dim_array(self) -> np.ndarray:
+        return np.array(self.dims, dtype=np.intp).reshape(-1)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Atom a owns flat[_offsets[a]:_offsets[a + 1]] of an element."""
+        return np.concatenate([[0], np.cumsum(self._dim_array)]).astype(np.intp)
+
+    @cached_property
+    def _bounds(self) -> list[tuple[int, int]]:
+        off = self._offsets.tolist()
+        return list(zip(off[:-1], off[1:]))
+
+    @cached_property
+    def _groups(self) -> tuple[_FiberGroup, ...]:
+        members: dict[tuple, list[int]] = {}
+        for a, fiber in enumerate(self.fibers):
+            members.setdefault(_signature(fiber), []).append(a)
+        groups = []
+        for atoms in members.values():
+            idx = np.array(atoms, dtype=np.intp)
+            dim = self.fibers[atoms[0]].dim
+            cols = self._offsets[idx][:, None] + np.arange(dim)
+            groups.append(_FiberGroup([self.fibers[a].norm for a in atoms], dim, idx, cols))
+        return tuple(groups)
+
+    @cached_property
+    def _group_of(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per atom, the index of its group and its position inside it."""
+        gid = np.zeros(len(self.fibers), dtype=np.intp)
+        pos = np.zeros(len(self.fibers), dtype=np.intp)
+        for i, g in enumerate(self._groups):
+            gid[g.atoms] = i
+            pos[g.atoms] = np.arange(g.atoms.size)
+        return gid, pos
 
     def element(self, vectors: Sequence[Sequence[float]]) -> "ModuleElement":
         return ModuleElement(vectors, self)
 
     def zero_element(self) -> "ModuleElement":
-        return ModuleElement([np.zeros(f.dim) for f in self.fibers], self)
+        return ModuleElement._from_flat(np.zeros(int(self._offsets[-1])), self)
 
     def same_module(self, other: "FiberModule") -> bool:
         return self is other or self == other
@@ -293,24 +458,48 @@ class FiberModule:
 
 
 class ModuleElement:
-    """One fiber vector per atom."""
+    """One fiber vector per atom, stored as one flat read-only vector.
 
-    __slots__ = ("vectors", "module")
+    ``flat`` concatenates the fiber vectors in atom order.  ``vectors`` is
+    the tuple of per-atom read-only views into it, built on first use.
+    """
+
+    __slots__ = ("flat", "module", "_vectors")
 
     def __init__(self, vectors: Sequence[Sequence[float] | np.ndarray], module: FiberModule):
-        if len(vectors) != len(module.fibers):
+        dims = module._dim_array
+        if len(vectors) != dims.size:
             raise DimensionMismatch("one vector per atom is required")
-        out = []
-        for vec, fiber in zip(vectors, module.fibers):
-            arr = np.array(vec, dtype=float).reshape(-1)
-            if arr.shape != (fiber.dim,):
-                raise DimensionMismatch(
-                    f"fiber vector has length {arr.shape[0]}, fiber dimension is {fiber.dim}"
-                )
-            arr.setflags(write=False)
-            out.append(arr)
-        self.vectors = tuple(out)
+        parts = [np.asarray(vec, dtype=float).reshape(-1) for vec in vectors]
+        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=dims.size)
+        bad = np.flatnonzero(sizes != dims)
+        if bad.size:
+            a = bad[0]
+            raise DimensionMismatch(
+                f"fiber vector has length {sizes[a]}, fiber dimension is {dims[a]}"
+            )
+        flat = np.concatenate(parts) if parts else np.zeros(0)
+        flat.setflags(write=False)
+        self.flat = flat
         self.module = module
+        self._vectors = None
+
+    @classmethod
+    def _from_flat(cls, flat: np.ndarray, module: FiberModule) -> "ModuleElement":
+        """Wrap a fresh flat vector of the module's layout (taken, not copied)."""
+        el = cls.__new__(cls)
+        flat.setflags(write=False)
+        el.flat = flat
+        el.module = module
+        el._vectors = None
+        return el
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        if self._vectors is None:
+            flat = self.flat
+            self._vectors = tuple([flat[a:b] for a, b in self.module._bounds])
+        return self._vectors
 
     def _check(self, other: "ModuleElement") -> None:
         if not isinstance(other, ModuleElement):
@@ -325,19 +514,19 @@ class ModuleElement:
         if not isinstance(other, ModuleElement):
             return NotImplemented
         self._check(other)
-        return ModuleElement([a + b for a, b in zip(self.vectors, other.vectors)], self.module)
+        return ModuleElement._from_flat(self.flat + other.flat, self.module)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         if not isinstance(other, ModuleElement):
             return NotImplemented
         self._check(other)
-        return ModuleElement([a - b for a, b in zip(self.vectors, other.vectors)], self.module)
+        return ModuleElement._from_flat(self.flat - other.flat, self.module)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement([-a for a in self.vectors], self.module)
+        return ModuleElement._from_flat(-self.flat, self.module)
 
     def scale(self, lam: float) -> "ModuleElement":
-        return ModuleElement([a * float(lam) for a in self.vectors], self.module)
+        return ModuleElement._from_flat(self.flat * float(lam), self.module)
 
     def __rmul__(self, u: Fn) -> "ModuleElement":
         """Module action u . v: per atom, the scalar u(atom) times the vector."""
@@ -345,18 +534,22 @@ class ModuleElement:
             return NotImplemented
         if u.space != self.module.space:
             raise ModuleMismatch("multiplier lives on a different measure space")
-        return ModuleElement(
-            [u.values[i] * vec for i, vec in enumerate(self.vectors)], self.module
+        if u.values.ndim != 1:
+            raise SpaceMismatch(
+                f"the module action takes one function, got a batch of shape {u.values.shape}"
+            )
+        return ModuleElement._from_flat(
+            np.repeat(u.values, self.module._dim_array) * self.flat, self.module
         )
 
     def pointwise_norm(self) -> Fn:
         return pointwise_norm(self)
 
     def is_zero(self) -> bool:
-        return all(not vec.any() for vec in self.vectors)
+        return not self.flat.any()
 
     def to_json(self) -> dict:
-        return {"vectors": [[float(x) for x in vec] for vec in self.vectors]}
+        return {"vectors": [vec.tolist() for vec in self.vectors]}
 
     @classmethod
     def from_json(cls, obj: Any, module: FiberModule, where: str = "$") -> "ModuleElement":
@@ -366,15 +559,26 @@ class ModuleElement:
         _require(isinstance(raw, list) and all(isinstance(v, list) for v in raw),
                  "vectors must be a list of lists", where + ".vectors")
         try:
-            return cls(raw, module)
+            el = cls(raw, module)
         except DimensionMismatch as exc:
             raise InputError(exc.message, path=where + ".vectors") from exc
+        bad = np.flatnonzero(~np.isfinite(el.flat))
+        if bad.size:
+            atom = int(np.searchsorted(module._offsets, bad[0], side="right")) - 1
+            raise InputError("fiber vector entries must be finite",
+                             path=f"{where}.vectors[{atom}][{bad[0] - module._offsets[atom]}]")
+        return el
 
 
 def pointwise_norm(v: ModuleElement) -> Fn:
-    """The fiber norm of each fiber vector, as a function on the space."""
-    vals = [f.norm.norm(vec) for f, vec in zip(v.module.fibers, v.vectors)]
-    return Fn(vals, v.module.space)
+    """The fiber norm of each fiber vector, as a function on the space.
+
+    One stacked kernel call per fiber group.
+    """
+    out = np.zeros(v.module.space.n)
+    for g in v.module._groups:
+        out[g.atoms] = g.norms_of(v.flat[g.cols])
+    return Fn(out, v.module.space)
 
 
 def module_distance(v: ModuleElement, w: ModuleElement) -> float:
@@ -386,8 +590,8 @@ def module_distance(v: ModuleElement, w: ModuleElement) -> float:
 
 def zero_indicator(v: ModuleElement) -> Idempotent:
     """Indicator of the atoms where the fiber vector vanishes."""
-    mask = np.array([not vec.any() for vec in v.vectors])
-    return Idempotent(v.module.space.indicator(mask))
+    nonzero = np.concatenate([[0], np.cumsum(v.flat != 0.0)])[v.module._offsets]
+    return Idempotent(v.module.space.indicator(nonzero[1:] == nonzero[:-1]))
 
 
 @dataclass(frozen=True)
@@ -522,17 +726,24 @@ def _norm_subgradient(norm: FiberNorm, y: np.ndarray) -> np.ndarray:
 
 
 def _sqrtm_spd(g: np.ndarray) -> np.ndarray:
+    """The square root of a symmetric positive semidefinite matrix or stack."""
     w, q = np.linalg.eigh(g)
-    return q @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ q.T
+    return (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def _as_gram(norm: FiberNorm, dim: int) -> np.ndarray | None:
+def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.ndarray | None:
+    """The gram matrix of a euclidean fiber norm (l2, gram, image-l2), else None.
+
+    Given ``mats``, the stacked gram or image matrices of a fiber group of
+    norm's kind, the stacked gram matrices of the group.
+    """
     if isinstance(norm, GramNorm):
-        return norm.gram
+        return norm.gram if mats is None else mats
     if isinstance(norm, LpNorm) and norm.p == 2.0:
         return np.eye(dim)
     if isinstance(norm, ImageLpNorm) and norm.p == 2.0:
-        return norm.matrix.T @ norm.matrix
+        a = norm.matrix if mats is None else mats
+        return np.swapaxes(a, -1, -2) @ a
     return None
 
 
@@ -604,7 +815,7 @@ def _polyhedral_dual_program(eq: np.ndarray, r: np.ndarray, obj: np.ndarray,
     if res.status == 2:
         raise DominationViolated("functional exceeds the gauge on the extension domain")
     if not res.success:
-        raise RuntimeError(f"extension linear program failed: {res.message}")
+        raise SolverFailed(f"extension linear program failed: {res.message}")
     return float(-res.fun)
 
 

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .errors import NonIdempotentInput, NotAPartition, PartitionMismatch
+from .errors import NonIdempotentInput, NotAPartition, PartitionMismatch, SpaceMismatch
 
 #: Absolute tolerance for ring-mixed identities (products introduce rounding;
 #: pure lattice operations on shared inputs are exact in IEEE doubles).
@@ -111,7 +111,11 @@ class Idempotent:
 
     def __post_init__(self):
         u = self.element
-        if (u * u).deviation(u) > RING_TOL:
+        dev = (u * u).deviation(u)
+        if isinstance(dev, np.ndarray):
+            raise SpaceMismatch("an idempotent is one element, not a batch")
+        # Written so that a NaN deviation is refused too.
+        if not dev <= RING_TOL:
             raise NonIdempotentInput("element is not idempotent: u*u != u")
 
     def complement(self) -> "Idempotent":

@@ -252,6 +252,11 @@ class Fn:
 # Distances
 # --------------------------------------------------------------------------
 
+def _require_single(f: Fn, what: str) -> None:
+    if f.values.ndim != 1:
+        raise SpaceMismatch(f"{what} takes one function, got a batch of shape {f.values.shape}")
+
+
 def lp_norm(f: Fn, p: float) -> float:
     """(Σ |f_i|^p μ_i)^{1/p} for finite p, max_i |f_i| for p = inf.
 
@@ -260,6 +265,7 @@ def lp_norm(f: Fn, p: float) -> float:
     """
     if p != math.inf and (not p >= 1.0 or math.isnan(p)):
         raise InvalidExponent(f"p must lie in [1, inf], got {p!r}")
+    _require_single(f, "lp_norm")
     a = np.abs(f.values)
     if p == math.inf:
         return float(np.max(a))
@@ -275,6 +281,7 @@ def l0_distance(f: Fn, g: Fn, truncation: Callable[[np.ndarray], np.ndarray] | N
     deliberately corrupt the distance and watch the law suite flag it.
     """
     f._check(g)
+    _require_single(f, "l0_distance")
     diff = np.abs(f.values - g.values)
     cut = np.minimum(diff, 1.0) if truncation is None else truncation(diff)
     return float(np.sum(cut * f.space.mu_aux))

@@ -133,6 +133,17 @@ def test_stone_command(capsys):
 # Error handling (exit code 2, machine-readable envelope)
 # --------------------------------------------------------------------------
 
+def test_nan_stone_generator_is_an_error(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text('{"generators": [[NaN, 1], [1, 0]]}')
+    code = main(["stone", "--structure", str(DATA / "structure_l2.json"),
+                 "--generators", str(gens)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["code"] == "non_idempotent_input"
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, out = run(capsys, "laws", "--structure", "/does/not/exist.json")
     assert code == 2

@@ -22,6 +22,8 @@ from rieszmod import (
     ModuleElement,
     ModuleMismatch,
     NotAPartition,
+    SolverFailed,
+    SpaceMismatch,
     Submodule,
     dimensional_decomposition,
     glue,
@@ -118,6 +120,49 @@ def test_module_json_round_trip():
     assert FiberModule.from_json(m.to_json()) == m
     with pytest.raises(InputError):
         FiberModule.from_json({"structure": structure.to_json(), "fibers": [{"dim": 2}]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_element_from_json_rejects_non_finite_entries(bad):
+    m = lp_module(make_structure(3), (2, 0, 3))
+    with pytest.raises(InputError) as info:
+        ModuleElement.from_json({"vectors": [[1.0, 2.0], [], [3.0, bad, 4.0]]}, m, "$.element")
+    assert info.value.path == "$.element.vectors[2][1]"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_module_from_json_rejects_non_finite_matrices(bad):
+    structure = make_structure(2)
+    gram = {"dim": 2, "norm": {"gram": [[2.0, 0.0], [0.0, bad]]}}
+    image = {"dim": 2, "norm": {"image_lp": {"matrix": [[1.0, 0.0], [bad, 1.0]], "p": 1.0}}}
+    plain = {"dim": 1, "norm": {"lp": 2.0}}
+    for fibers, path in (([plain, gram], "$.fibers[1].norm.gram[1][1]"),
+                         ([image, plain], "$.fibers[0].norm.image_lp.matrix[1][0]")):
+        with pytest.raises(InputError) as info:
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+        assert info.value.path == path
+
+
+def test_module_action_rejects_batched_fn():
+    m = lp_module(make_structure(2), (2, 2))
+    v = ModuleElement([[1.0, 2.0], [3.0, 4.0]], m)
+    batch = Fn([[1.0, 2.0], [3.0, 4.0]], m.space)
+    with pytest.raises(SpaceMismatch):
+        batch * v
+
+
+def test_failed_linear_program_raises_a_typed_error(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    def failing(*args, **kwargs):
+        return OptimizeResult(status=4, success=False, message="numerical difficulties")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    m = lp_module(make_structure(1), (3,), p=1.0)
+    v = ModuleElement([[1.0, -2.0, 0.5]], m)
+    with pytest.raises(SolverFailed, match="numerical difficulties"):
+        quotient_norm(v, Submodule(m, (np.array([[1.0, 1.0, 0.0]]),)))
 
 
 def test_element_shape_checks():

@@ -14,6 +14,7 @@ from rieszmod import (
     NotAPartition,
     PartitionMismatch,
     SimpleElement,
+    SpaceMismatch,
     abs_value,
     check_disjoint,
     check_disjoint_products,
@@ -207,6 +208,19 @@ def test_idempotent_accepts_indicators_only():
     Idempotent(Fn([1.0, 0.0], space))
     with pytest.raises(NonIdempotentInput):
         Idempotent(Fn([0.5, 0.0], space))
+
+
+def test_idempotent_rejects_nan():
+    space = make_space(2)
+    for values in ([float("nan"), 1.0], [float("nan"), float("nan")]):
+        with pytest.raises(NonIdempotentInput):
+            Idempotent(Fn(values, space))
+
+
+def test_idempotent_rejects_batch():
+    space = make_space(2)
+    with pytest.raises(SpaceMismatch):
+        Idempotent(Fn([[1.0, 0.0], [0.0, 1.0]], space))
 
 
 def test_idempotent_boolean_operations():

@@ -127,6 +127,21 @@ def test_l0_distance_oracles():
     assert l0_distance(Fn([2.0], single), Fn([5.0], single)) == 0.5
 
 
+def test_lp_norm_rejects_batch():
+    space = make_space(2)
+    batch = Fn([[3.0, -4.0], [1.0, 0.0]], space)
+    for p in (1.0, 2.0, math.inf):
+        with pytest.raises(SpaceMismatch):
+            lp_norm(batch, p)
+
+
+def test_l0_distance_rejects_batch():
+    space = make_space(2)
+    batch = Fn([[3.0, -4.0], [1.0, 0.0]], space)
+    with pytest.raises(SpaceMismatch):
+        l0_distance(batch, batch.zero())
+
+
 def test_l0_distance_metric_axioms_sampled():
     rng = np.random.default_rng(7)
     space = make_space(4, [1.0, 0.5, 2.0, 1.0])
