@@ -22,7 +22,6 @@ from .errors import (
     NonIdempotentInput,
     NotAPartition,
     NotHilbert,
-    NotSublinear,
     PartitionMismatch,
     RieszmodError,
     SolverFailed,

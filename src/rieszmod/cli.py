@@ -32,6 +32,7 @@ from .modules import (
     FiberModule,
     ModuleElement,
     Submodule,
+    _finite_matrix,
     dimensional_decomposition,
     pointwise_norm,
 )
@@ -52,23 +53,6 @@ _REFS = {
     "hahn-banach": ["hahn-banach-extension", "domination", "exact-restriction"],
     "stone": ["stone-atoms", "boolean-embedding"],
 }
-
-
-def report_schema() -> dict:
-    """The JSON schema of every report this tool emits (versioned)."""
-    return {
-        "$schema": "http://json-schema.org/draft-07/schema#",
-        "$id": f"rieszmod-report-{SCHEMA_VERSION}",
-        "type": "object",
-        "required": ["command", "schema_version", "seed", "spec_refs"],
-        "properties": {
-            "command": {"enum": sorted(_REFS)},
-            "schema_version": {"const": SCHEMA_VERSION},
-            "seed": {"type": "integer"},
-            "spec_refs": {"type": "array", "items": {"type": "string"}},
-        },
-        "additionalProperties": True,
-    }
 
 
 def _dumps(obj: Any) -> str:
@@ -265,12 +249,17 @@ def _cmd_hahn_banach(args: argparse.Namespace) -> tuple[int, dict]:
         if key not in problem:
             raise InputError(f"problem is missing {key!r}", path=f"$.{key}")
     module = FiberModule.from_json(problem["module"], "$.module")
-    bases = tuple(np.array(b, dtype=float) for b in problem["basis"])
+    if not isinstance(problem["basis"], list):
+        raise InputError("basis must list one matrix per atom", path="$.basis")
+    bases = tuple(_finite_matrix(b, "basis entries", f"$.basis[{a}]")
+                  for a, b in enumerate(problem["basis"]))
     sub = Submodule(module, bases)
     functional = problem["functional"]
     if not isinstance(functional, list) or len(functional) != module.space.n:
         raise InputError(f"functional must list the values on each of the {module.space.n} atoms",
                          path="$.functional")
+    functional = [_finite_matrix(r, "functional values", f"$.functional[{a}]")
+                  for a, r in enumerate(functional)]
     gauge = module.space.fn(problem["gauge"])
     if not np.all(np.isfinite(gauge.values)):
         raise InputError("gauge values must be finite", path="$.gauge")

@@ -1,33 +1,26 @@
 """Generative constructions: modules from sublinear maps, and functors.
 
-The central construction takes a symmetric sublinear map psi from an abstract
-finite-dimensional space into nonnegative functions and produces the module
-it generates: per atom, the quotient of the abstract space by the null
-directions of that atom's seminorm, normed by the seminorm itself.  The
-universal property, pushforwards along structure homs, pullbacks, completion,
-and the dual-embedding isometry are all built on top of it.
+The central construction takes a sublinear map psi from R^d into nonnegative
+functions, given per atom by a matrix as x -> ||M_a x||_p, and produces the
+module it generates: per atom, the quotient of R^d by the null space of M_a,
+normed by the seminorm itself.  The universal property, pushforwards along
+structure homs, pullbacks, completion, and the dual-embedding isometry are
+all built on top of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundViolated,
-    CompressionViolated,
-    InputError,
-    InvalidStructure,
-    NotSublinear,
-)
+from .errors import BoundViolated, CompressionViolated, InputError, InvalidStructure
 from .homdual import HomElement, StructureHom, dual_module
 from .modules import (
     Fiber,
     FiberModule,
-    FiberNorm,
     GramNorm,
     ImageLpNorm,
     LpNorm,
@@ -44,9 +37,6 @@ from .spaces import (
     Kind,
     _require,
 )
-
-_GEN_SEED = 20240818
-
 
 # --------------------------------------------------------------------------
 # Graphs and sublinear maps
@@ -112,21 +102,44 @@ class Graph:
             raise InputError(exc.message, path=where) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SublinearMap:
-    """A symmetric sublinear map from R^domain_dim into nonnegative functions.
+    """The symmetric sublinear map x -> (||M_a x||_p)_a into nonnegative functions.
 
-    ``matrices`` (one per atom) realize the per-atom seminorms as
-    x -> ||M_a x||_p when available; presets always provide them, which gives
-    exact null spaces.  A bare ``evaluate`` callable is also accepted, at the
-    cost of a numerical kernel search in generate_module.
+    ``matrices`` holds one real matrix M_a per atom, all with ``domain_dim``
+    columns; a map of this form is sublinear by construction and its null
+    spaces are exact.  ``evaluate`` is the stacked evaluation of all atoms at
+    once, bound to a space by ``generate_module``.  Matrices that are not 2-D,
+    that disagree on the domain dimension or that hold NaN or an infinity are
+    refused with InvalidStructure.
     """
 
-    domain_dim: int
-    evaluate: Callable[[np.ndarray], Fn]
+    matrices: tuple[np.ndarray, ...]
+    p: float
     kind: str | None = None
-    matrices: tuple[np.ndarray, ...] | None = None
-    p: float | None = None
+    evaluate: _MatrixEval = field(init=False, repr=False)
+
+    def __post_init__(self):
+        fixed = []
+        for a, m in enumerate(self.matrices):
+            try:
+                arr = np.array(m, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InvalidStructure(f"seminorm matrix {a} must be a matrix of numbers") from exc
+            if arr.ndim != 2:
+                raise InvalidStructure(f"seminorm matrix {a} must be 2-D, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise InvalidStructure(f"seminorm matrix {a} has a NaN or infinite entry")
+            arr.setflags(write=False)
+            fixed.append(arr)
+        if len({m.shape[1] for m in fixed}) != 1:
+            raise InvalidStructure("all seminorm matrices must share the domain dimension")
+        object.__setattr__(self, "matrices", tuple(fixed))
+        object.__setattr__(self, "evaluate", _MatrixEval(self.matrices, LpNorm(self.p)))
+
+    @property
+    def domain_dim(self) -> int:
+        return self.matrices[0].shape[1]
 
 
 def graph_gradient(graph: Graph, p: float) -> SublinearMap:
@@ -151,26 +164,12 @@ def graph_gradient(graph: Graph, p: float) -> SublinearMap:
             scale = 1.0 if p == math.inf else w ** (1.0 / p)
             m[r, y], m[r, x] = scale, -scale
         mats.append(m)
-    return _from_matrices(mats, p, kind="graph_gradient")
+    return SublinearMap(tuple(mats), p, "graph_gradient")
 
 
 def seminorm_family(matrices: Sequence[np.ndarray], p: float = 2.0) -> SublinearMap:
     """Per-atom seminorms x -> ||M_a x||_p given directly by their matrices."""
-    mats = [np.array(m, dtype=float) for m in matrices]
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise InvalidStructure("all seminorm matrices must share the domain dimension")
-    return _from_matrices(mats, p, kind="seminorm_family")
-
-
-def _from_matrices(mats: Sequence[np.ndarray], p: float, kind: str) -> SublinearMap:
-    fixed = []
-    for m in mats:
-        arr = np.array(m, dtype=float)
-        arr.setflags(write=False)
-        fixed.append(arr)
-    dim = fixed[0].shape[1]
-    return SublinearMap(dim, _MatrixEval(tuple(fixed), LpNorm(p)), kind, tuple(fixed), p)
+    return SublinearMap(tuple(matrices), p, "seminorm_family")
 
 
 class _MatrixEval:
@@ -213,30 +212,6 @@ class _MatrixEval:
         return Fn(out, self.space)
 
 
-@dataclass(frozen=True)
-class _FuncNorm(FiberNorm):
-    """Fiber norm evaluated through a callable (matrix-free generated modules)."""
-
-    call: Callable[[np.ndarray], float]
-    dim: int
-
-    def norm(self, x: np.ndarray) -> float:
-        return float(self.call(np.asarray(x, dtype=float)))
-
-    def check_dim(self, dim: int) -> None:
-        if dim != self.dim:
-            raise InvalidStructure(f"callable norm has dimension {self.dim}, fiber {dim}")
-
-    def to_json(self) -> dict:
-        raise InputError("callable fiber norms are not serializable")
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
-
 # --------------------------------------------------------------------------
 # Generated modules
 # --------------------------------------------------------------------------
@@ -248,13 +223,11 @@ class GeneratedModule:
     ``lifts[a]`` is the coordinate matrix of the fiber at atom a: its rows
     span the directions the seminorm sees (its null space is exactly the
     seminorm's), so v and w land on the same fiber vector iff psi cannot
-    tell them apart at that atom.  For matrix-realized seminorms the rows
-    are a maximal independent subset of the seminorm's own rows, which keeps
-    integer data exact; for callable seminorms they are an orthonormal
-    complement of the numerically found null space.  ``kernels[a]`` spans
-    the null directions.  The fiber norms evaluate the original seminorm
-    through these coordinates, so the pointwise norm of a generator image
-    reproduces psi.
+    tell them apart at that atom.  The rows are a maximal independent
+    subset of the seminorm matrix's own rows, which keeps integer data
+    exact.  ``kernels[a]`` spans the null directions.  The fiber norms
+    evaluate the original seminorm through these coordinates, so the
+    pointwise norm of a generator image reproduces psi.
     """
 
     module: FiberModule
@@ -272,29 +245,6 @@ class GeneratedModule:
         return [self.generator_map(e) for e in np.eye(self.psi.domain_dim)]
 
 
-def _check_sublinear(psi: SublinearMap, evaluate: Callable[[np.ndarray], Fn]) -> None:
-    rng = np.random.default_rng(_GEN_SEED)
-    d = psi.domain_dim
-    vs = [np.eye(d)[i] for i in range(d)] + list(rng.standard_normal((16, d)))
-    for v in vs:
-        pv = evaluate(v)
-        scale = max(1.0, pv.sup_abs)
-        if np.any(pv.values < -1e-9 * scale):
-            raise NotSublinear("psi takes a negative value")
-        if evaluate(-v).deviation(pv) > 1e-9 * scale:
-            raise NotSublinear("psi is not symmetric: psi(-v) != psi(v)")
-        for lam in (0.5, 3.0):
-            if evaluate(lam * v).deviation(pv.scale(lam)) > 1e-9 * scale * lam:
-                raise NotSublinear("psi is not positively homogeneous")
-    for i in range(0, len(vs) - 1, 2):
-        v, w = vs[i], vs[i + 1]
-        lhs = evaluate(v + w)
-        rhs = evaluate(v) + evaluate(w)
-        gap = np.max(lhs.values - rhs.values)
-        if gap > 1e-9 * max(1.0, rhs.sup_abs):
-            raise NotSublinear("psi is not subadditive")
-
-
 def _independent_rows(m: np.ndarray) -> list[int]:
     """Indices of a maximal independent row subset, greedy in row order."""
     kept: list[int] = []
@@ -306,116 +256,40 @@ def _independent_rows(m: np.ndarray) -> list[int]:
     return kept
 
 
-def _callable_kernel(psi_a: Callable[[np.ndarray], float], dim: int) -> np.ndarray:
-    """Null directions of a seminorm given only by evaluation (deflation).
-
-    Repeatedly minimizes the seminorm over the unit sphere of the remaining
-    complement by seeded projected subgradient descent (numeric gradients);
-    directions whose minimum falls below 1e-9 times the largest basis
-    seminorm (or 1) are deflated into the kernel.
-    """
-    scale = max([psi_a(e) for e in np.eye(dim)] + [1.0])
-    thresh = 1e-9 * scale
-    rng = np.random.default_rng(_GEN_SEED + 1)
-    kernel_rows: list[np.ndarray] = []
-    while len(kernel_rows) < dim:
-        if kernel_rows:
-            comp = kernel_basis(np.stack(kernel_rows))
-        else:
-            comp = np.eye(dim)
-        k = comp.shape[0]
-        if k == 0:
-            break
-        best_y, best_val = None, math.inf
-
-        def value(y: np.ndarray) -> float:
-            return psi_a(comp.T @ y)
-
-        starts = [np.eye(k)[i] for i in range(k)] + list(rng.standard_normal((16, k)))
-        for y0 in starts:
-            y = y0 / np.linalg.norm(y0)
-            val = value(y)
-            for it in range(1, 301):
-                g = np.zeros(k)
-                h = 1e-7 * scale
-                for j in range(k):
-                    e = np.eye(k)[j]
-                    g[j] = (value(y + h * e) - value(y - h * e)) / (2.0 * h)
-                y_new = y - (0.3 / math.sqrt(it)) * g
-                ny = np.linalg.norm(y_new)
-                if ny == 0.0:
-                    break
-                y_new /= ny
-                v_new = value(y_new)
-                if v_new < val:
-                    y, val = y_new, v_new
-                elif it > 50:
-                    break
-            if val < best_val:
-                best_y, best_val = y, val
-        if best_val >= thresh:
-            break
-        direction = comp.T @ best_y
-        kernel_rows.append(direction / np.linalg.norm(direction))
-    if kernel_rows:
-        return np.stack(kernel_rows)
-    return np.zeros((0, dim))
-
-
 def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> GeneratedModule:
     """Build the module generated by psi over the given structure.
 
-    Per atom: the fiber is the quotient of the abstract domain by the null
-    space of that atom's seminorm, normed by the seminorm of a lifted
+    Per atom: the fiber is the quotient of R^d by the null space of that
+    atom's seminorm matrix, normed by the seminorm of a lifted
     representative.  The generator map's two defining properties (pointwise
     norm equal to psi, images spanning every fiber) then hold by
     construction; both are re-verified in the test suite.
     """
-    evaluate = psi.evaluate
-    if isinstance(evaluate, _MatrixEval):
-        evaluate.bind(structure.space)
-    _check_sublinear(psi, evaluate)
-    n = structure.space.n
+    psi.evaluate.bind(structure.space)
     d = psi.domain_dim
     fibers: list[Fiber] = []
     lifts: list[np.ndarray] = []
     kernels: list[np.ndarray] = []
-    for a in range(n):
-        if psi.matrices is not None:
-            m_a = psi.matrices[a]
-            sel = _independent_rows(m_a)
-            lift = m_a[sel]
-            kern = kernel_basis(m_a) if m_a.size else np.eye(d)
-            r = len(sel)
-            if r == 0:
-                fibers.append(Fiber(0, LpNorm(2.0)))
-            else:
-                # Express every seminorm row through the kept ones: the
-                # fiber norm of coordinates x is then the lp norm of R x.
-                # Kept rows get exact basis rows, only the rest are solved.
-                factor = np.zeros((m_a.shape[0], r))
-                factor[sel] = np.eye(r)
-                rest = [i for i in range(m_a.shape[0]) if i not in set(sel)]
-                if rest:
-                    factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
-                if psi.p == 2.0:
-                    fibers.append(Fiber(r, GramNorm(factor.T @ factor)))
-                else:
-                    fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
+    for m_a in psi.matrices:
+        sel = _independent_rows(m_a)
+        lift = m_a[sel]
+        kern = kernel_basis(m_a) if m_a.size else np.eye(d)
+        r = len(sel)
+        if r == 0:
+            fibers.append(Fiber(0, LpNorm(2.0)))
         else:
-            def psi_a(x: np.ndarray, _a=a) -> float:
-                return float(evaluate(x).values[_a])
-
-            kern = _callable_kernel(psi_a, d)
-            lift = kernel_basis(kern) if kern.shape[0] else np.eye(d)
-            r = lift.shape[0]
-            if r == 0:
-                fibers.append(Fiber(0, LpNorm(2.0)))
+            # Express every seminorm row through the kept ones: the
+            # fiber norm of coordinates x is then the lp norm of R x.
+            # Kept rows get exact basis rows, only the rest are solved.
+            factor = np.zeros((m_a.shape[0], r))
+            factor[sel] = np.eye(r)
+            rest = [i for i in range(m_a.shape[0]) if i not in set(sel)]
+            if rest:
+                factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
+            if psi.p == 2.0:
+                fibers.append(Fiber(r, GramNorm(factor.T @ factor)))
             else:
-                def call(x: np.ndarray, _lift=lift, _psi_a=psi_a) -> float:
-                    return _psi_a(_lift.T @ x)
-
-                fibers.append(Fiber(r, _FuncNorm(call, r)))
+                fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
         lifts.append(lift)
         kernels.append(kern)
     module = FiberModule(structure, tuple(fibers))

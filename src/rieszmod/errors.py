@@ -61,10 +61,6 @@ class DimensionMismatch(RieszmodError):
     code = "dimension_mismatch"
 
 
-class NotSublinear(RieszmodError):
-    code = "not_sublinear"
-
-
 class BoundViolated(RieszmodError):
     code = "bound_violated"
 

@@ -22,6 +22,7 @@ from .modules import (
     ModuleElement,
     Submodule,
     _as_gram,
+    _finite_matrix,
     kernel_basis,
     pointwise_norm,
 )
@@ -158,15 +159,19 @@ class FiberSet:
         try:
             if kind == "subspace":
                 _require("basis" in obj, "subspace needs 'basis'", where)
-                return SubspaceSet(np.array(obj["basis"], dtype=float))
+                return SubspaceSet(_finite_matrix(obj["basis"], "subspace basis entries",
+                                                  where + ".basis"))
             if kind == "box":
                 _require("lo" in obj and "hi" in obj, "box needs 'lo' and 'hi'", where)
-                return BoxSet(np.array(obj["lo"], dtype=float),
-                              np.array(obj["hi"], dtype=float))
+                return BoxSet(_box_bound(obj["lo"], -math.inf, where + ".lo"),
+                              _box_bound(obj["hi"], math.inf, where + ".hi"))
             if kind == "ball":
                 _require("center" in obj and "radius" in obj,
                          "ball needs 'center' and 'radius'", where)
-                return BallSet(np.array(obj["center"], dtype=float), float(obj["radius"]))
+                center = _finite_matrix(obj["center"], "ball center entries",
+                                        where + ".center")
+                radius = _finite_matrix(obj["radius"], "ball radius", where + ".radius")
+                return BallSet(center, float(radius))
             if kind == "intersection":
                 _require(isinstance(obj.get("parts"), list) and obj["parts"],
                          "intersection needs a nonempty 'parts' list", where)
@@ -177,6 +182,17 @@ class FiberSet:
         except EmptySet as exc:
             raise InputError(exc.message, path=where) from exc
         raise InputError(f"unknown fiber set kind {kind!r}", path=where)
+
+
+def _box_bound(raw: Any, unbounded: float, where: str) -> np.ndarray:
+    """A JSON box bound as floats: each entry finite, or the infinity on the
+    bound's open side (-inf for lo, inf for hi); others are refused at their entry."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError("box bound must be a vector of numbers", path=where) from exc
+    _finite_matrix(np.where(arr == unbounded, 0.0, arr), "box bound entries", where)
+    return arr
 
 
 @dataclass(frozen=True)

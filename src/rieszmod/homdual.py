@@ -40,6 +40,7 @@ from .modules import (
     _as_gram,
     _extension_value,
     _FiberGroup,
+    _finite_matrix,
     _lp_conjugate,
     _lp_rows,
     _matvec_rows,
@@ -198,8 +199,12 @@ class HomElement:
                   where: str = "$") -> "HomElement":
         _require(isinstance(obj, dict) and "matrices" in obj,
                  "hom must be {\"matrices\": [[[...]], ...]}", where)
+        _require(isinstance(obj["matrices"], list), "matrices must be a list, one per atom",
+                 where + ".matrices")
+        matrices = [_finite_matrix(m, "hom matrix entries", f"{where}.matrices[{t}]")
+                    for t, m in enumerate(obj["matrices"])]
         try:
-            return cls(obj["matrices"], source, target)
+            return cls(matrices, source, target)
         except (DimensionMismatch, ValueError) as exc:
             raise InputError(str(getattr(exc, "message", exc)), path=where + ".matrices") from exc
 
@@ -222,9 +227,9 @@ def dual_vector_norm(norm: FiberNorm, a: np.ndarray) -> float:
 
 def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
     """The dual norm of rows[i] under member i of the group, for every i."""
-    if src.stacked and isinstance(src.proto, LpNorm):
+    if isinstance(src.proto, LpNorm):
         return _lp_rows(_lp_conjugate(src.proto.p), rows)
-    if src.stacked and isinstance(src.proto, GramNorm):
+    if isinstance(src.proto, GramNorm):
         sol = np.linalg.solve(src.mats, rows[..., None])[..., 0]
         return np.sqrt(np.maximum(np.sum(rows * sol, axis=1), 0.0))
     return np.array([_min_dual_norm(norm, np.eye(row.size), row)
@@ -245,10 +250,8 @@ def _min_dual_norm(norm: FiberNorm, rows: np.ndarray, r: np.ndarray) -> float:
         factor, q = norm.matrix.T, _lp_conjugate(norm.p)
     elif isinstance(norm, GramNorm):
         factor, q = _sqrtm_spd(norm.gram), 2.0
-    elif isinstance(norm, LpNorm):
-        factor, q = np.eye(rows.shape[1]), _lp_conjugate(norm.p)
     else:
-        raise UnsupportedHom("dual norms are implemented for lp, gram and image-lp fibers")
+        factor, q = np.eye(rows.shape[1]), _lp_conjugate(norm.p)
     a = rows @ factor
     u0 = np.linalg.lstsq(a, r, rcond=None)[0]
     if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
@@ -322,9 +325,9 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
         if live.size:
             out[live] = _operator_norms(src.take(live), tgt.take(live), a[live])
         return out
-    if tgt.dim == 1 and src.stacked:
+    if tgt.dim == 1:
         return tgt.norms_of(np.ones((k, 1))) * _dual_norms(src, a[:, 0, :])
-    lp_src = src.proto.p if src.stacked and isinstance(src.proto, LpNorm) else None
+    lp_src = src.proto.p if isinstance(src.proto, LpNorm) else None
     if lp_src == 1.0:
         return np.max([tgt.norms_of(a[:, :, j]) for j in range(src.dim)], axis=0)
     if lp_src == math.inf and src.dim <= 16:
@@ -338,8 +341,8 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
             each = tgt.take(np.repeat(np.arange(k), chunk.shape[0])).norms_of(images)
             best = np.maximum(best, each.reshape(k, -1).max(axis=1))
         return best
-    g_src = _as_gram(src.proto, src.dim, src.mats) if src.stacked else None
-    g_tgt = _as_gram(tgt.proto, tgt.dim, tgt.mats) if tgt.stacked else None
+    g_src = _as_gram(src.proto, src.dim, src.mats)
+    g_tgt = _as_gram(tgt.proto, tgt.dim, tgt.mats)
     if g_src is not None and g_tgt is not None:
         white = _sqrtm_spd(g_tgt) @ a @ np.linalg.inv(_sqrtm_spd(g_src))
         return np.linalg.norm(white, 2, axis=(1, 2))
@@ -395,7 +398,7 @@ def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
     structure = FiniteFStructure(system.space, m.structure.u_kind, system.w_kind)
     fibers = list(m.fibers)
     for g in m._groups:
-        if g.stacked and isinstance(g.proto, LpNorm):
+        if isinstance(g.proto, LpNorm):
             # One shared dual fiber per lp group.
             dual = Fiber(g.dim, _dual_fiber_norm(g.proto))
             for a in g.atoms:
@@ -535,9 +538,6 @@ def norming_functional(v: ModuleElement, system: DualSystem | None = None) -> Ho
         live = np.flatnonzero(nrm != 0.0)
         if g.dim == 0 or live.size == 0:
             continue
-        if not g.stacked:
-            raise UnsupportedHom(
-                "norming functionals are implemented for lp, gram and image-lp fibers")
         x, nrm, mats = x[live], nrm[live], None if g.mats is None else g.mats[live]
         if isinstance(g.proto, GramNorm):
             rows = _matvec_rows(mats, x) / nrm[:, None]

@@ -144,7 +144,7 @@ class FiberNorm:
             except InvalidExponent as exc:
                 raise InputError(exc.message, path=where + ".lp") from exc
         if key == "gram":
-            g = _finite_matrix(obj["gram"], "gram matrix", where + ".gram")
+            g = _finite_matrix(obj["gram"], "gram matrix entries", where + ".gram")
             try:
                 return GramNorm(g)
             except InvalidStructure as exc:
@@ -154,20 +154,21 @@ class FiberNorm:
             _require(isinstance(inner, dict) and "matrix" in inner and "p" in inner,
                      "image_lp needs 'matrix' and 'p'", where + ".image_lp")
             p = math.inf if inner["p"] == "inf" else float(inner["p"])
-            return ImageLpNorm(
-                _finite_matrix(inner["matrix"], "image matrix", where + ".image_lp.matrix"), p)
+            return ImageLpNorm(_finite_matrix(inner["matrix"], "image matrix entries",
+                                              where + ".image_lp.matrix"), p)
         raise InputError(f"unknown fiber norm kind {key!r}", path=where)
 
 
 def _finite_matrix(raw: Any, what: str, where: str) -> np.ndarray:
-    """A JSON matrix as floats; NaN and infinities are refused at their entry."""
+    """A JSON number, vector or matrix as floats; NaN and infinities are
+    refused at their entry."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be a matrix of numbers", path=where) from exc
+        raise InputError(f"{what} must be numbers", path=where) from exc
     bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        raise InputError(f"{what} entries must be finite",
+    if bad.shape[0]:
+        raise InputError(f"{what} must be finite",
                          path=where + "".join(f"[{i}]" for i in bad[0]))
     return arr
 
@@ -274,21 +275,23 @@ class ImageLpNorm(FiberNorm):
 
 @dataclass(frozen=True)
 class Fiber:
+    """A fiber of dimension ``dim`` normed by an ``LpNorm``, ``GramNorm`` or
+    ``ImageLpNorm``; any other norm type, subclasses included, is refused."""
+
     dim: int
     norm: FiberNorm
 
     def __post_init__(self):
+        if type(self.norm) not in (LpNorm, GramNorm, ImageLpNorm):
+            raise InvalidStructure(
+                f"fiber norms are LpNorm, GramNorm or ImageLpNorm, got {type(self.norm).__name__}"
+            )
         if self.dim < 0:
             raise InvalidStructure("fiber dimension must be nonnegative")
         self.norm.check_dim(self.dim)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "norm": self.norm.to_json()}
-
-
-#: Norm classes with a stacked kernel; any other fiber norm, subclasses
-#: included, is evaluated one fiber at a time.
-_STACKED = (LpNorm, GramNorm, ImageLpNorm)
 
 
 def _signature(fiber: Fiber) -> tuple:
@@ -298,9 +301,7 @@ def _signature(fiber: Fiber) -> tuple:
         return kind, norm.p, fiber.dim
     if kind is GramNorm:
         return kind, fiber.dim
-    if kind is ImageLpNorm:
-        return kind, norm.p, fiber.dim, norm.matrix.shape[0]
-    return FiberNorm, fiber.dim
+    return kind, norm.p, fiber.dim, norm.matrix.shape[0]
 
 
 class _FiberGroup:
@@ -309,11 +310,10 @@ class _FiberGroup:
     ``atoms`` lists them in ascending order and ``cols`` gathers their
     coordinates from an element's flat vector, one row per atom.  ``mats``
     stacks their gram or image matrices (None for lp fibers); ``norms``
-    keeps the fiber norms as an object array, which a kind without a
-    stacked kernel evaluates one at a time.
+    keeps the fiber norms as an object array.
     """
 
-    __slots__ = ("proto", "dim", "atoms", "cols", "mats", "norms", "stacked", "norms_of")
+    __slots__ = ("proto", "dim", "atoms", "cols", "mats", "norms", "norms_of")
 
     def __init__(self, norms: Sequence[FiberNorm], dim: int, atoms: np.ndarray,
                  cols: np.ndarray, mats: np.ndarray | None = None):
@@ -326,7 +326,6 @@ class _FiberGroup:
         self.cols = cols
         self.norms = norms
         kind = type(self.proto)
-        self.stacked = kind in _STACKED
         if mats is None and kind in (GramNorm, ImageLpNorm):
             mats = np.stack([n.gram if kind is GramNorm else n.matrix for n in norms])
         self.mats = mats
@@ -335,23 +334,19 @@ class _FiberGroup:
             self.norms_of = partial(_lp_rows, self.proto.p)
         elif kind is GramNorm:
             self.norms_of = partial(_gram_rows, mats)
-        elif kind is ImageLpNorm:
-            self.norms_of = partial(_image_rows, self.proto.p, mats)
         else:
-            self.norms_of = self._one_by_one
+            self.norms_of = partial(_image_rows, self.proto.p, mats)
 
     @classmethod
     def single(cls, norm: FiberNorm, dim: int) -> "_FiberGroup":
         """A group of one fiber, for per-fiber entry points."""
+        Fiber(dim, norm)  # refuses any other norm kind
         return cls([norm], dim, np.zeros(1, dtype=np.intp), np.arange(dim)[None])
 
     def take(self, pos: np.ndarray) -> "_FiberGroup":
         """The members at positions ``pos``, in that order."""
         return _FiberGroup(self.norms[pos], self.dim, self.atoms[pos], self.cols[pos],
                            None if self.mats is None else self.mats[pos])
-
-    def _one_by_one(self, x: np.ndarray) -> np.ndarray:
-        return np.array([n.norm(row) for n, row in zip(self.norms, x)], dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -678,7 +673,7 @@ def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
     ``_extension_value`` with gauge 1 and zero values on the basis: exact (a
     linear program or a closed form) for lp fibers with p in {1, 2, infinity},
     for image-lp fibers with those p and for gram fibers, line-search descent
-    for every other fiber norm.
+    for lp and image-lp fibers with any other p.
     """
     if not v.module.same_module(n.module):
         raise DimensionMismatch("element and submodule live in different modules")
@@ -702,13 +697,9 @@ def _lp_conjugate(p: float) -> float:
 
 
 def _norm_subgradient(norm: FiberNorm, y: np.ndarray) -> np.ndarray:
-    """A subgradient of the norm at y (the zero vector at y = 0).
-
-    A callable fiber norm has no formula to differentiate and gets the zero
-    vector too, which leaves the kernel's descent to coordinate directions.
-    """
+    """A subgradient of the norm at y (the zero vector at y = 0)."""
     n = norm.norm(y)
-    if n == 0.0 or y.size == 0 or not isinstance(norm, (LpNorm, GramNorm, ImageLpNorm)):
+    if n == 0.0 or y.size == 0:
         return np.zeros_like(y)
     if isinstance(norm, GramNorm):
         return norm.gram @ y / n

@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import rieszmod
-from rieszmod.cli import main, report_schema
+from rieszmod.cli import _REFS, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SCHEMAS = pathlib.Path(__file__).parent.parent / "schemas"
 
 
 def run(capsys, *argv):
@@ -237,6 +238,57 @@ def test_hahn_banach_rejects_malformed_problems(capsys, tmp_path, key, value, lp
     input_error_at(capsys, f"$.{key}", "hahn-banach", "--problem", str(bad))
 
 
+def input_error_on_fds(capfd, path, *argv):
+    """input_error_at on file descriptors 1 and 2, which LAPACK writes to directly."""
+    code = main(list(argv))
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    err = json.loads(captured.out)["error"]  # one JSON document, nothing before it
+    assert err["code"] == "input_error"
+    assert err["path"] == path
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("basis", [[[NAN, 0.0]]], "$.basis[0][0][0]"),
+    ("basis", [[[1.0, -INF]]], "$.basis[0][0][1]"),
+    ("functional", [[NAN]], "$.functional[0][0]"),
+    ("functional", [[INF]], "$.functional[0][0]"),
+])
+@pytest.mark.parametrize("lp", [1.0, 2.0, 3.0])
+def test_hahn_banach_refuses_non_finite_basis_and_functional(capfd, tmp_path, key, value,
+                                                             path, lp):
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    problem["module"]["fibers"][0]["norm"] = {"lp": lp}
+    problem[key] = value
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(problem))
+    input_error_on_fds(capfd, path, "hahn-banach", "--problem", str(bad))
+
+
+@pytest.mark.parametrize("fiber_set,path", [
+    ({"kind": "subspace", "basis": [[NAN, 0.0]]}, "$.fibers[0].basis[0][0]"),
+    ({"kind": "subspace", "basis": [[1.0, INF]]}, "$.fibers[0].basis[0][1]"),
+    ({"kind": "box", "lo": [0.0, NAN], "hi": [1.0, 1.0]}, "$.fibers[0].lo[1]"),
+    ({"kind": "box", "lo": [INF, 0.0], "hi": [INF, 1.0]}, "$.fibers[0].lo[0]"),
+    ({"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, -INF]}, "$.fibers[0].hi[1]"),
+    ({"kind": "ball", "center": [NAN, 0.0], "radius": 1.0}, "$.fibers[0].center[0]"),
+    ({"kind": "ball", "center": [INF, 0.0], "radius": 1.0}, "$.fibers[0].center[0]"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": NAN}, "$.fibers[0].radius"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": INF}, "$.fibers[0].radius"),
+    ({"kind": "intersection", "parts": [{"kind": "subspace", "basis": [[1.0, NAN]]}]},
+     "$.fibers[0].parts[0].basis[0][1]"),
+])
+def test_project_refuses_non_finite_sets(capfd, tmp_path, fiber_set, path):
+    bad = tmp_path / "set.json"
+    bad.write_text(json.dumps({"fibers": [fiber_set]}))
+    input_error_on_fds(capfd, path, "project", "--module", str(DATA / "module_gram.json"),
+                       "--element", str(DATA / "element_34.json"), "--set", str(bad))
+
+
 def space_mismatch(capsys, *argv):
     """Run a command whose input has the wrong shape: exit 2, space_mismatch."""
     code = main(list(argv))
@@ -340,9 +392,12 @@ def test_report_envelope_fields(capsys):
         assert report["spec_refs"] and all(isinstance(r, str) for r in report["spec_refs"])
 
 
-def test_report_schema_is_stable_json():
-    schema = report_schema()
-    assert json.loads(json.dumps(schema)) == schema
-    assert schema["properties"]["command"]["enum"] == sorted(
-        ["laws", "cotangent", "project", "decompose", "dual",
-         "pushforward", "hahn-banach", "stone"])
+def test_report_schema_file_matches_the_cli():
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    assert schema["properties"]["command"]["enum"] == sorted(_REFS)
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert [g.name for g in goldens] == ["cotangent.json", "decompose.json", "laws.json"]
+    for golden in goldens:
+        report = json.loads(golden.read_text())
+        assert set(schema["required"]) <= set(report)
+        assert report["command"] in schema["properties"]["command"]["enum"]

@@ -8,7 +8,6 @@ import pytest
 from rieszmod import (
     BoundViolated,
     DualSystem,
-    Fn,
     GramNorm,
     Graph,
     HomElement,
@@ -17,7 +16,6 @@ from rieszmod import (
     Kind,
     LpNorm,
     ModuleElement,
-    NotSublinear,
     StructureHom,
     SublinearMap,
     complete,
@@ -37,7 +35,7 @@ from rieszmod import (
     seminorm_family,
     universal_factor,
 )
-from helpers import lp_module, make_space, make_structure, random_element
+from helpers import lp_module, make_structure, random_element
 
 
 def path_graph(n=2, w=1.0):
@@ -152,21 +150,23 @@ def test_seminorm_family_requires_common_domain():
         seminorm_family([np.eye(2), np.zeros((1, 3))])
 
 
-def test_check_sublinear_rejections():
-    space = make_space(1)
-    asym = SublinearMap(2, lambda v: Fn([max(float(v[0]), 0.0)], space))
-    with pytest.raises(NotSublinear):
-        generate_module(asym, make_structure(1))
-    shifted = SublinearMap(2, lambda v: Fn([abs(float(v[0])) + 1.0], space))
-    with pytest.raises(NotSublinear):
-        generate_module(shifted, make_structure(1))
-    concave = SublinearMap(
-        2, lambda v: Fn([math.sqrt(abs(float(v[0]) * float(v[1])))], space))
-    with pytest.raises(NotSublinear):
-        generate_module(concave, make_structure(1))
-    negative = SublinearMap(2, lambda v: Fn([-abs(float(v[0]))], space))
-    with pytest.raises(NotSublinear):
-        generate_module(negative, make_structure(1))
+@pytest.mark.parametrize("matrices", [
+    [[1.0, 2.0], np.eye(2)],                       # a 1-D matrix
+    [[[float("nan"), 1.0]], np.eye(2)],            # a NaN entry
+    [np.ones((1, 2, 2)), np.ones((3, 2, 2))],      # 3-D arrays
+    [[[float("inf"), 1.0]], np.eye(2)],            # an infinite entry
+], ids=["1d", "nan", "3d", "inf"])
+def test_seminorm_family_refuses_malformed_matrices(matrices):
+    with pytest.raises(InvalidStructure):
+        seminorm_family(matrices)
+
+
+def test_sublinear_map_is_derived_from_its_matrices():
+    psi = SublinearMap((np.array([[1.0, -1.0]]), np.zeros((0, 2))), 1.0)
+    assert psi.domain_dim == 2
+    assert all(not m.flags.writeable for m in psi.matrices)
+    generate_module(psi, make_structure(2))
+    assert psi.evaluate([3.0, 1.0]).values.tolist() == [2.0, 0.0]
 
 
 # --------------------------------------------------------------------------
@@ -208,20 +208,6 @@ def test_generate_zero_seminorm():
     assert all(k.shape == (3, 3) for k in gen.kernels)
     v = gen.generator_map([1.0, 2.0, 3.0])
     assert pointwise_norm(v).values.tolist() == [0.0, 0.0]
-
-
-def test_generate_from_callable():
-    space = make_space(1)
-    psi = SublinearMap(2, lambda v: Fn([abs(float(v[0]))], space))
-    gen = generate_module(psi, make_structure(1))
-    assert gen.module.dims == (1,)
-    kern = gen.kernels[0]
-    assert kern.shape == (1, 2)
-    assert abs(abs(kern[0, 1]) - 1.0) <= 1e-6
-    assert abs(kern[0, 0]) <= 1e-6
-    for v in ([3.0, 7.0], [-2.0, 0.0], [0.0, 5.0]):
-        got = pointwise_norm(gen.generator_map(v)).values[0]
-        assert abs(got - abs(v[0])) <= 1e-9
 
 
 def test_generator_map_checks_length():

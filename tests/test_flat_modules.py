@@ -25,6 +25,7 @@ from rieszmod import (
     HomElement,
     Idempotent,
     ImageLpNorm,
+    InvalidStructure,
     LpNorm,
     ModuleElement,
     StructureHom,
@@ -266,18 +267,19 @@ def test_pushforward_preserves_pointwise_norms_bit_for_bit(module):
                               phi.apply(pointwise_norm(v)).values)
 
 
-def test_fibers_without_a_stacked_kernel_are_evaluated_one_by_one():
+def test_fiber_refuses_norms_outside_the_three_kinds():
     class Doubled(FiberNorm):
         def norm(self, x):
             return 2.0 * float(np.abs(x).sum())
 
-    structure = make_structure(4)
-    m = FiberModule(structure, (Fiber(2, Doubled()), Fiber(2, LpNorm(1.0)),
-                                Fiber(3, Doubled()), Fiber(0, Doubled())))
-    v = random_element(np.random.default_rng(9), m)
-    want = [2.0 * np.abs(v.vectors[0]).sum(), np.abs(v.vectors[1]).sum(),
-            2.0 * np.abs(v.vectors[2]).sum(), 0.0]
-    assert np.allclose(pointwise_norm(v).values, want, rtol=1e-15, atol=0.0)
+    class SubLp(LpNorm):
+        pass
+
+    for norm in (Doubled(), SubLp(1.0)):
+        with pytest.raises(InvalidStructure):
+            Fiber(2, norm)
+        with pytest.raises(InvalidStructure):
+            homdual.dual_vector_norm(norm, np.ones(2))
 
 
 def test_wide_module_makes_no_per_atom_norm_call(monkeypatch):

@@ -83,6 +83,15 @@ def test_hom_element_scalar_action_and_json():
     assert all(np.array_equal(a, b) for a, b in zip(back.matrices, t.matrices))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hom_element_from_json_refuses_non_finite_entries(bad):
+    m = lp_module(make_structure(2), (1, 2))
+    obj = {"matrices": [[[1.0]], [[0.0, 1.0], [1.0, bad]]]}
+    with pytest.raises(InputError) as info:
+        HomElement.from_json(obj, m, m, where="$.hom")
+    assert info.value.path == "$.hom.matrices[1][1][1]"
+
+
 def test_hom_element_shape_and_space_checks():
     m = lp_module(make_structure(2), (2, 1))
     with pytest.raises(Exception):
