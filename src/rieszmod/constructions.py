@@ -10,6 +10,7 @@ all built on top of it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -109,9 +110,10 @@ class SublinearMap:
     ``matrices`` holds one real matrix M_a per atom, all with ``domain_dim``
     columns; a map of this form is sublinear by construction and its null
     spaces are exact.  ``evaluate`` is the stacked evaluation of all atoms at
-    once, bound to a space by ``generate_module``.  Matrices that are not 2-D,
-    that disagree on the domain dimension or that hold NaN or an infinity are
-    refused with InvalidStructure.
+    once; it needs a space, which ``on`` binds in a copy of the map, as
+    ``generate_module`` does for each module it builds.  Matrices that are
+    not 2-D, that disagree on the domain dimension or that hold NaN or an
+    infinity are refused with InvalidStructure.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -140,6 +142,12 @@ class SublinearMap:
     @property
     def domain_dim(self) -> int:
         return self.matrices[0].shape[1]
+
+    def on(self, space: FiniteMeasureSpace) -> "SublinearMap":
+        """This map with its evaluation bound to ``space``; self is unchanged."""
+        bound = copy.copy(self)
+        object.__setattr__(bound, "evaluate", self.evaluate.on(space))
+        return bound
 
 
 def graph_gradient(graph: Graph, p: float) -> SublinearMap:
@@ -173,7 +181,7 @@ def seminorm_family(matrices: Sequence[np.ndarray], p: float = 2.0) -> Sublinear
 
 
 class _MatrixEval:
-    """Evaluate a matrix-realized sublinear map; binds to a space lazily.
+    """Evaluate a matrix-realized sublinear map on the space it is bound to.
 
     The per-atom matrices are stacked into one, so an evaluation is a single
     matrix-vector product followed by a segmented lp reduction.  ``starts``
@@ -190,16 +198,19 @@ class _MatrixEval:
         self.p = lp.p
         self.space: FiniteMeasureSpace | None = None
 
-    def bind(self, space: FiniteMeasureSpace) -> None:
+    def on(self, space: FiniteMeasureSpace) -> "_MatrixEval":
+        """A copy bound to ``space``, sharing the stacked matrices."""
         if self.n != space.n:
             raise InvalidStructure(
                 f"sublinear map covers {self.n} atoms, space has {space.n}"
             )
-        self.space = space
+        bound = copy.copy(self)
+        bound.space = space
+        return bound
 
     def __call__(self, v: np.ndarray) -> Fn:
         if self.space is None:
-            raise InvalidStructure("sublinear map is not bound to a space yet")
+            raise InvalidStructure("sublinear map is not bound to a space; see SublinearMap.on")
         a = np.abs(self.stacked @ np.asarray(v, dtype=float))
         out = np.zeros(self.n)
         if self.starts.size:
@@ -263,9 +274,11 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
     atom's seminorm matrix, normed by the seminorm of a lifted
     representative.  The generator map's two defining properties (pointwise
     norm equal to psi, images spanning every fiber) then hold by
-    construction; both are re-verified in the test suite.
+    construction; both are re-verified in the test suite.  The module's
+    ``psi`` is a copy of psi bound to the structure's space; psi itself is
+    left as it was.
     """
-    psi.evaluate.bind(structure.space)
+    psi = psi.on(structure.space)
     d = psi.domain_dim
     fibers: list[Fiber] = []
     lifts: list[np.ndarray] = []

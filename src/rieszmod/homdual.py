@@ -1,7 +1,10 @@
 """Homomorphisms between fiber modules, dual modules, and extension theorems.
 
 Homs are stored as one matrix per atom; the pointwise operator norm makes
-Hom(M, N) itself a fiber module.  Duals are Hom into the scalar fibers of the
+Hom(M, N) itself a fiber module.  Operator norms are closed forms where
+duality gives one, and otherwise come from one batched nonlinear power
+iteration per fiber group: a value attained at a unit vector, so a lower
+bound that is not certified.  Duals are Hom into the scalar fibers of the
 pairing space Z, with closed-form dual norms for lp and gram fibers.  The
 Hahn-Banach extension first decides domination exactly, then iterates the
 one-dimensional step over a deterministic basis completion.  Both, and the
@@ -25,6 +28,7 @@ from .errors import (
     InconsistentGenerators,
     InputError,
     ModuleMismatch,
+    SolverFailed,
     UnsupportedHom,
 )
 from .modules import (
@@ -41,18 +45,20 @@ from .modules import (
     _extension_value,
     _FiberGroup,
     _finite_matrix,
+    _gram_rows,
     _lp_conjugate,
     _lp_rows,
     _matvec_rows,
-    _norm_subgradient,
     _sqrtm_spd,
     kernel_basis,
     matrix_rank,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
 
-#: Seed for the deterministic restarts used by the operator-norm ascent.
-_ASCENT_SEED = 20240817
+#: Step cap of the operator-norm power method; each start stops earlier,
+#: once its value rises by at most ``_POWER_RTOL`` relative in one step.
+_POWER_STEPS = 1000
+_POWER_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,9 @@ class HomElement:
 def dual_vector_norm(norm: FiberNorm, a: np.ndarray) -> float:
     """sup { a.x : norm(x) <= 1 }, the dual norm of the row vector a.
 
-    Closed forms for lp and gram fibers.  On an image-lp fiber x -> |A x|_p
-    it is min { |u|_q : A^T u = a }, from the gauge kernel: exact for p in
-    {1, 2, infinity}, line-search descent for other p.
+    Closed forms for lp, gram and image-l2 fibers.  On an image-lp fiber
+    x -> |A x|_p it is min { |u|_q : A^T u = a }, from the gauge kernel:
+    exact for p in {1, infinity}, line-search descent for other p.
     """
     if a.size == 0:
         return 0.0
@@ -229,8 +235,9 @@ def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
     """The dual norm of rows[i] under member i of the group, for every i."""
     if isinstance(src.proto, LpNorm):
         return _lp_rows(_lp_conjugate(src.proto.p), rows)
-    if isinstance(src.proto, GramNorm):
-        sol = np.linalg.solve(src.mats, rows[..., None])[..., 0]
+    gram = _as_gram(src.proto, src.dim, src.mats)
+    if gram is not None:
+        sol = np.linalg.solve(gram, rows[..., None])[..., 0]
         return np.sqrt(np.maximum(np.sum(rows * sol, axis=1), 0.0))
     return np.array([_min_dual_norm(norm, np.eye(row.size), row)
                      for norm, row in zip(src.norms, rows)], dtype=float)
@@ -260,46 +267,6 @@ def _min_dual_norm(norm: FiberNorm, rows: np.ndarray, r: np.ndarray) -> float:
     return _extension_value(LpNorm(q), 1.0, null, np.zeros(null.shape[0]), u0)
 
 
-def _operator_norm_ascent(src: FiberNorm, tgt: FiberNorm, a: np.ndarray) -> float:
-    """max of tgt(A x) over src(x) = 1 by projected subgradient ascent.
-
-    Deterministic: 32 restarts drawn from a fixed seed, tolerance 1e-8.
-    The objective is a maximum of a convex function over the unit sphere, so
-    every local ray maximum is global along its ray; restarts guard against
-    sphere-level local maxima.
-    """
-    n = a.shape[1]
-    if n == 0 or a.shape[0] == 0:
-        return 0.0
-    rng = np.random.default_rng(_ASCENT_SEED)
-    starts = [np.eye(n)[i] for i in range(n)]
-    starts += [rng.standard_normal(n) for _ in range(32)]
-    best = 0.0
-    for x0 in starts:
-        s = src.norm(x0)
-        if s == 0.0:
-            continue
-        x = x0 / s
-        val = tgt.norm(a @ x)
-        for k in range(1, 201):
-            g = a.T @ _norm_subgradient(tgt, a @ x)
-            step = 0.5 / math.sqrt(k)
-            y = x + step * g
-            sy = src.norm(y)
-            if sy == 0.0:
-                break
-            y = y / sy
-            vy = tgt.norm(a @ y)
-            if vy > val:
-                x, prev, val = y, val, vy
-                if vy - prev <= 1e-8 * max(1.0, vy) and k > 20:
-                    break
-            else:
-                x = y if vy == val else x
-        best = max(best, val)
-    return best
-
-
 def _sign_vectors(d: int) -> np.ndarray:
     """The 2^(d-1) sign vectors with first entry +1, as rows."""
     bits = np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1)
@@ -313,8 +280,13 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
     zero matrices; one-dimensional targets (dual norm of the row, from the
     gauge kernel on image-lp sources); l1 sources (max over columns);
     l-infinity sources (sign-pattern enumeration); euclidean sources and
-    targets (whitened spectral norm).  Everything else falls back to the
-    seeded ascent, one matrix at a time.
+    targets (whitened spectral norm).  An image-lq target |B y|_q is the lq
+    target of the matrix B A.  By duality |A|_{X -> lq} is the largest dual
+    norm X*(A^T s) over the extreme points s of the lq* unit ball: the rows
+    of A for an l-infinity target, and the sign vectors for an l1 target of
+    at most 16 rows when X* has a closed form.  Everything else runs the
+    power method, whose value is attained at a unit vector: a lower bound,
+    not certified.
     """
     k = a.shape[0]
     if src.dim == 0 or tgt.dim == 0:
@@ -346,8 +318,168 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
     if g_src is not None and g_tgt is not None:
         white = _sqrtm_spd(g_tgt) @ a @ np.linalg.inv(_sqrtm_spd(g_src))
         return np.linalg.norm(white, 2, axis=(1, 2))
-    return np.array([_operator_norm_ascent(s, t, m)
-                     for s, t, m in zip(src.norms, tgt.norms, a)], dtype=float)
+    q = None if isinstance(tgt.proto, GramNorm) else tgt.proto.p
+    if isinstance(tgt.proto, ImageLpNorm):
+        a = _matmul_rows(tgt.mats, a)
+    closed_dual = isinstance(src.proto, LpNorm) or g_src is not None
+    if q == math.inf or (q == 1.0 and a.shape[1] <= 16 and closed_dual):
+        return _dual_extreme_norms(src, a, q)
+    return _power_norms(src, q, None if q is not None else tgt.mats, a)
+
+
+def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b[i] @ a[i] for every i (b may have one member for all), row by row
+    as in ``_matvec_rows``."""
+    return np.add.reduce(b[:, :, :, None] * a[:, None, :, :], axis=2)
+
+
+def _dual_extreme_norms(src: _FiberGroup, a: np.ndarray, q: float) -> np.ndarray:
+    """max of X*(A^T s) over the extreme points s of the lq* unit ball, per matrix.
+
+    That is |A|_{X -> lq} for q = infinity (s the unit vectors, A^T s the
+    rows of A) and q = 1 (s the sign vectors, in chunks of at most 2^12
+    rows), X* the dual norm of member i of src.
+    """
+    k, m, d = a.shape
+    ext = np.eye(m) if q == math.inf else _sign_vectors(m)
+    step = max(1, 2 ** 12 // k)
+    best = np.zeros(k)
+    for c in range(0, ext.shape[0], step):
+        chunk = ext[c:c + step]
+        rows = _matmul_rows(chunk[None], a).reshape(-1, d)
+        each = _dual_norms(src.take(np.repeat(np.arange(k), chunk.shape[0])), rows)
+        best = np.maximum(best, each.reshape(k, -1).max(axis=1))
+    return best
+
+
+def _power_norms(src: _FiberGroup, q: float | None, grams: np.ndarray | None,
+                 a: np.ndarray) -> np.ndarray:
+    """max of |A x| over src(x) = 1 by the nonlinear power method, per matrix.
+
+    The target is lq, or gram with the stacked ``grams`` when q is None.
+    Each step is x <- LMO_src(A^T u), u the unit dual vector attaining the
+    target norm at A x, then x is rescaled to the source unit sphere; the
+    value never decreases (Boyd, LAA 9, 1974; Higham, Numer. Math. 62,
+    1992).  The starts are the unit vectors, the rows of A and the right
+    singular vectors of A.  Every start runs until its value rises by at
+    most ``_POWER_RTOL`` relative, for at most ``_POWER_STEPS`` steps, and a
+    matrix gets the best value of its starts.  Every kernel works row by
+    row, so a value does not depend on the other matrices of the stack.
+    """
+    k, m, d = a.shape
+    starts = np.concatenate([np.broadcast_to(np.eye(d), (k, d, d)), a,
+                             np.linalg.svd(a, full_matrices=False)[2]], axis=1)
+    s = starts.shape[1]
+    owner = np.repeat(np.arange(k), s)
+    mats, src = a[owner], src.take(owner)
+    grams = None if grams is None else grams[owner]
+    best = np.zeros(k * s)
+    x = starts.reshape(-1, d)
+    nrm = src.norms_of(x)
+    act = np.flatnonzero(nrm > 0.0)
+    x = x[act] / nrm[act, None]
+    val = np.zeros(act.size)
+    for step in range(_POWER_STEPS + 1):
+        y = _matvec_rows(mats[act], x)
+        new = _lp_rows(q, y) if grams is None else _gram_rows(grams[act], y)
+        best[act] = np.maximum(best[act], new)
+        go = new - val > _POWER_RTOL * new if step else new > 0.0
+        act, y, val = act[go], y[go], new[go]
+        if act.size == 0 or step == _POWER_STEPS:
+            break
+        if grams is None:
+            u = _attaining_rows(q, y, val)
+        else:
+            u = _matvec_rows(grams[act], y) / val[:, None]
+        live = src.take(act)
+        x = _lmo(live, _matvec_rows(np.swapaxes(mats[act], 1, 2), u))
+        x = x / live.norms_of(x)[:, None]
+    return best.reshape(k, s).max(axis=1)
+
+
+def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
+    """Per row i, a maximiser of g[i].x over the unit ball of member i of
+    src, up to a positive factor (g[i] != 0).
+
+    Closed forms for lp sources (the vector norming g in the conjugate
+    exponent) and euclidean ones (G^-1 g).  An image-lp ball |B x|_p <= 1
+    with p in {1, infinity} takes the optimal vertex of one HiGHS linear
+    program per row; for other p, see ``_image_newton``.
+    """
+    if isinstance(src.proto, LpNorm):
+        q = _lp_conjugate(src.proto.p)
+        return _attaining_rows(q, g, _lp_rows(q, g))
+    gram = _as_gram(src.proto, src.dim, src.mats)
+    if gram is not None:
+        return np.linalg.solve(gram, g[..., None])[..., 0]
+    if src.proto.p not in (1.0, math.inf):
+        return _image_newton(src.mats, src.proto.p, g)
+    return np.array([_image_vertex(b, src.proto.p, row) for b, row in zip(src.mats, g)])
+
+
+def _image_vertex(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
+    """An optimal vertex of max g.x over |B x|_p <= 1, p in {1, infinity}."""
+    # Imported here: scipy.optimize would double the package's import time.
+    from scipy.optimize import linprog
+
+    m, d = b.shape
+    if p == math.inf:   # -1 <= B x <= 1
+        res = linprog(-g, A_ub=np.vstack([b, -b]), b_ub=np.ones(2 * m),
+                      bounds=[(None, None)] * d, method="highs")
+    else:               # slacks t >= |B x| with sum t <= 1
+        eye = np.eye(m)
+        a_ub = np.block([[b, -eye], [-b, -eye], [np.zeros((1, d)), np.ones((1, m))]])
+        res = linprog(np.concatenate([-g, np.zeros(m)]), A_ub=a_ub,
+                      b_ub=np.concatenate([np.zeros(2 * m), [1.0]]),
+                      bounds=[(None, None)] * d + [(0.0, None)] * m, method="highs")
+    if not res.success:
+        raise SolverFailed(f"operator-norm linear program failed: {res.message}")
+    return res.x[:d]
+
+
+def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
+    """Per row, the minimiser of |B x|_p^p / p - g.x (1 < p < infinity).
+
+    Its gradient condition B^T J(B x) = g says that g norms x, so by
+    homogeneity it points at the maximiser of g.x over |B x|_p <= 1.
+    Damped Newton from the p = 2 minimiser scaled to the best point of its
+    ray, with a backtracking line search; a row stops once its Newton
+    decrement falls to 1e-20 of its value or a step no longer decreases it.
+    """
+    bt = np.swapaxes(b, 1, 2)
+
+    def f(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return (np.add.reduce(np.abs(_matvec_rows(b[rows], z)) ** p, axis=1) / p
+                - np.add.reduce(g[rows] * z, axis=1))
+
+    x = np.linalg.solve(_matmul_rows(bt, b), g[..., None])[..., 0]
+    ray = np.add.reduce(g * x, axis=1) / np.add.reduce(np.abs(_matvec_rows(b, x)) ** p, axis=1)
+    x = x * (ray ** (1.0 / (p - 1.0)))[:, None]
+    act = np.arange(g.shape[0])
+    fx = f(act, x)
+    for _ in range(100):
+        y = _matvec_rows(b[act], x[act])
+        ay = np.abs(y)
+        grad = _matvec_rows(bt[act], np.sign(y) * ay ** (p - 1.0)) - g[act]
+        weight = (p - 1.0) * np.maximum(ay, 1e-12 * ay.max(axis=1, keepdims=True)) ** (p - 2.0)
+        hess = _matmul_rows(bt[act] * weight[:, None, :], b[act])
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        dec = np.add.reduce(grad * step, axis=1)
+        t = np.ones(act.size)
+        fn = f(act, x[act] - step)
+        for _ in range(40):
+            short = fn > fx[act] - 0.25 * t * dec
+            if not short.any():
+                break
+            t[short] *= 0.5
+            fn[short] = f(act[short], x[act[short]] - t[short, None] * step[short])
+        go = (dec > 1e-20 * np.abs(fx[act])) & (fn < fx[act])
+        act, step, t, fn = act[go], step[go], t[go], fn[go]
+        if act.size == 0:
+            break
+        x[act] -= t[:, None] * step
+        fx[act] = fn
+    return x
 
 
 def hom_norm(t: HomElement) -> Fn:
@@ -356,7 +488,7 @@ def hom_norm(t: HomElement) -> Fn:
     Atomwise this is sup { |T v| : |v| <= 1 } on the fiber, which coincides
     with the least pointwise bound w with |T v| <= w |v|.  Target atoms are
     grouped by the fiber groups of their source and target fibers, and each
-    group runs one stacked closed form.
+    group runs one stacked closed form or power iteration.
     """
     src_gid, src_pos = t.source._group_of
     tgt_gid, tgt_pos = t.target._group_of

@@ -165,8 +165,22 @@ def test_sublinear_map_is_derived_from_its_matrices():
     psi = SublinearMap((np.array([[1.0, -1.0]]), np.zeros((0, 2))), 1.0)
     assert psi.domain_dim == 2
     assert all(not m.flags.writeable for m in psi.matrices)
-    generate_module(psi, make_structure(2))
-    assert psi.evaluate([3.0, 1.0]).values.tolist() == [2.0, 0.0]
+    gen = generate_module(psi, make_structure(2))
+    assert gen.psi.evaluate([3.0, 1.0]).values.tolist() == [2.0, 0.0]
+    with pytest.raises(InvalidStructure):
+        psi.evaluate([3.0, 1.0])  # generating a module leaves psi unbound
+
+
+def test_generated_modules_keep_their_own_space():
+    psi = seminorm_family([np.eye(2), np.eye(2)])
+    g1 = generate_module(psi, make_structure(2))
+    g2 = generate_module(psi, make_structure(2, weights=(1.0, 2.0)))
+    assert g1.module.space != g2.module.space
+    assert g1.psi.evaluate([1.0, 0.0]).space == g1.module.space
+    assert g2.psi.evaluate([1.0, 0.0]).space == g2.module.space
+    # universal_factor compares psi's values with bounds on the module's space.
+    factor = universal_factor(g1, g1.module, g1.generator_map, g1.module.space.one_fn())
+    assert factor.target is g1.module
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Hom modules, operator norms, duals, Hahn-Banach, bidual embedding."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,7 +176,7 @@ def test_hom_norm_bound_and_attainment():
     src = lp_module(structure, (2, 2), p=1.5)
     tgt = lp_module(structure, (2, 2), p=3.0)
     t = HomElement([rng.standard_normal((2, 2)) for _ in range(2)], src, tgt)
-    # Non-scalar lp pairs go through sampled ascent, good to 1e-4 relative.
+    # Non-scalar lp pairs go through the power method.
     bound = hom_norm(t)
     best = np.zeros(2)
     for theta in np.linspace(0.0, 2.0 * math.pi, 20_001):
@@ -183,6 +185,105 @@ def test_hom_norm_bound_and_attainment():
         best = np.maximum(best, ratio)
         assert bool(np.all(ratio <= bound.values * (1.0 + 1e-4)))
     assert bool(np.all(best >= bound.values * (1.0 - 1e-4)))
+
+
+def one_atom_hom_norm(a, src_norm, tgt_norm):
+    structure = make_structure(1)
+    src = FiberModule(structure, (Fiber(a.shape[1], src_norm),))
+    tgt = FiberModule(structure, (Fiber(a.shape[0], tgt_norm),))
+    return float(hom_norm(HomElement([a], src, tgt)).values[0])
+
+
+def lp_sphere_sample_max(p, q, a, points=200_000):
+    """max of |A x|_q over a fixed sample of the l_p unit sphere: a lower bound."""
+    x = np.random.default_rng(0).standard_normal((points, a.shape[1]))
+    x /= np.linalg.norm(x, p, axis=1)[:, None]
+    return float(np.max(np.linalg.norm(x @ a.T, q, axis=1)))
+
+
+def test_power_method_reaches_the_l3_to_l1_5_norm():
+    # The fixed benchmark matrix on which the projected-subgradient ascent
+    # stopped 0.67% short.
+    a = np.random.default_rng(37).standard_normal((4, 4))
+    got = one_atom_hom_norm(a, LpNorm(3.0), LpNorm(1.5))
+    holder = np.linalg.norm(np.linalg.norm(a, 1.5, axis=0), 1.5)
+    assert got >= lp_sphere_sample_max(3.0, 1.5, a) * (1.0 - 1e-4)
+    assert got <= holder * (1.0 + 1e-12)
+
+
+def test_l1_target_norm_is_exact_where_the_ascent_fell_short():
+    a = np.random.default_rng(18).standard_normal((8, 6))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=8)))
+    exact = float(np.max(np.linalg.norm(signs @ a, axis=1)))
+    got = one_atom_hom_norm(a, LpNorm(2.0), LpNorm(1.0))
+    assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_l1_and_linf_target_closed_forms_match_brute_force():
+    rng = np.random.default_rng(211)
+    g = random_spd(rng, 3)
+    sources = [(LpNorm(1.5), lambda w: np.linalg.norm(w, 3.0, axis=1)),
+               (LpNorm(3.0), lambda w: np.linalg.norm(w, 1.5, axis=1)),
+               (LpNorm(2.0), lambda w: np.linalg.norm(w, axis=1)),
+               (GramNorm(g), lambda w: np.sqrt(np.sum(w * np.linalg.solve(g, w.T).T, axis=1)))]
+    for m in range(1, 17):
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        for src_norm, dual in sources:
+            a = rng.standard_normal((m, 3))
+            by_rows = float(np.max(dual(a)))
+            by_signs = float(np.max(dual(signs @ a)))
+            for q, want in ((math.inf, by_rows), (1.0, by_signs)):
+                got = one_atom_hom_norm(a, src_norm, LpNorm(q))
+                assert abs(got - want) <= 1e-12 * want, (m, src_norm, q)
+
+
+def norms_of_rows(norm, x):
+    if isinstance(norm, GramNorm):
+        return np.sqrt(np.sum(x * (x @ norm.gram), axis=1))
+    if isinstance(norm, ImageLpNorm):
+        x = x @ norm.matrix.T
+    return np.linalg.norm(x, norm.p, axis=1)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_power_method_on_image_lp_sources_matches_an_angle_sweep(p):
+    rng = np.random.default_rng(223)
+    angles = np.linspace(0.0, 2.0 * math.pi, 200_001)
+    x = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for tgt_norm in (LpNorm(1.0), LpNorm(1.5), LpNorm(3.0), GramNorm(random_spd(rng, 2)),
+                     ImageLpNorm(rng.standard_normal((3, 2)), 1.5)):
+        src_norm = ImageLpNorm(rng.standard_normal((3, 2)), p)
+        a = rng.standard_normal((2, 2))
+        swept = float(np.max(norms_of_rows(tgt_norm, x @ a.T) / norms_of_rows(src_norm, x)))
+        got = one_atom_hom_norm(a, src_norm, tgt_norm)
+        # The value is attained, so it cannot exceed the true norm; the sweep
+        # is within (2 pi / 2e5) of it in angle.
+        assert swept * (1.0 - 1e-9) <= got <= swept * (1.0 + 1e-4), (p, tgt_norm)
+
+
+def test_power_method_value_does_not_depend_on_the_group():
+    rng = np.random.default_rng(227)
+    pairs = [(LpNorm(3.0), LpNorm(1.5)), (GramNorm(random_spd(rng, 4)), LpNorm(3.0)),
+             (ImageLpNorm(rng.standard_normal((5, 4)), 3.0), LpNorm(1.5))]
+    structure = make_structure(50)
+    for src_norm, tgt_norm in pairs:
+        mats = [rng.standard_normal((4, 4)) for _ in range(50)]
+        src = FiberModule(structure, (Fiber(4, src_norm),) * 50)
+        tgt = FiberModule(structure, (Fiber(4, tgt_norm),) * 50)
+        grouped = hom_norm(HomElement(mats, src, tgt)).values
+        for a, m in enumerate(mats):
+            assert one_atom_hom_norm(m, src_norm, tgt_norm) == grouped[a], (src_norm, a)
+
+
+def test_power_method_on_two_hundred_atoms_is_fast():
+    rng = np.random.default_rng(229)
+    structure = make_structure(200)
+    src = lp_module(structure, (4,) * 200, p=3.0)
+    tgt = lp_module(structure, (4,) * 200, p=1.5)
+    t = HomElement([rng.standard_normal((4, 4)) for _ in range(200)], src, tgt)
+    start = time.perf_counter()
+    hom_norm(t)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_norm_glueing_is_exact():
