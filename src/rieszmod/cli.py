@@ -263,6 +263,9 @@ def _cmd_hahn_banach(args: argparse.Namespace) -> tuple[int, dict]:
     gauge = module.space.fn(problem["gauge"])
     if not np.all(np.isfinite(gauge.values)):
         raise InputError("gauge values must be finite", path="$.gauge")
+    negative = np.flatnonzero(gauge.values < 0.0)
+    if negative.size:
+        raise InputError("gauge values must be nonnegative", path=f"$.gauge[{negative[0]}]")
     seed = _resolve_seed(args.seed)
     try:
         extension = hahn_banach_extend(sub, functional, gauge)

@@ -8,11 +8,12 @@ bound that is not certified.  Duals are Hom into the scalar fibers of the
 pairing space Z, with closed-form dual norms for lp and gram fibers.  The
 Hahn-Banach extension first decides domination exactly, then iterates the
 one-dimensional step over a deterministic basis completion.  Both, and the
-dual norms of image-lp fibers, run the gauge kernel of ``modules``
-(``_extension_value``): a linear program for polyhedral gauges, a closed
-form for euclidean ones, convex line-search descent for the remaining
-smooth gauges.
-"""
+dual norms of image-lp fibers, run the batched gauge kernel of ``modules``
+(``_extension_values``): one linear program per call for all polyhedral
+gauges (so one for the domination test and one per extension round, across
+all atoms), a closed form for euclidean ones, convex line-search descent
+for the remaining smooth gauges.  An atom's value in a batch equals its
+one-atom value to the solver's tolerance, not bit for bit."""
 
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .errors import (
     InconsistentGenerators,
     InputError,
     ModuleMismatch,
-    SolverFailed,
     UnsupportedHom,
 )
 from .modules import (
@@ -42,11 +42,12 @@ from .modules import (
     ModuleElement,
     Submodule,
     _as_gram,
-    _extension_value,
+    _extension_values,
     _FiberGroup,
     _finite_matrix,
     _gram_rows,
     _lp_conjugate,
+    _linear_program,
     _lp_rows,
     _matvec_rows,
     _sqrtm_spd,
@@ -239,32 +240,44 @@ def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
     if gram is not None:
         sol = np.linalg.solve(gram, rows[..., None])[..., 0]
         return np.sqrt(np.maximum(np.sum(rows * sol, axis=1), 0.0))
-    return np.array([_min_dual_norm(norm, np.eye(row.size), row)
-                     for norm, row in zip(src.norms, rows)], dtype=float)
+    return _min_dual_norms([(norm, np.eye(row.size), row) for norm, row in zip(src.norms, rows)])
 
 
-def _min_dual_norm(norm: FiberNorm, rows: np.ndarray, r: np.ndarray) -> float:
-    """min { dual_norm(w) : rows @ w = r }, infinite when no w reaches r.
+def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """min { dual_norm(w) : rows @ w = r } per problem (norm, rows, r),
+    infinite when no w reaches r.
 
     The functional f(rows^T t) = r.t is dominated by g * norm exactly when
     this is at most g.  The dual norm is itself a minimum, dual_norm(w) =
     min { |u|_q : M u = w } with q the conjugate exponent and M = I (lp),
     A^T (image-lp through A) or G^(1/2) (gram G).  So the whole is the lq
     distance from one solution u0 of rows M u = r to the null space of
-    rows M: the gauge kernel on the dual side.
+    rows M: the gauge kernel on the dual side, one call for all problems.
+    u0 and the null space come from one SVD of rows M, cut at the
+    package-wide ``RANK_RTOL``, so a direction that the null space counts
+    as zero is never inverted into u0.
     """
-    if isinstance(norm, ImageLpNorm):
-        factor, q = norm.matrix.T, _lp_conjugate(norm.p)
-    elif isinstance(norm, GramNorm):
-        factor, q = _sqrtm_spd(norm.gram), 2.0
-    else:
-        factor, q = np.eye(rows.shape[1]), _lp_conjugate(norm.p)
-    a = rows @ factor
-    u0 = np.linalg.lstsq(a, r, rcond=None)[0]
-    if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
-        return math.inf
-    null = kernel_basis(a)
-    return _extension_value(LpNorm(q), 1.0, null, np.zeros(null.shape[0]), u0)
+    out = np.full(len(problems), math.inf)
+    live: list[int] = []
+    dual = []
+    for i, (norm, rows, r) in enumerate(problems):
+        if isinstance(norm, ImageLpNorm):
+            factor, q = norm.matrix.T, _lp_conjugate(norm.p)
+        elif isinstance(norm, GramNorm):
+            factor, q = _sqrtm_spd(norm.gram), 2.0
+        else:
+            factor, q = np.eye(rows.shape[1]), _lp_conjugate(norm.p)
+        a = rows @ factor
+        u, sv, vt = np.linalg.svd(a)
+        rank = int(np.sum(sv > RANK_RTOL * max(float(sv[0]), 1.0))) if sv.size else 0
+        u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
+        if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
+            continue
+        live.append(i)
+        dual.append((LpNorm(q), 1.0, vt[rank:], np.zeros(a.shape[1] - rank), u0))
+    if dual:
+        out[live] = _extension_values(dual)
+    return out
 
 
 def _sign_vectors(d: int) -> np.ndarray:
@@ -419,22 +432,18 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
 
 def _image_vertex(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
     """An optimal vertex of max g.x over |B x|_p <= 1, p in {1, infinity}."""
-    # Imported here: scipy.optimize would double the package's import time.
-    from scipy.optimize import linprog
-
     m, d = b.shape
     if p == math.inf:   # -1 <= B x <= 1
-        res = linprog(-g, A_ub=np.vstack([b, -b]), b_ub=np.ones(2 * m),
-                      bounds=[(None, None)] * d, method="highs")
-    else:               # slacks t >= |B x| with sum t <= 1
-        eye = np.eye(m)
-        a_ub = np.block([[b, -eye], [-b, -eye], [np.zeros((1, d)), np.ones((1, m))]])
-        res = linprog(np.concatenate([-g, np.zeros(m)]), A_ub=a_ub,
-                      b_ub=np.concatenate([np.zeros(2 * m), [1.0]]),
-                      bounds=[(None, None)] * d + [(0.0, None)] * m, method="highs")
-    if not res.success:
-        raise SolverFailed(f"operator-norm linear program failed: {res.message}")
-    return res.x[:d]
+        return _linear_program(-g, np.full(d, -math.inf), np.full(d, math.inf), b,
+                               -np.ones(m), np.ones(m), "operator-norm")
+    # slacks t >= |B x| with sum t <= 1
+    eye = np.eye(m)
+    a = np.block([[b, -eye], [-b, -eye], [np.zeros((1, d)), np.ones((1, m))]])
+    x = _linear_program(np.concatenate([-g, np.zeros(m)]),
+                        np.concatenate([np.full(d, -math.inf), np.zeros(m)]),
+                        np.full(d + m, math.inf), a, np.full(2 * m + 1, -math.inf),
+                        np.concatenate([np.zeros(2 * m), [1.0]]), "operator-norm")
+    return x[:d]
 
 
 def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
@@ -588,67 +597,81 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
     ``n.bases[a]``; the gauge is p(v) = gauge(a) * |v| in each fiber.
     Domination of f by p on the submodule is decided exactly before any
     extension step: it holds iff the least dual norm of a row reproducing
-    the values, ``_min_dual_norm``, is at most gauge(a) * (1 + 1e-9), and
+    the values, ``_min_dual_norms``, is at most gauge(a) * (1 + 1e-9), and
     DominationViolated is raised otherwise, also for values that no linear
     functional takes on a rank-deficient basis.  The extension iterates the
     one-dimensional step over the standard-basis completion in index order,
     each new value being the infimum of p(v + z) - f(v) over the current
     domain, computed through the dual program over the gauge's dual ball
     (exact for lp and image-lp with p in {1, 2, infinity} and for gram
-    gauges, convex descent otherwise).  Taking the infimum itself is the canonical
-    tie-break among valid extensions.
+    gauges, convex descent otherwise).  Taking the infimum itself is the
+    canonical tie-break among valid extensions.
+
+    The atoms run side by side: one gauge-kernel call decides domination
+    on every atom, and one call per round takes the next completion step of
+    every atom that has one, so polyhedral gauges cost one linear program
+    for the test and one per round.  Errors come in atom order: a
+    domination failure on an atom beats a shape error on a later one.
     """
     m = n.module
     if gauge.space != m.space:
         raise ModuleMismatch("gauge lives on a different measure space")
     if np.any(gauge.values < 0.0):
         raise DominationViolated("gauge must be nonnegative")
-    out_rows: list[np.ndarray] = []
-    bases: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for a, fiber in enumerate(m.fibers):
+    gauges = [float(x) for x in gauge.values]
+    given: list[tuple[np.ndarray, np.ndarray]] = []
+    shape_error = None
+    for a in range(m.space.n):
         b = np.array(n.bases[a], dtype=float)
         r = np.array(f_rows[a], dtype=float).reshape(-1)
         if r.shape[0] != b.shape[0]:
-            raise DimensionMismatch(
+            shape_error = DimensionMismatch(
                 f"atom {a}: {b.shape[0]} basis rows but {r.shape[0]} functional values"
             )
-        g_a = float(gauge.values[a])
-        if r.size:
-            need = _min_dual_norm(fiber.norm, b, r)
-            if need > g_a * (1.0 + 1e-9):
-                raise DominationViolated(
-                    f"atom {a}: functional exceeds the gauge on the submodule"
-                    f" (it needs a gauge of at least {need:.6g}, got {g_a:.6g})"
-                )
-        # Keep a maximal independent subset of the basis rows with their
-        # values (consistent, as checked above), then complete it with unit
-        # vectors whose values are the one-dimensional extension steps.
-        cur_b: list[np.ndarray] = []
-        cur_r: list[float] = []
-        given = [(row, float(x)) for row, x in zip(b, r)]
-        for row, val in given + [(e, None) for e in np.eye(fiber.dim)]:
-            stacked = np.array(cur_b).reshape(len(cur_b), fiber.dim)
-            if matrix_rank(np.vstack([stacked, row[None, :]])) == len(cur_b):
-                continue
-            if val is None:
-                val = _extension_value(fiber.norm, g_a, stacked, np.array(cur_r), row)
-            cur_b.append(row)
-            cur_r.append(val)
-        if fiber.dim == 0:
-            out_rows.append(np.zeros((1, 0)))
-            bases.append(np.zeros((0, 0)))
-            values.append(np.zeros(0))
-            continue
-        full_b = np.stack(cur_b)
-        full_r = np.array(cur_r)
-        omega = np.linalg.solve(full_b, full_r)
-        out_rows.append(omega.reshape(1, -1))
-        bases.append(full_b)
-        values.append(full_r)
+            break
+        given.append((b, r))
+    tested = [a for a, (_, r) in enumerate(given) if r.size]
+    needs = _min_dual_norms([(m.fibers[a].norm, *given[a]) for a in tested])
+    for a, need in zip(tested, needs):
+        if need > gauges[a] * (1.0 + 1e-9):
+            raise DominationViolated(
+                f"atom {a}: functional exceeds the gauge on the submodule"
+                f" (it needs a gauge of at least {need:.6g}, got {gauges[a]:.6g})"
+            )
+    if shape_error is not None:
+        raise shape_error
+    # Per atom, keep a maximal independent subset of the basis rows with
+    # their values (consistent, as checked above), then the unit vectors
+    # that complete it.  The rank tests do not read the values, so every
+    # completion is known before the first extension step.
+    bases: list[np.ndarray] = []
+    values: list[list[float]] = []
+    for fiber, (b, r) in zip(m.fibers, given):
+        cand = np.vstack([b, np.eye(fiber.dim)])
+        keep: list[int] = []
+        for i in range(cand.shape[0]):
+            if len(keep) == fiber.dim:
+                break
+            if matrix_rank(cand[keep + [i]]) != len(keep):
+                keep.append(i)
+        bases.append(cand[keep])
+        values.append([float(r[i]) for i in keep if i < b.shape[0]])
+    # Each round takes the next completion step of every atom that has one:
+    # the infimum over the rows so far, whose values are known.
+    while todo := [a for a, v in enumerate(values) if len(v) < bases[a].shape[0]]:
+        new = _extension_values([
+            (m.fibers[a].norm, gauges[a], bases[a][:len(values[a])], np.array(values[a]),
+             bases[a][len(values[a])])
+            for a in todo
+        ])
+        for a, val in zip(todo, new):
+            values[a].append(float(val))
+    out_rows = [np.zeros((1, 0)) if fiber.dim == 0
+                else np.linalg.solve(full_b, np.array(full_r)).reshape(1, -1)
+                for fiber, full_b, full_r in zip(m.fibers, bases, values)]
     system = DualSystem.default(m.structure)
     functional = HomElement(out_rows, m, z_module(system))
-    return Extension(functional, tuple(bases), tuple(values))
+    return Extension(functional, tuple(bases), tuple(np.array(v) for v in values))
 
 
 def norming_functional(v: ModuleElement, system: DualSystem | None = None) -> HomElement:

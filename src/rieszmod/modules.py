@@ -670,18 +670,18 @@ def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
 
     This is the pointwise norm of the class of v in the quotient module,
     min over t of |v + basis^T t|, computed by the gauge kernel
-    ``_extension_value`` with gauge 1 and zero values on the basis: exact (a
-    linear program or a closed form) for lp fibers with p in {1, 2, infinity},
-    for image-lp fibers with those p and for gram fibers, line-search descent
-    for lp and image-lp fibers with any other p.
+    ``_extension_values`` with gauge 1 and zero values on the basis: exact
+    (one linear program for all polyhedral atoms, or a closed form) for lp
+    fibers with p in {1, 2, infinity}, for image-lp fibers with those p and
+    for gram fibers, line-search descent for lp and image-lp fibers with any
+    other p.
     """
     if not v.module.same_module(n.module):
         raise DimensionMismatch("element and submodule live in different modules")
-    vals = [
-        _extension_value(fiber.norm, 1.0, b, np.zeros(b.shape[0]), vec)
+    return Fn(_extension_values([
+        (fiber.norm, 1.0, b, np.zeros(b.shape[0]), vec)
         for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
-    ]
-    return Fn(vals, v.module.space)
+    ]), v.module.space)
 
 
 # --------------------------------------------------------------------------
@@ -738,33 +738,55 @@ def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.nd
     return None
 
 
-def _extension_value(norm: FiberNorm, g: float, rows: np.ndarray,
-                     r: np.ndarray, e: np.ndarray) -> float:
-    """inf over t of g * norm(e + rows^T t) - r.t: a gauge over an affine subspace.
+#: One gauge-over-a-subspace problem: (norm, g, rows, r, e), see ``_extension_values``.
+_GaugeProblem = tuple[FiberNorm, float, np.ndarray, np.ndarray, np.ndarray]
 
-    This is the one kernel behind quotient norms (g = 1, r = 0), each
-    Hahn-Banach step (the value the extension takes at a new direction e,
-    given the values r on ``rows``) and the exact domination test, which
-    runs it on the dual side.  Minimax duality turns the infimum into
+
+def _extension_values(problems: Sequence[_GaugeProblem]) -> np.ndarray:
+    """inf over t of g * norm(e + rows^T t) - r.t, per problem (norm, g, rows, r, e).
+
+    This is the one kernel for "minimise a gauge over an affine subspace"
+    behind quotient norms (g = 1, r = 0), each Hahn-Banach step (the value
+    the extension takes at a new direction e, given the values r on
+    ``rows``) and the exact domination test, which runs it on the dual
+    side.  Minimax duality turns the infimum into
     max { w.e : rows @ w = r, dual_norm(w) <= g }, a linear objective over a
     compact convex set, so the value is always attained and never overshoots
     domination.  Polyhedral gauges (p = 1 or p = infinity, plain or through
-    an image matrix) solve that program as an exact linear program; euclidean
-    gauges (l2, image-l2 and gram) use the closed form for a linear
-    functional over an affine slice of a ball.  Remaining gauges fall back to
-    line-search descent on the primal, which returns an upper bound.
+    an image matrix) solve that program as an exact linear program, and all
+    the polyhedral problems of one call share one block-diagonal program,
+    one HiGHS call: a problem's value equals its value solved alone up to
+    the solver's tolerance, not bit for bit.  Euclidean gauges (l2,
+    image-l2 and gram) use the closed form for a linear functional over an
+    affine slice of a ball.  Remaining gauges fall back to line-search
+    descent on the primal, which returns an upper bound.  Closed forms and
+    descent run one problem at a time.
     """
-    if g == 0.0 or e.size == 0:
-        return 0.0
-    if isinstance(norm, LpNorm) and norm.p in (1.0, math.inf):
-        return _polyhedral_dual_program(rows, r, e, g, norm.p)
-    if isinstance(norm, ImageLpNorm) and norm.p in (1.0, math.inf):
-        return _polyhedral_dual_program(
-            rows @ norm.matrix.T, r, norm.matrix @ e, g, norm.p
-        )
-    gram = _as_gram(norm, rows.shape[1])
-    if gram is not None:
-        return _ball_dual_program(gram, rows, r, e, g)
+    out = np.zeros(len(problems))
+    poly: list[int] = []
+    blocks = []
+    for i, (norm, g, rows, r, e) in enumerate(problems):
+        if g == 0.0 or e.size == 0:
+            continue
+        if isinstance(norm, (LpNorm, ImageLpNorm)) and norm.p in (1.0, math.inf):
+            if isinstance(norm, ImageLpNorm):
+                rows, e = rows @ norm.matrix.T, norm.matrix @ e
+            poly.append(i)
+            blocks.append((rows, r, e, g, norm.p))
+            continue
+        gram = _as_gram(norm, rows.shape[1])
+        if gram is not None:
+            out[i] = _ball_dual_program(gram, rows, r, e, g)
+        else:
+            out[i] = _descent_value(norm, g, rows, r, e)
+    if blocks:
+        out[poly] = _polyhedral_dual_programs(blocks)
+    return out
+
+
+def _descent_value(norm: FiberNorm, g: float, rows: np.ndarray,
+                   r: np.ndarray, e: np.ndarray) -> float:
+    """inf over t of g * norm(e + rows^T t) - r.t by line-search descent."""
     kk = rows.shape[0]
     bt = rows.T
 
@@ -780,34 +802,72 @@ def _extension_value(norm: FiberNorm, g: float, rows: np.ndarray,
     return val
 
 
-def _polyhedral_dual_program(eq: np.ndarray, r: np.ndarray, obj: np.ndarray,
-                             g: float, p: float) -> float:
-    """max of obj.u over eq @ u = r and the polyhedral dual ball, as an LP.
+def _polyhedral_dual_programs(blocks: Sequence[tuple]) -> np.ndarray:
+    """Per block (eq, r, obj, g, p), the max of obj.u over eq @ u = r and the
+    polyhedral dual ball of radius g, all blocks as one linear program.
 
     For p = 1 the dual ball is the box |u_i| <= g; for p = infinity it is
     sum |u_i| <= g, kept linear by splitting u into positive and negative
-    parts.  Infeasibility certifies that no dominated extension exists.
+    parts and bounding their sum by one row.  The blocks share no variable
+    and no row, so an optimum of the whole is optimal on every block, whose
+    value is read from its own slice of x.  Infeasibility certifies that
+    some block has no dominated extension.
+    """
+    cost, lo, hi, b_lo, b_hi = [], [], [], [], []
+    at_row, at_col, entries = [], [], []
+    n_rows = n_cols = 0
+    for eq, r, obj, g, p in blocks:
+        m = obj.size
+        if p == 1.0:
+            cost.append(-obj)
+            lo.append(np.full(m, -g))
+            hi.append(np.full(m, g))
+            b_lo.append(r)
+            b_hi.append(r)
+            mat = eq
+        else:
+            cost.append(np.concatenate([-obj, obj]))
+            lo.append(np.zeros(2 * m))
+            hi.append(np.full(2 * m, math.inf))
+            b_lo.append(np.append(r, -math.inf))
+            b_hi.append(np.append(r, g))
+            mat = np.vstack([np.hstack([eq, -eq]), np.ones((1, 2 * m))])
+        i, j = np.nonzero(mat)
+        at_row.append(i + n_rows)
+        at_col.append(j + n_cols)
+        entries.append(mat[i, j])
+        n_rows += mat.shape[0]
+        n_cols += mat.shape[1]
+    c = np.concatenate(cost)
+    a = (np.concatenate(entries), (np.concatenate(at_row), np.concatenate(at_col)))
+    x = _linear_program(c, np.concatenate(lo), np.concatenate(hi), a,
+                        np.concatenate(b_lo), np.concatenate(b_hi), "extension")
+    starts = np.cumsum([0] + [part.size for part in cost[:-1]])
+    return -np.add.reduceat(c * x, starts)
+
+
+def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
+                    b_lo: np.ndarray, b_hi: np.ndarray, what: str) -> np.ndarray:
+    """A minimiser of c.x over lo <= x <= hi and b_lo <= A x <= b_hi.
+
+    ``a`` is anything ``scipy.sparse.csc_array`` reads as A: a dense matrix
+    or (entries, (rows, columns)).  Every linear program of the package goes
+    through here, as one HiGHS call through ``scipy.optimize.milp`` without
+    integrality, which checks its input and options more cheaply than
+    ``linprog``.  An infeasible program raises DominationViolated, any other
+    failure SolverFailed.
     """
     # Imported here: scipy.optimize would double the package's import time.
-    from scipy.optimize import linprog
+    from scipy.optimize import milp
+    from scipy.sparse import csc_array
 
-    m = obj.size
-    a_eq = eq if eq.shape[0] else None
-    b_eq = r if eq.shape[0] else None
-    if p == 1.0:
-        res = linprog(-obj, A_eq=a_eq, b_eq=b_eq, bounds=[(-g, g)] * m,
-                      method="highs")
-    else:
-        split_eq = np.hstack([a_eq, -a_eq]) if a_eq is not None else None
-        res = linprog(np.concatenate([-obj, obj]),
-                      A_ub=np.ones((1, 2 * m)), b_ub=np.array([g]),
-                      A_eq=split_eq, b_eq=b_eq,
-                      bounds=[(0.0, None)] * (2 * m), method="highs")
+    rows = (csc_array(a, shape=(b_lo.size, c.size)), b_lo, b_hi) if b_lo.size else None
+    res = milp(c, bounds=(lo, hi), constraints=rows)
     if res.status == 2:
         raise DominationViolated("functional exceeds the gauge on the extension domain")
     if not res.success:
-        raise SolverFailed(f"extension linear program failed: {res.message}")
-    return float(-res.fun)
+        raise SolverFailed(f"{what} linear program failed: {res.message}")
+    return res.x
 
 
 def _ball_dual_program(gram: np.ndarray, rows: np.ndarray, r: np.ndarray,

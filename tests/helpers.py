@@ -93,6 +93,25 @@ def primal_lp_distance(p, v, basis):
     return float(res.fun)
 
 
+def count_solver_calls(monkeypatch):
+    """Count the library's HiGHS calls from here on, in a one-entry list.
+
+    Every linear program of the library goes through ``scipy.optimize.milp``,
+    which it imports on each call, so patching the module attribute sees all.
+    """
+    import scipy.optimize
+
+    calls = [0]
+    real = scipy.optimize.milp
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    return calls
+
+
 def sequential_law_report(samples, law_ids=None, ring_tol=RING_TOL):
     """The law suite's report, computed one sample triple at a time.
 

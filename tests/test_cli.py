@@ -238,6 +238,31 @@ def test_hahn_banach_rejects_malformed_problems(capsys, tmp_path, key, value, lp
     input_error_at(capsys, f"$.{key}", "hahn-banach", "--problem", str(bad))
 
 
+@pytest.mark.parametrize("lp", [1.0, 2.0, 3.0])
+def test_hahn_banach_refuses_a_negative_gauge(capsys, tmp_path, lp):
+    # The schema declares "minimum": 0, so this is bad input, not a failed law.
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    problem["module"]["fibers"][0]["norm"] = {"lp": lp}
+    problem["gauge"] = [-1.0]
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(problem))
+    input_error_at(capsys, "$.gauge[0]", "hahn-banach", "--problem", str(bad))
+
+
+@pytest.mark.parametrize("lp", [1.0, 2.0, 3.0, "inf"])
+def test_hahn_banach_negligible_basis_row_is_a_domination_failure(capsys, tmp_path, lp):
+    # A basis row of 1e-300 is zero at the package's rank threshold, and no
+    # functional of norm at most 1 takes the value 1 on it.
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    problem["module"]["fibers"][0]["norm"] = {"lp": lp}
+    problem["basis"] = [[[1e-300, 0.0]]]
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(problem))
+    code, out = run(capsys, "hahn-banach", "--problem", str(bad))
+    assert code == 1
+    assert json.loads(out)["failures"][0]["code"] == "domination_violated"
+
+
 def input_error_on_fds(capfd, path, *argv):
     """input_error_at on file descriptors 1 and 2, which LAPACK writes to directly."""
     code = main(list(argv))

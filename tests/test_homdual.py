@@ -7,8 +7,10 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import null_space
+from scipy.optimize import linprog
 
 from rieszmod import (
+    DimensionMismatch,
     DominationViolated,
     DualSystem,
     Fiber,
@@ -23,6 +25,7 @@ from rieszmod import (
     LpNorm,
     ModuleElement,
     ModuleMismatch,
+    SolverFailed,
     StructureHom,
     Submodule,
     UnsupportedHom,
@@ -41,6 +44,7 @@ from rieszmod import (
     z_module,
 )
 from helpers import (
+    count_solver_calls,
     gram_module,
     lp_module,
     make_space,
@@ -512,6 +516,97 @@ def test_extension_rejects_undominated_data():
     for n, f_rows, gauge in cases:
         with pytest.raises(DominationViolated):
             hahn_banach_extend(n, f_rows, gauge)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_domination_counts_a_negligible_basis_row_as_zero(p):
+    # The row 1e-300 e1 is zero at the package's rank threshold, and the
+    # value 1 on it needs a dual norm of 1e300.  The particular solution and
+    # the null space come from one cut, so the solution is not 1e300 e1 (a
+    # solver failure for l1, a value the null space absorbs for l2).
+    m = lp_module(make_structure(1), (2,), p=p)
+    n = Submodule(m, (np.array([[1e-300, 0.0]]),))
+    with pytest.raises(DominationViolated, match="atom 0"):
+        hahn_banach_extend(n, [[1.0]], m.space.one_fn())
+
+
+def test_extension_runs_one_program_per_round(monkeypatch):
+    # An l1 atom (d = 4, two basis rows: two completion steps) and an
+    # l-infinity atom (d = 5, one row: four steps) share one domination
+    # program and one program per completion round, 1 + 4 HiGHS calls in
+    # all, and each atom's extension equals its one-atom extension.
+    rng = np.random.default_rng(211)
+    fibers = (Fiber(4, LpNorm(1.0)), Fiber(5, LpNorm(math.inf)))
+    m = FiberModule(make_structure(2), fibers)
+    bases = (rng.standard_normal((2, 4)), rng.standard_normal((1, 5)))
+    f_rows = [0.1 * rng.standard_normal(2), 0.1 * rng.standard_normal(1)]
+    gauge = Fn([2.0, 3.0], m.space)
+    calls = count_solver_calls(monkeypatch)
+    ext = hahn_banach_extend(Submodule(m, bases), f_rows, gauge)
+    assert calls[0] == 1 + 4
+    one = make_structure(1)
+    for a in range(2):
+        alone = FiberModule(one, (fibers[a],))
+        single = hahn_banach_extend(Submodule(alone, (bases[a],)), [f_rows[a]],
+                                    Fn([gauge.values[a]], alone.space))
+        got = ext.functional.matrices[a][0]
+        want = single.functional.matrices[0][0]
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(ext.basis[a], single.basis[0])
+
+
+def test_extension_reports_the_first_error_in_atom_order(monkeypatch):
+    m = lp_module(make_structure(3), (2, 2, 2), p=1.0)
+    row = np.array([[1.0, 0.0]])
+    n = Submodule(m, (row, row, row))
+    one = m.space.one_fn()
+    calls = count_solver_calls(monkeypatch)
+    # Atom 1 is not dominated and atom 2 has two values for one basis row:
+    # the domination failure comes first, from one program over atoms 0, 1.
+    with pytest.raises(DominationViolated, match="atom 1"):
+        hahn_banach_extend(n, [[0.5], [2.0], [0.5, 0.5]], one)
+    assert calls[0] == 1
+    # A shape error on atom 0 comes before the domination failure on atom 1,
+    # and no program runs.
+    with pytest.raises(DimensionMismatch, match="atom 0"):
+        hahn_banach_extend(n, [[0.5, 0.5], [2.0], [0.5]], one)
+    assert calls[0] == 1
+
+
+def test_image_l1_dual_norms_of_a_group_share_one_program(monkeypatch):
+    from rieszmod.homdual import _dual_norms
+
+    rng = np.random.default_rng(223)
+    mats = [rng.standard_normal((4, 3)) for _ in range(200)]
+    m = FiberModule(make_structure(200), tuple(Fiber(3, ImageLpNorm(a, 1.0)) for a in mats))
+    (group,) = m._groups
+    rows = rng.standard_normal((200, 3))
+    calls = count_solver_calls(monkeypatch)
+    got = _dual_norms(group, rows)
+    assert calls[0] == 1
+    # min |u|_inf over A^T u = row, as a primal LP over (u, s).
+    bound = np.block([[np.eye(4), -np.ones((4, 1))], [-np.eye(4), -np.ones((4, 1))]])
+    for a, row, val in zip(mats, rows, got):
+        res = linprog(np.r_[np.zeros(4), 1.0], A_ub=bound, b_ub=np.zeros(8),
+                      A_eq=np.c_[a.T, np.zeros((3, 1))], b_eq=row,
+                      bounds=[(None, None)] * 4 + [(0.0, None)], method="highs")
+        assert abs(val - res.fun) <= 1e-9 * max(1.0, res.fun)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_failed_operator_norm_program_raises_a_typed_error(monkeypatch, p):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    from rieszmod.homdual import _image_vertex
+
+    def failing(*args, **kwargs):
+        return OptimizeResult(status=4, success=False, message="numerical difficulties")
+
+    monkeypatch.setattr(scipy.optimize, "milp", failing)
+    b = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]])
+    with pytest.raises(SolverFailed, match="numerical difficulties"):
+        _image_vertex(b, p, np.array([1.0, -1.0]))
 
 
 # --------------------------------------------------------------------------

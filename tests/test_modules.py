@@ -1,6 +1,7 @@
 """Fiberwise modules: pointwise norms, glueing, quotients, dimensions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from rieszmod import (
     zero_indicator,
 )
 from helpers import (
+    count_solver_calls,
     gram_module,
     lp_module,
     make_space,
@@ -158,7 +160,7 @@ def test_failed_linear_program_raises_a_typed_error(monkeypatch):
     def failing(*args, **kwargs):
         return OptimizeResult(status=4, success=False, message="numerical difficulties")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    monkeypatch.setattr(scipy.optimize, "milp", failing)
     m = lp_module(make_structure(1), (3,), p=1.0)
     v = ModuleElement([[1.0, -2.0, 0.5]], m)
     with pytest.raises(SolverFailed, match="numerical difficulties"):
@@ -478,6 +480,57 @@ def test_quotient_norm_matches_primal_lp_on_polyhedral_fibers():
                 q = quotient_norm(ModuleElement([vec], m), Submodule(m, (basis,))).values[0]
                 exact = primal_lp_distance(p, vec, basis)
                 assert abs(q - exact) <= 1e-9 * max(1.0, exact)
+
+
+MIXED_KINDS = ("l1", "linf", "image-l1", "image-linf", "l2", "gram", "l3")
+
+
+def mixed_fiber(rng, kind, d):
+    if kind in ("image-l1", "image-linf"):
+        return Fiber(d, ImageLpNorm(rng.standard_normal((d + 1, d)),
+                                    1.0 if kind == "image-l1" else math.inf))
+    if kind == "gram":
+        return Fiber(d, GramNorm(random_spd(rng, d)))
+    return Fiber(d, LpNorm({"l1": 1.0, "linf": math.inf, "l2": 2.0, "l3": 3.0}[kind]))
+
+
+def test_quotient_norm_solves_all_polyhedral_atoms_in_one_program(monkeypatch):
+    # 400 atoms of seven fiber kinds, dimensions 2-4 and 0 to d - 1 basis
+    # rows (l3 atoms, which run the descent, only d = 2): one HiGHS call for
+    # the whole module, and every atom's value equal to its value in a
+    # one-atom module and, on l1 and l-infinity atoms, to the primal LP.
+    rng = np.random.default_rng(401)
+    fibers, vecs, bases = [], [], []
+    for a in range(400):
+        kind = MIXED_KINDS[a % 7]
+        d = 2 if kind == "l3" else 2 + (a // 7) % 3
+        fibers.append(mixed_fiber(rng, kind, d))
+        vecs.append(rng.standard_normal(d))
+        bases.append(rng.standard_normal(((a // 21) % d, d)))
+    m = FiberModule(make_structure(400), tuple(fibers))
+    calls = count_solver_calls(monkeypatch)
+    q = quotient_norm(ModuleElement(vecs, m), Submodule(m, tuple(bases))).values
+    assert calls[0] == 1
+    one = make_structure(1)
+    for a, (fiber, vec, basis) in enumerate(zip(fibers, vecs, bases)):
+        alone = FiberModule(one, (fiber,))
+        single = quotient_norm(ModuleElement([vec], alone), Submodule(alone, (basis,))).values[0]
+        assert abs(q[a] - single) <= 1e-9 * max(1.0, single)
+        if MIXED_KINDS[a % 7] in ("l1", "linf"):
+            exact = primal_lp_distance(fiber.norm.p, vec, basis)
+            assert abs(q[a] - exact) <= 1e-9 * max(1.0, exact)
+
+
+def test_wide_polyhedral_quotient_norm_is_fast():
+    # 2,000 l1 atoms with d = 4 and k = 2: one linear program, not 2,000.
+    rng = np.random.default_rng(2000)
+    m = lp_module(make_structure(2000), (4,) * 2000, p=1.0)
+    v = random_element(rng, m)
+    n = Submodule(m, tuple(rng.standard_normal((2, 4)) for _ in range(2000)))
+    start = time.perf_counter()
+    q = quotient_norm(v, n)
+    assert time.perf_counter() - start < 2.0
+    assert np.all(q.values <= pointwise_norm(v).values + 1e-12)
 
 
 # --------------------------------------------------------------------------
