@@ -26,8 +26,8 @@ from .modules import (
     ImageLpNorm,
     LpNorm,
     ModuleElement,
+    independent_rows,
     kernel_basis,
-    matrix_rank,
     pointwise_norm,
 )
 from .spaces import (
@@ -256,17 +256,6 @@ class GeneratedModule:
         return [self.generator_map(e) for e in np.eye(self.psi.domain_dim)]
 
 
-def _independent_rows(m: np.ndarray) -> list[int]:
-    """Indices of a maximal independent row subset, greedy in row order."""
-    kept: list[int] = []
-    rank = 0
-    for i in range(m.shape[0]):
-        if matrix_rank(m[kept + [i]]) > rank:
-            kept.append(i)
-            rank += 1
-    return kept
-
-
 def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> GeneratedModule:
     """Build the module generated by psi over the given structure.
 
@@ -284,7 +273,7 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
     lifts: list[np.ndarray] = []
     kernels: list[np.ndarray] = []
     for m_a in psi.matrices:
-        sel = _independent_rows(m_a)
+        sel = independent_rows(m_a)
         lift = m_a[sel]
         kern = kernel_basis(m_a) if m_a.size else np.eye(d)
         r = len(sel)

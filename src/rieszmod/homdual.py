@@ -9,11 +9,9 @@ pairing space Z, with closed-form dual norms for lp and gram fibers.  The
 Hahn-Banach extension first decides domination exactly, then iterates the
 one-dimensional step over a deterministic basis completion.  Both, and the
 dual norms of image-lp fibers, run the batched gauge kernel of ``modules``
-(``_extension_values``): one linear program per call for all polyhedral
-gauges (so one for the domination test and one per extension round, across
-all atoms), a closed form for euclidean ones, convex line-search descent
-for the remaining smooth gauges.  An atom's value in a batch equals its
-one-atom value to the solver's tolerance, not bit for bit."""
+(``_extension_values``): one linear program per call for the polyhedral
+gauges, closed forms for euclidean ones, one stacked damped-Newton solve
+with a certified duality gap for the other lp gauges."""
 
 from __future__ import annotations
 
@@ -49,10 +47,12 @@ from .modules import (
     _lp_conjugate,
     _linear_program,
     _lp_rows,
+    _matmul_rows,
     _matvec_rows,
+    _newton,
     _sqrtm_spd,
+    independent_rows,
     kernel_basis,
-    matrix_rank,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
 
@@ -224,8 +224,7 @@ def dual_vector_norm(norm: FiberNorm, a: np.ndarray) -> float:
     """sup { a.x : norm(x) <= 1 }, the dual norm of the row vector a.
 
     Closed forms for lp, gram and image-l2 fibers.  On an image-lp fiber
-    x -> |A x|_p it is min { |u|_q : A^T u = a }, from the gauge kernel:
-    exact for p in {1, infinity}, line-search descent for other p.
+    x -> |A x|_p it is min { |u|_q : A^T u = a }, from the gauge kernel.
     """
     if a.size == 0:
         return 0.0
@@ -240,24 +239,24 @@ def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
     if gram is not None:
         sol = np.linalg.solve(gram, rows[..., None])[..., 0]
         return np.sqrt(np.maximum(np.sum(rows * sol, axis=1), 0.0))
-    return _min_dual_norms([(norm, np.eye(row.size), row) for norm, row in zip(src.norms, rows)])
+    return _min_dual_norms([(norm, np.eye(row.size), row) for norm, row in zip(src.norms, rows)])[0]
 
 
-def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]) -> np.ndarray:
+def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
+                    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """min { dual_norm(w) : rows @ w = r } per problem (norm, rows, r),
-    infinite when no w reaches r.
+    infinite when no w reaches r, and the minimiser u below where the gauge
+    kernel ran Newton (else None).
 
-    The functional f(rows^T t) = r.t is dominated by g * norm exactly when
-    this is at most g.  The dual norm is itself a minimum, dual_norm(w) =
-    min { |u|_q : M u = w } with q the conjugate exponent and M = I (lp),
-    A^T (image-lp through A) or G^(1/2) (gram G).  So the whole is the lq
-    distance from one solution u0 of rows M u = r to the null space of
-    rows M: the gauge kernel on the dual side, one call for all problems.
-    u0 and the null space come from one SVD of rows M, cut at the
-    package-wide ``RANK_RTOL``, so a direction that the null space counts
-    as zero is never inverted into u0.
+    dual_norm(w) = min { |u|_q : M u = w } with q the conjugate exponent and
+    M = I (lp), A^T (image-lp through A) or G^(1/2) (gram G), so the whole
+    is the lq distance from one solution u0 of rows M u = r to the null
+    space of rows M: the gauge kernel, one call for all problems.  Both come
+    from one SVD of rows M cut at ``RANK_RTOL``, so a direction that the
+    null space counts as zero is never inverted into u0.
     """
     out = np.full(len(problems), math.inf)
+    minimisers: list[np.ndarray | None] = [None] * len(problems)
     live: list[int] = []
     dual = []
     for i, (norm, rows, r) in enumerate(problems):
@@ -274,10 +273,12 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
         if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
             continue
         live.append(i)
-        dual.append((LpNorm(q), 1.0, vt[rank:], np.zeros(a.shape[1] - rank), u0))
+        dual.append((LpNorm(q), 1.0, vt[rank:], np.zeros(a.shape[1] - rank), u0, None))
     if dual:
-        out[live] = _extension_values(dual)
-    return out
+        out[live], points = _extension_values(dual)
+        for i, pt in zip(live, points):
+            minimisers[i] = None if pt is None else pt[0]
+    return out, minimisers
 
 
 def _sign_vectors(d: int) -> np.ndarray:
@@ -338,12 +339,6 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
     if q == math.inf or (q == 1.0 and a.shape[1] <= 16 and closed_dual):
         return _dual_extreme_norms(src, a, q)
     return _power_norms(src, q, None if q is not None else tgt.mats, a)
-
-
-def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """b[i] @ a[i] for every i (b may have one member for all), row by row
-    as in ``_matvec_rows``."""
-    return np.add.reduce(b[:, :, :, None] * a[:, None, :, :], axis=2)
 
 
 def _dual_extreme_norms(src: _FiberGroup, a: np.ndarray, q: float) -> np.ndarray:
@@ -415,9 +410,8 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
     src, up to a positive factor (g[i] != 0).
 
     Closed forms for lp sources (the vector norming g in the conjugate
-    exponent) and euclidean ones (G^-1 g).  An image-lp ball |B x|_p <= 1
-    with p in {1, infinity} takes the optimal vertex of one HiGHS linear
-    program per row; for other p, see ``_image_newton``.
+    exponent) and euclidean ones (G^-1 g); image-lp balls |B x|_p <= 1 go
+    to ``_image_vertices`` (p in {1, infinity}) or ``_image_newton``.
     """
     if isinstance(src.proto, LpNorm):
         q = _lp_conjugate(src.proto.p)
@@ -427,23 +421,29 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram, g[..., None])[..., 0]
     if src.proto.p not in (1.0, math.inf):
         return _image_newton(src.mats, src.proto.p, g)
-    return np.array([_image_vertex(b, src.proto.p, row) for b, row in zip(src.mats, g)])
+    return _image_vertices(src.mats, src.proto.p, g)
 
 
-def _image_vertex(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
-    """An optimal vertex of max g.x over |B x|_p <= 1, p in {1, infinity}."""
-    m, d = b.shape
+def _image_vertices(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
+    """Per row i, an optimal vertex of max g[i].x over |B[i] x|_p <= 1
+    (p in {1, infinity}), all rows as the blocks of one linear program."""
+    k, m, d = b.shape
     if p == math.inf:   # -1 <= B x <= 1
-        return _linear_program(-g, np.full(d, -math.inf), np.full(d, math.inf), b,
-                               -np.ones(m), np.ones(m), "operator-norm")
-    # slacks t >= |B x| with sum t <= 1
-    eye = np.eye(m)
-    a = np.block([[b, -eye], [-b, -eye], [np.zeros((1, d)), np.ones((1, m))]])
-    x = _linear_program(np.concatenate([-g, np.zeros(m)]),
-                        np.concatenate([np.full(d, -math.inf), np.zeros(m)]),
-                        np.full(d + m, math.inf), a, np.full(2 * m + 1, -math.inf),
-                        np.concatenate([np.zeros(2 * m), [1.0]]), "operator-norm")
-    return x[:d]
+        blocks, lo = b, np.full((k, d), -math.inf)
+        b_lo, b_hi = -np.ones((k, m)), np.ones((k, m))
+    else:   # slacks s >= |B x| with sum s <= 1
+        eye = np.broadcast_to(-np.eye(m), (k, m, m))
+        blocks = np.block([[b, eye], [-b, eye], [np.zeros((k, 1, d)), np.ones((k, 1, m))]])
+        lo = np.hstack([np.full((k, d), -math.inf), np.zeros((k, m))])
+        b_lo = np.full((k, 2 * m + 1), -math.inf)
+        b_hi = np.hstack([np.zeros((k, 2 * m)), np.ones((k, 1))])
+    cost = np.zeros(lo.shape)
+    cost[:, :d] = -g
+    i, row, col = np.nonzero(blocks)
+    a = (blocks[i, row, col], (row + i * blocks.shape[1], col + i * blocks.shape[2]))
+    x = _linear_program(cost.ravel(), lo.ravel(), np.full(lo.size, math.inf), a,
+                        b_lo.ravel(), b_hi.ravel(), "operator-norm")
+    return x.reshape(k, -1)[:, :d]
 
 
 def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
@@ -451,9 +451,7 @@ def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
 
     Its gradient condition B^T J(B x) = g says that g norms x, so by
     homogeneity it points at the maximiser of g.x over |B x|_p <= 1.
-    Damped Newton from the p = 2 minimiser scaled to the best point of its
-    ray, with a backtracking line search; a row stops once its Newton
-    decrement falls to 1e-20 of its value or a step no longer decreases it.
+    ``_newton`` from the p = 2 minimiser scaled to the best point of its ray.
     """
     bt = np.swapaxes(b, 1, 2)
 
@@ -461,34 +459,17 @@ def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
         return (np.add.reduce(np.abs(_matvec_rows(b[rows], z)) ** p, axis=1) / p
                 - np.add.reduce(g[rows] * z, axis=1))
 
+    def derivatives(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = _matvec_rows(b[rows], z)
+        ay = np.abs(y)
+        grad = _matvec_rows(bt[rows], np.sign(y) * ay ** (p - 1.0)) - g[rows]
+        weight = (p - 1.0) * np.maximum(ay, 1e-12 * ay.max(axis=1, keepdims=True)) ** (p - 2.0)
+        return grad, _matmul_rows(bt[rows] * weight[:, None, :], b[rows])
+
     x = np.linalg.solve(_matmul_rows(bt, b), g[..., None])[..., 0]
     ray = np.add.reduce(g * x, axis=1) / np.add.reduce(np.abs(_matvec_rows(b, x)) ** p, axis=1)
     x = x * (ray ** (1.0 / (p - 1.0)))[:, None]
-    act = np.arange(g.shape[0])
-    fx = f(act, x)
-    for _ in range(100):
-        y = _matvec_rows(b[act], x[act])
-        ay = np.abs(y)
-        grad = _matvec_rows(bt[act], np.sign(y) * ay ** (p - 1.0)) - g[act]
-        weight = (p - 1.0) * np.maximum(ay, 1e-12 * ay.max(axis=1, keepdims=True)) ** (p - 2.0)
-        hess = _matmul_rows(bt[act] * weight[:, None, :], b[act])
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        dec = np.add.reduce(grad * step, axis=1)
-        t = np.ones(act.size)
-        fn = f(act, x[act] - step)
-        for _ in range(40):
-            short = fn > fx[act] - 0.25 * t * dec
-            if not short.any():
-                break
-            t[short] *= 0.5
-            fn[short] = f(act[short], x[act[short]] - t[short, None] * step[short])
-        go = (dec > 1e-20 * np.abs(fx[act])) & (fn < fx[act])
-        act, step, t, fn = act[go], step[go], t[go], fn[go]
-        if act.size == 0:
-            break
-        x[act] -= t[:, None] * step
-        fx[act] = fn
-    return x
+    return _newton(x, f, derivatives, np.abs(f(np.arange(g.shape[0]), x)))
 
 
 def hom_norm(t: HomElement) -> Fn:
@@ -602,16 +583,14 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
     functional takes on a rank-deficient basis.  The extension iterates the
     one-dimensional step over the standard-basis completion in index order,
     each new value being the infimum of p(v + z) - f(v) over the current
-    domain, computed through the dual program over the gauge's dual ball
-    (exact for lp and image-lp with p in {1, 2, infinity} and for gram
-    gauges, convex descent otherwise).  Taking the infimum itself is the
-    canonical tie-break among valid extensions.
-
-    The atoms run side by side: one gauge-kernel call decides domination
-    on every atom, and one call per round takes the next completion step of
-    every atom that has one, so polyhedral gauges cost one linear program
-    for the test and one per round.  Errors come in atom order: a
-    domination failure on an atom beats a shape error on a later one.
+    domain from the gauge kernel, whose dual point lies in the dual ball, so
+    the extension stays dominated; the infimum is the canonical tie-break.
+    The atoms run side by side: one gauge-kernel call decides domination on
+    every atom and one call per round takes every atom's next step, so
+    polyhedral gauges cost one linear program for the test and one per
+    round, and lp gauges (1 < p < infinity, p != 2) at most one Newton
+    round.  Errors come in atom order: a domination failure on an atom
+    beats a shape error on a later one.
     """
     m = n.module
     if gauge.space != m.space:
@@ -630,42 +609,52 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
             )
             break
         given.append((b, r))
+    # Per atom, keep a maximal independent subset of the basis rows with
+    # their values, then the unit vectors that complete it.  The rank tests
+    # do not read the values, so every completion is known before the first
+    # extension step.
+    bases: list[np.ndarray] = []
+    values: list[list[float]] = []
+    for fiber, (b, r) in zip(m.fibers, given):
+        cand = np.vstack([b, np.eye(fiber.dim)])
+        keep = independent_rows(cand)
+        bases.append(cand[keep])
+        values.append([float(r[i]) for i in keep if i < b.shape[0]])
+
+    def settle(a: int, u: np.ndarray) -> None:
+        # Newton gauges have a strictly convex dual ball, so a step's dual
+        # point u is the only dominated extension taking its value; without
+        # slack the domination test's minimiser is that point.
+        norm = m.fibers[a].norm
+        row = norm.matrix.T @ u if isinstance(norm, ImageLpNorm) else u
+        values[a].extend((bases[a][len(values[a]):] @ row).tolist())
+
     tested = [a for a, (_, r) in enumerate(given) if r.size]
-    needs = _min_dual_norms([(m.fibers[a].norm, *given[a]) for a in tested])
-    for a, need in zip(tested, needs):
+    needs, minimisers = _min_dual_norms([(m.fibers[a].norm, *given[a]) for a in tested])
+    anchors: list[np.ndarray | None] = [None] * len(given)
+    for a, need, u in zip(tested, needs, minimisers):
         if need > gauges[a] * (1.0 + 1e-9):
             raise DominationViolated(
                 f"atom {a}: functional exceeds the gauge on the submodule"
                 f" (it needs a gauge of at least {need:.6g}, got {gauges[a]:.6g})"
             )
+        anchors[a] = u
+        if u is not None and need >= gauges[a]:
+            settle(a, u)
     if shape_error is not None:
         raise shape_error
-    # Per atom, keep a maximal independent subset of the basis rows with
-    # their values (consistent, as checked above), then the unit vectors
-    # that complete it.  The rank tests do not read the values, so every
-    # completion is known before the first extension step.
-    bases: list[np.ndarray] = []
-    values: list[list[float]] = []
-    for fiber, (b, r) in zip(m.fibers, given):
-        cand = np.vstack([b, np.eye(fiber.dim)])
-        keep: list[int] = []
-        for i in range(cand.shape[0]):
-            if len(keep) == fiber.dim:
-                break
-            if matrix_rank(cand[keep + [i]]) != len(keep):
-                keep.append(i)
-        bases.append(cand[keep])
-        values.append([float(r[i]) for i in keep if i < b.shape[0]])
     # Each round takes the next completion step of every atom that has one:
     # the infimum over the rows so far, whose values are known.
     while todo := [a for a, v in enumerate(values) if len(v) < bases[a].shape[0]]:
-        new = _extension_values([
+        new, points = _extension_values([
             (m.fibers[a].norm, gauges[a], bases[a][:len(values[a])], np.array(values[a]),
-             bases[a][len(values[a])])
+             bases[a][len(values[a])], anchors[a])
             for a in todo
         ])
-        for a, val in zip(todo, new):
+        for a, val, point in zip(todo, new, points):
             values[a].append(float(val))
+            if point is not None:
+                settle(a, point[1])
     out_rows = [np.zeros((1, 0)) if fiber.dim == 0
                 else np.linalg.solve(full_b, np.array(full_r)).reshape(1, -1)
                 for fiber, full_b, full_r in zip(m.fibers, bases, values)]

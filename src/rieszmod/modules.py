@@ -47,6 +47,19 @@ def matrix_rank(m: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * max(float(s[0]), 1.0)))
 
 
+def independent_rows(m: np.ndarray) -> list[int]:
+    """Indices of a maximal independent subset of the rows of m, greedy in
+    row order: a row is kept when it raises the rank of the rows kept so
+    far, until the rank reaches the column count."""
+    kept: list[int] = []
+    for i in range(m.shape[0]):
+        if len(kept) == m.shape[1]:
+            break
+        if matrix_rank(m[kept + [i]]) > len(kept):
+            kept.append(i)
+    return kept
+
+
 def row_space_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row space, as rows (possibly 0 rows)."""
     if m.size == 0:
@@ -95,6 +108,12 @@ def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     do not depend on the other rows.
     """
     return np.add.reduce(mats * x[:, None, :], axis=2)
+
+
+def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b[i] @ a[i] for every i (b may have one member for all), row by row
+    as in ``_matvec_rows``."""
+    return np.add.reduce(b[:, :, :, None] * a[:, None, :, :], axis=2)
 
 
 def _gram_rows(grams: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -670,18 +689,14 @@ def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
 
     This is the pointwise norm of the class of v in the quotient module,
     min over t of |v + basis^T t|, computed by the gauge kernel
-    ``_extension_values`` with gauge 1 and zero values on the basis: exact
-    (one linear program for all polyhedral atoms, or a closed form) for lp
-    fibers with p in {1, 2, infinity}, for image-lp fibers with those p and
-    for gram fibers, line-search descent for lp and image-lp fibers with any
-    other p.
+    ``_extension_values`` with gauge 1 and zero values on the basis.
     """
     if not v.module.same_module(n.module):
         raise DimensionMismatch("element and submodule live in different modules")
     return Fn(_extension_values([
-        (fiber.norm, 1.0, b, np.zeros(b.shape[0]), vec)
+        (fiber.norm, 1.0, b, np.zeros(b.shape[0]), vec, None)
         for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
-    ]), v.module.space)
+    ])[0], v.module.space)
 
 
 # --------------------------------------------------------------------------
@@ -694,26 +709,6 @@ def _lp_conjugate(p: float) -> float:
     if p == math.inf:
         return 1.0
     return p / (p - 1.0)
-
-
-def _norm_subgradient(norm: FiberNorm, y: np.ndarray) -> np.ndarray:
-    """A subgradient of the norm at y (the zero vector at y = 0)."""
-    n = norm.norm(y)
-    if n == 0.0 or y.size == 0:
-        return np.zeros_like(y)
-    if isinstance(norm, GramNorm):
-        return norm.gram @ y / n
-    if isinstance(norm, ImageLpNorm):
-        return norm.matrix.T @ _norm_subgradient(LpNorm(norm.p), norm.matrix @ y)
-    p = norm.p
-    if p == 1.0:
-        return np.sign(y)
-    if p == math.inf:
-        i = int(np.argmax(np.abs(y)))
-        g = np.zeros_like(y)
-        g[i] = np.sign(y[i])
-        return g
-    return np.sign(y) * np.abs(y) ** (p - 1.0) / n ** (p - 1.0)
 
 
 def _sqrtm_spd(g: np.ndarray) -> np.ndarray:
@@ -738,68 +733,59 @@ def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.nd
     return None
 
 
-#: One gauge-over-a-subspace problem: (norm, g, rows, r, e), see ``_extension_values``.
-_GaugeProblem = tuple[FiberNorm, float, np.ndarray, np.ndarray, np.ndarray]
+#: One gauge-over-a-subspace problem: (norm, g, rows, r, e, anchor), see
+#: ``_extension_values``.
+_GaugeProblem = tuple[FiberNorm, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
 
 
-def _extension_values(problems: Sequence[_GaugeProblem]) -> np.ndarray:
-    """inf over t of g * norm(e + rows^T t) - r.t, per problem (norm, g, rows, r, e).
+def _extension_values(problems: Sequence[_GaugeProblem]) -> tuple[np.ndarray, list]:
+    """inf over t of g * norm(e + rows^T t) - r.t, per problem (norm, g, rows, r, e, anchor).
 
-    This is the one kernel for "minimise a gauge over an affine subspace"
-    behind quotient norms (g = 1, r = 0), each Hahn-Banach step (the value
-    the extension takes at a new direction e, given the values r on
-    ``rows``) and the exact domination test, which runs it on the dual
-    side.  Minimax duality turns the infimum into
-    max { w.e : rows @ w = r, dual_norm(w) <= g }, a linear objective over a
-    compact convex set, so the value is always attained and never overshoots
-    domination.  Polyhedral gauges (p = 1 or p = infinity, plain or through
-    an image matrix) solve that program as an exact linear program, and all
-    the polyhedral problems of one call share one block-diagonal program,
-    one HiGHS call: a problem's value equals its value solved alone up to
-    the solver's tolerance, not bit for bit.  Euclidean gauges (l2,
-    image-l2 and gram) use the closed form for a linear functional over an
-    affine slice of a ball.  Remaining gauges fall back to line-search
-    descent on the primal, which returns an upper bound.  Closed forms and
-    descent run one problem at a time.
+    The one kernel for "minimise a gauge over an affine subspace", behind
+    quotient norms (g = 1, r = 0), Hahn-Banach steps and the domination
+    test.  By duality the infimum is max { w.e : rows @ w = r,
+    dual_norm(w) <= g }, and every branch returns w.e for a feasible w, so a
+    value never overshoots domination.  An image-lp gauge |A x|_p is the lp
+    gauge of rows @ A^T and A e.  Polyhedral gauges (p = 1 or infinity)
+    share one block-diagonal linear program, euclidean ones (l2, image-l2,
+    gram) use a closed form, and the other lp gauges share one
+    ``_lp_gauge_values`` solve per exponent and shape: with r = 0 the rows
+    are made orthonormal and the anchor is 0, else ``anchor`` is a dual
+    point u with rows u = r (lp coordinates) and |u|_q about g or less.
+    Returns the values and, per problem of such a solve, its primal point
+    y = e + rows^T t and dual point u in the lp coordinates (else None).
     """
     out = np.zeros(len(problems))
+    points: list = [None] * len(problems)
     poly: list[int] = []
     blocks = []
-    for i, (norm, g, rows, r, e) in enumerate(problems):
-        if g == 0.0 or e.size == 0:
+    smooth: dict[tuple, list[int]] = {}
+    for i, (norm, g, rows, r, e, anchor) in enumerate(problems):
+        if g == 0.0 or not e.any():
             continue
-        if isinstance(norm, (LpNorm, ImageLpNorm)) and norm.p in (1.0, math.inf):
+        if isinstance(norm, (LpNorm, ImageLpNorm)) and norm.p != 2.0:
             if isinstance(norm, ImageLpNorm):
                 rows, e = rows @ norm.matrix.T, norm.matrix @ e
-            poly.append(i)
-            blocks.append((rows, r, e, g, norm.p))
+            if norm.p in (1.0, math.inf):
+                poly.append(i)
+                blocks.append((rows, r, e, g, norm.p))
+                continue
+            if not r.any():
+                rows = row_space_basis(rows)
+                r, anchor = np.zeros(rows.shape[0]), np.zeros(e.size)
+            smooth.setdefault((norm.p, *rows.shape), []).append(i)
+            points[i] = (g, rows, r, e, anchor)
             continue
-        gram = _as_gram(norm, rows.shape[1])
-        if gram is not None:
-            out[i] = _ball_dual_program(gram, rows, r, e, g)
-        else:
-            out[i] = _descent_value(norm, g, rows, r, e)
+        s = _sqrtm_spd(_as_gram(norm, rows.shape[1]))
+        out[i] = _ball_dual_program(rows @ s, r, s @ e, g)
     if blocks:
         out[poly] = _polyhedral_dual_programs(blocks)
-    return out
-
-
-def _descent_value(norm: FiberNorm, g: float, rows: np.ndarray,
-                   r: np.ndarray, e: np.ndarray) -> float:
-    """inf over t of g * norm(e + rows^T t) - r.t by line-search descent."""
-    kk = rows.shape[0]
-    bt = rows.T
-
-    def h(tt: np.ndarray) -> float:
-        return g * norm.norm(bt @ tt + e) - float(r @ tt)
-
-    def dirs(tt: np.ndarray) -> list[np.ndarray]:
-        out = [np.eye(kk)[i] for i in range(kk)]
-        out.append(rows @ _norm_subgradient(norm, bt @ tt + e) * g - r)
-        return out
-
-    _, val = _minimize_convex(h, kk, dirs)
-    return val
+    for (p, *_), members in smooth.items():
+        stacks = [np.array(part, dtype=float) for part in zip(*(points[i] for i in members))]
+        out[members], ys, ws = _lp_gauge_values(p, *stacks)
+        for i, y, w in zip(members, ys, ws):
+            points[i] = (y, w)
+    return out, points
 
 
 def _polyhedral_dual_programs(blocks: Sequence[tuple]) -> np.ndarray:
@@ -870,19 +856,15 @@ def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
     return res.x
 
 
-def _ball_dual_program(gram: np.ndarray, rows: np.ndarray, r: np.ndarray,
-                       e: np.ndarray, g: float) -> float:
-    """max of w.e over rows @ w = r and the gram dual ball, in closed form.
+def _ball_dual_program(a: np.ndarray, r: np.ndarray, c: np.ndarray, g: float) -> float:
+    """max of u.c over a @ u = r and |u|_2 <= g, in closed form.
 
-    Whitening by the gram square root turns the constraint into a euclidean
-    ball; the minimum-norm particular solution is orthogonal to the kernel of
-    the whitened rows, so the feasible slice is a centered ball of radius
-    sqrt(g^2 - |particular|^2) inside that kernel.
+    A gram gauge G is whitened first: a = rows G^(1/2), c = G^(1/2) e.  The
+    minimum-norm particular solution is orthogonal to the kernel of a, so
+    the feasible slice is a centered ball of radius sqrt(g^2 - |particular|^2)
+    inside that kernel.
     """
-    s = _sqrtm_spd(gram)
-    a = rows @ s
-    c = s @ e
-    if rows.shape[0] == 0:
+    if a.shape[0] == 0:
         return g * float(np.linalg.norm(c))
     q0 = np.linalg.pinv(a) @ r
     rho2 = g * g - float(q0 @ q0)
@@ -894,83 +876,122 @@ def _ball_dual_program(gram: np.ndarray, rows: np.ndarray, r: np.ndarray,
     return float(c @ q0) + math.sqrt(max(rho2, 0.0)) * float(np.linalg.norm(null @ c))
 
 
-def _minimize_convex(phi: Callable[[np.ndarray], float], k: int,
-                     directions: Callable[[np.ndarray], list[np.ndarray]],
-                     max_searches: int = 10_000, tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Minimize a convex phi over R^k by golden-section line searches.
+#: Largest gap, relative to max(g |e|_p, |primal value|), between the primal
+#: value and the dual value that ``_lp_gauge_values`` returns.
+_GAP_RTOL = 1e-6
 
-    Each line restriction of a convex function is unimodal, so golden
-    section is exact up to the bracket; the bracket is grown geometrically
-    to cover minimizers far from the current point (or to approximate an
-    infimum attained only asymptotically, whose value a wide bracket already
-    pins down to the tolerance).
+
+def _lp_gauge_values(p: float, g: np.ndarray, c: np.ndarray, r: np.ndarray,
+                     e: np.ndarray, anchor: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """inf over t of g[i] |e[i] + c[i]^T t|_p - r[i].t per problem i, certified
+    (1 < p < infinity, the rows of each c[i] independent).
+
+    ``_newton`` from the least-squares point gives a primal point
+    y = e + c^T t and its value h.  The value returned is w.e for a dual
+    point w: g grad|y|_p, projected onto {c w = r}, then pulled back into
+    the ball |w|_q <= max(g, |a|_q) toward the ``anchor`` a by bisection.
+    So it never overshoots domination; SolverFailed is raised when h
+    exceeds it by more than ``_GAP_RTOL``.  Products run row by row, so a
+    value does not depend on the stack.  Returns the values, y and w.
     """
-    t = np.zeros(k)
-    best = phi(t)
-    if k == 0:
-        return t, best
-    searches = 0
-    while searches < max_searches:
-        prev = best
-        for d in directions(t):
-            nd = float(np.linalg.norm(d))
-            if nd == 0.0:
-                continue
-            d = d / nd
+    ct = np.swapaxes(c, 1, 2)
+    cct = _matmul_rows(c, ct)
+    q = _lp_conjugate(p)
 
-            def g(s: float) -> float:
-                return phi(t + s * d)
+    def at(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        y = e[rows] + _matvec_rows(ct[rows], t)
+        n = _safe_lp_rows(p, y)
+        return y, n, y / np.where(n > 0.0, n, 1.0)[:, None]
 
-            radius = 1.0
-            while radius < 2.0 ** 40 and min(g(-radius), g(radius)) < best - 1e-15:
-                radius *= 4.0
-            s_star = _line_min(g, radius)
-            searches += 1
-            val = g(s_star)
-            if val < best:
-                best = val
-                t = t + s_star * d
-            if searches >= max_searches:
+    def objective(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return g[rows] * at(rows, t)[1] - np.add.reduce(r[rows] * t, axis=1)
+
+    def derivatives(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The Hessian g (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights
+        # floored at 1e-12 of the largest, plus 1e-12 of g/|y| c c^T, so that
+        # a nearly flat direction (large p) still has a bounded step.
+        _, n, u = at(rows, t)
+        au = np.abs(u)
+        cj = _matvec_rows(c[rows], np.sign(u) * au ** (p - 1.0))
+        floor = 1e-12 * np.maximum.reduce(au, axis=1)
+        floor[floor == 0.0] = 1.0
+        weight = np.maximum(au, floor[:, None]) ** (p - 2.0)
+        hess = _matmul_rows(c[rows] * weight[:, None, :], ct[rows]) - cj[:, :, None] * cj[:, None, :]
+        hess = (p - 1.0) * hess + 1e-12 * cct[rows]
+        hess *= (g[rows] / np.where(n > 0.0, n, 1.0))[:, None, None]
+        return g[rows, None] * cj - r[rows], hess
+
+    scale = g * _safe_lp_rows(p, e)
+    t0 = -np.linalg.solve(cct, _matvec_rows(c, e)[..., None])[..., 0]
+    t = _newton(t0, objective, derivatives, scale)
+    y, n, u = at(np.arange(g.size), t)
+    h = g * n - np.add.reduce(r * t, axis=1)
+    w = g[:, None] * np.sign(u) * np.abs(u) ** (p - 1.0)
+    w -= _matvec_rows(ct, np.linalg.solve(cct, (_matvec_rows(c, w) - r)[..., None])[..., 0])
+    radius = np.maximum(g, _safe_lp_rows(q, anchor))
+    lo, hi = np.zeros(g.size), np.ones(g.size)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = _safe_lp_rows(q, anchor + mid[:, None] * (w - anchor)) <= radius
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    w = np.where((_safe_lp_rows(q, w) <= radius)[:, None], w, anchor + lo[:, None] * (w - anchor))
+    value = np.add.reduce(w * e, axis=1)
+    bad = np.flatnonzero(h - value > _GAP_RTOL * np.maximum(scale, np.abs(h)))
+    if bad.size:
+        raise SolverFailed(f"l{p:g} gauge kernel: primal value {h[bad[0]]:.9g} exceeds the"
+                           f" dual value {value[bad[0]]:.9g} by more than {_GAP_RTOL:g}")
+    return value, y, w
+
+
+def _safe_lp_rows(p: float, y: np.ndarray) -> np.ndarray:
+    """``_lp_rows`` scaled by each row's largest entry, so |y|^p cannot overflow."""
+    top = np.maximum.reduce(np.abs(y), axis=1)
+    top[top == 0.0] = 1.0
+    return _lp_rows(p, y / top[:, None]) * top
+
+
+#: ``_newton``: step cap, and the Newton decrements, relative to a row's
+#: scale, below which a step is taken in full and at which the row stops.
+_NEWTON_STEPS = 100
+_NEWTON_FULL = 1e-14
+_NEWTON_RTOL = 1e-20
+
+
+def _newton(x: np.ndarray, objective: Callable, derivatives: Callable,
+            scale: np.ndarray) -> np.ndarray:
+    """Minimise a convex objective from each row of x, in place, by damped Newton.
+
+    ``objective(rows, z)`` is the objective of problems ``rows`` at points
+    z, ``derivatives(rows, z)`` their gradients and positive definite
+    Hessians.  A step is halved until the Armijo condition with fraction
+    1/4 holds (Boyd & Vandenberghe, Convex Optimization, 9.5), or taken in
+    full when the decrement and any rise are below ``_NEWTON_FULL``, where
+    rounding hides the decrease.  A row stops at a decrement of ``_NEWTON_RTOL``, when a damped
+    step fails, or after ``_NEWTON_STEPS`` steps; rows never mix.
+    """
+    act = np.arange(x.shape[0])
+    fx = objective(act, x)
+    for _ in range(_NEWTON_STEPS):
+        grad, hess = derivatives(act, x[act])
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        dec = np.add.reduce(grad * step, axis=1)
+        t = np.ones(act.size)
+        fn = objective(act, x[act] - step)
+        full = (dec <= _NEWTON_FULL * scale[act]) & (fn <= fx[act] + _NEWTON_FULL * scale[act])
+        for _ in range(60):
+            short = (fn > fx[act] - 0.25 * t * dec) & ~full
+            if not short.any():
                 break
-        if prev - best <= tol * max(1.0, abs(prev)):
+            t[short] *= 0.5
+            fn[short] = objective(act[short], x[act[short]] - t[short, None] * step[short])
+        go = (dec > _NEWTON_RTOL * scale[act]) & (full | (fn < fx[act]))
+        act, step, t, fn = act[go], step[go], t[go], fn[go]
+        if act.size == 0:
             break
-    return t, best
-
-
-def _line_min(g: Callable[[float], float], radius: float) -> float:
-    """Argmin of a unimodal g on [-radius, radius], by staged golden sections.
-
-    Re-bracketing keeps the final absolute tolerance small even when the
-    initial bracket had to grow very wide.
-    """
-    lo, hi = -radius, radius
-    for _ in range(3):
-        width = hi - lo
-        if width <= 4e-12:
-            break
-        s = _golden_section(g, lo, hi, max(1e-12, 1e-4 * width))
-        step = 2e-4 * width
-        lo, hi = s - step, s + step
-    return 0.5 * (lo + hi)
-
-
-def _golden_section(g, lo: float, hi: float, xtol: float) -> float:
-    """Argmin of a convex g on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > xtol:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    return 0.5 * (a + b)
+        x[act] -= t[:, None] * step
+        fx[act] = fn
+    return x
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rieszmod
+from rieszmod import LpNorm, dual_vector_norm
 from rieszmod.cli import _REFS, main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -101,14 +103,20 @@ def test_pushforward_command(capsys):
     assert [f["dim"] for f in report["module"]["fibers"]] == [2, 2, 1]
 
 
-def test_hahn_banach_command(capsys):
-    code, out = run_twice(
-        capsys, "hahn-banach", "--problem", str(DATA / "hb_problem.json"))
+@pytest.mark.parametrize("lp", [1.0, 1.5, 3.0])
+def test_hahn_banach_command(capsys, tmp_path, lp):
+    # The functional has dual norm exactly the gauge, so for 1 < p < inf its
+    # only dominated extension is (1, 0).
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    problem["module"]["fibers"][0]["norm"] = {"lp": lp}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out = run_twice(capsys, "hahn-banach", "--problem", str(path))
     assert code == 0
     report = json.loads(out)
     (row,) = report["extension"]
     assert row[0] == 1.0
-    assert abs(row[1]) <= 1.0 + 1e-9
+    assert dual_vector_norm(LpNorm(lp), np.array(row)) <= 1.0 + 1e-9
     assert report["restriction_values"] == [[1.0]]
 
 
@@ -426,3 +434,41 @@ def test_report_schema_file_matches_the_cli():
         report = json.loads(golden.read_text())
         assert set(schema["required"]) <= set(report)
         assert report["command"] in schema["properties"]["command"]["enum"]
+
+
+#: The input schema of every file in tests/data.
+DATA_SCHEMAS = {
+    "element_34.json": "element",
+    "hb_problem.json": "hahn_banach_problem",
+    "hb_violating.json": "hahn_banach_problem",
+    "map_dup.json": "pushforward_map",
+    "module_221.json": "module",
+    "module_gram.json": "module",
+    "module_push.json": "module",
+    "path2.json": "graph",
+    "set_line.json": "convex_set",
+    "stone_gens.json": "generators",
+    "structure_l2.json": "structure",
+}
+
+
+def test_data_files_and_goldens_validate_against_the_schemas():
+    # The schemas refer to each other by $id, so they are validated against
+    # one registry of all of them.
+    from jsonschema import Draft7Validator
+    from referencing import Registry, Resource
+
+    schemas = {path.name.removesuffix(".schema.json"): json.loads(path.read_text())
+               for path in SCHEMAS.glob("*.schema.json")}
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values())
+
+    def errors(instance, name):
+        validator = Draft7Validator(schemas[name], registry=registry)
+        return [e.message for e in validator.iter_errors(instance)]
+
+    assert sorted(DATA_SCHEMAS) == sorted(p.name for p in DATA.glob("*.json"))
+    for file, name in DATA_SCHEMAS.items():
+        assert errors(json.loads((DATA / file).read_text()), name) == [], file
+    for golden in sorted(GOLDEN.glob("*.json")):
+        assert errors(json.loads(golden.read_text()), "report") == [], golden.name

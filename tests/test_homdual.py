@@ -594,19 +594,54 @@ def test_image_l1_dual_norms_of_a_group_share_one_program(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
+def test_image_polyhedral_power_steps_share_one_program(monkeypatch, p):
+    # Generated modules with p in {1, inf} have image-l1 and image-linf
+    # fibers; the power method's LMO solves all rows of a step as one linear
+    # program.  30 vertices and 70 edges: a path plus 41 random chords.
+    from rieszmod.constructions import Graph, cotangent_module
+    from rieszmod import homdual
+
+    rng = np.random.default_rng(3070)
+    edges = {(i, i + 1) for i in range(29)}
+    while len(edges) < 70:
+        edges.add(tuple(sorted(rng.choice(30, size=2, replace=False).tolist())))
+    graph = Graph(tuple(f"v{i}" for i in range(30)),
+                  tuple((u, v, float(rng.uniform(0.5, 2.0))) for u, v in sorted(edges)))
+    m = cotangent_module(graph, p)[1].module
+    steps = [0]
+    lmo = homdual._lmo
+
+    def counted_lmo(src, g):
+        steps[0] += 1
+        return lmo(src, g)
+
+    monkeypatch.setattr(homdual, "_lmo", counted_lmo)
+    calls = count_solver_calls(monkeypatch)
+    norms = hom_norm(HomElement.identity(m)).values
+    assert all(x == 1.0 for x, dim in zip(norms, m.dims) if dim)
+    if p == 1.0:   # an image-l1 target runs the power method
+        assert 0 < calls[0] <= steps[0]
+    l3 = FiberModule(m.structure, tuple(Fiber(d, LpNorm(3.0)) for d in m.dims))
+    t = HomElement([rng.standard_normal((d, d)) for d in m.dims], m, l3)
+    calls[0] = steps[0] = 0
+    hom_norm(t)
+    assert 0 < calls[0] <= steps[0]
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
 def test_failed_operator_norm_program_raises_a_typed_error(monkeypatch, p):
     import scipy.optimize
     from scipy.optimize import OptimizeResult
 
-    from rieszmod.homdual import _image_vertex
+    from rieszmod.homdual import _image_vertices
 
     def failing(*args, **kwargs):
         return OptimizeResult(status=4, success=False, message="numerical difficulties")
 
     monkeypatch.setattr(scipy.optimize, "milp", failing)
-    b = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]])
+    b = np.array([[[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]]])
     with pytest.raises(SolverFailed, match="numerical difficulties"):
-        _image_vertex(b, p, np.array([1.0, -1.0]))
+        _image_vertices(b, p, np.array([[1.0, -1.0]]))
 
 
 # --------------------------------------------------------------------------

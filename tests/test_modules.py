@@ -27,7 +27,9 @@ from rieszmod import (
     SpaceMismatch,
     Submodule,
     dimensional_decomposition,
+    dual_vector_norm,
     glue,
+    hahn_banach_extend,
     independence_check,
     kernel_basis,
     matrix_rank,
@@ -37,6 +39,8 @@ from rieszmod import (
     row_space_basis,
     zero_indicator,
 )
+from rieszmod import modules
+from rieszmod.modules import _GAP_RTOL, _extension_values
 from helpers import (
     count_solver_calls,
     gram_module,
@@ -531,6 +535,117 @@ def test_wide_polyhedral_quotient_norm_is_fast():
     q = quotient_norm(v, n)
     assert time.perf_counter() - start < 2.0
     assert np.all(q.values <= pointwise_norm(v).values + 1e-12)
+
+
+def reference_gauge(norm, g, rows, r, e):
+    """inf over t of g * norm(e + rows^T t) - r.t and its argmin, by BFGS
+    from the least-squares point with the analytic gradient."""
+    from scipy.optimize import minimize
+
+    a = norm.matrix if isinstance(norm, ImageLpNorm) else np.eye(e.size)
+    p = norm.p
+
+    def h(t):
+        y = a @ (e + rows.T @ t)
+        n = float(np.sum(np.abs(y) ** p) ** (1.0 / p))
+        dual = np.sign(y) * np.abs(y / n) ** (p - 1.0)
+        return g * n - r @ t, g * rows @ (a.T @ dual) - r
+
+    t = np.linalg.lstsq(rows.T, -e, rcond=None)[0]
+    for _ in range(3):
+        t = minimize(h, t, jac=True, method="BFGS", options={"gtol": 1e-13}).x
+    return h(t)[0], t
+
+
+def random_gauge_problems(rng, p, image, dominated, count):
+    """Random (norm, g, rows, r, e, anchor) problems with d <= 12 and k < d;
+    dominated ones take r from a dual point u0 of norm 0.7 g, the anchor."""
+    q = p / (p - 1.0)
+    out = []
+    for _ in range(count):
+        d = int(rng.integers(2, 13))
+        k = int(rng.integers(1, d))
+        norm = ImageLpNorm(rng.standard_normal((d + 2, d)), p) if image else LpNorm(p)
+        g = float(rng.uniform(0.5, 2.0))
+        rows = rng.standard_normal((k, d))
+        e = rng.standard_normal(d)
+        if dominated:
+            u0 = rng.standard_normal(d + 2 if image else d)
+            u0 *= 0.7 * g / np.sum(np.abs(u0) ** q) ** (1.0 / q)
+            r = rows @ (norm.matrix.T @ u0 if image else u0)
+            out.append((norm, g, rows, r, e, u0))
+        else:
+            out.append((norm, g, rows, np.zeros(k), e, None))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 30.0])
+def test_lp_gauge_kernel_matches_a_reference_solve(p):
+    # Every lp gauge problem with p not in {1, 2, inf} runs the Newton
+    # kernel: its value is a dual value, so it never exceeds the primal at
+    # any point, and here it is within 1e-7 of an independent BFGS solve.
+    # At p = 30 the norm is nearly flat along its largest entry.
+    rng = np.random.default_rng(int(10 * p))
+    problems = [prob for image in (False, True) for dominated in (False, True)
+                for prob in random_gauge_problems(rng, p, image, dominated, 6)]
+    values, points = _extension_values(problems)
+    assert all(point is not None for point in points)
+    for (norm, g, rows, r, e, _), val in zip(problems, values):
+        ref, _ = reference_gauge(norm, g, rows, r, e)
+        assert val <= ref + 1e-12 * max(1.0, abs(ref))
+        assert abs(val - ref) <= 1e-7 * max(1.0, abs(ref))
+
+
+def test_lp_gauge_kernel_value_does_not_depend_on_the_stack():
+    rng = np.random.default_rng(404)
+    problems = [prob for p in (1.5, 3.0) for image in (False, True)
+                for dominated in (False, True)
+                for prob in random_gauge_problems(rng, p, image, dominated, 5)]
+    stacked, _ = _extension_values(problems)
+    for prob, val in zip(problems, stacked):
+        alone = _extension_values([prob])[0][0]
+        assert abs(alone - val) <= 1e-12 * max(1.0, abs(val))
+
+
+def test_lp_gauge_kernel_near_p_one_certifies_or_raises(monkeypatch):
+    # p = 1.1: the value comes with a primal point within the gap tolerance
+    # and a dual point inside the dual ball, or SolverFailed is raised.
+    rng = np.random.default_rng(1101)
+    p, q = 1.1, 11.0
+    problems = random_gauge_problems(rng, p, False, True, 8)
+    problems += random_gauge_problems(rng, p, False, False, 8)
+    for norm, g, rows, r, e, anchor in problems:
+        try:
+            (val,), ((y, w),) = _extension_values([(norm, g, rows, r, e, anchor)])
+        except SolverFailed:
+            continue
+        t = np.linalg.lstsq(rows.T, y - e, rcond=None)[0]
+        assert np.max(np.abs(rows.T @ t + e - y)) <= 1e-9 * max(1.0, np.abs(y).max())
+        primal = g * norm.norm(y) - r @ t
+        assert primal - val <= _GAP_RTOL * max(g * norm.norm(e), abs(primal))
+        assert np.sum(np.abs(w) ** q) ** (1.0 / q) <= g * (1.0 + 1e-12)
+        assert abs(w @ e - val) <= 1e-12 * max(1.0, abs(val))
+    # Without Newton steps the least-squares point is not certified.
+    monkeypatch.setattr(modules, "_NEWTON_STEPS", 0)
+    with pytest.raises(SolverFailed, match="gauge kernel"):
+        _extension_values(problems[:1])
+
+
+def test_lp_hahn_banach_extensions_are_fast_and_dominated():
+    rng = np.random.default_rng(906)
+    start = time.perf_counter()
+    for p, d, k, atoms in [(3.0, 3, 1, 1), (3.0, 4, 1, 1), (1.5, 6, 2, 20)]:
+        m = lp_module(make_structure(atoms), (d,) * atoms, p=p)
+        bases = tuple(rng.standard_normal((k, d)) for _ in range(atoms))
+        f_rows = []
+        for b in bases:
+            row = rng.standard_normal(d)
+            f_rows.append(b @ (0.9 * row / dual_vector_norm(LpNorm(p), row)))
+        ext = hahn_banach_extend(Submodule(m, bases), f_rows, m.space.one_fn())
+        for b, vals, mat in zip(bases, f_rows, ext.functional.matrices):
+            assert np.max(np.abs(b @ mat[0] - vals)) <= 1e-9
+            assert dual_vector_norm(LpNorm(p), mat[0]) <= 1.0 + 1e-9
+    assert time.perf_counter() - start < 2.0
 
 
 # --------------------------------------------------------------------------
