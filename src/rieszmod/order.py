@@ -439,6 +439,20 @@ def _check_one(lhs, rhs, relation: str, tol: float) -> np.ndarray:
     return excess.deviation(excess.zero()) <= tol
 
 
+def _first_failure(failing: Sequence[np.ndarray]) -> tuple[int, int] | None:
+    """The lowest failing row and its first failing check, or None.
+
+    ``failing`` holds one bool array of shape ``(S,)`` per check, in the
+    order a sample-by-sample loop would run the checks.
+    """
+    failing = np.stack(failing)
+    hit = failing.any(axis=0)
+    if not hit.any():
+        return None
+    row = int(np.argmax(hit))
+    return row, int(np.argmax(failing[:, row]))
+
+
 def _witness(lhs, rhs, sample_index: int, row: int) -> dict:
     lv, rv = lhs.values[row], rhs.values[row]
     atom = int(np.argmax(np.abs(lv - rv)))
@@ -447,6 +461,17 @@ def _witness(lhs, rhs, sample_index: int, row: int) -> dict:
 
 def _batch_key(triple) -> tuple:
     return tuple(type(x) for x in triple) + tuple(x.space for x in triple)
+
+
+def _stack(run: Sequence[tuple]) -> tuple:
+    """One carrier per role holding the stacked values of a run of samples.
+
+    Each role takes the class and space of the run's first sample.
+    """
+    return tuple(
+        type(x)(np.stack([t[i].values for t in run]), x.space)
+        for i, x in enumerate(run[0])
+    )
 
 
 def _batches(samples: Iterable[tuple[Any, Any, Any]]) -> Iterable[tuple[int, tuple]]:
@@ -458,10 +483,7 @@ def _batches(samples: Iterable[tuple[Any, Any, Any]]) -> Iterable[tuple[int, tup
     offset = 0
     for _, group in groupby(samples, key=_batch_key):
         run = list(group)
-        yield offset, tuple(
-            type(x)(np.stack([t[i].values for t in run]), x.space)
-            for i, x in enumerate(run[0])
-        )
+        yield offset, _stack(run)
         offset += len(run)
 
 
@@ -499,10 +521,9 @@ def riesz_law_suite(
                 continue
             tol = 0.0 if klass == "lattice" else ring_tol
             checks = evaluate(u, v, w)
-            failing = ~np.stack([_check_one(lhs, rhs, rel, tol) for lhs, rhs, rel in checks])
-            bad = failing.any(axis=0)
-            if bad.any():
-                row = int(np.argmax(bad))
-                lhs, rhs, _ = checks[int(np.argmax(failing[:, row]))]
+            hit = _first_failure([~_check_one(lhs, rhs, rel, tol) for lhs, rhs, rel in checks])
+            if hit is not None:
+                row, c = hit
+                lhs, rhs, _ = checks[c]
                 status[law_id] = LawResult(law_id, False, _witness(lhs, rhs, offset + row, row))
     return LawReport(tuple(status[law_id] for law_id, _, _ in table))

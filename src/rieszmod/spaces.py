@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,6 +29,8 @@ from .order import (
     Idempotent,
     LawReport,
     LawResult,
+    _first_failure,
+    _stack,
     abs_value,
 )
 
@@ -252,39 +254,70 @@ class Fn:
 # Distances
 # --------------------------------------------------------------------------
 
-def _require_single(f: Fn, what: str) -> None:
-    if f.values.ndim != 1:
-        raise SpaceMismatch(f"{what} takes one function, got a batch of shape {f.values.shape}")
+#: The smallest positive normal double: a power sum below it has lost bits.
+_TINY = float(np.finfo(float).tiny)
 
 
-def lp_norm(f: Fn, p: float) -> float:
+def _pow_rows(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry with the scalar (libm) pow.
+
+    numpy's array pow takes other routes (SIMD, sqrt, square) that can
+    differ from the scalar pow in the last place; going through the scalar
+    pow makes each row of a batch equal its single-function computation bit
+    for bit.
+    """
+    return np.array([t ** e for t in x.tolist()])
+
+
+def lp_norm(f: Fn, p: float) -> Any:
     """(Σ |f_i|^p μ_i)^{1/p} for finite p, max_i |f_i| for p = inf.
 
-    The outer 1/p-th root keeps positive homogeneity, which the module
-    axioms rely on.
+    Reduces over the atoms like :meth:`Fn.deviation`: a Python float for one
+    function, an array of shape ``(S,)`` for a batch, and each row of a
+    batch equals its single-function call bit for bit.  The outer 1/p-th
+    root keeps positive homogeneity, which the module axioms rely on.  A
+    row whose power sum underflows (to 0 or a subnormal) or overflows while
+    its largest entry is nonzero and finite is recomputed scaled by that
+    entry; rows in range keep their bits.
     """
     if p != math.inf and (not p >= 1.0 or math.isnan(p)):
         raise InvalidExponent(f"p must lie in [1, inf], got {p!r}")
-    _require_single(f, "lp_norm")
     a = np.abs(f.values)
     if p == math.inf:
-        return float(np.max(a))
-    if p == 1.0:
-        return float(np.sum(a * f.space.mu))
-    return float(np.sum(a ** p * f.space.mu) ** (1.0 / p))
+        return f._reduced(a.max(axis=-1))
+
+    def sums_of(rows):
+        return ((rows if p == 1.0 else rows ** p) * f.space.mu).sum(axis=-1)
+
+    def root(sums):
+        return sums if p == 1.0 else _pow_rows(sums, 1.0 / p)
+
+    rows = a.reshape(-1, a.shape[-1])
+    with np.errstate(over="ignore", under="ignore"):
+        sums = sums_of(rows)
+    out = root(sums)
+    in_range = [_TINY <= t < math.inf for t in sums.tolist()]
+    if not all(in_range):
+        top = rows.max(axis=-1)
+        redo = ~np.array(in_range) & (top > 0.0) & (top < math.inf)
+        with np.errstate(over="ignore", under="ignore"):
+            out[redo] = top[redo] * root(sums_of(rows[redo] / top[redo, None]))
+    return float(out[0]) if a.ndim == 1 else out
 
 
-def l0_distance(f: Fn, g: Fn, truncation: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+def l0_distance(f: Fn, g: Fn, truncation: Callable[[np.ndarray], np.ndarray] | None = None) -> Any:
     """Σ (|f_i − g_i| ∧ 1) μ̃_i, the convergence-in-measure distance.
 
+    Reduces over the atoms like :func:`lp_norm`: a Python float for one
+    pair of functions, an array of shape ``(S,)`` for a pair of batches.
     ``truncation`` replaces the pointwise t ↦ t ∧ 1 and exists so tests can
-    deliberately corrupt the distance and watch the law suite flag it.
+    deliberately corrupt the distance and watch the law suite flag it; it
+    receives the elementwise differences, of shape ``(n,)`` or ``(S, n)``.
     """
     f._check(g)
-    _require_single(f, "l0_distance")
     diff = np.abs(f.values - g.values)
     cut = np.minimum(diff, 1.0) if truncation is None else truncation(diff)
-    return float(np.sum(cut * f.space.mu_aux))
+    return f._reduced((cut * f.space.mu_aux).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -303,14 +336,15 @@ class Kind:
         elif self.p is not None:
             raise InvalidStructure(f"kind {self.name} takes no exponent")
 
-    def distance(self, f: Fn, g: Fn) -> float:
+    def distance(self, f: Fn, g: Fn) -> Any:
+        """One distance per function: a float, or ``(S,)`` for batches."""
         if self.name == "Lp":
             return lp_norm(f - g, self.p)
         if self.name == "Linf":
             return lp_norm(f - g, math.inf)
         return l0_distance(f, g)
 
-    def norm0(self, f: Fn) -> float:
+    def norm0(self, f: Fn) -> Any:
         return self.distance(f, f.zero())
 
     # Reciprocal exponent with L0 treated as "integrability zero": products
@@ -361,10 +395,10 @@ class FiniteFStructure:
                 "the multiplier algebra carries Linf or L0; Lp is not closed under products"
             )
 
-    def d_U(self, f: Fn, g: Fn) -> float:
+    def d_U(self, f: Fn, g: Fn) -> Any:
         return self.u_kind.distance(f, g)
 
-    def d_V(self, f: Fn, g: Fn) -> float:
+    def d_V(self, f: Fn, g: Fn) -> Any:
         return self.v_kind.distance(f, g)
 
     def to_json(self) -> dict:
@@ -426,10 +460,10 @@ class DualSystem:
     def space(self) -> FiniteMeasureSpace:
         return self.base.space
 
-    def d_W(self, f: Fn, g: Fn) -> float:
+    def d_W(self, f: Fn, g: Fn) -> Any:
         return self.w_kind.distance(f, g)
 
-    def d_Z(self, f: Fn, g: Fn) -> float:
+    def d_Z(self, f: Fn, g: Fn) -> Any:
         return self.z_kind.distance(f, g)
 
     @classmethod
@@ -562,11 +596,31 @@ def _space_constant(space: FiniteMeasureSpace) -> float:
     )
 
 
+def _per_row(dist: Callable[[Fn, Fn], Any]) -> Callable[[Fn, Fn], np.ndarray]:
+    """``dist`` checked to give one value per row of a batch."""
+
+    def call(f: Fn, g: Fn) -> np.ndarray:
+        out = np.asarray(dist(f, g), dtype=float)
+        if out.shape != f.values.shape[:-1]:
+            raise SpaceMismatch(
+                f"a distance on {f.values.shape[0]} rows must return one value per row, "
+                f"got shape {out.shape}"
+            )
+        return out
+
+    return call
+
+
+def _fmax(*xs: np.ndarray) -> np.ndarray:
+    """Per-row max(1.0, *xs) as Python's max takes it: NaN entries lose."""
+    return reduce(np.fmax, xs, 1.0)
+
+
 def check_fstructure_laws(
     structure: FiniteFStructure,
     samples: Iterable[tuple[Fn, Fn, Fn]],
-    d_u: Callable[[Fn, Fn], float] | None = None,
-    d_v: Callable[[Fn, Fn], float] | None = None,
+    d_u: Callable[[Fn, Fn], Any] | None = None,
+    d_v: Callable[[Fn, Fn], Any] | None = None,
 ) -> LawReport:
     """Check the metric axioms of an f-structure on sample triples.
 
@@ -578,12 +632,21 @@ def check_fstructure_laws(
     disjoint pieces of a partition (so the δ–ε statement holds with δ = ε).
     Smallness of d_V(ε𝟏, 0) as ε ↓ 0 is checked once per run.
 
+    Every sample must be a triple of single functions on the structure's
+    space (else ``SpaceMismatch``).  The samples are stacked into one batch
+    per role, each axiom is evaluated once on the batch, with per-sample
+    tolerances, and the ε sequence runs as one batch of 41 rows.  A law's
+    counterexample is its lowest failing sample, with the sides of the first
+    check that fails there, as a sample-by-sample loop would report it.
+
     ``d_u`` / ``d_v`` override the structure's distances; passing a
     deliberately corrupted distance turns the suite into a mutation harness.
-    Failures are reported, not raised.
+    Like :func:`lp_norm`, an override takes two batches of shape ``(S, n)``
+    and returns one distance per row, shape ``(S,)``.  Failures are
+    reported, not raised.
     """
-    du = d_u if d_u is not None else structure.d_U
-    dv = d_v if d_v is not None else structure.d_V
+    du = _per_row(d_u if d_u is not None else structure.d_U)
+    dv = _per_row(d_v if d_v is not None else structure.d_V)
     space = structure.space
     const = _space_constant(space)
     p_v = structure.v_kind.p if structure.v_kind.name == "Lp" else 1.0
@@ -593,69 +656,74 @@ def check_fstructure_laws(
     }
 
     def fail(law_id: str, k: int, lhs: float, rhs: float) -> None:
-        if status[law_id].passed:
-            status[law_id] = LawResult(
-                law_id, False,
-                {"sample": k, "atom": None, "lhs": float(lhs), "rhs": float(rhs)},
-            )
+        status[law_id] = LawResult(
+            law_id, False, {"sample": k, "atom": None, "lhs": float(lhs), "rhs": float(rhs)},
+        )
 
-    one = space.one_fn()
-    zero = space.zero_fn()
+    def record(law_id: str, checks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        # checks: (lhs, rhs, failing) per check, in the order a sample runs them.
+        hit = _first_failure([bad for _, _, bad in checks])
+        if hit is not None:
+            k, c = hit
+            lhs, rhs, _ = checks[c]
+            fail(law_id, k, lhs[k], rhs[k])
 
     # Unit smallness: d_V(eps * 1, 0) decreases to ~0 along eps = 2^-k.
-    seq = [dv(one.scale(2.0 ** -k), zero) for k in range(41)]
-    ok_small = all(b <= a + _METRIC_TOL for a, b in zip(seq, seq[1:]))
-    ok_small = ok_small and seq[-1] <= 1e-6 * max(1.0, seq[0])
-    if not ok_small:
-        fail("fstruct-unit-small", -1, seq[-1], 1e-6 * max(1.0, seq[0]))
+    eps = Fn(np.ldexp(np.ones((41, space.n)), -np.arange(41)[:, None]), space)
+    seq = dv(eps, eps.zero())
+    floor = 1e-6 * max(1.0, seq[0])
+    if not (np.all(seq[1:] <= seq[:-1] + _METRIC_TOL) and seq[-1] <= floor):
+        fail("fstruct-unit-small", -1, seq[-1], floor)
 
-    for k, (u, v, w) in enumerate(samples):
-        scale = max(1.0, u.sup_abs, v.sup_abs, w.sup_abs)
-        tol = _METRIC_TOL * scale
+    samples = list(samples)
+    single = space.zero_fn()
+    for u, v, w in samples:
+        for x in (u, v, w):
+            single._check(x)
+    if not samples:
+        return LawReport(tuple(status[law_id] for law_id in FSTRUCT_LAW_IDS))
+    u, v, w = _stack(samples)
+    zero = u.zero()
+    tol = _METRIC_TOL * _fmax(u.sup_abs, v.sup_abs, w.sup_abs)
 
-        # d(x, 0) = d(|x|, 0) for both distances.
-        for dist in (du, dv):
-            for x in (u, v):
-                lhs, rhs = dist(x, zero), dist(abs_value(x), zero)
-                if abs(lhs - rhs) > tol:
-                    fail("fstruct-abs", k, lhs, rhs)
+    # d(x, 0) = d(|x|, 0) for both distances.
+    pairs = [(dist(x, zero), dist(abs_value(x), zero)) for dist in (du, dv) for x in (u, v)]
+    record("fstruct-abs", [(lhs, rhs, np.abs(lhs - rhs) > tol) for lhs, rhs in pairs])
 
-        # d(x + w, y + w) = d(x, y).
-        for dist in (du, dv):
-            lhs, rhs = dist(u + w, v + w), dist(u, v)
-            if abs(lhs - rhs) > tol:
-                fail("fstruct-translation", k, lhs, rhs)
+    # d(x + w, y + w) = d(x, y).
+    pairs = [(dist(u + w, v + w), dist(u, v)) for dist in (du, dv)]
+    record("fstruct-translation", [(lhs, rhs, np.abs(lhs - rhs) > tol) for lhs, rhs in pairs])
 
-        # 0 <= f <= g implies d(f, 0) <= d(g, 0).
-        f = abs_value(u).meet(abs_value(v))
-        g = abs_value(u)
-        for dist in (du, dv):
-            lhs, rhs = dist(f, zero), dist(g, zero)
-            if lhs > rhs + tol:
-                fail("fstruct-monotone", k, lhs, rhs)
+    # 0 <= f <= g implies d(f, 0) <= d(g, 0).
+    f = abs_value(u).meet(abs_value(v))
+    g = abs_value(u)
+    pairs = [(dist(f, zero), dist(g, zero)) for dist in (du, dv)]
+    record("fstruct-monotone", [(lhs, rhs, lhs > rhs + tol) for lhs, rhs in pairs])
 
-        # Continuity of multiplication with an explicit local modulus:
-        # d_V(a*b, a2*b2) <= L * (eta + eta^(1/p)) where eta is the product
-        # distance between (a, b) and (a2, b2).  L combines the sup norms in
-        # play with a space constant comparing the three distances.
-        a, a2, b = u, v, w
-        b2 = w + u.scale(0.5)
-        eta = du(a, a2) + dv(b, b2)
-        big = max(1.0, a.sup_abs, a2.sup_abs, b.sup_abs, b2.sup_abs, (a - a2).sup_abs)
-        bound = const * big ** 2 * (eta + eta ** (1.0 / p_v))
-        lhs = dv(a * b, a2 * b2)
-        if lhs > bound + tol:
-            fail("fstruct-mult-modulus", k, lhs, bound)
+    # Continuity of multiplication with an explicit local modulus:
+    # d_V(a*b, a2*b2) <= L * (eta + eta^(1/p)) where eta is the product
+    # distance between (a, b) and (a2, b2).  L combines the sup norms in
+    # play with a space constant comparing the three distances.  The powers
+    # take the scalar pow, as one sample's Python floats would.
+    a, a2, b = u, v, w
+    b2 = w + u.scale(0.5)
+    eta = du(a, a2) + dv(b, b2)
+    if p_v != 1.0 and np.any(eta < 0.0):
+        raise InvalidStructure("the multiplication modulus needs d_u + d_v >= 0; "
+                               "a distance override returned a negative value")
+    big = _fmax(a.sup_abs, a2.sup_abs, b.sup_abs, b2.sup_abs, (a - a2).sup_abs)
+    bound = const * _pow_rows(big, 2) * (eta + _pow_rows(eta, 1.0 / p_v))
+    lhs = dv(a * b, a2 * b2)
+    record("fstruct-mult-modulus", [(lhs, bound, lhs > bound + tol)])
 
-        # Glueing: over the disjoint blocks of a partition, the distance of
-        # the glued element is at most the sum of the blockwise distances.
-        mask = w.chi_pos()
-        blocks = [mask, one - mask]
-        pieces = [blocks[0] * abs_value(u), blocks[1] * abs_value(v)]
-        glued = pieces[0].join(pieces[1])
-        total = sum(dv(piece, zero) for piece in pieces)
-        lhs = dv(glued, zero)
-        if lhs > total + tol:
-            fail("fstruct-glueing", k, lhs, total)
+    # Glueing: over the disjoint blocks of a partition, the distance of
+    # the glued element is at most the sum of the blockwise distances.
+    mask = w.chi_pos()
+    blocks = [mask, mask.one() - mask]
+    pieces = [blocks[0] * abs_value(u), blocks[1] * abs_value(v)]
+    glued = pieces[0].join(pieces[1])
+    total = sum(dv(piece, zero) for piece in pieces)
+    lhs = dv(glued, zero)
+    record("fstruct-glueing", [(lhs, total, lhs > total + tol)])
 
     return LawReport(tuple(status[law_id] for law_id in FSTRUCT_LAW_IDS))

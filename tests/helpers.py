@@ -20,7 +20,8 @@ from rieszmod import (
     ModuleElement,
     positive_part,
 )
-from rieszmod.order import LAW_TABLE, RING_TOL
+from rieszmod.order import LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
+from rieszmod.spaces import _METRIC_TOL, FSTRUCT_LAW_IDS, _space_constant
 
 
 def make_space(n, weights=None, aux=None):
@@ -141,3 +142,84 @@ def sequential_law_report(samples, law_ids=None, ring_tol=RING_TOL):
                         "lhs": float(lhs.values[atom]), "rhs": float(rhs.values[atom])}}
                     break
     return {"laws": [laws[law_id] for law_id, _, _ in table]}
+
+
+def sequential_fstructure_report(structure, samples, d_u=None, d_v=None):
+    """The f-structure law report, computed one sample triple at a time.
+
+    A reference for ``check_fstructure_laws``: its per-triple loop as it
+    stood before the checks were batched, calling the distances on single
+    functions.  Returns the report's JSON form.
+    """
+    du = d_u if d_u is not None else structure.d_U
+    dv = d_v if d_v is not None else structure.d_V
+    space = structure.space
+    const = _space_constant(space)
+    p_v = structure.v_kind.p if structure.v_kind.name == "Lp" else 1.0
+
+    status = {law_id: LawResult(law_id, True, None) for law_id in FSTRUCT_LAW_IDS}
+
+    def fail(law_id, k, lhs, rhs):
+        if status[law_id].passed:
+            status[law_id] = LawResult(
+                law_id, False,
+                {"sample": k, "atom": None, "lhs": float(lhs), "rhs": float(rhs)},
+            )
+
+    one = space.one_fn()
+    zero = space.zero_fn()
+
+    # Unit smallness: d_V(eps * 1, 0) decreases to ~0 along eps = 2^-k.
+    seq = [dv(one.scale(2.0 ** -k), zero) for k in range(41)]
+    ok_small = all(b <= a + _METRIC_TOL for a, b in zip(seq, seq[1:]))
+    ok_small = ok_small and seq[-1] <= 1e-6 * max(1.0, seq[0])
+    if not ok_small:
+        fail("fstruct-unit-small", -1, seq[-1], 1e-6 * max(1.0, seq[0]))
+
+    for k, (u, v, w) in enumerate(samples):
+        scale = max(1.0, u.sup_abs, v.sup_abs, w.sup_abs)
+        tol = _METRIC_TOL * scale
+
+        # d(x, 0) = d(|x|, 0) for both distances.
+        for dist in (du, dv):
+            for x in (u, v):
+                lhs, rhs = dist(x, zero), dist(abs_value(x), zero)
+                if abs(lhs - rhs) > tol:
+                    fail("fstruct-abs", k, lhs, rhs)
+
+        # d(x + w, y + w) = d(x, y).
+        for dist in (du, dv):
+            lhs, rhs = dist(u + w, v + w), dist(u, v)
+            if abs(lhs - rhs) > tol:
+                fail("fstruct-translation", k, lhs, rhs)
+
+        # 0 <= f <= g implies d(f, 0) <= d(g, 0).
+        f = abs_value(u).meet(abs_value(v))
+        g = abs_value(u)
+        for dist in (du, dv):
+            lhs, rhs = dist(f, zero), dist(g, zero)
+            if lhs > rhs + tol:
+                fail("fstruct-monotone", k, lhs, rhs)
+
+        # Continuity of multiplication with an explicit local modulus.
+        a, a2, b = u, v, w
+        b2 = w + u.scale(0.5)
+        eta = du(a, a2) + dv(b, b2)
+        big = max(1.0, a.sup_abs, a2.sup_abs, b.sup_abs, b2.sup_abs, (a - a2).sup_abs)
+        bound = const * big ** 2 * (eta + eta ** (1.0 / p_v))
+        lhs = dv(a * b, a2 * b2)
+        if lhs > bound + tol:
+            fail("fstruct-mult-modulus", k, lhs, bound)
+
+        # Glueing: over the disjoint blocks of a partition, the distance of
+        # the glued element is at most the sum of the blockwise distances.
+        mask = w.chi_pos()
+        blocks = [mask, one - mask]
+        pieces = [blocks[0] * abs_value(u), blocks[1] * abs_value(v)]
+        glued = pieces[0].join(pieces[1])
+        total = sum(dv(piece, zero) for piece in pieces)
+        lhs = dv(glued, zero)
+        if lhs > total + tol:
+            fail("fstruct-glueing", k, lhs, total)
+
+    return LawReport(tuple(status[law_id] for law_id in FSTRUCT_LAW_IDS)).to_json()

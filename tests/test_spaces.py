@@ -25,7 +25,7 @@ from rieszmod import (
     support_of,
     supporting_element,
 )
-from helpers import make_space, make_structure, random_fn
+from helpers import make_space, make_structure, random_fn, sequential_fstructure_report
 
 
 # --------------------------------------------------------------------------
@@ -127,19 +127,68 @@ def test_l0_distance_oracles():
     assert l0_distance(Fn([2.0], single), Fn([5.0], single)) == 0.5
 
 
-def test_lp_norm_rejects_batch():
-    space = make_space(2)
-    batch = Fn([[3.0, -4.0], [1.0, 0.0]], space)
-    for p in (1.0, 2.0, math.inf):
-        with pytest.raises(SpaceMismatch):
-            lp_norm(batch, p)
+def _batch_and_rows(n, seed):
+    """A batch of 40 functions on n weighted atoms, each row also alone.
+
+    Rows mix magnitudes from 1e-3 to 1e3 and include a zero row, so the
+    reductions see sums of very different sizes.
+    """
+    rng = np.random.default_rng(seed)
+    space = make_space(n, rng.uniform(0.3, 3.0, n), rng.uniform(0.3, 3.0, n))
+    values = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+    values[7] = 0.0
+    return Fn(values, space), [Fn(row, space) for row in values]
 
 
-def test_l0_distance_rejects_batch():
-    space = make_space(2)
-    batch = Fn([[3.0, -4.0], [1.0, 0.0]], space)
-    with pytest.raises(SpaceMismatch):
-        l0_distance(batch, batch.zero())
+def _assert_rows_equal(batched, singles):
+    assert isinstance(batched, np.ndarray) and batched.shape == (len(singles),)
+    assert all(type(x) is float for x in singles)
+    # Bit for bit: equality of the raw doubles, not closeness.
+    assert batched.tobytes() == np.array(singles).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_lp_norm_reduces_per_row(p, n):
+    batch, rows = _batch_and_rows(n, seed=n)
+    _assert_rows_equal(lp_norm(batch, p), [lp_norm(f, p) for f in rows])
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("truncation", [None, lambda d: np.abs(np.sin(d))],
+                         ids=["min1", "sin"])
+def test_l0_distance_reduces_per_row(truncation, n):
+    batch, rows = _batch_and_rows(n, seed=n + 1)
+    other, others = _batch_and_rows(n, seed=n + 2)
+    other = Fn(other.values, batch.space)
+    others = [Fn(g.values, batch.space) for g in others]
+    _assert_rows_equal(l0_distance(batch, other, truncation=truncation),
+                       [l0_distance(f, g, truncation=truncation) for f, g in zip(rows, others)])
+
+
+@pytest.mark.parametrize("entry", [1e-6, 1e6, 1e-200, 1e200])
+@pytest.mark.parametrize("p", [3.0, 60.0])
+def test_lp_norm_rescales_powers_that_leave_the_double_range(p, entry):
+    # At 1e-6 and p = 60 the plain power sum underflows to 0 (a nonzero
+    # function of norm 0); at 1e6 it overflows to inf with a RuntimeWarning,
+    # which the suite turns into an error.
+    space = make_space(3, [1.0, 0.5, 2.0])
+    want = entry * 3.5 ** (1.0 / p)
+    got = lp_norm(Fn([entry] * 3, space), p)
+    assert math.isclose(got, want, rel_tol=1e-14)
+    assert math.isclose(lp_norm(Fn([-entry, 0.0, 0.0], space), p), entry, rel_tol=1e-14)
+
+
+def test_lp_norm_rescaling_leaves_rows_in_range_alone():
+    space = make_space(3, [1.0, 0.5, 2.0])
+    values = np.array([[1e-6] * 3, [0.3, -1.7, 2.2], [1e6] * 3, [0.0] * 3, [math.inf, 1.0, 0.0]])
+    got = lp_norm(Fn(values, space), 60.0)
+    assert got[0] > 0.0 and math.isfinite(got[2])
+    # The in-range row has the plain formula's bits.
+    plain = float(np.sum(np.abs(values[1]) ** 60.0 * space.mu) ** (1.0 / 60.0))
+    assert got[1] == plain
+    assert got[3] == 0.0 and got[4] == math.inf
+    assert got.tolist() == [lp_norm(Fn(row, space), 60.0) for row in values]
 
 
 def test_l0_distance_metric_axioms_sampled():
@@ -456,3 +505,96 @@ def test_corrupted_distance_is_flagged():
     results = {r.id: r.passed for r in report.laws}
     assert results["fstruct-translation"] is True
     assert results["fstruct-monotone"] is False
+
+
+def _lattice_truncation(t):
+    """The benchmark's corruption: t -> (t ^ 1) + 1/2 [t > 0]."""
+    return np.minimum(t, 1.0) + 0.5 * (t > 0.0)
+
+
+FSTRUCT_PAIRS = [("Linf", "l2"), ("Linf", "l1"), ("Linf", "linf"),
+                 ("Linf", "l0"), ("L0", "l0"), ("L0", 3.0)]
+
+
+def _weighted_structure(n, u, v, seed):
+    rng = np.random.default_rng(seed)
+    return make_structure(n, v=v, weights=rng.uniform(0.3, 3.0, n).tolist(), u=u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("u,v", FSTRUCT_PAIRS)
+def test_fstructure_report_matches_the_sequential_loop(u, v, n):
+    structure = _weighted_structure(n, u, v, seed=n)
+    for count in (0, 1, 7, 200):
+        samples = fstruct_triples(structure, count, seed=count)
+        assert (check_fstructure_laws(structure, samples).to_json()
+                == sequential_fstructure_report(structure, samples))
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("truncation", [lambda d: np.abs(np.sin(d)), _lattice_truncation],
+                         ids=["sin", "lattice"])
+def test_corrupted_fstructure_report_matches_the_sequential_loop(truncation, n):
+    def corrupted(f, g):
+        return l0_distance(f, g, truncation=truncation)
+
+    failed = 0
+    for role in ("d_u", "d_v"):
+        for i, (u, v) in enumerate(FSTRUCT_PAIRS):
+            structure = _weighted_structure(n, u, v, seed=10 + i)
+            for count in (1, 7, 50):
+                samples = fstruct_triples(structure, count, seed=count + i)
+                report = check_fstructure_laws(structure, samples, **{role: corrupted})
+                assert report.to_json() == sequential_fstructure_report(
+                    structure, samples, **{role: corrupted})
+                failed += not report.all_passed()
+    # The comparison covers reported counterexamples, not only passes.
+    assert failed > 0
+
+
+def test_fstructure_laws_reject_a_sample_on_another_space_of_equal_size():
+    structure = make_structure(4, v="l2", weights=[1.0, 0.5, 2.0, 1.5])
+    other = make_space(4, [1.0, 0.5, 2.0, 1.6])
+    samples = fstruct_triples(structure, 5, seed=3)
+    rng = np.random.default_rng(0)
+    samples[3] = (samples[3][0], random_fn(rng, other), samples[3][2])
+    with pytest.raises(SpaceMismatch):
+        check_fstructure_laws(structure, samples)
+
+
+def test_fstructure_laws_call_the_distances_once_per_check_not_per_sample():
+    structure = make_structure(4, v="l0", weights=[1.0, 0.5, 2.0, 1.5])
+    calls = []
+
+    def counting(f, g):
+        calls.append(f.values.shape)
+        return l0_distance(f, g)
+
+    counts = []
+    for count in (1, 200):
+        calls.clear()
+        check_fstructure_laws(structure, fstruct_triples(structure, count, seed=1), d_v=counting)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert calls[0] == (41, 4) and set(calls[1:]) == {(200, 4)}
+
+
+def test_fstructure_override_must_return_one_value_per_row():
+    structure = make_structure(4, v="l0", weights=[1.0, 0.5, 2.0, 1.5])
+
+    def whole_batch(f, g):
+        return float(np.sum(l0_distance(f, g)))
+
+    with pytest.raises(SpaceMismatch):
+        check_fstructure_laws(structure, fstruct_triples(structure, 3, seed=1), d_v=whole_batch)
+
+
+def test_fstructure_modulus_refuses_a_negative_distance_override():
+    # eta^(1/3) of a negative eta has no real value to compare against.
+    structure = make_structure(3, v=3.0, u="L0")
+
+    def negative(f, g):
+        return -l0_distance(f, g)
+
+    with pytest.raises(InvalidStructure):
+        check_fstructure_laws(structure, fstruct_triples(structure, 3, seed=1), d_u=negative)
