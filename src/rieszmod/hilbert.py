@@ -1,17 +1,17 @@
 """Inner-product modules: projections, complements, Riesz duality.
 
 A module is treated as Hilbert when every fiber norm is an inner-product
-norm.  Construction validates this structurally and by sampling (the
-pointwise parallelogram rule), and checks the compatibility of the module
-distance with the pairing distance, recording the best constant seen as a
-diagnostic on the instance.
+norm (l2, gram or image-l2), which construction checks fiber by fiber.  It
+also computes, in closed form, the compatibility constant of the module
+distance with the pairing distance and refuses the module when the
+constant exceeds 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -23,12 +23,11 @@ from .modules import (
     Submodule,
     _as_gram,
     _finite_matrix,
+    _matvec_rows,
     kernel_basis,
     pointwise_norm,
 )
 from .spaces import DualSystem, Fn, _require
-
-_HILBERT_SEED = 20240819
 
 
 def _gram_of(module: FiberModule, atom: int) -> np.ndarray:
@@ -56,78 +55,77 @@ def parallelogram_defect(v: ModuleElement, w: ModuleElement) -> Fn:
     return Fn(vals, v.module.space)
 
 
+def _compat_constant(module: FiberModule, system: DualSystem) -> float:
+    """sup of d_V(f, 0)^2 / d_Z(f^2, 0) over the pointwise norms f, i.e. over
+    f >= 0 on A, the atoms of positive dimension (0.0 when A is empty).
+
+    By Hölder, with e = 2/p - 1/r (1/p, 1/r the reciprocal exponents of V
+    and Z, 0 for Linf): mu(A)^e when e >= 0, attained at a constant, else
+    (min over A of mu_a)^e, attained at the lightest atom's indicator.  For
+    V = L0 (so Z = L0), the auxiliary mass of A by Cauchy-Schwarz; for Z = L0
+    under any other V, infinity, as d_Z is bounded and d_V is not.
+    """
+    on = module._dim_array > 0
+    if not on.any():
+        return 0.0
+    v_kind, z_kind = module.structure.v_kind, system.z_kind
+    if v_kind.name == "L0":
+        return float(module.space.mu_aux[on].sum())
+    if z_kind.name == "L0":
+        return math.inf
+    mu = module.space.mu[on]
+    e = 2.0 * v_kind._recip_p() - z_kind._recip_p()
+    return float(mu.sum() if e >= 0.0 else mu.min()) ** e
+
+
 @dataclass(frozen=True)
 class HilbertModule:
     """A fiber module whose norms are all inner products, with its pairing system.
 
-    ``compat_constant`` is the largest sampled ratio of the squared module
-    distance to the pairing distance of the squared pointwise norm; the
+    ``compat_constant`` is the supremum of the squared module distance over
+    the pairing distance of the squared pointwise norm, in closed form; the
     construction requires it to stay within 1 (up to 1e-9), matching the
-    hypothesis under which the projection theorem is applied.
+    hypothesis under which the projection theorem is applied.  ``grams``
+    holds the gram matrix of each fiber.
     """
 
     module: FiberModule
     system: DualSystem
     compat_constant: float
 
-    def __init__(self, module: FiberModule, system: DualSystem | None = None,
-                 samples: int = 32):
+    def __init__(self, module: FiberModule, system: DualSystem | None = None):
         if system is None:
             system = DualSystem.default(module.structure)
-        grams = _grams(module)
-        rng = np.random.default_rng(_HILBERT_SEED)
-        worst = 0.0
-        zero = module.space.zero_fn()
-        for _ in range(samples):
-            v = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
-            w = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
-            defect = parallelogram_defect(v, w)
-            nv = pointwise_norm(v)
-            scale = max(1.0, float(nv.sup_abs), float(pointwise_norm(w).sup_abs))
-            if defect.deviation(zero) > 1e-9 * scale * scale:
-                raise NotHilbert("sampled pointwise parallelogram rule fails")
-            dist_sq = module.structure.d_V(nv, zero) ** 2
-            pair = system.d_Z(Fn(nv.values ** 2, module.space), zero)
-            if pair > 0.0:
-                worst = max(worst, dist_sq / pair)
-        if worst > 1.0 + 1e-9:
+        elif system.base != module.structure:
+            raise ModuleMismatch("the pairing system is over another structure than the module")
+        grams = _grams(module)  # refuses a fiber that is not euclidean
+        constant = _compat_constant(module, system)
+        if constant > 1.0 + 1e-9:
             raise NotHilbert(
                 f"module distance is incompatible with the pairing distance"
-                f" (sampled constant {worst:.6g} > 1)"
+                f" (constant {constant:.6g} > 1)"
             )
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "compat_constant", worst)
-        object.__setattr__(self, "_gram_cache", grams)
-
-    @property
-    def grams(self) -> tuple[np.ndarray, ...]:
-        return self._gram_cache
+        object.__setattr__(self, "compat_constant", constant)
+        object.__setattr__(self, "grams", grams)
 
     def dual(self) -> FiberModule:
         return dual_module(self.module, self.system)
 
 
 def pointwise_inner(v: ModuleElement, w: ModuleElement) -> Fn:
-    """The fiber inner product v.w, cross-checked against polarization.
-
-    Evaluates the gram form directly and the polarization combination
-    (|v+w|^2 - |v-w|^2)/4 and requires them to agree to 1e-12 relative,
-    so a non-inner-product fiber smuggled past the type is still caught.
-    """
+    """The fiber inner product v.w: x^T G y on each atom, one stacked
+    product per fiber group."""
     v._check(w)
-    module = v.module
-    direct = np.array([
-        float(a @ _gram_of(module, i) @ b)
-        for i, (a, b) in enumerate(zip(v.vectors, w.vectors))
-    ])
-    nplus = pointwise_norm(v + w).values
-    nminus = pointwise_norm(v - w).values
-    polar = 0.25 * (nplus ** 2 - nminus ** 2)
-    scale = max(1.0, float(np.max(nplus ** 2)), float(np.max(nminus ** 2)))
-    if np.any(np.abs(direct - polar) > 1e-12 * scale):
-        raise NotHilbert("polarization disagrees with the fiber inner product")
-    return Fn(direct, module.space)
+    out = np.zeros(v.module.space.n)
+    for g in v.module._groups:
+        gram = _as_gram(g.proto, g.dim, g.mats)
+        if gram is None:
+            raise NotHilbert(f"fiber {g.atoms[0]} is not an inner-product norm")
+        x = v.flat[g.cols]
+        out[g.atoms] = np.add.reduce(x * _matvec_rows(gram, w.flat[g.cols]), axis=1)
+    return Fn(out, v.module.space)
 
 
 def cauchy_schwarz_check(v: ModuleElement, w: ModuleElement) -> tuple[bool, Fn]:
@@ -209,9 +207,11 @@ class SubspaceSet(FiberSet):
         object.__setattr__(self, "basis", b)
 
     def project(self, v: np.ndarray, gram: np.ndarray) -> np.ndarray:
-        b = self.basis
-        if b.shape[0] == 0:
+        if self.basis.shape[0] == 0:
             return np.zeros_like(v)
+        # Rows scaled by powers of two, so b @ gram @ b.T cannot overflow.
+        _, exp = np.frexp(np.abs(self.basis).max(axis=1, initial=0.0))
+        b = np.ldexp(self.basis, -exp[:, None])
         t = np.linalg.lstsq(b @ gram @ b.T, b @ gram @ v, rcond=None)[0]
         return b.T @ t
 
@@ -390,26 +390,21 @@ def riesz_inverse(h: HilbertModule, eta: ModuleElement) -> ModuleElement:
     return ModuleElement(vecs, h.module)
 
 
-def hilbert_reflexivity_check(h: HilbertModule, samples: int = 1000,
-                              tol: float = 1e-10) -> bool:
+def hilbert_reflexivity_check(h: HilbertModule, tol: float = 1e-10) -> bool:
     """The bidual embedding equals the composition of the two Riesz maps.
 
-    Both are evaluated independently on seeded samples: J through identity
-    coordinates in the bidual, the composition through one gram multiply and
-    one gram-inverse multiply in the dual's dual.
+    On atom a, J is the matrix J_a of ``bidual_embed`` and the composite
+    v -> G*_a G_a v, where G*_a is the gram of the dual module's fiber.  Per
+    fiber group the matrices are stacked, and one product and one max-abs
+    residual against ``tol`` compare the two.
     """
-    module = h.module
-    j = bidual_embed(module, h.system)
+    j = bidual_embed(h.module, h.system)
     dual = h.dual()
-    inverted = DualSystem(dual.structure, h.system.base.v_kind, h.system.z_kind)
-    h_star = HilbertModule(dual, inverted)
-    rng = np.random.default_rng(_HILBERT_SEED + 1)
-    for _ in range(samples):
-        v = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
-        through_j = j.apply(v)
-        through_riesz = riesz_map(h_star, riesz_map(h, v))
-        scale = max(1.0, float(pointwise_norm(v).sup_abs))
-        for x, y in zip(through_j.vectors, through_riesz.vectors):
-            if np.any(np.abs(x - y) > tol * scale):
-                return False
+    h_star = HilbertModule(dual, DualSystem(dual.structure, h.system.base.v_kind, h.system.z_kind))
+    for g in h.module._groups:
+        j_stack = np.stack([j.matrices[a] for a in g.atoms])
+        g_star = np.stack([h_star.grams[a] for a in g.atoms])
+        residual = j_stack - g_star @ _as_gram(g.proto, g.dim, g.mats)
+        if np.max(np.abs(residual), initial=0.0) > tol:
+            return False
     return True

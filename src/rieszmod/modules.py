@@ -209,7 +209,8 @@ class LpNorm(FiberNorm):
 
 @dataclass(frozen=True)
 class GramNorm(FiberNorm):
-    """Inner-product norm sqrt(x^T G x) for a symmetric positive-definite G."""
+    """Inner-product norm sqrt(x^T G x) for a symmetric positive-definite G;
+    a G symmetric only to within tolerance is stored as (G + G^T) / 2."""
 
     gram: np.ndarray
 
@@ -220,9 +221,11 @@ class GramNorm(FiberNorm):
         if g.size:
             # np.allclose(g, g.T, atol=...) without its per-call overhead.
             mag = np.abs(g)
-            if not np.all(np.abs(g - g.T) <= 1e-12 * max(1.0, float(mag.max())) + 1e-5 * mag.T):
+            skew = g - g.T
+            if not np.all(np.abs(skew) <= 1e-12 * max(1.0, float(mag.max())) + 1e-5 * mag.T):
                 raise InvalidStructure("gram matrix must be symmetric")
-        if g.size:
+            if skew.any():
+                g = 0.5 * g + 0.5 * g.T
             eig = np.linalg.eigvalsh(g)
             if eig[0] <= RANK_RTOL * max(1.0, float(eig[-1])):
                 raise InvalidStructure("gram matrix must be positive definite")

@@ -18,6 +18,7 @@ from rieszmod import (
     Kind,
     LpNorm,
     ModuleElement,
+    pointwise_norm,
     positive_part,
 )
 from rieszmod.order import LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
@@ -67,6 +68,26 @@ def random_element(rng, module, scale=1.0):
     return ModuleElement(
         [scale * rng.standard_normal(f.dim) for f in module.fibers], module
     )
+
+
+def sampled_compat_constant(module, system, samples=32, seed=20240819):
+    """The largest sampled ratio d_V(|v|, 0)^2 / d_Z(|v|^2, 0) over seeded
+    Gaussian elements v: the sampling loop ``HilbertModule`` once used for
+    ``compat_constant``, kept as a reference.  A sample only bounds the
+    supremum from below.  Each round also draws the second element w that
+    the loop's parallelogram test used, so the stream and the values match it.
+    """
+    rng = np.random.default_rng(seed)
+    zero = module.space.zero_fn()
+    worst = 0.0
+    for _ in range(samples):
+        v = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
+        ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
+        nv = pointwise_norm(v)
+        pair = system.d_Z(Fn(nv.values ** 2, module.space), zero)
+        if pair > 0.0:
+            worst = max(worst, module.structure.d_V(nv, zero) ** 2 / pair)
+    return worst
 
 
 def random_fn(rng, space, scale=1.0):

@@ -322,6 +322,30 @@ def test_project_refuses_non_finite_sets(capfd, tmp_path, fiber_set, path):
                        "--element", str(DATA / "element_34.json"), "--set", str(bad))
 
 
+def huge_subspace_project(tmp_path):
+    """argv projecting [1, 2] in one lp2 fiber onto the span of [1e308, 0]."""
+    module = json.loads((DATA / "module_gram.json").read_text())
+    module["fibers"] = [{"dim": 2, "norm": {"lp": 2.0}}]
+    files = {"module": module, "element": {"vectors": [[1.0, 2.0]]},
+             "set": {"fibers": [{"kind": "subspace", "basis": [[1e308, 0.0]]}]}}
+    argv = ["project"]
+    for key, doc in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+        argv += [f"--{key}", str(tmp_path / f"{key}.json")]
+    return argv
+
+
+def test_project_onto_a_huge_basis_row_prints_one_document(capfd, tmp_path):
+    # b @ gram @ b.T on the raw row overflows, and LAPACK then wrote a
+    # DLASCL message to fd 1 ahead of the JSON document.
+    code = main(huge_subspace_project(tmp_path))
+    captured = capfd.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    [[x, y]] = json.loads(captured.out)["projection"]
+    assert abs(x - 1.0) <= 1e-15 and y == 0.0
+
+
 def space_mismatch(capsys, *argv):
     """Run a command whose input has the wrong shape: exit 2, space_mismatch."""
     code = main(list(argv))
@@ -452,9 +476,12 @@ DATA_SCHEMAS = {
 }
 
 
-def test_data_files_and_goldens_validate_against_the_schemas():
-    # The schemas refer to each other by $id, so they are validated against
-    # one registry of all of them.
+def schema_errors(instance, name):
+    """The messages of validating instance against schemas/<name>.schema.json.
+
+    The schemas refer to each other by $id, so they are validated against
+    one registry of all of them.
+    """
     from jsonschema import Draft7Validator
     from referencing import Registry, Resource
 
@@ -462,13 +489,33 @@ def test_data_files_and_goldens_validate_against_the_schemas():
                for path in SCHEMAS.glob("*.schema.json")}
     registry = Registry().with_resources(
         (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values())
+    validator = Draft7Validator(schemas[name], registry=registry)
+    return [e.message for e in validator.iter_errors(instance)]
 
-    def errors(instance, name):
-        validator = Draft7Validator(schemas[name], registry=registry)
-        return [e.message for e in validator.iter_errors(instance)]
 
+def test_data_files_and_goldens_validate_against_the_schemas(capfd, tmp_path):
     assert sorted(DATA_SCHEMAS) == sorted(p.name for p in DATA.glob("*.json"))
     for file, name in DATA_SCHEMAS.items():
-        assert errors(json.loads((DATA / file).read_text()), name) == [], file
+        assert schema_errors(json.loads((DATA / file).read_text()), name) == [], file
     for golden in sorted(GOLDEN.glob("*.json")):
-        assert errors(json.loads(golden.read_text()), "report") == [], golden.name
+        assert schema_errors(json.loads(golden.read_text()), "report") == [], golden.name
+
+    # Bad input exits 2 with one envelope of the error schema on fd 1; the
+    # huge subspace row, once an overflow in LAPACK, is good input.
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    ragged = json.loads((DATA / "module_gram.json").read_text())
+    ragged["fibers"][0]["norm"]["gram"] = [[1.0, 0.0], [0.0]]
+    (tmp_path / "ragged.json").write_text(json.dumps(ragged))
+    for argv, want in [
+        (("laws", "--structure", str(malformed)), 2),
+        (("cotangent", "--graph", str(DATA / "path2.json"), "--p", "2", "--fn", "[NaN,1]"), 2),
+        (("project", "--module", str(tmp_path / "ragged.json"), "--element",
+          str(DATA / "element_34.json"), "--set", str(DATA / "set_line.json")), 2),
+        (huge_subspace_project(tmp_path), 0),
+    ]:
+        assert main(list(argv)) == want, argv
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        document = json.loads(captured.out)
+        assert schema_errors(document, "error" if want == 2 else "report") == [], argv

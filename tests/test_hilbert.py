@@ -5,15 +5,23 @@ import math
 import numpy as np
 import pytest
 
+import rieszmod.hilbert
 from rieszmod import (
     BallSet,
     BoxSet,
     ConvexSet,
     DualSystem,
     EmptySet,
+    Fiber,
+    FiberModule,
     FiniteFStructure,
+    Fn,
+    GramNorm,
     HilbertModule,
+    HomElement,
+    ImageLpNorm,
     Kind,
+    LpNorm,
     InputError,
     IntersectionSet,
     ModuleElement,
@@ -32,6 +40,8 @@ from rieszmod import (
     riesz_inverse,
     riesz_map,
 )
+from rieszmod.hilbert import _compat_constant
+from rieszmod.spaces import _product_kind
 from helpers import (
     gram_module,
     lp_module,
@@ -39,6 +49,7 @@ from helpers import (
     make_structure,
     random_element,
     random_spd,
+    sampled_compat_constant,
 )
 
 
@@ -65,6 +76,37 @@ def test_pointwise_inner_oracles():
     a = ModuleElement([[1.0, 0.0], [3.0, 0.0]], e)
     b = ModuleElement([[0.0, 1.0], [0.0, -2.0]], e)
     assert pointwise_inner(a, b).values.tolist() == [0.0, 0.0]
+
+
+def test_pointwise_inner_matches_polarization():
+    # lp2, gram and image-l2 fibers in one module, zero-dimensional ones included.
+    rng = np.random.default_rng(193)
+    dims = (2, 3, 0, 1, 2, 4)
+    norms = (LpNorm(2.0), GramNorm(random_spd(rng, 3)), LpNorm(2.0),
+             GramNorm(random_spd(rng, 1)), ImageLpNorm(rng.standard_normal((3, 2)), 2.0),
+             ImageLpNorm(rng.standard_normal((5, 4)), 2.0))
+    m = FiberModule(make_structure(6), tuple(Fiber(d, n) for d, n in zip(dims, norms)))
+    for _ in range(50):
+        v, w = random_element(rng, m), random_element(rng, m)
+        nplus, nminus = pointwise_norm(v + w).values, pointwise_norm(v - w).values
+        polar = 0.25 * (nplus ** 2 - nminus ** 2)
+        scale = max(1.0, float(np.max(nplus ** 2)), float(np.max(nminus ** 2)))
+        assert np.max(np.abs(pointwise_inner(v, w).values - polar)) <= 1e-12 * scale
+
+
+def test_nearly_symmetric_gram_is_stored_as_its_symmetric_part():
+    g = np.array([[2.0, 1.0 + 1e-6], [1.0, 2.0]])
+    norm = GramNorm(g)
+    assert np.array_equal(norm.gram, 0.5 * g + 0.5 * g.T)
+    assert np.array_equal(norm.gram, norm.gram.T)
+    exact = np.array([[2.0, 0.1], [0.1, 3.0]])
+    assert GramNorm(exact).gram.tobytes() == exact.tobytes()
+    h = HilbertModule(gram_module(make_structure(1), [g]))
+    v = ModuleElement([[1.0, 0.0]], h.module)
+    w = ModuleElement([[0.0, 1.0]], h.module)
+    assert pointwise_inner(v, w).values[0] == pointwise_inner(w, v).values[0] == norm.gram[0, 1]
+    dual_gram = h.dual().fibers[0].norm.gram
+    assert np.array_equal(dual_gram, dual_gram.T)
 
 
 def test_pointwise_inner_rejects_non_inner_norms():
@@ -137,6 +179,110 @@ def test_hilbert_module_rejects_incompatible_pairing_scale():
 def test_hilbert_module_handles_zero_fibers():
     h = HilbertModule(lp_module(make_structure(2), (0, 2), p=2.0))
     assert h.grams[0].shape == (0, 0)
+
+
+def test_hilbert_module_refuses_a_pairing_system_of_another_structure():
+    module = lp_module(make_structure(2), (2, 2), p=2.0)
+    with pytest.raises(ModuleMismatch):
+        HilbertModule(module, DualSystem.default(make_structure(3)))
+    with pytest.raises(ModuleMismatch):
+        HilbertModule(module, DualSystem.default(make_structure(2, v="l1")))
+    # An equal structure built apart is the module's own.
+    assert HilbertModule(module, DualSystem.default(make_structure(2))).compat_constant == 1.0
+
+
+# --------------------------------------------------------------------------
+# The compatibility constant in closed form
+# --------------------------------------------------------------------------
+
+def compat_ratio(module, system, f):
+    """d_V(f, 0)^2 / d_Z(f^2, 0), straight from the two distances."""
+    zero = module.space.zero_fn()
+    return (module.structure.d_V(f, zero) ** 2
+            / system.d_Z(Fn(f.values ** 2, module.space), zero))
+
+
+def extremal_fn(module, system):
+    """The f >= 0 on the atoms of positive dimension at which the constant is
+    attained: the indicator of those atoms, or of the lightest of them when
+    e = 2/p - 1/r < 0; None when the constant is infinite."""
+    on = np.array(module.dims) > 0
+    v, z = module.structure.v_kind, system.z_kind
+    if v.name != "L0" and z.name == "L0":
+        return None
+    if v.name != "L0" and 2.0 * v._recip_p() - z._recip_p() < 0.0:
+        mu = np.where(on, module.space.mu, math.inf)
+        on = np.arange(module.space.n) == np.argmin(mu)
+    return Fn(on.astype(float), module.space)
+
+
+V_KINDS = {"l1": Kind("Lp", 1.0), "l1.5": Kind("Lp", 1.5), "l2": Kind("Lp", 2.0),
+           "l3": Kind("Lp", 3.0), "linf": Kind("Linf"), "l0": Kind("L0")}
+#: None is the default pairing.
+W_KINDS = {"default": None, "Linf": Kind("Linf"), "L3": Kind("Lp", 3.0),
+           "L2": Kind("Lp", 2.0), "L1": Kind("Lp", 1.0), "L0": Kind("L0")}
+#: The (V, W) pairs whose product V.W is a kind: reciprocal exponents sum to at most 1.
+PAIRS = [(v, w) for v, vk in V_KINDS.items() for w, wk in W_KINDS.items()
+         if wk is None or vk._recip_p() + wk._recip_p() <= 1.0
+         or math.inf in (vk._recip_p(), wk._recip_p())]
+WEIGHTS = [0.3, 0.05, 0.9, 0.41, 1.7, 0.12]
+
+
+@pytest.mark.parametrize("dims", [(2, 0, 1, 3, 1, 2), (1, 1, 1, 1, 1, 1), (0, 2, 0, 0, 0, 0),
+                                  (0, 0, 0, 0, 0, 0)])
+@pytest.mark.parametrize("v,w", PAIRS)
+def test_compat_constant_bounds_samples_and_is_attained(v, w, dims):
+    space = make_space(6, WEIGHTS, aux=[0.1, 0.3, 0.05, 0.2, 0.15, 0.2])
+    structure = FiniteFStructure(space, Kind("Linf"), V_KINDS[v])
+    w_kind = W_KINDS[w]
+    system = (DualSystem.default(structure) if w_kind is None else
+              DualSystem(structure, w_kind, _product_kind(structure.v_kind, w_kind)))
+    module = lp_module(structure, dims, p=2.0)
+    constant = _compat_constant(module, system)
+    if constant <= 1.0 + 1e-9:
+        assert HilbertModule(module, system).compat_constant == constant
+    else:
+        with pytest.raises(NotHilbert):
+            HilbertModule(module, system)
+    if not any(dims):
+        assert constant == 0.0
+        return
+    assert constant >= sampled_compat_constant(module, system, samples=64) * (1.0 - 1e-12)
+    rng = np.random.default_rng(241)
+    on = np.array(dims) > 0
+    for _ in range(200):
+        f = Fn(np.where(on & (rng.random(6) < 0.7), rng.exponential(size=6) ** 3, 0.0), space)
+        if f.values.any():
+            assert compat_ratio(module, system, f) <= constant * (1.0 + 1e-12)
+    f = extremal_fn(module, system)
+    if f is None:
+        assert constant == math.inf
+        assert compat_ratio(module, system, Fn(1e8 * on, space)) > 1e8
+    else:
+        assert abs(compat_ratio(module, system, f) - constant) <= 1e-12 * constant
+
+
+@pytest.mark.parametrize("n,dim", [(3, 1), (8, 1), (20, 3)])
+def test_l1_module_of_mass_above_one_is_refused(n, dim):
+    # V = L1 pairs into Z = L1; the constant is mu(X) = 1.02, attained at a
+    # constant pointwise norm, which seeded Gaussian samples miss.
+    structure = make_structure(n, v="l1", weights=[1.02 / n] * n)
+    module = lp_module(structure, (dim,) * n, p=2.0)
+    assert sampled_compat_constant(module, DualSystem.default(structure)) < 1.0
+    with pytest.raises(NotHilbert, match="constant 1.02 > 1"):
+        HilbertModule(module)
+
+
+def test_l3_module_with_a_light_atom_is_refused():
+    # V = L3 pairs into Z = L1, e = 2/3 - 1 < 0: the constant is
+    # 0.573^(-1/3), about 1.20, attained at the indicator of the lightest atom.
+    structure = make_structure(3, v=3.0, weights=[0.573, 2.0, 3.0])
+    module = lp_module(structure, (2, 1, 3), p=2.0)
+    system = DualSystem.default(structure)
+    assert sampled_compat_constant(module, system) < 1.0
+    assert abs(_compat_constant(module, system) - 0.573 ** (-1.0 / 3.0)) <= 1e-15
+    with pytest.raises(NotHilbert, match="constant 1.20"):
+        HilbertModule(module)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +499,26 @@ def test_riesz_map_rejects_foreign_elements():
 
 def test_hilbert_reflexivity():
     rng = np.random.default_rng(239)
-    assert hilbert_reflexivity_check(hilbert(), samples=200)
+    assert hilbert_reflexivity_check(hilbert())
     grams = [random_spd(rng, d) for d in (2, 0, 3)]
     h = hilbert(n=3, grams=grams, structure=make_structure(3))
-    assert hilbert_reflexivity_check(h, samples=200)
+    assert hilbert_reflexivity_check(h)
+    big = hilbert(n=200, grams=[random_spd(rng, 1 + a % 8) for a in range(200)],
+                  structure=make_structure(200))
+    assert hilbert_reflexivity_check(big)
+
+
+def test_hilbert_reflexivity_catches_a_perturbed_embedding(monkeypatch):
+    rng = np.random.default_rng(251)
+    h = hilbert(n=4, grams=[random_spd(rng, d) for d in (2, 3, 0, 2)],
+                structure=make_structure(4))
+    real = rieszmod.hilbert.bidual_embed
+
+    def perturbed(m, system=None):
+        j = real(m, system)
+        mats = list(j.matrices)
+        mats[3] = mats[3] + np.array([[0.0, 0.0], [1e-6, 0.0]])
+        return HomElement(mats, j.source, j.target)
+
+    monkeypatch.setattr(rieszmod.hilbert, "bidual_embed", perturbed)
+    assert not hilbert_reflexivity_check(h)
