@@ -11,6 +11,7 @@ identical invocations are byte-identical.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -310,7 +311,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rieszmod",
         description="Law suites and module constructions over finite measure spaces.",

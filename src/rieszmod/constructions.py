@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .modules import (
     independent_rows,
     kernel_basis,
     pointwise_norm,
+    row_ranks,
 )
 from .spaces import (
     DualSystem,
@@ -236,15 +238,19 @@ class GeneratedModule:
     seminorm's), so v and w land on the same fiber vector iff psi cannot
     tell them apart at that atom.  The rows are a maximal independent
     subset of the seminorm matrix's own rows, which keeps integer data
-    exact.  ``kernels[a]`` spans the null directions.  The fiber norms
-    evaluate the original seminorm through these coordinates, so the
-    pointwise norm of a generator image reproduces psi.
+    exact.  ``kernels[a]`` spans the null directions; it is computed on
+    first read.  The fiber norms evaluate the original seminorm through
+    these coordinates, so the pointwise norm of a generator image
+    reproduces psi.
     """
 
     module: FiberModule
     psi: SublinearMap
     lifts: tuple[np.ndarray, ...]
-    kernels: tuple[np.ndarray, ...]
+
+    @cached_property
+    def kernels(self) -> tuple[np.ndarray, ...]:
+        return tuple(kernel_basis(m) for m in self.psi.matrices)
 
     def generator_map(self, v: Sequence[float] | np.ndarray) -> ModuleElement:
         v = np.asarray(v, dtype=float)
@@ -254,6 +260,29 @@ class GeneratedModule:
 
     def generator_images(self) -> list[ModuleElement]:
         return [self.generator_map(e) for e in np.eye(self.psi.domain_dim)]
+
+
+def _lift_rows(mats: tuple[np.ndarray, ...]) -> list[list[int]]:
+    """Per matrix, the rows its fiber keeps, in row order.
+
+    One ``row_ranks`` call decides every rank.  A matrix of full row rank
+    keeps all its rows, as the greedy of ``independent_rows`` would: by
+    interlacing, each leading block of rows is then of full row rank too.
+    A rank-deficient one runs that greedy over its rows in the column-pivot
+    order of a pivoted QR of its transpose, so a tiny row does not displace
+    a large one it depends on (which would make the other rows'
+    coefficients, and a gram fiber's condition number, blow up).
+    """
+    from scipy.linalg import qr
+
+    ranks = row_ranks(mats)
+    sel = [list(range(m.shape[0])) if r == m.shape[0] else [] for m, r in zip(mats, ranks)]
+    short = [a for a, (m, r) in enumerate(zip(mats, ranks)) if 0 < r < m.shape[0]]
+    orders = [qr(mats[a].T, pivoting=True, mode="r")[1] for a in short]
+    kept = independent_rows([mats[a][order] for a, order in zip(short, orders)])
+    for a, order, k in zip(short, orders, kept):
+        sel[a] = sorted(order[k].tolist())
+    return sel
 
 
 def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> GeneratedModule:
@@ -268,14 +297,10 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
     left as it was.
     """
     psi = psi.on(structure.space)
-    d = psi.domain_dim
     fibers: list[Fiber] = []
     lifts: list[np.ndarray] = []
-    kernels: list[np.ndarray] = []
-    for m_a in psi.matrices:
-        sel = independent_rows(m_a)
+    for m_a, sel in zip(psi.matrices, _lift_rows(psi.matrices)):
         lift = m_a[sel]
-        kern = kernel_basis(m_a) if m_a.size else np.eye(d)
         r = len(sel)
         if r == 0:
             fibers.append(Fiber(0, LpNorm(2.0)))
@@ -293,9 +318,8 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
             else:
                 fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
         lifts.append(lift)
-        kernels.append(kern)
     module = FiberModule(structure, tuple(fibers))
-    return GeneratedModule(module, psi, tuple(lifts), tuple(kernels))
+    return GeneratedModule(module, psi, tuple(lifts))
 
 
 def universal_factor(

@@ -399,11 +399,10 @@ def hilbert_reflexivity_check(h: HilbertModule, tol: float = 1e-10) -> bool:
     residual against ``tol`` compare the two.
     """
     j = bidual_embed(h.module, h.system)
-    dual = h.dual()
-    h_star = HilbertModule(dual, DualSystem(dual.structure, h.system.base.v_kind, h.system.z_kind))
+    grams_star = _grams(h.dual())
     for g in h.module._groups:
         j_stack = np.stack([j.matrices[a] for a in g.atoms])
-        g_star = np.stack([h_star.grams[a] for a in g.atoms])
+        g_star = np.stack([grams_star[a] for a in g.atoms])
         residual = j_stack - g_star @ _as_gram(g.proto, g.dim, g.mats)
         if np.max(np.abs(residual), initial=0.0) > tol:
             return False

@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedHom,
 )
 from .modules import (
-    RANK_RTOL,
     Fiber,
     FiberModule,
     FiberNorm,
@@ -51,8 +50,10 @@ from .modules import (
     _matvec_rows,
     _newton,
     _sqrtm_spd,
+    _svd_ranks,
     independent_rows,
     kernel_basis,
+    row_ranks,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
 
@@ -268,7 +269,7 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
             factor, q = np.eye(rows.shape[1]), _lp_conjugate(norm.p)
         a = rows @ factor
         u, sv, vt = np.linalg.svd(a)
-        rank = int(np.sum(sv > RANK_RTOL * max(float(sv[0]), 1.0))) if sv.size else 0
+        rank = int(_svd_ranks(sv))
         u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
         if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
             continue
@@ -612,14 +613,12 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
     # Per atom, keep a maximal independent subset of the basis rows with
     # their values, then the unit vectors that complete it.  The rank tests
     # do not read the values, so every completion is known before the first
-    # extension step.
-    bases: list[np.ndarray] = []
-    values: list[list[float]] = []
-    for fiber, (b, r) in zip(m.fibers, given):
-        cand = np.vstack([b, np.eye(fiber.dim)])
-        keep = independent_rows(cand)
-        bases.append(cand[keep])
-        values.append([float(r[i]) for i in keep if i < b.shape[0]])
+    # extension step, and the greedy runs on all atoms in lockstep.
+    cands = [np.vstack([b, np.eye(fiber.dim)]) for fiber, (b, _) in zip(m.fibers, given)]
+    keeps = independent_rows(cands)
+    bases = [cand[keep] for cand, keep in zip(cands, keeps)]
+    values = [[float(r[i]) for i in keep if i < b.shape[0]]
+              for keep, (b, r) in zip(keeps, given)]
 
     def settle(a: int, u: np.ndarray) -> None:
         # Newton gauges have a strictly convex dual ball, so a step's dual
@@ -734,23 +733,16 @@ def bidual_embed(m: FiberModule, system: DualSystem | None = None) -> HomElement
 def is_reflexive(m: FiberModule, system: DualSystem | None = None) -> bool:
     """True iff J: M -> M** is surjective, certified exactly.
 
-    J is surjective iff every fiber matrix of J is square and of full rank.
-    For each fiber dimension the matrices are stacked and one batched
-    singular-value decomposition checks that the smallest singular value
-    exceeds ``RANK_RTOL`` times the largest (or 1), the package-wide rank
-    threshold.  Finite-dimensional fibers always pass; the certificate
-    checks the construction of J rather than citing the dimension count.
+    J is surjective iff every fiber matrix of J is square and of full rank
+    under the package-wide rank rule, which ``row_ranks`` decides with one
+    singular-value call per fiber dimension.  Finite-dimensional fibers
+    always pass; the certificate checks the construction of J rather than
+    citing the dimension count.
     """
     j = bidual_embed(m, system)
     if j.source.dims != j.target.dims:
         return False
-    dims = j.target._dim_array
-    for d in np.unique(dims[dims > 0]):
-        stack = np.stack([j.matrices[a] for a in np.flatnonzero(dims == d)])
-        s = np.linalg.svd(stack, compute_uv=False)
-        if np.any(s[:, -1] <= RANK_RTOL * np.maximum(s[:, 0], 1.0)):
-            return False
-    return True
+    return all(r == d for r, d in zip(row_ranks(j.matrices), j.target.dims))
 
 
 # --------------------------------------------------------------------------

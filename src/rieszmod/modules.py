@@ -39,24 +39,56 @@ from .spaces import FiniteFStructure, Fn, _require
 RANK_RTOL = 1e-9
 
 
+def _svd_ranks(s: np.ndarray) -> np.ndarray:
+    """The package's rank rule on singular values (descending along the last
+    axis): how many exceed RANK_RTOL * (largest sigma or 1)."""
+    return np.sum(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
+
+
+def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
+    """The rank of every matrix, with the package-wide threshold
+    RANK_RTOL * (largest sigma or 1).
+
+    Matrices are grouped by shape and each group costs one stacked
+    singular-value call; numpy runs LAPACK per matrix of the stack, so a
+    matrix's singular values, and its rank, do not depend on the others.
+    Empty matrices have rank 0.
+    """
+    ranks = [0] * len(mats)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(mats):
+        if m.size:
+            by_shape.setdefault(m.shape, []).append(i)
+    for idx in by_shape.values():
+        s = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)
+        for i, r in zip(idx, _svd_ranks(s).tolist()):
+            ranks[i] = r
+    return ranks
+
+
 def matrix_rank(m: np.ndarray) -> int:
     """Rank with the package-wide threshold 1e-9 * (largest sigma or 1)."""
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > RANK_RTOL * max(float(s[0]), 1.0)))
+    return row_ranks([m])[0]
 
 
-def independent_rows(m: np.ndarray) -> list[int]:
-    """Indices of a maximal independent subset of the rows of m, greedy in
-    row order: a row is kept when it raises the rank of the rows kept so
-    far, until the rank reaches the column count."""
-    kept: list[int] = []
-    for i in range(m.shape[0]):
-        if len(kept) == m.shape[1]:
+def independent_rows(mats: Sequence[np.ndarray]) -> list[list[int]]:
+    """Per matrix, the indices of a maximal independent subset of its rows,
+    greedy in row order: a row is kept when it raises the rank of the rows
+    kept so far, until the rank reaches the column count.
+
+    The matrices run in lockstep: step i tests row i of every matrix still
+    short of full column rank, in one ``row_ranks`` call.
+    """
+    kept: list[list[int]] = [[] for _ in mats]
+    for i in range(max((m.shape[0] for m in mats), default=0)):
+        live = [j for j, m in enumerate(mats)
+                if i < m.shape[0] and len(kept[j]) < m.shape[1]]
+        if not live:
             break
-        if matrix_rank(m[kept + [i]]) > len(kept):
-            kept.append(i)
+        ranks = row_ranks([mats[j][kept[j] + [i]] for j in live])
+        for j, r in zip(live, ranks):
+            if r > len(kept[j]):
+                kept[j].append(i)
     return kept
 
 
@@ -65,7 +97,7 @@ def row_space_basis(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.zeros((0, m.shape[1] if m.ndim == 2 else 0))
     _, s, vt = np.linalg.svd(m, full_matrices=False)
-    r = int(np.sum(s > RANK_RTOL * max(float(s[0]), 1.0)))
+    r = int(_svd_ranks(s))
     return vt[:r]
 
 
@@ -75,7 +107,7 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
     if m.size == 0 or not np.any(m):
         return np.eye(n)
     _, s, vt = np.linalg.svd(m)
-    r = int(np.sum(s > RANK_RTOL * max(float(s[0]), 1.0)))
+    r = int(_svd_ranks(s))
     return vt[r:]
 
 
@@ -1021,11 +1053,6 @@ def independence_check(vs: Sequence[ModuleElement], u: Idempotent) -> bool:
         return True
     for el in vs[1:]:
         vs[0]._check(el)
-    inside = u.element.values > 0.5
-    for i, flag in enumerate(inside):
-        if not flag:
-            continue
-        mat = np.stack([el.vectors[i] for el in vs])
-        if matrix_rank(mat) < len(vs):
-            return False
-    return True
+    inside = np.flatnonzero(u.element.values > 0.5)
+    mats = [np.stack([el.vectors[i] for el in vs]) for i in inside]
+    return all(r == len(vs) for r in row_ranks(mats))

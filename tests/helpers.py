@@ -9,6 +9,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from rieszmod import (
+    RANK_RTOL,
     Fiber,
     FiberModule,
     FiniteFStructure,
@@ -132,6 +133,46 @@ def count_solver_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "milp", counted)
     return calls
+
+
+def count_svd_calls(monkeypatch):
+    """Count ``numpy.linalg.svd`` calls from here on, in a one-entry list.
+
+    The library looks the function up as ``np.linalg.svd`` on each call, so
+    patching the module attribute sees every singular-value call.
+    """
+    calls = [0]
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def sequential_rank(m):
+    """The package's rank rule on one matrix, one SVD per call: the rank
+    test ``independent_rows`` once ran for every candidate row."""
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > RANK_RTOL * max(float(s[0]), 1.0)))
+
+
+def sequential_independent_rows(m):
+    """The greedy row choice of ``independent_rows`` on one matrix, one
+    ``sequential_rank`` per candidate row: a reference for the lockstep
+    version.  A row is kept when it raises the rank of the rows kept so far,
+    until the rank reaches the column count."""
+    kept = []
+    for i in range(m.shape[0]):
+        if len(kept) == m.shape[1]:
+            break
+        if sequential_rank(m[kept + [i]]) > len(kept):
+            kept.append(i)
+    return kept
 
 
 def sequential_law_report(samples, law_ids=None, ring_tol=RING_TOL):

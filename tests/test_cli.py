@@ -11,7 +11,7 @@ import pytest
 
 import rieszmod
 from rieszmod import LpNorm, dual_vector_norm
-from rieszmod.cli import _REFS, main
+from rieszmod.cli import _REFS, _build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -53,6 +53,17 @@ def test_cotangent_golden_and_deterministic(capsys):
     assert code == 0
     assert out == (GOLDEN / "cotangent.json").read_text()
     assert json.loads(out)["|df|"] == [1.0, 1.0]
+
+
+def test_parser_is_built_once_and_survives_a_bad_argument(capsys):
+    argv = ("cotangent", "--graph", str(DATA / "path2.json"), "--p", "2", "--fn", "[0,1]")
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["cotangent", "--no-such-option"])
+    assert exc.value.code == 2
+    assert "usage: rieszmod" in capsys.readouterr().err
+    assert run(capsys, *argv) == first == (0, (GOLDEN / "cotangent.json").read_text())
+    assert _build_parser() is _build_parser()
 
 
 def test_decompose_golden_and_deterministic(capsys):

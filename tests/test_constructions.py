@@ -35,7 +35,14 @@ from rieszmod import (
     seminorm_family,
     universal_factor,
 )
-from helpers import lp_module, make_structure, random_element
+from rieszmod.modules import kernel_basis
+from helpers import (
+    count_svd_calls,
+    lp_module,
+    make_structure,
+    random_element,
+    sequential_independent_rows,
+)
 
 
 def path_graph(n=2, w=1.0):
@@ -222,6 +229,61 @@ def test_generate_zero_seminorm():
     assert all(k.shape == (3, 3) for k in gen.kernels)
     v = gen.generator_map([1.0, 2.0, 3.0])
     assert pointwise_norm(v).values.tolist() == [0.0, 0.0]
+
+
+def test_generated_kernels_are_built_on_first_read():
+    rng = np.random.default_rng(613)
+    graph = random_graph(rng, n=12, extra=6)
+    isolated = Graph(graph.vertices + ("x",), graph.edges)
+    mats = [rng.standard_normal((k, 4)) for k in (0, 2, 5, 3)]
+    mats[2][4] = mats[2][0] + mats[2][1]
+    for p in (1.0, 2.0, 3.0):
+        for gen in (cotangent_module(isolated, p)[1],
+                    generate_module(seminorm_family(mats, p), make_structure(4))):
+            assert "kernels" not in gen.__dict__
+            kernels = gen.kernels
+            assert "kernels" in gen.__dict__
+            assert gen.kernels is kernels
+            for m, kern in zip(gen.psi.matrices, kernels):
+                want = kernel_basis(m)
+                assert kern.shape == want.shape and kern.tobytes() == want.tobytes()
+
+
+def test_full_row_rank_atoms_keep_every_row():
+    # Graph atoms are of full row rank: the lift is the seminorm matrix and
+    # the parent greedy's choice, and the factor is the identity.
+    rng = np.random.default_rng(617)
+    _, gen = cotangent_module(random_graph(rng, n=15, extra=10), 2.0)
+    for m, lift, fiber in zip(gen.psi.matrices, gen.lifts, gen.module.fibers):
+        assert sequential_independent_rows(m) == list(range(m.shape[0]))
+        assert lift.tobytes() == m.tobytes()
+        assert np.array_equal(fiber.norm.gram, np.eye(m.shape[0]))
+
+
+def test_cotangent_module_makes_one_svd_call_per_row_count(monkeypatch):
+    rng = np.random.default_rng(619)
+    graph = random_graph(rng, n=150, extra=150)
+    degrees = {len(graph.neighbors(x)) for x in range(150)} - {0}
+    calls = count_svd_calls(monkeypatch)
+    cotangent_module(graph, 3.0)
+    assert 0 < calls[0] <= len(degrees)
+
+
+@pytest.mark.parametrize("m", [
+    [[1e-5, 0.0], [0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.0], [1.0, 1e-6], [0.0, 1.0]],
+])
+def test_generate_module_keeps_large_rows_of_rank_deficient_atoms(m):
+    # ||M x||_2 is a norm on R^2 with singular values near 1; a tiny kept
+    # row would make the gram fiber's condition number 1e10 or worse.
+    m = np.array(m)
+    gen = generate_module(seminorm_family([m], 2.0), make_structure(1))
+    fiber, lift = gen.module.fibers[0], gen.lifts[0]
+    assert fiber.dim == matrix_rank(lift) == 2
+    assert np.linalg.cond(fiber.norm.gram) < 10.0
+    for v in np.eye(2):
+        got = pointwise_norm(gen.generator_map(v)).values[0]
+        assert abs(got - np.linalg.norm(m @ v)) <= 1e-12
 
 
 def test_generator_map_checks_length():

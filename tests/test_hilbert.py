@@ -522,3 +522,21 @@ def test_hilbert_reflexivity_catches_a_perturbed_embedding(monkeypatch):
 
     monkeypatch.setattr(rieszmod.hilbert, "bidual_embed", perturbed)
     assert not hilbert_reflexivity_check(h)
+
+
+def test_hilbert_reflexivity_when_v_is_l1(monkeypatch):
+    # The dual of a V = L1 module pairs V = Linf into Z = L1, whose constant
+    # (min mu)^(-1) = 4 exceeds 1; the check reads only the dual's grams.
+    h = HilbertModule(lp_module(make_structure(2, v="l1", weights=[0.25, 0.25]), (2, 1)))
+    assert h.compat_constant == 0.5
+    assert hilbert_reflexivity_check(h) is True
+    real = rieszmod.hilbert.bidual_embed
+
+    def perturbed(m, system=None):
+        j = real(m, system)
+        mats = list(j.matrices)
+        mats[0] = mats[0] + np.array([[0.0, 1e-6], [0.0, 0.0]])
+        return HomElement(mats, j.source, j.target)
+
+    monkeypatch.setattr(rieszmod.hilbert, "bidual_embed", perturbed)
+    assert hilbert_reflexivity_check(h) is False

@@ -53,6 +53,7 @@ from helpers import (
     random_element,
     random_fn,
     random_spd,
+    sequential_independent_rows,
 )
 
 
@@ -553,6 +554,26 @@ def test_extension_runs_one_program_per_round(monkeypatch):
         want = single.functional.matrices[0][0]
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
         assert np.array_equal(ext.basis[a], single.basis[0])
+
+
+def test_extension_completions_match_the_sequential_greedy():
+    # 200 l1 atoms, d = 8, three basis rows each; every fifth atom repeats a
+    # row, so its completion drops one.  The values come from one row w
+    # with |w|_inf < 1, so f is dominated by the gauge 1.
+    rng = np.random.default_rng(631)
+    n, d = 200, 8
+    m = lp_module(make_structure(n), (d,) * n, p=1.0)
+    bases = [rng.standard_normal((3, d)) for _ in range(n)]
+    for b in bases[::5]:
+        b[2] = b[0]
+    w = rng.uniform(-0.5, 0.5, (n, d))
+    f_rows = [b @ w_a for b, w_a in zip(bases, w)]
+    ext = hahn_banach_extend(Submodule(m, tuple(bases)), f_rows, m.space.one_fn())
+    for b, got in zip(bases, ext.basis):
+        cand = np.vstack([b, np.eye(d)])
+        want = cand[sequential_independent_rows(cand)]
+        assert got.tobytes() == want.tobytes()
+    assert ext.basis[0].shape == (d, d) and ext.basis[1].shape == (d, d)
 
 
 def test_extension_reports_the_first_error_in_atom_order(monkeypatch):

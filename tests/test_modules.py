@@ -36,11 +36,12 @@ from rieszmod import (
     module_distance,
     pointwise_norm,
     quotient_norm,
+    row_ranks,
     row_space_basis,
     zero_indicator,
 )
 from rieszmod import modules
-from rieszmod.modules import _GAP_RTOL, _extension_values
+from rieszmod.modules import _GAP_RTOL, _extension_values, independent_rows
 from helpers import (
     count_solver_calls,
     gram_module,
@@ -51,6 +52,8 @@ from helpers import (
     random_element,
     random_fn,
     random_spd,
+    sequential_independent_rows,
+    sequential_rank,
 )
 
 
@@ -731,3 +734,43 @@ def test_rank_helpers():
     assert np.allclose(a @ kern.T, 0.0)
     assert np.array_equal(kernel_basis(np.zeros((0, 3))), np.eye(3))
     assert kernel_basis(np.eye(3)).shape == (0, 3)
+
+
+def mixed_rank_matrices(rng, count=300):
+    """Matrices of few shapes (so many share a stack), k rows over d columns
+    with k > d common: random ones, ones whose last row is a combination of
+    the others plus eps in [1e-11, 1e-7] (near the rank threshold), ones
+    with a zero row, zero matrices and 0-row matrices."""
+    mats = []
+    for _ in range(count):
+        k, d = int(rng.integers(0, 7)), int(rng.integers(1, 5))
+        m = rng.standard_normal((k, d))
+        kind = int(rng.integers(0, 4))
+        if kind == 1 and k >= 2:
+            eps = 10.0 ** rng.uniform(-11.0, -7.0)
+            m[-1] = rng.standard_normal(k - 1) @ m[:-1] + eps * rng.standard_normal(d)
+        elif kind == 2 and k >= 1:
+            m[int(rng.integers(0, k))] = 0.0
+        elif kind == 3:
+            m[:] = 0.0
+        mats.append(m)
+    return mats
+
+
+def test_row_ranks_equal_each_matrix_rank():
+    mats = mixed_rank_matrices(np.random.default_rng(601))
+    want = [sequential_rank(m) for m in mats]
+    assert row_ranks(mats) == want
+    assert [matrix_rank(m) for m in mats] == want
+    assert row_ranks([]) == []
+
+
+def test_lockstep_independent_rows_match_the_sequential_greedy():
+    rng = np.random.default_rng(607)
+    mats = mixed_rank_matrices(rng)
+    assert independent_rows(mats) == [sequential_independent_rows(m) for m in mats]
+    # Near-threshold rows are decided both ways across the sample.
+    near = [m for m in mats if m.shape[0] >= 2 and m.shape[0] <= m.shape[1]
+            and 0 < sequential_rank(m) < m.shape[0]]
+    assert near
+    assert independent_rows([]) == []
