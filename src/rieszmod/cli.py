@@ -228,7 +228,9 @@ def _cmd_pushforward(args: argparse.Namespace) -> tuple[int, dict]:
     rng = np.random.default_rng(seed)
     preserved = True
     for _ in range(args.samples):
-        v = ModuleElement([rng.standard_normal(f.dim) for f in module.fibers], module)
+        # One draw of all coordinates: numpy's Generator gives the same
+        # stream as one draw per fiber.
+        v = ModuleElement._from_flat(rng.standard_normal(int(module._offsets[-1])), module)
         lhs = pointwise_norm(forward.apply(v))
         rhs = hom.apply(pointwise_norm(v))
         if not lhs.equals(rhs):

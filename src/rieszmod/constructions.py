@@ -23,10 +23,10 @@ from .homdual import HomElement, StructureHom, dual_module
 from .modules import (
     Fiber,
     FiberModule,
-    GramNorm,
     ImageLpNorm,
     LpNorm,
     ModuleElement,
+    _gram_norms,
     independent_rows,
     kernel_basis,
     pointwise_norm,
@@ -297,8 +297,10 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
     left as it was.
     """
     psi = psi.on(structure.space)
-    fibers: list[Fiber] = []
+    fibers: list[Fiber | None] = []
     lifts: list[np.ndarray] = []
+    gram_atoms: list[int] = []
+    grams: list[np.ndarray] = []
     for m_a, sel in zip(psi.matrices, _lift_rows(psi.matrices)):
         lift = m_a[sel]
         r = len(sel)
@@ -314,10 +316,18 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
             if rest:
                 factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
             if psi.p == 2.0:
-                fibers.append(Fiber(r, GramNorm(factor.T @ factor)))
+                # Validated below, one ``_check_grams`` call per size.
+                gram_atoms.append(len(fibers))
+                grams.append(factor.T @ factor)
+                fibers.append(None)
             else:
                 fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
         lifts.append(lift)
+    norms, defect = _gram_norms(grams)
+    if defect is not None:
+        raise InvalidStructure(defect[1])
+    for a, norm in zip(gram_atoms, norms):
+        fibers[a] = Fiber(norm.gram.shape[0], norm)
     module = FiberModule(structure, tuple(fibers))
     return GeneratedModule(module, psi, tuple(lifts))
 
@@ -378,16 +388,14 @@ def pushforward_module(phi: StructureHom, m: FiberModule) -> tuple[FiberModule, 
     """
     if m.structure != phi.source:
         raise InvalidStructure("module does not live over the hom's source structure")
-    fibers = tuple(m.fibers[a] for a in phi.atom_map)
-    pm = FiberModule(phi.target, fibers)
-    pf = HomElement([np.eye(f.dim) for f in fibers], m, pm, hom=phi)
-    return pm, pf
+    pm = FiberModule(phi.target, tuple(m.fibers[a] for a in phi.atom_map))
+    return pm, HomElement._eye(m, pm, phi)
 
 
 def pushforward_hom(phi: StructureHom, t: HomElement,
                     pm: FiberModule, pn: FiberModule) -> HomElement:
     """Transport a hom between modules along phi: matrices copy along the map."""
-    return HomElement([t.matrices[a] for a in phi.atom_map], pm, pn)
+    return t._gather(phi.atom_map, pm, pn)
 
 
 def complete(m: FiberModule) -> tuple[FiberModule, HomElement]:
@@ -445,8 +453,7 @@ def dual_embed(phi: StructureHom, m: FiberModule,
     pm, _ = pushforward_module(phi, m)
     system_tgt = DualSystem(pm.structure, system.w_kind, system.z_kind)
     dual_of_pushed = dual_module(pm, system_tgt)
-    return HomElement([np.eye(f.dim) for f in dual_of_pushed.fibers],
-                      pushed_dual, dual_of_pushed)
+    return HomElement._eye(pushed_dual, dual_of_pushed)
 
 
 def _retarget(structure: FiniteFStructure, like: FiniteFStructure) -> FiniteFStructure:

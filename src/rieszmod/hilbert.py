@@ -395,13 +395,13 @@ def hilbert_reflexivity_check(h: HilbertModule, tol: float = 1e-10) -> bool:
 
     On atom a, J is the matrix J_a of ``bidual_embed`` and the composite
     v -> G*_a G_a v, where G*_a is the gram of the dual module's fiber.  Per
-    fiber group the matrices are stacked, and one product and one max-abs
-    residual against ``tol`` compare the two.
+    fiber group the matrices are sliced as a stack from J's flat vector, and
+    one product and one max-abs residual against ``tol`` compare the two.
     """
     j = bidual_embed(h.module, h.system)
     grams_star = _grams(h.dual())
     for g in h.module._groups:
-        j_stack = np.stack([j.matrices[a] for a in g.atoms])
+        j_stack = j._stack(g.atoms)
         g_star = np.stack([grams_star[a] for a in g.atoms])
         residual = j_stack - g_star @ _as_gram(g.proto, g.dim, g.mats)
         if np.max(np.abs(residual), initial=0.0) > tol:

@@ -1,7 +1,7 @@
 """Homomorphisms between fiber modules, dual modules, and extension theorems.
 
-Homs are stored as one matrix per atom; the pointwise operator norm makes
-Hom(M, N) itself a fiber module.  Operator norms are closed forms where
+Homs are stored as one flat vector of per-atom matrices; the pointwise
+operator norm makes Hom(M, N) itself a fiber module.  Operator norms are closed forms where
 duality gives one, and otherwise come from one batched nonlinear power
 iteration per fiber group: a value attained at a unit vector, so a lower
 bound that is not certified.  Duals are Hom into the scalar fibers of the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,7 +27,9 @@ from .errors import (
     DominationViolated,
     InconsistentGenerators,
     InputError,
+    InvalidStructure,
     ModuleMismatch,
+    SpaceMismatch,
     UnsupportedHom,
 )
 from .modules import (
@@ -42,6 +45,7 @@ from .modules import (
     _extension_values,
     _FiberGroup,
     _finite_matrix,
+    _gram_norms,
     _gram_rows,
     _lp_conjugate,
     _linear_program,
@@ -49,11 +53,12 @@ from .modules import (
     _matmul_rows,
     _matvec_rows,
     _newton,
+    _split_atoms,
     _sqrtm_spd,
+    _stack_ranks,
     _svd_ranks,
     independent_rows,
     kernel_basis,
-    row_ranks,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
 
@@ -99,44 +104,126 @@ class StructureHom:
                             tuple(other.atom_map[i] for i in self.atom_map))
 
 
+def _spans(starts: np.ndarray, size: int) -> np.ndarray:
+    """starts[i] + j for j < size, one row per start."""
+    return starts[:, None] + np.arange(size)
+
+
+def _shape_error(t: int, shape: tuple[int, ...], expected: tuple[int, int]) -> DimensionMismatch:
+    return DimensionMismatch(f"matrix at atom {t} has shape {shape}, expected {expected}")
+
+
+class _HomLayout:
+    """Where the matrices of a hom from ``source`` to ``target`` sit in its
+    flat vector.
+
+    The matrix at target atom t has ``rows[t]`` rows (the target fiber's
+    dimension) and ``cols[t]`` columns (the dimension of the source fiber at
+    ``amap[t]``) and fills flat[offsets[t]:offsets[t + 1]] in row-major order.
+    """
+
+    def __init__(self, source: FiberModule, target: FiberModule, hom: "StructureHom | None"):
+        if hom is None and source.space != target.space:
+            raise ModuleMismatch("source and target live on different spaces; pass a hom")
+        n = target.space.n
+        self.amap = np.arange(n) if hom is None else np.asarray(hom.atom_map, dtype=np.intp)
+        self.rows = target._dim_array
+        self.cols = source._dim_array[self.amap]
+        self.offsets = np.concatenate([[0], np.cumsum(self.rows * self.cols)]).astype(np.intp)
+        self.source, self.target = source, target
+
+    @cached_property
+    def shapes(self) -> list[tuple[int, int]]:
+        return list(zip(self.rows.tolist(), self.cols.tolist()))
+
+    def take(self, atoms: np.ndarray) -> np.ndarray:
+        """Indices into the flat vector of the matrices at target atoms
+        sharing one shape, one row per atom."""
+        return _spans(self.offsets[atoms], int(self.rows[atoms[0]] * self.cols[atoms[0]]))
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per matrix shape (rows, cols) with both positive, the flat indices
+        of the matrices and of the source and target coordinates they read
+        and write, one row per target atom."""
+        out = []
+        for atoms in _split_atoms(self.rows, self.cols):
+            r, c = int(self.rows[atoms[0]]), int(self.cols[atoms[0]])
+            if r and c:
+                out.append((r, c, self.take(atoms),
+                            _spans(self.source._offsets[self.amap[atoms]], c),
+                            _spans(self.target._offsets[atoms], r)))
+        return out
+
+
 class HomElement:
-    """A module homomorphism: one fiber matrix per atom.
+    """A module homomorphism: one fiber matrix per target atom, stored as one
+    flat read-only vector.
 
     With a structure hom attached, the matrix at target atom t maps the
     source fiber at ``atom_map[t]`` into the target fiber at t (a phi-linear
-    map); otherwise source and target share the measure space.
+    map); otherwise source and target share the measure space.  ``flat``
+    concatenates the matrices in target-atom order, each in row-major order,
+    as ``ModuleElement.flat`` concatenates vectors; ``matrices`` is the tuple
+    of per-atom read-only views into it, built on first use.  ``apply`` runs
+    one ``_matvec_rows`` per matrix shape, so each output vector has the bits
+    of a one-row ``_matvec_rows`` on its own matrix, whatever the other
+    atoms; ``compose`` runs one ``np.matmul`` per shape triple.
     """
 
-    __slots__ = ("matrices", "source", "target", "hom")
+    __slots__ = ("flat", "source", "target", "hom", "_layout", "_matrices")
 
     def __init__(self, matrices: Sequence[np.ndarray | Sequence[Sequence[float]]],
                  source: FiberModule, target: FiberModule,
                  hom: StructureHom | None = None):
-        amap = hom.atom_map if hom is not None else range(target.space.n)
-        if hom is None and source.space != target.space:
-            raise ModuleMismatch("source and target live on different spaces; pass a hom")
+        layout = _HomLayout(source, target, hom)
         if len(matrices) != target.space.n:
             raise DimensionMismatch("one matrix per target atom is required")
-        fixed = []
-        for t, m in enumerate(matrices):
-            src_dim = source.fibers[amap[t]].dim
-            tgt_dim = target.fibers[t].dim
-            arr = np.array(m, dtype=float)
-            if arr.size == 0:
-                arr = arr.reshape(tgt_dim, src_dim)
-            if arr.shape != (tgt_dim, src_dim):
-                raise DimensionMismatch(
-                    f"matrix at atom {t} has shape {arr.shape}, expected {(tgt_dim, src_dim)}"
-                )
-            arr.setflags(write=False)
-            fixed.append(arr)
-        self.matrices = tuple(fixed)
+        parts = []
+        for t, (m, shape) in enumerate(zip(matrices, layout.shapes)):
+            arr = np.asarray(m, dtype=float)
+            if arr.shape != shape and not (arr.size == 0 and shape[0] * shape[1] == 0):
+                raise _shape_error(t, arr.shape, shape)
+            parts.append(arr.reshape(-1))
+        flat = np.concatenate(parts) if parts else np.zeros(0)
+        self._set(flat, source, target, hom, layout)
+
+    def _set(self, flat: np.ndarray, source: FiberModule, target: FiberModule,
+             hom: StructureHom | None, layout: _HomLayout) -> None:
+        flat.setflags(write=False)
+        self.flat = flat
         self.source = source
         self.target = target
         self.hom = hom
+        self._layout = layout
+        self._matrices = None
 
-    def _amap(self) -> Sequence[int]:
-        return self.hom.atom_map if self.hom is not None else range(self.target.space.n)
+    @classmethod
+    def _from_flat(cls, flat: np.ndarray, source: FiberModule, target: FiberModule,
+                   hom: StructureHom | None = None,
+                   layout: _HomLayout | None = None) -> "HomElement":
+        """Wrap a fresh flat vector of the hom layout (taken, not copied)."""
+        el = cls.__new__(cls)
+        el._set(flat, source, target, hom,
+                layout if layout is not None else _HomLayout(source, target, hom))
+        return el
+
+    def _like(self, flat: np.ndarray) -> "HomElement":
+        return HomElement._from_flat(flat, self.source, self.target, self.hom, self._layout)
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        if self._matrices is None:
+            flat, off = self.flat, self._layout.offsets.tolist()
+            self._matrices = tuple([flat[a:b].reshape(shape) for a, b, shape
+                                    in zip(off, off[1:], self._layout.shapes)])
+        return self._matrices
+
+    def _stack(self, atoms: np.ndarray) -> np.ndarray:
+        """The matrices at target atoms sharing one shape, as a (k, rows, cols) stack."""
+        lay = self._layout
+        return self.flat[lay.take(atoms)].reshape(atoms.size, lay.rows[atoms[0]],
+                                                  lay.cols[atoms[0]])
 
     def __repr__(self) -> str:
         return f"HomElement({[m.tolist() for m in self.matrices]!r})"
@@ -144,37 +231,45 @@ class HomElement:
     def apply(self, v: ModuleElement) -> ModuleElement:
         if not v.module.same_module(self.source):
             raise ModuleMismatch("argument lives in the wrong module")
-        amap = self._amap()
-        return ModuleElement(
-            [m @ v.vectors[amap[t]] for t, m in enumerate(self.matrices)], self.target
-        )
+        out = np.zeros(int(self.target._offsets[-1]))
+        for r, c, mats, cols, rows in self._layout.blocks:
+            out[rows] = _matvec_rows(self.flat[mats].reshape(-1, r, c), v.flat[cols])
+        return ModuleElement._from_flat(out, self.target)
+
+    def _check(self, other: "HomElement") -> None:
+        mine, theirs = self._layout, other._layout
+        if mine is not theirs and not (np.array_equal(mine.rows, theirs.rows)
+                                       and np.array_equal(mine.cols, theirs.cols)):
+            raise DimensionMismatch("homs have different fiber matrix shapes")
 
     def __add__(self, other: "HomElement") -> "HomElement":
         if not isinstance(other, HomElement):
             return NotImplemented
-        return HomElement([a + b for a, b in zip(self.matrices, other.matrices)],
-                          self.source, self.target, self.hom)
+        self._check(other)
+        return self._like(self.flat + other.flat)
 
     def __sub__(self, other: "HomElement") -> "HomElement":
         if not isinstance(other, HomElement):
             return NotImplemented
-        return HomElement([a - b for a, b in zip(self.matrices, other.matrices)],
-                          self.source, self.target, self.hom)
+        self._check(other)
+        return self._like(self.flat - other.flat)
 
     def __neg__(self) -> "HomElement":
-        return HomElement([-a for a in self.matrices], self.source, self.target, self.hom)
+        return self._like(-self.flat)
 
     def scale(self, lam: float) -> "HomElement":
-        return HomElement([a * float(lam) for a in self.matrices],
-                          self.source, self.target, self.hom)
+        return self._like(self.flat * float(lam))
 
     def __rmul__(self, u: Fn) -> "HomElement":
         if not isinstance(u, Fn):
             return NotImplemented
         if u.space != self.target.space:
             raise ModuleMismatch("multiplier lives on a different measure space")
-        return HomElement([u.values[t] * m for t, m in enumerate(self.matrices)],
-                          self.source, self.target, self.hom)
+        if u.values.ndim != 1:
+            raise SpaceMismatch(
+                f"the module action takes one function, got a batch of shape {u.values.shape}"
+            )
+        return self._like(np.repeat(u.values, np.diff(self._layout.offsets)) * self.flat)
 
     def compose(self, other: "HomElement") -> "HomElement":
         """self after other; only same-space homs compose here."""
@@ -182,25 +277,62 @@ class HomElement:
             raise UnsupportedHom("composition across structure homs is not implemented")
         if not other.target.same_module(self.source):
             raise ModuleMismatch("homs are not composable")
-        return HomElement([a @ b for a, b in zip(self.matrices, other.matrices)],
-                          other.source, self.target)
+        left, right = self._layout, other._layout
+        out = _HomLayout(other.source, self.target, None)
+        flat = np.zeros(int(out.offsets[-1]))
+        for atoms in _split_atoms(left.rows, left.cols, right.cols):
+            if out.rows[atoms[0]] and out.cols[atoms[0]]:
+                flat[out.take(atoms)] = np.matmul(self._stack(atoms),
+                                                  other._stack(atoms)).reshape(atoms.size, -1)
+        return HomElement._from_flat(flat, other.source, self.target, None, out)
 
     @classmethod
     def identity(cls, m: FiberModule) -> "HomElement":
-        return cls([np.eye(f.dim) for f in m.fibers], m, m)
+        return cls._eye(m, m)
+
+    @classmethod
+    def _eye(cls, source: FiberModule, target: FiberModule,
+             hom: StructureHom | None = None) -> "HomElement":
+        """The identity matrix at every target atom, whose source fiber (along
+        hom) has the target fiber's dimension; built without a per-atom
+        ``np.eye``."""
+        layout = _HomLayout(source, target, hom)
+        d = layout.rows
+        if not np.array_equal(d, layout.cols):
+            raise DimensionMismatch("identity matrices need equal source and target dimensions")
+        atom = np.repeat(np.arange(d.size), d)
+        k = np.arange(atom.size) - np.repeat(target._offsets[:-1], d)
+        flat = np.zeros(int(layout.offsets[-1]))
+        flat[layout.offsets[atom] + k * (d[atom] + 1)] = 1.0
+        return cls._from_flat(flat, source, target, hom, layout)
+
+    def _gather(self, atoms: Sequence[int], source: FiberModule,
+                target: FiberModule) -> "HomElement":
+        """The same-space hom from source to target whose matrix at atom s is
+        this hom's matrix at ``atoms[s]``, gathered from the flat vector."""
+        atoms = np.asarray(atoms, dtype=np.intp)
+        mine = self._layout
+        layout = _HomLayout(source, target, None)
+        if atoms.size != target.space.n:
+            raise DimensionMismatch("one matrix per target atom is required")
+        rows, cols = mine.rows[atoms], mine.cols[atoms]
+        bad = np.flatnonzero(((rows != layout.rows) | (cols != layout.cols))
+                             & ((rows * cols > 0) | (layout.rows * layout.cols > 0)))
+        if bad.size:
+            t = int(bad[0])
+            raise _shape_error(t, (int(rows[t]), int(cols[t])), layout.shapes[t])
+        shift = np.repeat(mine.offsets[atoms] - layout.offsets[:-1], np.diff(layout.offsets))
+        return HomElement._from_flat(self.flat[np.arange(shift.size) + shift],
+                                     source, target, None, layout)
 
     @classmethod
     def zero(cls, source: FiberModule, target: FiberModule,
              hom: StructureHom | None = None) -> "HomElement":
-        amap = hom.atom_map if hom is not None else range(target.space.n)
-        return cls(
-            [np.zeros((target.fibers[t].dim, source.fibers[amap[t]].dim))
-             for t in range(target.space.n)],
-            source, target, hom,
-        )
+        layout = _HomLayout(source, target, hom)
+        return cls._from_flat(np.zeros(int(layout.offsets[-1])), source, target, hom, layout)
 
     def to_json(self) -> dict:
-        return {"matrices": [[[float(x) for x in row] for row in m] for m in self.matrices]}
+        return {"matrices": [m.tolist() for m in self.matrices]}
 
     @classmethod
     def from_json(cls, obj: Any, source: FiberModule, target: FiberModule,
@@ -483,31 +615,13 @@ def hom_norm(t: HomElement) -> Fn:
     """
     src_gid, src_pos = t.source._group_of
     tgt_gid, tgt_pos = t.target._group_of
-    amap = np.asarray(t._amap(), dtype=np.intp)
-    pair = src_gid[amap] * len(t.target._groups) + tgt_gid
-    order = np.argsort(pair, kind="stable")
+    amap = t._layout.amap
     out = np.zeros(t.target.space.n)
-    for atoms in np.split(order, np.flatnonzero(np.diff(pair[order])) + 1):
-        if atoms.size == 0:
-            continue
+    for atoms in _split_atoms(src_gid[amap], tgt_gid):
         src = t.source._groups[src_gid[amap[atoms[0]]]].take(src_pos[amap[atoms]])
         tgt = t.target._groups[tgt_gid[atoms[0]]].take(tgt_pos[atoms])
-        mats = np.stack([t.matrices[i] for i in atoms])
-        out[atoms] = _operator_norms(src, tgt, mats)
+        out[atoms] = _operator_norms(src, tgt, t._stack(atoms))
     return Fn(out, t.target.space)
-
-
-def _dual_fiber_norm(norm: FiberNorm) -> FiberNorm:
-    if isinstance(norm, LpNorm):
-        return LpNorm(_lp_conjugate(norm.p))
-    if isinstance(norm, GramNorm):
-        if norm.gram.size == 0:
-            return GramNorm(norm.gram)
-        return GramNorm(np.linalg.inv(norm.gram))
-    raise UnsupportedHom(
-        "dual fibers are implemented for lp and gram norms; generated-module"
-        " fibers with p != 2 have no closed dual in this package"
-    )
 
 
 def z_module(system: DualSystem) -> FiberModule:
@@ -517,32 +631,48 @@ def z_module(system: DualSystem) -> FiberModule:
 
 
 def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
-    """Hom(M, Z) as a W-normed module: dual fibers with dual norms."""
+    """Hom(M, Z) as a W-normed module: dual fibers with dual norms.
+
+    An lp fiber's dual is the conjugate exponent, one shared fiber per
+    group; a gram group's duals are its inverse grams, from one stacked
+    ``np.linalg.inv`` validated by one ``_check_grams`` call.
+    """
     structure = FiniteFStructure(system.space, m.structure.u_kind, system.w_kind)
     fibers = list(m.fibers)
     for g in m._groups:
         if isinstance(g.proto, LpNorm):
-            # One shared dual fiber per lp group.
-            dual = Fiber(g.dim, _dual_fiber_norm(g.proto))
+            dual = Fiber(g.dim, LpNorm(_lp_conjugate(g.proto.p)))
             for a in g.atoms:
                 fibers[a] = dual
+        elif isinstance(g.proto, GramNorm):
+            norms, defect = _gram_norms(np.linalg.inv(g.mats) if g.dim else g.mats)
+            if defect is not None:
+                raise InvalidStructure(defect[1])
+            for a, norm in zip(g.atoms.tolist(), norms):
+                fibers[a] = Fiber(g.dim, norm)
         else:
-            for a, norm in zip(g.atoms, g.norms):
-                fibers[a] = Fiber(g.dim, _dual_fiber_norm(norm))
+            raise UnsupportedHom(
+                "dual fibers are implemented for lp and gram norms; generated-module"
+                " fibers with p != 2 have no closed dual in this package"
+            )
     return FiberModule(structure, tuple(fibers))
 
 
 def dual_element(m: FiberModule, rows: Sequence[Sequence[float]],
                  system: DualSystem) -> HomElement:
-    """A functional on m as a HomElement into the scalar Z fibers."""
-    return HomElement([np.array(r, dtype=float).reshape(1, -1) for r in rows],
+    """A functional on m as a HomElement into the scalar Z fibers: row a
+    of ``rows`` is the functional on the fiber at atom a."""
+    return HomElement([np.asarray(r, dtype=float).reshape(1, -1) for r in rows],
                       m, z_module(system))
 
 
 def pairing(omega: HomElement, v: ModuleElement) -> Fn:
     """<omega, v> as a function on the space (omega a functional on v's module)."""
     out = omega.apply(v)
-    return Fn([vec[0] if vec.size else 0.0 for vec in out.vectors], omega.target.space)
+    on = omega.target._dim_array > 0
+    values = np.zeros(on.size)
+    values[on] = out.flat[omega.target._offsets[:-1][on]]
+    return Fn(values, omega.target.space)
 
 
 def kernel(t: HomElement) -> Submodule:
@@ -690,7 +820,7 @@ def norming_functional(v: ModuleElement, system: DualSystem | None = None) -> Ho
         else:
             rows = _attaining_rows(g.proto.p, x, nrm)
         flat[g.cols[live]] = rows
-    return HomElement([flat[a:b].reshape(1, -1) for a, b in m._bounds], m, z_module(system))
+    return HomElement._from_flat(flat, m, z_module(system))
 
 
 def _attaining_rows(p: float, x: np.ndarray, nrm: np.ndarray) -> np.ndarray:
@@ -726,23 +856,24 @@ def bidual_embed(m: FiberModule, system: DualSystem | None = None) -> HomElement
         FiniteFStructure(system.space, system.base.u_kind, system.w_kind),
         system.base.v_kind, system.z_kind,
     )
-    bidual = dual_module(dual, inverted)
-    return HomElement([np.eye(f.dim) for f in m.fibers], m, bidual)
+    return HomElement._eye(m, dual_module(dual, inverted))
 
 
 def is_reflexive(m: FiberModule, system: DualSystem | None = None) -> bool:
     """True iff J: M -> M** is surjective, certified exactly.
 
     J is surjective iff every fiber matrix of J is square and of full rank
-    under the package-wide rank rule, which ``row_ranks`` decides with one
-    singular-value call per fiber dimension.  Finite-dimensional fibers
-    always pass; the certificate checks the construction of J rather than
-    citing the dimension count.
+    under the package-wide rank rule, decided with one singular-value call
+    per fiber dimension on stacks sliced from J's flat vector.
+    Finite-dimensional fibers always pass; the certificate checks the
+    construction of J rather than citing the dimension count.
     """
     j = bidual_embed(m, system)
-    if j.source.dims != j.target.dims:
+    lay = j._layout
+    if not np.array_equal(lay.rows, lay.cols):
         return False
-    return all(r == d for r, d in zip(row_ranks(j.matrices), j.target.dims))
+    return all(np.all(_stack_ranks(j._stack(atoms)) == lay.rows[atoms[0]])
+               for atoms in _split_atoms(lay.rows))
 
 
 # --------------------------------------------------------------------------

@@ -57,13 +57,30 @@ def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
     ranks = [0] * len(mats)
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for i, m in enumerate(mats):
-        if m.size:
-            by_shape.setdefault(m.shape, []).append(i)
+        by_shape.setdefault(m.shape, []).append(i)
     for idx in by_shape.values():
-        s = np.linalg.svd(np.stack([mats[i] for i in idx]), compute_uv=False)
-        for i, r in zip(idx, _svd_ranks(s).tolist()):
+        for i, r in zip(idx, _stack_ranks(np.stack([mats[i] for i in idx])).tolist()):
             ranks[i] = r
     return ranks
+
+
+def _stack_ranks(stack: np.ndarray) -> np.ndarray:
+    """The rank of every matrix of a (k, rows, cols) stack, by the rule of
+    ``row_ranks``, with one singular-value call (none when empty)."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[0], dtype=np.intp)
+    return _svd_ranks(np.linalg.svd(stack, compute_uv=False))
+
+
+def _split_atoms(*keys: np.ndarray) -> list[np.ndarray]:
+    """The indices grouped by their tuple of nonnegative integer keys, each
+    group ascending."""
+    key = np.zeros(keys[0].size, dtype=np.intp)
+    for k in keys:
+        key = key * (int(k.max(initial=0)) + 1) + k
+    order = np.argsort(key, kind="stable")
+    return [part for part in np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+            if part.size]
 
 
 def matrix_rank(m: np.ndarray) -> int:
@@ -180,34 +197,45 @@ class FiberNorm:
 
     @staticmethod
     def from_json(obj: Any, where: str = "$") -> "FiberNorm":
-        _require(isinstance(obj, dict) and len(obj) == 1,
-                 "fiber norm must be {\"lp\": p}, {\"gram\": [[...]]}, or"
-                 " {\"image_lp\": {\"matrix\": [[...]], \"p\": p}}", where)
-        key = next(iter(obj))
-        if key == "lp":
-            p = obj["lp"]
-            if p == "inf":
-                return LpNorm(math.inf)
-            _require(isinstance(p, (int, float)), "lp exponent must be a number or \"inf\"",
-                     where + ".lp")
+        norm = _parse_norm(obj, where)
+        if type(norm) is GramNorm:
             try:
-                return LpNorm(float(p))
-            except InvalidExponent as exc:
-                raise InputError(exc.message, path=where + ".lp") from exc
-        if key == "gram":
-            g = _finite_matrix(obj["gram"], "gram matrix entries", where + ".gram")
-            try:
-                return GramNorm(g)
+                return GramNorm(norm.gram)
             except InvalidStructure as exc:
                 raise InputError(exc.message, path=where + ".gram") from exc
-        if key == "image_lp":
-            inner = obj["image_lp"]
-            _require(isinstance(inner, dict) and "matrix" in inner and "p" in inner,
-                     "image_lp needs 'matrix' and 'p'", where + ".image_lp")
-            p = math.inf if inner["p"] == "inf" else float(inner["p"])
-            return ImageLpNorm(_finite_matrix(inner["matrix"], "image matrix entries",
-                                              where + ".image_lp.matrix"), p)
-        raise InputError(f"unknown fiber norm kind {key!r}", path=where)
+        return norm
+
+
+def _parse_norm(obj: Any, where: str) -> FiberNorm:
+    """A fiber norm from JSON; a gram matrix is checked to be finite and
+    square only, and the GramNorm carries it unvalidated (see ``_gram_norms``)."""
+    _require(isinstance(obj, dict) and len(obj) == 1,
+             "fiber norm must be {\"lp\": p}, {\"gram\": [[...]]}, or"
+             " {\"image_lp\": {\"matrix\": [[...]], \"p\": p}}", where)
+    key = next(iter(obj))
+    if key == "lp":
+        p = obj["lp"]
+        if p == "inf":
+            return LpNorm(math.inf)
+        _require(isinstance(p, (int, float)), "lp exponent must be a number or \"inf\"",
+                 where + ".lp")
+        try:
+            return LpNorm(float(p))
+        except InvalidExponent as exc:
+            raise InputError(exc.message, path=where + ".lp") from exc
+    if key == "gram":
+        g = _finite_matrix(obj["gram"], "gram matrix entries", where + ".gram")
+        _require(g.ndim == 2 and g.shape[0] == g.shape[1], "gram matrix must be square",
+                 where + ".gram")
+        return GramNorm._trusted(g)
+    if key == "image_lp":
+        inner = obj["image_lp"]
+        _require(isinstance(inner, dict) and "matrix" in inner and "p" in inner,
+                 "image_lp needs 'matrix' and 'p'", where + ".image_lp")
+        p = math.inf if inner["p"] == "inf" else float(inner["p"])
+        return ImageLpNorm(_finite_matrix(inner["matrix"], "image matrix entries",
+                                          where + ".image_lp.matrix"), p)
+    raise InputError(f"unknown fiber norm kind {key!r}", path=where)
 
 
 def _finite_matrix(raw: Any, what: str, where: str) -> np.ndarray:
@@ -239,10 +267,72 @@ class LpNorm(FiberNorm):
         return {"lp": "inf" if self.p == math.inf else float(self.p)}
 
 
+#: The defects ``_check_grams`` reports, by code (0: none).
+_GRAM_DEFECTS = (None, "gram matrix must be symmetric", "gram matrix must be positive definite")
+
+
+def _check_grams(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gram validation rule on a stack g of k square d x d matrices.
+
+    A matrix passes when it is symmetric to within
+    1e-12 * max(1, max |G|) + 1e-5 |G^T| entrywise, and its eigenvalues
+    (``eigvalsh``, one call for the stack) satisfy
+    lambda_min > RANK_RTOL * max(1, lambda_max) once a matrix that is not
+    exactly symmetric is replaced by G/2 + G^T/2.  Returns a new stack of
+    the replaced matrices and, per matrix, an index into ``_GRAM_DEFECTS``:
+    symmetry is tested first.  LAPACK runs per matrix of the stack, so a
+    matrix's verdict and bits do not depend on the others.
+    """
+    k, d = g.shape[0], g.shape[-1]
+    if d == 0:
+        return g.copy(), np.zeros(k, dtype=np.intp)
+    mag = np.abs(g)
+    gt = g.transpose(0, 2, 1)
+    skew = g - gt
+    top = np.maximum(np.maximum.reduce(mag.reshape(k, -1), axis=1), 1.0)
+    tol = (1e-12 * top)[:, None, None] + 1e-5 * mag.transpose(0, 2, 1)
+    symmetric = np.logical_and.reduce((np.abs(skew) <= tol).reshape(k, -1), axis=1)
+    if skew.any():
+        skewed = np.logical_or.reduce(skew.reshape(k, -1), axis=1)
+        g = np.where(skewed[:, None, None], 0.5 * g + 0.5 * gt, g)
+    else:
+        g = g.copy()
+    eig = np.linalg.eigvalsh(g)
+    definite = eig[:, 0] > RANK_RTOL * np.maximum(eig[:, -1], 1.0)
+    return g, np.where(symmetric, np.where(definite, 0, 2), 1)
+
+
+def _gram_norms(grams: Sequence[np.ndarray]
+                ) -> tuple[list["GramNorm"], tuple[int, str] | None]:
+    """The GramNorm of every square matrix, validated by ``_check_grams``
+    with one call per matrix size, and the position and defect message of
+    the first matrix refused, or None when all pass (only then are the
+    norms valid).  A norm's gram is a read-only view into a fresh stack.
+    """
+    sizes = np.fromiter((g.shape[0] for g in grams), dtype=np.intp, count=len(grams))
+    fixed = [None] * len(grams)
+    defect = None
+    for idx in _split_atoms(sizes):
+        stack, codes = _check_grams(np.stack([grams[i] for i in idx]))
+        stack.setflags(write=False)
+        bad = np.flatnonzero(codes)
+        if bad.size and (defect is None or idx[bad[0]] < defect[0]):
+            defect = int(idx[bad[0]]), _GRAM_DEFECTS[codes[bad[0]]]
+        for i, g in zip(idx.tolist(), stack):
+            fixed[i] = g
+    return [GramNorm._trusted(g) for g in fixed], defect
+
+
 @dataclass(frozen=True)
 class GramNorm(FiberNorm):
     """Inner-product norm sqrt(x^T G x) for a symmetric positive-definite G;
-    a G symmetric only to within tolerance is stored as (G + G^T) / 2."""
+    a G symmetric only to within tolerance is stored as (G + G^T) / 2.
+
+    Construction is the one-matrix case of ``_check_grams``, the rule that
+    modules built from JSON, dual modules and generated modules apply to all
+    their grams of one size at once; the stored gram is a read-only copy
+    with the same bits either way.
+    """
 
     gram: np.ndarray
 
@@ -250,20 +340,18 @@ class GramNorm(FiberNorm):
         g = np.asarray(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InvalidStructure("gram matrix must be square")
-        if g.size:
-            # np.allclose(g, g.T, atol=...) without its per-call overhead.
-            mag = np.abs(g)
-            skew = g - g.T
-            if not np.all(np.abs(skew) <= 1e-12 * max(1.0, float(mag.max())) + 1e-5 * mag.T):
-                raise InvalidStructure("gram matrix must be symmetric")
-            if skew.any():
-                g = 0.5 * g + 0.5 * g.T
-            eig = np.linalg.eigvalsh(g)
-            if eig[0] <= RANK_RTOL * max(1.0, float(eig[-1])):
-                raise InvalidStructure("gram matrix must be positive definite")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        stack, defects = _check_grams(g[None])
+        if defects[0]:
+            raise InvalidStructure(_GRAM_DEFECTS[defects[0]])
+        stack.setflags(write=False)
+        object.__setattr__(self, "gram", stack[0])
+
+    @classmethod
+    def _trusted(cls, g: np.ndarray) -> "GramNorm":
+        """Wrap a gram matrix without validating it."""
+        norm = cls.__new__(cls)
+        object.__setattr__(norm, "gram", g)
+        return norm
 
     def norm(self, x: np.ndarray) -> float:
         return float(_gram_rows(self.gram[None], _one_row(x))[0])
@@ -485,21 +573,42 @@ class FiberModule:
         structure = FiniteFStructure.from_json(obj["structure"], where + ".structure")
         raw = obj["fibers"]
         _require(isinstance(raw, list), "fibers must be a list", where + ".fibers")
-        fibers = []
-        for i, f in enumerate(raw):
-            here = f"{where}.fibers[{i}]"
-            _require(isinstance(f, dict) and "dim" in f and "norm" in f,
-                     "each fiber needs 'dim' and 'norm'", here)
-            dim = f["dim"]
-            # JSON integers may be written as 2.0; 2.7 and true are not dims.
-            integral = isinstance(dim, int) or isinstance(dim, float) and dim.is_integer()
-            _require(integral and not isinstance(dim, bool),
-                     "fiber dim must be an integer", here + ".dim")
-            norm = FiberNorm.from_json(f["norm"], here + ".norm")
-            try:
-                fibers.append(Fiber(int(dim), norm))
-            except (InvalidStructure, DimensionMismatch) as exc:
-                raise InputError(exc.message, path=here) from exc
+        # Gram matrices are validated together after the parse, one
+        # ``_check_grams`` call per size.  Errors still come in fiber order:
+        # the parse stops at its first error, of whatever type, which a gram
+        # defect at that fiber or an earlier one beats (GramNorm ran before
+        # Fiber).
+        fibers: list[Fiber] = []
+        gram_atoms: list[int] = []
+        grams: list[np.ndarray] = []
+        failure = None
+        try:
+            for i, f in enumerate(raw):
+                here = f"{where}.fibers[{i}]"
+                _require(isinstance(f, dict) and "dim" in f and "norm" in f,
+                         "each fiber needs 'dim' and 'norm'", here)
+                dim = f["dim"]
+                # JSON integers may be written as 2.0; 2.7 and true are not dims.
+                integral = isinstance(dim, int) or isinstance(dim, float) and dim.is_integer()
+                _require(integral and not isinstance(dim, bool),
+                         "fiber dim must be an integer", here + ".dim")
+                norm = _parse_norm(f["norm"], here + ".norm")
+                if type(norm) is GramNorm:
+                    gram_atoms.append(i)
+                    grams.append(norm.gram)
+                try:
+                    fibers.append(Fiber(int(dim), norm))
+                except (InvalidStructure, DimensionMismatch) as exc:
+                    raise InputError(exc.message, path=here) from exc
+        except Exception as exc:   # any parse error, raised after the grams
+            failure = exc
+        norms, defect = _gram_norms(grams)
+        if defect is not None:
+            raise InputError(defect[1], path=f"{where}.fibers[{gram_atoms[defect[0]]}].norm.gram")
+        if failure is not None:
+            raise failure
+        for a, gram_norm in zip(gram_atoms, norms):
+            fibers[a] = Fiber(fibers[a].dim, gram_norm)
         try:
             return cls(structure, tuple(fibers))
         except InvalidStructure as exc:

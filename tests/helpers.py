@@ -22,6 +22,7 @@ from rieszmod import (
     pointwise_norm,
     positive_part,
 )
+from rieszmod.modules import _matvec_rows
 from rieszmod.order import LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
 from rieszmod.spaces import _METRIC_TOL, FSTRUCT_LAW_IDS, _space_constant
 
@@ -116,40 +117,45 @@ def primal_lp_distance(p, v, basis):
     return float(res.fun)
 
 
-def count_solver_calls(monkeypatch):
-    """Count the library's HiGHS calls from here on, in a one-entry list.
+def count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` from here on, in a one-entry list.
 
-    Every linear program of the library goes through ``scipy.optimize.milp``,
-    which it imports on each call, so patching the module attribute sees all.
+    The library looks its numpy functions up as attributes on each call
+    (``np.linalg.svd``, ``np.linalg.eigvalsh``, ``np.eye``) and imports
+    ``scipy.optimize.milp`` on each call, so patching the attribute sees
+    every call.
     """
-    import scipy.optimize
-
     calls = [0]
-    real = scipy.optimize.milp
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_solver_calls(monkeypatch):
+    """Count the library's HiGHS calls: every linear program of the library
+    goes through ``scipy.optimize.milp``."""
+    import scipy.optimize
+
+    return count_calls(monkeypatch, scipy.optimize, "milp")
 
 
 def count_svd_calls(monkeypatch):
-    """Count ``numpy.linalg.svd`` calls from here on, in a one-entry list.
+    """Count ``numpy.linalg.svd`` calls from here on."""
+    return count_calls(monkeypatch, np.linalg, "svd")
 
-    The library looks the function up as ``np.linalg.svd`` on each call, so
-    patching the module attribute sees every singular-value call.
-    """
-    calls = [0]
-    real = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
+def sequential_hom_apply(h, v):
+    """The vectors of h.apply(v), one target atom at a time: a reference for
+    the flat hom, with the one-row ``_matvec_rows`` that every fiber
+    product of the package runs."""
+    amap = h.hom.atom_map if h.hom is not None else range(h.target.space.n)
+    return [_matvec_rows(m[None], v.vectors[amap[t]][None])[0]
+            for t, m in enumerate(h.matrices)]
 
 
 def sequential_rank(m):

@@ -114,6 +114,19 @@ def test_pushforward_command(capsys):
     assert [f["dim"] for f in report["module"]["fibers"]] == [2, 2, 1]
 
 
+def test_pushforward_sample_draw_is_the_per_fiber_stream():
+    # `pushforward` draws each sample's coordinates at once; numpy's
+    # Generator gives the same values as one draw per fiber, so reports
+    # keep their bytes.
+    dims = np.random.default_rng(11).integers(0, 6, 210)
+    dims[::17] = 0
+    for seed in (0, 1, 12345):
+        per_fiber, flat = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            want = np.concatenate([per_fiber.standard_normal(d) for d in dims])
+            assert np.array_equal(flat.standard_normal(int(dims.sum())), want)
+
+
 @pytest.mark.parametrize("lp", [1.0, 1.5, 3.0])
 def test_hahn_banach_command(capsys, tmp_path, lp):
     # The functional has dual norm exactly the gauge, so for 1 < p < inf its

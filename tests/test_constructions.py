@@ -8,6 +8,7 @@ import pytest
 from rieszmod import (
     BoundViolated,
     DualSystem,
+    FiberModule,
     GramNorm,
     Graph,
     HomElement,
@@ -37,6 +38,7 @@ from rieszmod import (
 )
 from rieszmod.modules import kernel_basis
 from helpers import (
+    count_calls,
     count_svd_calls,
     lp_module,
     make_structure,
@@ -267,6 +269,34 @@ def test_cotangent_module_makes_one_svd_call_per_row_count(monkeypatch):
     calls = count_svd_calls(monkeypatch)
     cotangent_module(graph, 3.0)
     assert 0 < calls[0] <= len(degrees)
+
+
+def test_wide_modules_check_grams_per_size_and_push_forward_without_eye(monkeypatch):
+    # 2,000 atoms: one eigvalsh per gram size for FiberModule.from_json and
+    # dual_module, and no per-atom identity matrix for pushforward_module.
+    rng = np.random.default_rng(623)
+    n = 2000
+    fibers = []
+    for a in range(n):
+        d = 1 + a % 4
+        if a % 3 == 0:
+            fibers.append({"dim": d, "norm": {"gram": (np.eye(d) + 0.1).tolist()}})
+        else:
+            fibers.append({"dim": d - 1, "norm": {"lp": (1.0, 2.0)[a % 2]}})
+    obj = {"structure": make_structure(n).to_json(), "fibers": fibers}
+    eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    m = FiberModule.from_json(obj)
+    assert 0 < eig[0] <= 4
+    eig[0] = 0
+    dual_module(m, DualSystem.default(m.structure))
+    assert 0 < eig[0] <= 4
+    eye = count_calls(monkeypatch, np, "eye")
+    phi = StructureHom(m.structure, make_structure(n), tuple(rng.integers(0, n, n).tolist()))
+    pm, pf = pushforward_module(phi, m)
+    assert eye[0] == 0
+    v = ModuleElement._from_flat(rng.standard_normal(int(m._offsets[-1])), m)
+    assert np.array_equal(pf.apply(v).flat, v.flat[np.concatenate([
+        np.arange(m._offsets[a], m._offsets[a + 1]) for a in phi.atom_map])])
 
 
 @pytest.mark.parametrize("m", [

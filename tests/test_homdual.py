@@ -41,6 +41,8 @@ from rieszmod import (
     norming_functional,
     pairing,
     pointwise_norm,
+    pushforward_hom,
+    pushforward_module,
     z_module,
 )
 from helpers import (
@@ -53,6 +55,7 @@ from helpers import (
     random_element,
     random_fn,
     random_spd,
+    sequential_hom_apply,
     sequential_independent_rows,
 )
 
@@ -106,6 +109,111 @@ def test_hom_element_shape_and_space_checks():
     other = lp_module(make_structure(3), (1, 1, 1))
     with pytest.raises(ModuleMismatch):
         HomElement([np.eye(1)] * 3, other, m)
+    with pytest.raises(DimensionMismatch, match=r"atom 1 has shape \(2, 1\), expected \(1, 1\)"):
+        HomElement([np.eye(2), np.ones((2, 1))], m, m)
+    # An empty matrix of any shape fits an empty fiber matrix, and only that.
+    empty = lp_module(make_structure(2), (0, 2))
+    assert HomElement([np.zeros((0, 3)), np.eye(2)], empty, empty).flat.tolist() == [
+        1.0, 0.0, 0.0, 1.0]
+    with pytest.raises(DimensionMismatch, match="atom 1 has shape"):
+        HomElement([np.zeros((0, 0)), np.zeros((0, 2))], empty, empty)
+
+
+def test_flat_built_homs_check_spaces_and_shapes():
+    # Every hom built from a flat vector gets the checks of the constructor.
+    structure = make_structure(3)
+    m = lp_module(structure, (2, 1, 0))
+    elsewhere = DualSystem.default(make_structure(3, weights=[2.0, 1.0, 1.0]))
+    with pytest.raises(ModuleMismatch):
+        bidual_embed(m, elsewhere)
+    with pytest.raises(ModuleMismatch):
+        is_reflexive(m, elsewhere)
+    with pytest.raises(ModuleMismatch):
+        dual_element(m, [[1.0, 0.0], [1.0], []], elsewhere)
+    with pytest.raises(ModuleMismatch):
+        norming_functional(ModuleElement([[1.0, 0.0], [1.0], []], m), elsewhere)
+    with pytest.raises(DimensionMismatch, match=r"atom 1 has shape \(1, 2\), expected \(1, 1\)"):
+        dual_element(m, [[1.0, 0.0], [1.0, 2.0], []], DualSystem.default(structure))
+    # Pushing a hom forward gathers its matrices; the modules must fit them.
+    t = HomElement([np.eye(2), np.eye(1), np.zeros((0, 0))], m, m)
+    phi = StructureHom(structure, make_structure(2), (1, 0))
+    pm, _ = pushforward_module(phi, m)
+    moved = pushforward_hom(phi, t, pm, pm)
+    assert [x.tolist() for x in moved.matrices] == [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+    with pytest.raises(DimensionMismatch, match=r"atom 0 has shape \(1, 1\), expected \(1, 2\)"):
+        pushforward_hom(phi, t, lp_module(make_structure(2), (2, 2)), pm)
+    with pytest.raises(ModuleMismatch):
+        pushforward_hom(phi, t, pm, lp_module(make_structure(2, weights=[1.0, 3.0]), (1, 2)))
+
+
+def _mixed_fibers(rng, n):
+    """Fibers of dimension 0-5 with lp, gram and image-lp norms."""
+    fibers = []
+    for a in range(n):
+        d = int(rng.integers(0, 6))
+        kind = a % 4
+        if kind == 0 and d:
+            fibers.append(Fiber(d, GramNorm(random_spd(rng, d))))
+        elif kind == 1 and d:
+            fibers.append(Fiber(d, ImageLpNorm(rng.standard_normal((d + 1, d)), 1.0)))
+        else:
+            fibers.append(Fiber(d, LpNorm((1.0, 2.0, 3.0, math.inf)[a % 4])))
+    return fibers
+
+
+def test_flat_hom_apply_matches_the_per_atom_reference():
+    rng = np.random.default_rng(71)
+    source = FiberModule(make_structure(12), tuple(_mixed_fibers(rng, 12)))
+    target_structure = make_structure(15)
+    # Atom 4 is read three times, atoms 9-11 never.
+    amap = (0, 4, 4, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3, 2, 1)
+    phi = StructureHom(source.structure, target_structure, amap)
+    target = FiberModule(target_structure, tuple(_mixed_fibers(rng, 15)))
+    mats = [rng.standard_normal((target.fibers[t].dim, source.fibers[amap[t]].dim))
+            for t in range(15)]
+    h = HomElement(mats, source, target, phi)
+    for m, want in zip(h.matrices, mats):
+        assert m.tobytes() == want.tobytes() and m.shape == want.shape
+        assert not m.flags.writeable and (m.size == 0 or np.shares_memory(m, h.flat))
+    for _ in range(5):
+        v = random_element(rng, source)
+        got = h.apply(v)
+        for t, (vec, ref) in enumerate(zip(got.vectors, sequential_hom_apply(h, v))):
+            assert vec.tobytes() == ref.tobytes()
+            assert np.allclose(vec, mats[t] @ v.vectors[amap[t]], rtol=0.0, atol=1e-12)
+    # Same-space arithmetic acts on the flat vector with the per-atom bits.
+    same = FiberModule(target_structure, tuple(_mixed_fibers(rng, 15)))
+    mats2, mats3 = ([rng.standard_normal((target.fibers[t].dim, same.fibers[t].dim))
+                     for t in range(15)] for _ in range(2))
+    a, b = HomElement(mats2, same, target), HomElement(mats3, same, target)
+    u = random_fn(rng, target_structure.space)
+    for got, want in (
+        (a + b, [x + y for x, y in zip(mats2, mats3)]),
+        (a - b, [x - y for x, y in zip(mats2, mats3)]),
+        (-a, [-x for x in mats2]),
+        (a.scale(0.3), [x * 0.3 for x in mats2]),
+        (u * a, [c * x for c, x in zip(u.values, mats2)]),
+    ):
+        assert [m.tobytes() for m in got.matrices] == [m.tobytes() for m in want]
+    mid = FiberModule(target_structure, tuple(_mixed_fibers(rng, 15)))
+    inner = HomElement([rng.standard_normal((same.fibers[t].dim, mid.fibers[t].dim))
+                        for t in range(15)], mid, same)
+    for m, x, y in zip(a.compose(inner).matrices, a.matrices, inner.matrices):
+        assert m.shape == (x.shape[0], y.shape[1])
+        assert np.allclose(m, x @ y, rtol=0.0, atol=1e-12)
+
+
+def test_pushforward_keeps_pointwise_norms_exactly():
+    rng = np.random.default_rng(72)
+    m = FiberModule(make_structure(40), tuple(_mixed_fibers(rng, 40)))
+    amap = tuple(int(i) for i in rng.integers(0, 40, 55))
+    phi = StructureHom(m.structure, make_structure(55), amap)
+    pm, pf = pushforward_module(phi, m)
+    assert all(np.array_equal(x, np.eye(x.shape[0])) for x in pf.matrices)
+    for _ in range(5):
+        v = random_element(rng, m)
+        assert np.array_equal(pointwise_norm(pf.apply(v)).values,
+                              phi.apply(pointwise_norm(v)).values)
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from rieszmod import (
+    RANK_RTOL,
     AdmissibleFamily,
     DimensionMismatch,
+    DualSystem,
     Fiber,
     FiberModule,
     FiberNorm,
@@ -18,6 +20,7 @@ from rieszmod import (
     Idempotent,
     ImageLpNorm,
     InputError,
+    InvalidExponent,
     InvalidStructure,
     LpNorm,
     ModuleElement,
@@ -27,6 +30,7 @@ from rieszmod import (
     SpaceMismatch,
     Submodule,
     dimensional_decomposition,
+    dual_module,
     dual_vector_norm,
     glue,
     hahn_banach_extend,
@@ -90,6 +94,125 @@ def test_gram_norm_validation():
         GramNorm(np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(InvalidStructure):
         GramNorm(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+
+
+def _gram_cases(rng, count=300):
+    """Random grams of sizes 1-5 and scales 1e-3 to 1e3: exactly symmetric,
+    symmetric within tolerance, asymmetric, indefinite, and with the
+    smallest eigenvalue just above or just below the rank cutoff."""
+    cases = []
+    for i in range(count):
+        d = 1 + i % 5
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        lam = rng.uniform(0.5, 3.0, d) * 10.0 ** rng.integers(-3, 4)
+        kind = i % 6
+        if kind == 3:
+            lam[0] = -lam[0]
+        elif kind in (4, 5):
+            lam[0] = RANK_RTOL * max(1.0, lam.max()) * (1.0 + (1e-6 if kind == 4 else -1e-6))
+        g = (q * lam) @ q.T
+        g = 0.5 * (g + g.T)
+        if kind == 1:
+            g = g + 1e-14 * np.abs(g).max() * rng.standard_normal((d, d))
+        elif kind == 2:
+            g = g + 1e-3 * np.abs(g).max() * rng.standard_normal((d, d))
+        cases.append(g)
+    return cases
+
+
+def _single_verdict(g):
+    try:
+        return GramNorm(g).gram, None
+    except InvalidStructure as exc:
+        return None, exc.message
+
+
+def test_stacked_gram_check_refuses_what_the_single_check_refuses():
+    # FiberModule.from_json validates all grams of one size at once; each
+    # gram must pass or fail as GramNorm alone decides, with its message and
+    # bits, and the first failing fiber must be the one reported.
+    rng = np.random.default_rng(31)
+    cases = _gram_cases(rng)
+    verdicts = [_single_verdict(g) for g in cases]
+    assert {why for _, why in verdicts} == {None, "gram matrix must be symmetric",
+                                           "gram matrix must be positive definite"}
+    good = [g for g, (_, why) in zip(cases, verdicts) if why is None]
+    structure = make_structure(12)
+
+    def fiber(g):
+        return {"dim": g.shape[0], "norm": {"gram": g.tolist()}}
+
+    trailing_defect = fiber(-np.eye(2))
+    for k, (g, (want, why)) in enumerate(zip(cases, verdicts)):
+        prefix = [fiber(good[(7 * k + j) % len(good)]) for j in range(8)]
+        fibers = prefix + [fiber(g), {"dim": 1, "norm": {"lp": 2.0}}, trailing_defect,
+                           fiber(good[k % len(good)])]
+        with pytest.raises(InputError) as info:
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+        if why is None:
+            assert (info.value.message, info.value.path) == (
+                "gram matrix must be positive definite", "$.fibers[10].norm.gram")
+            del fibers[10]
+            m = FiberModule.from_json({"structure": make_structure(11).to_json(),
+                                       "fibers": fibers})
+            assert m.fibers[8].norm.gram.tobytes() == want.tobytes()
+            assert not m.fibers[8].norm.gram.flags.writeable
+        else:
+            assert (info.value.message, info.value.path) == (why, "$.fibers[8].norm.gram")
+
+
+def test_dual_module_grams_equal_the_single_inverse_check():
+    rng = np.random.default_rng(32)
+    grams = [g for g in _gram_cases(rng, 120) if _single_verdict(g)[1] is None]
+    grams += [np.zeros((0, 0))] * 3
+    m = gram_module(make_structure(len(grams)), grams)
+    dual = dual_module(m, DualSystem.default(m.structure))
+    for f, dual_f in zip(m.fibers, dual.fibers):
+        g = f.norm.gram
+        want = GramNorm(np.linalg.inv(g) if g.size else g).gram
+        assert dual_f.norm.gram.tobytes() == want.tobytes()
+        assert dual_f.norm.gram.shape == g.shape
+
+
+def test_module_json_reports_gram_defects_in_fiber_order():
+    structure = make_structure(7)
+    plain = {"dim": 2, "norm": {"lp": 2.0}}
+    asym = {"dim": 2, "norm": {"gram": [[1.0, 0.5], [-0.5, 1.0]]}}
+    indefinite = {"dim": 2, "norm": {"gram": [[1.0, 2.0], [2.0, 1.0]]}}
+    bad_p = {"dim": 2, "norm": {"lp": 0.5}}
+    wrong_dim = {"dim": 3, "norm": {"gram": [[2.0, 0.0], [0.0, 2.0]]}}
+    cases = [
+        # a gram defect beats a parse error at a later fiber
+        ({3: indefinite, 5: bad_p}, "$.fibers[3].norm.gram", "positive definite"),
+        ({3: asym, 5: {"dim": 2}}, "$.fibers[3].norm.gram", "symmetric"),
+        ({3: asym, 4: indefinite}, "$.fibers[3].norm.gram", "symmetric"),
+        # and loses to one at an earlier fiber
+        ({2: bad_p, 4: indefinite}, "$.fibers[2].norm.lp", "[1, inf]"),
+        ({2: wrong_dim, 4: asym}, "$.fibers[2]", "fiber dimension is 3"),
+        ({1: "garbage", 4: asym}, "$.fibers[1]", "'dim' and 'norm'"),
+        # at one fiber the gram is checked before the fiber's dimension
+        ({3: dict(indefinite, dim=3), 5: asym}, "$.fibers[3].norm.gram", "positive definite"),
+    ]
+    for changes, path, words in cases:
+        fibers = [changes.get(i, plain) for i in range(7)]
+        with pytest.raises(InputError) as info:
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+        assert info.value.path == path
+        assert words in info.value.message
+    # Parse errors that are not InputError lose to an earlier gram defect
+    # too, and still surface as they are on their own.
+    image_p = {"dim": 2, "norm": {"image_lp": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "p": 0.5}}}
+    image_word = {"dim": 2, "norm": {"image_lp": {"matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                                  "p": "two"}}}
+    for later, error in ((image_p, InvalidExponent), (image_word, ValueError)):
+        fibers = [{3: indefinite, 5: later}.get(i, plain) for i in range(7)]
+        with pytest.raises(InputError) as info:
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+        assert (info.value.path, info.value.message) == (
+            "$.fibers[3].norm.gram", "gram matrix must be positive definite")
+        fibers[3] = plain
+        with pytest.raises(error):
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
 
 
 def test_fiber_dimension_checks():
