@@ -188,10 +188,10 @@ def _cmd_project(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_decompose(args: argparse.Namespace) -> tuple[int, dict]:
     module = FiberModule.from_json(_load(args.module))
     blocks = dimensional_decomposition(module)
+    indicators = np.rint(np.stack([idem.element.values for _, idem in blocks])).astype(int)
     payload = {
         "decomposition": [
-            {"D": [int(round(x)) for x in idem.element.values], "n": dim}
-            for dim, idem in blocks
+            {"D": row, "n": dim} for (dim, _), row in zip(blocks, indicators.tolist())
         ],
     }
     return 0, _report("decompose", _resolve_seed(args.seed), payload)
@@ -295,7 +295,7 @@ def _cmd_stone(args: argparse.Namespace) -> tuple[int, dict]:
     gens = [space.fn(g) for g in data["generators"]]
     atoms, embedding = stone_atoms(gens)
     payload = {
-        "atoms": [[int(round(x)) for x in a.element.values] for a in atoms],
+        "atoms": np.rint(np.stack([a.element.values for a in atoms])).astype(int).tolist(),
         "embedding": [list(e) for e in embedding],
     }
     return 0, _report("stone", _resolve_seed(args.seed), payload)

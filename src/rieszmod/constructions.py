@@ -309,16 +309,20 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
         else:
             # Express every seminorm row through the kept ones: the
             # fiber norm of coordinates x is then the lp norm of R x.
-            # Kept rows get exact basis rows, only the rest are solved.
-            factor = np.zeros((m_a.shape[0], r))
-            factor[sel] = np.eye(r)
-            rest = [i for i in range(m_a.shape[0]) if i not in set(sel)]
-            if rest:
+            # Kept rows get exact basis rows, only the rest are solved.  An
+            # atom that keeps every row has R = I, whose gram is I too.
+            full = r == m_a.shape[0]
+            if full:
+                factor = np.eye(r)
+            else:
+                factor = np.zeros((m_a.shape[0], r))
+                factor[sel] = np.eye(r)
+                rest = sorted(set(range(m_a.shape[0])).difference(sel))
                 factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
             if psi.p == 2.0:
                 # Validated below, one ``_check_grams`` call per size.
                 gram_atoms.append(len(fibers))
-                grams.append(factor.T @ factor)
+                grams.append(factor if full else factor.T @ factor)
                 fibers.append(None)
             else:
                 fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))

@@ -30,18 +30,35 @@ from .modules import (
 from .spaces import DualSystem, Fn, _require
 
 
+def _not_hilbert(module: FiberModule, atom: int) -> NotHilbert:
+    name = type(module.fibers[atom].norm).__name__
+    return NotHilbert(f"fiber {atom} has norm {name}, not an inner-product norm")
+
+
 def _gram_of(module: FiberModule, atom: int) -> np.ndarray:
     fiber = module.fibers[atom]
     g = _as_gram(fiber.norm, fiber.dim)
     if g is None:
-        raise NotHilbert(
-            f"fiber {atom} has norm {type(fiber.norm).__name__}, not an inner-product norm"
-        )
+        raise _not_hilbert(module, atom)
     return g
 
 
 def _grams(module: FiberModule) -> tuple[np.ndarray, ...]:
-    return tuple(_gram_of(module, a) for a in range(module.space.n))
+    """The gram matrix of every fiber, read-only, built once per fiber group:
+    the l2 fibers of a group share one identity, the others are views of
+    the group's stack.  Groups come in the order of their first atoms, so
+    the fiber refused is the first one, in atom order, that is not
+    euclidean."""
+    grams: list[np.ndarray | None] = [None] * module.space.n
+    for g in module._groups:
+        gram = _as_gram(g.proto, g.dim, g.mats)
+        if gram is None:
+            raise _not_hilbert(module, int(g.atoms[0]))
+        gram = gram.view()
+        gram.setflags(write=False)
+        for a, m in zip(g.atoms.tolist(), [gram] * g.atoms.size if gram.ndim == 2 else gram):
+            grams[a] = m
+    return tuple(grams)
 
 
 def parallelogram_defect(v: ModuleElement, w: ModuleElement) -> Fn:

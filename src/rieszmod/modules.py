@@ -749,7 +749,7 @@ def module_distance(v: ModuleElement, w: ModuleElement) -> float:
 def zero_indicator(v: ModuleElement) -> Idempotent:
     """Indicator of the atoms where the fiber vector vanishes."""
     nonzero = np.concatenate([[0], np.cumsum(v.flat != 0.0)])[v.module._offsets]
-    return Idempotent(v.module.space.indicator(nonzero[1:] == nonzero[:-1]))
+    return Idempotent._trusted(v.module.space.indicator(nonzero[1:] == nonzero[:-1]))
 
 
 @dataclass(frozen=True)
@@ -1152,7 +1152,7 @@ def dimensional_decomposition(m: FiberModule) -> list[tuple[int, Idempotent]]:
     dims = np.array(m.dims)
     out = []
     for d in sorted(set(m.dims)):
-        out.append((int(d), Idempotent(m.space.indicator(dims == d))))
+        out.append((int(d), Idempotent._trusted(m.space.indicator(dims == d))))
     return out
 
 

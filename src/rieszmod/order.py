@@ -118,6 +118,14 @@ class Idempotent:
         if not dev <= RING_TOL:
             raise NonIdempotentInput("element is not idempotent: u*u != u")
 
+    @classmethod
+    def _trusted(cls, element: Any) -> "Idempotent":
+        """Wrap an element without checking it: only for elements the library
+        built idempotent (0/1 rows) or checked itself."""
+        idem = cls.__new__(cls)
+        object.__setattr__(idem, "element", element)
+        return idem
+
     def complement(self) -> "Idempotent":
         return Idempotent(self.element.one() - self.element)
 
@@ -145,19 +153,23 @@ class FinitePartition:
     of: Idempotent
 
     def __post_init__(self):
+        cover = self.of.element
         elems = [p.element for p in self.parts]
-        total = self.of.element.zero()
         for e in elems:
-            total = total + e
+            cover._check(e)
+        # A zero row, then one row per part: accumulating down the stack adds
+        # the parts in the order 0 + u_1 + u_2 + ..., as a loop would.
+        stack = np.stack([np.zeros(cover.values.shape)] + [e.values for e in elems])
         if len(elems) > 1:
             # On each atom the largest |u_i u_j| over pairs i < j is the product
             # of the two largest |u_i|: IEEE products are sign-symmetric and
             # monotone in each nonnegative factor, so for finite values this
             # is the pairwise verdict in O(k n).
-            top = np.partition(np.abs(np.stack([e.values for e in elems])), -2, axis=0)
+            top = np.partition(np.abs(stack[1:]), -2, axis=0)
             if np.any(top[-2] * top[-1] > RING_TOL):
                 raise NotAPartition("partition parts are not pairwise disjoint")
-        if total.deviation(self.of.element) > RING_TOL:
+        total = type(cover)(np.add.accumulate(stack)[-1], cover.space)
+        if total.deviation(cover) > RING_TOL:
             raise NotAPartition("partition parts do not sum to the covered idempotent")
 
     def __len__(self) -> int:
@@ -210,13 +222,33 @@ def refine_partitions(p: FinitePartition, q: FinitePartition) -> FinitePartition
     """
     if not p.of.element.equals(q.of.element):
         raise PartitionMismatch("partitions cover different idempotents")
-    parts = []
-    for ui in p.parts:
-        for vj in q.parts:
-            prod = ui * vj
-            if not prod.is_zero():
-                parts.append(prod)
+    parts, _ = _cross_products(p, q)
     return FinitePartition(tuple(parts), p.of)
+
+
+def _cross_products(p: FinitePartition, q: FinitePartition) -> tuple[list[Idempotent], list[int]]:
+    """The nonzero products u_i v_j of the parts of p and q, in (i, j) order,
+    and their positions i * len(q) + j in that order.
+
+    The k * l products form one carrier stack, one product of two stacks
+    (u_i repeated, the v_j tiled), so each row has the bits of u_i * v_j.
+    The stack is checked once with the rule of :class:`Idempotent`, and the
+    first failing pair raises as a pair-by-pair loop would; the kept rows
+    are wrapped without a second check.
+    """
+    if not p.parts or not q.parts:
+        return [], []
+    u0, v0 = p.parts[0].element, q.parts[0].element
+    us = type(u0)(np.repeat(np.stack([u.element.values for u in p.parts]), len(q.parts), axis=0),
+                  u0.space)
+    vs = type(v0)(np.tile(np.stack([v.element.values for v in q.parts]), (len(p.parts), 1)),
+                  v0.space)
+    prods = us * vs
+    # Written so that a NaN deviation is refused too.
+    if not np.all((prods * prods).deviation(prods) <= RING_TOL):
+        raise NonIdempotentInput("element is not idempotent: u*u != u")
+    kept = np.flatnonzero(~prods.equals(prods.zero())).tolist()
+    return [Idempotent._trusted(type(u0)(prods.values[k], u0.space)) for k in kept], kept
 
 
 _SIMPLE_OPS = {
@@ -237,16 +269,10 @@ def simple_combine(u: SimpleElement, v: SimpleElement, op: str) -> SimpleElement
     if op not in _SIMPLE_OPS:
         raise ValueError(f"op must be one of {sorted(_SIMPLE_OPS)}, got {op!r}")
     f = _SIMPLE_OPS[op]
-    coeffs = []
-    parts = []
-    for lam, ui in zip(u.coefficients, u.partition.parts):
-        for mu, vj in zip(v.coefficients, v.partition.parts):
-            prod = ui * vj
-            if not prod.is_zero():
-                coeffs.append(float(f(lam, mu)))
-                parts.append(prod)
-    partition = FinitePartition(tuple(parts), u.partition.of)
-    return SimpleElement(tuple(coeffs), partition)
+    parts, kept = _cross_products(u.partition, v.partition)
+    cols = len(v.coefficients)
+    coeffs = tuple(float(f(u.coefficients[k // cols], v.coefficients[k % cols])) for k in kept)
+    return SimpleElement(coeffs, FinitePartition(tuple(parts), u.partition.of))
 
 
 def check_disjoint(s: Sequence[Any]) -> bool:

@@ -494,7 +494,7 @@ def support_of(vs: Sequence[Fn]) -> Idempotent:
     for v in vs:
         vs[0]._check(v)
         mask |= v.values != 0.0
-    return Idempotent(vs[0].space.indicator(mask))
+    return Idempotent._trusted(vs[0].space.indicator(mask))
 
 
 def supporting_element(structure: FiniteFStructure,
@@ -523,7 +523,7 @@ def local_inverse(u: Fn, faithful: bool = False) -> tuple[FinitePartition, list[
         raise NegativeInput("local_inverse needs a nonnegative element")
     space = u.space
     pos = u.values > 0.0
-    chi = Idempotent(space.indicator(pos))
+    chi = Idempotent._trusted(space.indicator(pos))
     if not pos.any():
         return FinitePartition((), chi), []
     if not faithful:
@@ -533,7 +533,7 @@ def local_inverse(u: Fn, faithful: bool = False) -> tuple[FinitePartition, list[
     parts: list[Idempotent] = []
     inverses: list[Fn] = []
     for c in sorted(set(u.values[pos].tolist())):
-        parts.append(Idempotent(space.indicator(u.values == c)))
+        parts.append(Idempotent._trusted(space.indicator(u.values == c)))
         inverses.append(space.one_fn().scale(1.0 / c))
     return FinitePartition(tuple(parts), chi), inverses
 
@@ -548,22 +548,28 @@ def stone_atoms(
     of the atoms it decomposes into.  Each generator equals the sum of its
     assigned atoms, and the assignment turns the Boolean operations
     u ⊞ v = u + v − 2uv and u ⊠ v = uv into symmetric difference and
-    intersection of index sets.
+    intersection of index sets.  The generators must live on one space
+    (else ``SpaceMismatch``).  The atoms are the rows of one 0/1 stack,
+    idempotent by construction, and are not checked again.
     """
     gens = [g if isinstance(g, Idempotent) else Idempotent(g) for g in idempotents]
     if len(gens) == 0:
         raise InputError("stone_atoms needs at least one idempotent")
-    space = gens[0].element.space
+    first = gens[0].element
+    for g in gens[1:]:
+        first._check(g.element)
+    # Column a of member is atom a's signature; atom k of the algebra is the
+    # k-th distinct signature in order of first occurrence.  Each signature
+    # is packed into one byte string, so a single sort labels every atom.
     member = np.stack([g.element.values > 0.5 for g in gens])
-    # Signature -> atom index, in order of first occurrence.
-    index: dict[tuple[bool, ...], int] = {}
-    labels = np.array([index.setdefault(tuple(sig), len(index)) for sig in member.T.tolist()])
-    signatures = list(index)
-    atom_sets = [Idempotent(space.indicator(labels == k)) for k in range(len(signatures))]
-    embedding = tuple(
-        tuple(k for k, sig in enumerate(signatures) if sig[i])
-        for i in range(len(gens))
-    )
+    packed = np.ascontiguousarray(np.packbits(member, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(at)
+    labels = np.argsort(order)[inverse]
+    rows = np.where(np.arange(order.size)[:, None] == labels, 1.0, 0.0)
+    atom_sets = [Idempotent._trusted(Fn(row, first.space)) for row in rows]
+    embedding = tuple(tuple(np.flatnonzero(sig).tolist()) for sig in member[:, at[order]])
     return atom_sets, embedding
 
 

@@ -14,16 +14,21 @@ from rieszmod import (
     FiberModule,
     FiniteFStructure,
     FiniteMeasureSpace,
+    FinitePartition,
     Fn,
     GramNorm,
+    Idempotent,
+    InputError,
     Kind,
     LpNorm,
     ModuleElement,
+    PartitionMismatch,
+    SimpleElement,
     pointwise_norm,
     positive_part,
 )
 from rieszmod.modules import _matvec_rows
-from rieszmod.order import LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
+from rieszmod.order import _SIMPLE_OPS, LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
 from rieszmod.spaces import _METRIC_TOL, FSTRUCT_LAW_IDS, _space_constant
 
 
@@ -291,3 +296,54 @@ def sequential_fstructure_report(structure, samples, d_u=None, d_v=None):
             fail("fstruct-glueing", k, lhs, total)
 
     return LawReport(tuple(status[law_id] for law_id in FSTRUCT_LAW_IDS)).to_json()
+
+
+def sequential_refine(p, q):
+    """``refine_partitions`` one pair of parts at a time: each product
+    u_i * v_j is an ``Idempotent`` checked on its own and dropped when zero.
+    A reference for the stacked kernel."""
+    if not p.of.element.equals(q.of.element):
+        raise PartitionMismatch("partitions cover different idempotents")
+    parts = []
+    for ui in p.parts:
+        for vj in q.parts:
+            prod = ui * vj
+            if not prod.is_zero():
+                parts.append(prod)
+    return FinitePartition(tuple(parts), p.of)
+
+
+def sequential_simple_combine(u, v, op):
+    """``simple_combine`` one pair of parts at a time, as a reference."""
+    if op not in _SIMPLE_OPS:
+        raise ValueError(f"op must be one of {sorted(_SIMPLE_OPS)}, got {op!r}")
+    f = _SIMPLE_OPS[op]
+    coeffs = []
+    parts = []
+    for lam, ui in zip(u.coefficients, u.partition.parts):
+        for mu, vj in zip(v.coefficients, v.partition.parts):
+            prod = ui * vj
+            if not prod.is_zero():
+                coeffs.append(float(f(lam, mu)))
+                parts.append(prod)
+    return SimpleElement(tuple(coeffs), FinitePartition(tuple(parts), u.partition.of))
+
+
+def sequential_stone_atoms(idempotents):
+    """``stone_atoms`` with one dict lookup per atom and one checked
+    ``Idempotent`` indicator per Stone atom, as a reference for generators
+    on one space."""
+    gens = [g if isinstance(g, Idempotent) else Idempotent(g) for g in idempotents]
+    if len(gens) == 0:
+        raise InputError("stone_atoms needs at least one idempotent")
+    space = gens[0].element.space
+    member = np.stack([g.element.values > 0.5 for g in gens])
+    index = {}
+    labels = np.array([index.setdefault(tuple(sig), len(index)) for sig in member.T.tolist()])
+    signatures = list(index)
+    atom_sets = [Idempotent(space.indicator(labels == k)) for k in range(len(signatures))]
+    embedding = tuple(
+        tuple(k for k, sig in enumerate(signatures) if sig[i])
+        for i in range(len(gens))
+    )
+    return atom_sets, embedding

@@ -181,6 +181,38 @@ def test_hilbert_module_handles_zero_fibers():
     assert h.grams[0].shape == (0, 0)
 
 
+def test_hilbert_module_grams_equal_the_per_atom_grams():
+    # l2, gram and image-l2 fibers of mixed dimensions, built per fiber
+    # group; each gram equals the one its fiber norm gives on its own.
+    rng = np.random.default_rng(4301)
+    fibers = []
+    for a in range(60):
+        d = int(rng.integers(0, 4))
+        kind = a % 3 if d else 0
+        if kind == 0:
+            fibers.append(Fiber(d, LpNorm(2.0)))
+        elif kind == 1:
+            fibers.append(Fiber(d, GramNorm(random_spd(rng, d))))
+        else:
+            fibers.append(Fiber(d, ImageLpNorm(rng.standard_normal((d + 1, d)), 2.0)))
+    m = FiberModule(make_structure(60), tuple(fibers))
+    h = HilbertModule(m)
+    assert len(h.grams) == 60
+    for a, f in enumerate(fibers):
+        if isinstance(f.norm, GramNorm):
+            want = f.norm.gram
+        elif isinstance(f.norm, ImageLpNorm):
+            want = f.norm.matrix.T @ f.norm.matrix
+        else:
+            want = np.eye(f.dim)
+        assert np.array_equal(h.grams[a], want)
+    # The first fiber in atom order that is not euclidean is named.
+    bad = list(fibers)
+    bad[7], bad[41] = Fiber(2, LpNorm(3.0)), Fiber(1, LpNorm(1.0))
+    with pytest.raises(NotHilbert, match="fiber 7 has norm LpNorm"):
+        HilbertModule(FiberModule(make_structure(60), tuple(bad)))
+
+
 def test_hilbert_module_refuses_a_pairing_system_of_another_structure():
     module = lp_module(make_structure(2), (2, 2), p=2.0)
     with pytest.raises(ModuleMismatch):

@@ -7,6 +7,7 @@ import pytest
 
 from rieszmod import (
     LAW_IDS,
+    FiniteMeasureSpace,
     FinitePartition,
     Fn,
     Idempotent,
@@ -27,7 +28,14 @@ from rieszmod import (
     simple_combine,
 )
 from rieszmod.order import RING_TOL
-from helpers import make_space, random_fn, sequential_law_report
+from helpers import (
+    count_calls,
+    make_space,
+    random_fn,
+    sequential_law_report,
+    sequential_refine,
+    sequential_simple_combine,
+)
 
 
 def triples(space, count, seed):
@@ -498,6 +506,96 @@ def test_simple_combine_matches_pointwise_for_all_ops():
             got = simple_combine(u, v, op).value().values
             want = fn(u.value().values, v.value().values)
             assert np.array_equal(got, want)
+
+
+def bits(values):
+    """The bit patterns of a float array: equal iff equal bit for bit,
+    NaN and the sign of zero included."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def near_partition(rng, space, k):
+    """A partition of the unit into k parts from random atom labels, or None
+    when the draw fails the partition check.  Some ones are nudged up by at
+    most 9e-13, some zeros moved to within 3e-13 of 0 or set to -0.0, so
+    products of parts sit near and past RING_TOL."""
+    n = space.n
+    rows = (rng.integers(0, k, n) == np.arange(k)[:, None]).astype(float)
+    nudge = rng.random((k, n)) < 0.2
+    rows[nudge & (rows == 1.0)] += rng.uniform(-6e-13, 9e-13, (k, n))[nudge & (rows == 1.0)]
+    small = nudge & (rows == 0.0)
+    rows[small] = np.where(rng.random((k, n)) < 0.3, -0.0,
+                           rng.uniform(-3e-13, 3e-13, (k, n)))[small]
+    try:
+        parts = tuple(Idempotent(Fn(row, space)) for row in rows)
+        return FinitePartition(parts, Idempotent(space.one_fn()))
+    except (NonIdempotentInput, NotAPartition):
+        return None
+
+
+def outcome(f, *args):
+    """f's result as comparable data, or the type and message it raised."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, SimpleElement):
+        return bits(out.coefficients).tolist(), outcome(lambda: out.partition)
+    return [bits(part.element.values).tolist() for part in out.parts]
+
+
+def test_refinements_match_the_pairwise_loop():
+    rng = np.random.default_rng(4101)
+    raised = set()
+    compared = 0
+    while compared < 300:
+        space = make_space(int(rng.integers(1, 9)))
+        p, q = (near_partition(rng, space, int(rng.integers(1, 5))) for _ in range(2))
+        if p is None or q is None:
+            continue
+        compared += 1
+        want = outcome(sequential_refine, p, q)
+        assert outcome(refine_partitions, p, q) == want
+        lam = rng.standard_normal(len(p))
+        mu = rng.standard_normal(len(q))
+        lam[rng.random(len(p)) < 0.2] = np.nan
+        mu[rng.random(len(q)) < 0.2] = -0.0
+        u, v = SimpleElement(tuple(lam), p), SimpleElement(tuple(mu), q)
+        for op in ("+", "*", "max", "min", "pow"):
+            assert outcome(simple_combine, u, v, op) == outcome(sequential_simple_combine, u, v, op)
+        if isinstance(want[0], type):
+            raised.add(want)
+    assert (NonIdempotentInput, "element is not idempotent: u*u != u") in raised
+
+
+def test_cross_products_raise_at_the_first_failing_pair():
+    space = make_space(2)
+    one = Idempotent(space.one_fn())
+    high = Idempotent(Fn([1.0 + 9e-13, 0.0], space))
+    rest = Idempotent(Fn([0.0, 1.0], space))
+    p = FinitePartition((rest, high), one)
+    # u_1 v_0 = (1 + 1.8e-12, 0) is the only product that is not idempotent.
+    for refine in (refine_partitions, sequential_refine):
+        with pytest.raises(NonIdempotentInput, match="not idempotent"):
+            refine(p, FinitePartition((high, rest), one))
+    other = FiniteMeasureSpace.make(["x", "y"], [1.0, 1.0])
+    q = FinitePartition((Idempotent(other.one_fn()),), Idempotent(other.one_fn()))
+    for combine in (simple_combine, sequential_simple_combine):
+        with pytest.raises(SpaceMismatch, match="different measure spaces"):
+            combine(SimpleElement((1.0, 2.0), p), SimpleElement((3.0,), q), "+")
+
+
+def test_refinement_parts_are_not_rechecked(monkeypatch):
+    rng = np.random.default_rng(4103)
+    space = make_space(300)
+    one = Idempotent(space.one_fn())
+    p, q = (FinitePartition(tuple(mask_idem(space, labels == k) for k in range(8)), one)
+            for labels in rng.integers(0, 8, (2, 300)))
+    want = outcome(sequential_refine, p, q)
+    calls = count_calls(monkeypatch, Idempotent, "__post_init__")
+    refined = refine_partitions(p, q)
+    assert calls[0] == 0
+    assert len(refined) == 64 and outcome(lambda: refined) == want
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,14 @@ from rieszmod import (
     support_of,
     supporting_element,
 )
-from helpers import make_space, make_structure, random_fn, sequential_fstructure_report
+from helpers import (
+    count_calls,
+    make_space,
+    make_structure,
+    random_fn,
+    sequential_fstructure_report,
+    sequential_stone_atoms,
+)
 
 
 # --------------------------------------------------------------------------
@@ -459,6 +466,64 @@ def test_stone_embedding_random_larger_sets():
             gens.append(Idempotent(Fn(mask, space)))
         atoms, emb = stone_atoms(gens)
         assert_boolean_embedding(gens, atoms, emb)
+
+
+def stone_outcome(f, gens):
+    """f's atoms (as bit patterns) and embedding, or the type and message
+    it raised."""
+    try:
+        atoms, emb = f(gens)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [a.element.values.view(np.uint64).tolist() for a in atoms], emb
+
+
+def test_stone_atoms_match_the_per_atom_loop():
+    # Generators with entries within RING_TOL of 0 and 1, -0.0 entries,
+    # raw functions beside idempotents, and now and then a NaN or a 1/2,
+    # which the generator check refuses.
+    rng = np.random.default_rng(4201)
+    raised = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        space = make_space(n)
+        gens = []
+        for _ in range(int(rng.integers(1, 11))):
+            row = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+            row += np.where(rng.random(n) < 0.2, rng.uniform(-4e-13, 4e-13, n), 0.0)
+            row[(rng.random(n) < 0.2) & (row == 0.0)] = -0.0
+            fn = Fn(row, space)
+            if rng.random() < 0.03:
+                row[rng.integers(n)] = (np.nan, 0.5)[trial % 2]
+                fn = Fn(row, space)
+            elif rng.random() < 0.5:
+                fn = Idempotent(fn)
+            gens.append(fn)
+        want = stone_outcome(sequential_stone_atoms, gens)
+        assert stone_outcome(stone_atoms, gens) == want
+        raised += isinstance(want[0], type)
+    assert raised > 0
+    assert stone_outcome(stone_atoms, []) == stone_outcome(sequential_stone_atoms, [])
+
+
+def test_stone_atoms_refuse_generators_on_other_spaces():
+    xyz = FiniteMeasureSpace.make(["x", "y", "z"], [1.0, 1.0, 1.0])
+    pqr = FiniteMeasureSpace.make(["p", "q", "r"], [1.0, 1.0, 1.0])
+    with pytest.raises(SpaceMismatch, match="different measure spaces"):
+        stone_atoms([xyz.indicator([True, False, True]), pqr.indicator([True, True, False])])
+    with pytest.raises(SpaceMismatch, match="different measure spaces"):
+        stone_atoms([make_space(3).one_fn(), make_space(2).one_fn()])
+
+
+def test_stone_atoms_are_not_rechecked(monkeypatch):
+    rng = np.random.default_rng(4203)
+    space = make_space(300)
+    gens = [Idempotent(space.indicator(rng.random(300) < 0.5)) for _ in range(8)]
+    want = stone_outcome(sequential_stone_atoms, gens)
+    calls = count_calls(monkeypatch, Idempotent, "__post_init__")
+    got = stone_outcome(stone_atoms, gens)
+    assert calls[0] == 0
+    assert len(got[0]) > 100 and got == want
 
 
 # --------------------------------------------------------------------------
