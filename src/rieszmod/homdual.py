@@ -6,12 +6,13 @@ duality gives one, and otherwise come from one batched nonlinear power
 iteration per fiber group: a value attained at a unit vector, so a lower
 bound that is not certified.  Duals are Hom into the scalar fibers of the
 pairing space Z, with closed-form dual norms for lp and gram fibers.  The
-Hahn-Banach extension first decides domination exactly, then iterates the
-one-dimensional step over a deterministic basis completion.  Both, and the
-dual norms of image-lp fibers, run the batched gauge kernel of ``modules``
-(``_extension_values``): one linear program per call for the polyhedral
-gauges, closed forms for euclidean ones, one stacked damped-Newton solve
-with a certified duality gap for the other lp gauges."""
+Hahn-Banach extension is one solve of min { dual norm : restriction = f }
+on every atom, whose value decides domination and whose minimiser is the
+extension.  It and the dual norms of image-lp fibers run the batched gauge
+kernel of ``modules`` (``_extension_values``): one linear program in
+primal form per call for the polyhedral gauges, closed forms for euclidean
+ones, one stacked damped-Newton solve with a certified duality gap for the
+other lp gauges."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .errors import (
     InputError,
     InvalidStructure,
     ModuleMismatch,
+    SolverFailed,
     SpaceMismatch,
     UnsupportedHom,
 )
@@ -57,7 +59,6 @@ from .modules import (
     _sqrtm_spd,
     _stack_ranks,
     _svd_ranks,
-    independent_rows,
     kernel_basis,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
@@ -376,21 +377,24 @@ def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
 
 
 def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
-                    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+                    ) -> tuple[np.ndarray, list[tuple[np.ndarray, float] | None]]:
     """min { dual_norm(w) : rows @ w = r } per problem (norm, rows, r),
-    infinite when no w reaches r, and the minimiser u below where the gauge
-    kernel ran Newton (else None).
+    infinite when no w reaches r, and per finite problem a minimiser w with
+    a certified bound on its dual norm.
 
     dual_norm(w) = min { |u|_q : M u = w } with q the conjugate exponent and
     M = I (lp), A^T (image-lp through A) or G^(1/2) (gram G), so the whole
-    is the lq distance from one solution u0 of rows M u = r to the null
-    space of rows M: the gauge kernel, one call for all problems.  Both come
-    from one SVD of rows M cut at ``RANK_RTOL``, so a direction that the
-    null space counts as zero is never inverted into u0.
+    is min { |u|_q : rows M u = r }, and w = M u for its minimiser u.  One
+    SVD of rows M cut at ``RANK_RTOL`` gives the least-norm solution u0, so
+    a direction that the null space counts as zero is never inverted into
+    u0.  For q = 2, u0 is the minimiser; otherwise the minimiser is the lq
+    nearest point to 0 of u0 plus the null space of rows M: the gauge
+    kernel, one call for all such problems.  The bound is |u|_q.
     """
     out = np.full(len(problems), math.inf)
-    minimisers: list[np.ndarray | None] = [None] * len(problems)
+    found: list[tuple[np.ndarray, float] | None] = [None] * len(problems)
     live: list[int] = []
+    factors = []
     dual = []
     for i, (norm, rows, r) in enumerate(problems):
         if isinstance(norm, ImageLpNorm):
@@ -405,13 +409,18 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
         u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
         if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
             continue
+        if q == 2.0:
+            out[i] = _lp_rows(2.0, u0[None])[0]
+            found[i] = (factor @ u0, out[i])
+            continue
         live.append(i)
-        dual.append((LpNorm(q), 1.0, vt[rank:], np.zeros(a.shape[1] - rank), u0, None))
+        factors.append((factor, q))
+        dual.append((LpNorm(q), vt[rank:], u0))
     if dual:
         out[live], points = _extension_values(dual)
-        for i, pt in zip(live, points):
-            minimisers[i] = None if pt is None else pt[0]
-    return out, minimisers
+        for i, (factor, q), y in zip(live, factors, points):
+            found[i] = (factor @ y, _lp_rows(q, y[None])[0])
+    return out, found
 
 
 def _sign_vectors(d: int) -> np.ndarray:
@@ -688,40 +697,36 @@ def kernel(t: HomElement) -> Submodule:
 
 @dataclass(frozen=True)
 class Extension:
-    """Result of a Hahn-Banach extension.
-
-    ``functional`` is the extension as a row functional per atom;
-    ``basis``/``values`` store the completed interpolation data, whose first
-    rows are a maximal independent subset of the submodule basis (all of it
-    when the basis is independent) with the given values (restriction is
-    exact by construction in this representation).
-    """
+    """Result of a Hahn-Banach extension: ``functional`` is the extension
+    as a row functional per atom, the one of least dual norm."""
 
     functional: HomElement
-    basis: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
 
 
 def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: Fn) -> Extension:
     """Extend a dominated functional from a submodule to the whole module.
 
-    ``f_rows[a]`` lists the values of the functional on the rows of
-    ``n.bases[a]``; the gauge is p(v) = gauge(a) * |v| in each fiber.
-    Domination of f by p on the submodule is decided exactly before any
-    extension step: it holds iff the least dual norm of a row reproducing
-    the values, ``_min_dual_norms``, is at most gauge(a) * (1 + 1e-9), and
+    ``f_rows[a]`` lists the values of the functional on the rows B of
+    ``n.bases[a]``; the gauge is p(v) = gauge(a) * |v| in each fiber.  One
+    call of ``_min_dual_norms`` solves min { N*(w) : B w = f } on every
+    atom, N* the dual fiber norm.  Its value, the need, decides domination,
+    which holds iff the need is at most gauge(a) * (1 + 1e-9);
     DominationViolated is raised otherwise, also for values that no linear
-    functional takes on a rank-deficient basis.  The extension iterates the
-    one-dimensional step over the standard-basis completion in index order,
-    each new value being the infimum of p(v + z) - f(v) over the current
-    domain from the gauge kernel, whose dual point lies in the dual ball, so
-    the extension stays dominated; the infimum is the canonical tie-break.
-    The atoms run side by side: one gauge-kernel call decides domination on
-    every atom and one call per round takes every atom's next step, so
-    polyhedral gauges cost one linear program for the test and one per
-    round, and lp gauges (1 < p < infinity, p != 2) at most one Newton
-    round.  Errors come in atom order: a domination failure on an atom
-    beats a shape error on a later one.
+    functional takes on a rank-deficient basis.  Its minimiser is the
+    extension (Hahn-Banach in finite dimensions as minimum-norm
+    interpolation): it restricts to f, and its dual norm, the need, is at
+    most the gauge.  So the tie-break is the minimum-dual-norm extension,
+    unique on euclidean fibers and on lp fibers with 1 < p < infinity; on
+    l1 and l-infinity gauges (plain or image) it is an optimal vertex of the
+    primal linear program, so extending f(e1) = 1 from span{e1} in a
+    two-dimensional l1 fiber under gauge 1 gives (1, 1).  Atoms without
+    basis rows get the zero functional.  Polyhedral gauges cost one linear
+    program (one HiGHS call) for all atoms, the other lp gauges one stacked
+    Newton solve per exponent and shape, euclidean ones a closed form.
+    Every answer is checked: a restriction residual above 1e-9 (relative)
+    or a dual-norm bound above gauge(a) * (1 + 1e-9) raises SolverFailed
+    instead of returning a wrong extension.  Errors come in atom order: a
+    domination failure on an atom beats a shape error on a later one.
     """
     m = n.module
     if gauge.space != m.space:
@@ -740,56 +745,28 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
             )
             break
         given.append((b, r))
-    # Per atom, keep a maximal independent subset of the basis rows with
-    # their values, then the unit vectors that complete it.  The rank tests
-    # do not read the values, so every completion is known before the first
-    # extension step, and the greedy runs on all atoms in lockstep.
-    cands = [np.vstack([b, np.eye(fiber.dim)]) for fiber, (b, _) in zip(m.fibers, given)]
-    keeps = independent_rows(cands)
-    bases = [cand[keep] for cand, keep in zip(cands, keeps)]
-    values = [[float(r[i]) for i in keep if i < b.shape[0]]
-              for keep, (b, r) in zip(keeps, given)]
-
-    def settle(a: int, u: np.ndarray) -> None:
-        # Newton gauges have a strictly convex dual ball, so a step's dual
-        # point u is the only dominated extension taking its value; without
-        # slack the domination test's minimiser is that point.
-        norm = m.fibers[a].norm
-        row = norm.matrix.T @ u if isinstance(norm, ImageLpNorm) else u
-        values[a].extend((bases[a][len(values[a]):] @ row).tolist())
-
     tested = [a for a, (_, r) in enumerate(given) if r.size]
-    needs, minimisers = _min_dual_norms([(m.fibers[a].norm, *given[a]) for a in tested])
-    anchors: list[np.ndarray | None] = [None] * len(given)
-    for a, need, u in zip(tested, needs, minimisers):
+    needs, found = _min_dual_norms([(m.fibers[a].norm, *given[a]) for a in tested])
+    rows = [np.zeros((1, fiber.dim)) for fiber in m.fibers]
+    for a, need, ext in zip(tested, needs, found):
         if need > gauges[a] * (1.0 + 1e-9):
             raise DominationViolated(
                 f"atom {a}: functional exceeds the gauge on the submodule"
                 f" (it needs a gauge of at least {need:.6g}, got {gauges[a]:.6g})"
             )
-        anchors[a] = u
-        if u is not None and need >= gauges[a]:
-            settle(a, u)
+        w, bound = ext
+        b, r = given[a]
+        residual = float(np.abs(b @ w - r).max())
+        if residual > 1e-9 * max(1.0, float(np.abs(r).max())) or bound > gauges[a] * (1.0 + 1e-9):
+            raise SolverFailed(
+                f"atom {a}: the extension misses the functional by {residual:.3g} or has"
+                f" dual norm {bound:.9g} over the gauge {gauges[a]:.9g}"
+            )
+        rows[a] = w.reshape(1, -1)
     if shape_error is not None:
         raise shape_error
-    # Each round takes the next completion step of every atom that has one:
-    # the infimum over the rows so far, whose values are known.
-    while todo := [a for a, v in enumerate(values) if len(v) < bases[a].shape[0]]:
-        new, points = _extension_values([
-            (m.fibers[a].norm, gauges[a], bases[a][:len(values[a])], np.array(values[a]),
-             bases[a][len(values[a])], anchors[a])
-            for a in todo
-        ])
-        for a, val, point in zip(todo, new, points):
-            values[a].append(float(val))
-            if point is not None:
-                settle(a, point[1])
-    out_rows = [np.zeros((1, 0)) if fiber.dim == 0
-                else np.linalg.solve(full_b, np.array(full_r)).reshape(1, -1)
-                for fiber, full_b, full_r in zip(m.fibers, bases, values)]
-    system = DualSystem.default(m.structure)
-    functional = HomElement(out_rows, m, z_module(system))
-    return Extension(functional, tuple(bases), tuple(np.array(v) for v in values))
+    functional = HomElement(rows, m, z_module(DualSystem.default(m.structure)))
+    return Extension(functional)
 
 
 def norming_functional(v: ModuleElement, system: DualSystem | None = None) -> HomElement:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DominationViolated,
     InputError,
     InvalidExponent,
     InvalidStructure,
@@ -33,7 +32,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .order import FinitePartition, Idempotent
-from .spaces import FiniteFStructure, Fn, _require
+from .spaces import _TINY, FiniteFStructure, Fn, _require
 
 #: Relative singular-value cutoff for every rank decision in the package.
 RANK_RTOL = 1e-9
@@ -138,7 +137,12 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 # (numpy's array and scalar powers can differ in the last bit).
 
 def _lp_rows(p: float, x: np.ndarray) -> np.ndarray:
-    """The lp norm of every row of x."""
+    """The lp norm of every row of x.
+
+    As in ``spaces.lp_norm``, a row whose power sum underflows (to 0 or a
+    subnormal) or overflows while its largest entry is nonzero and finite
+    is recomputed scaled by that entry; rows in range keep their bits.
+    """
     if x.shape[1] == 0:
         return np.zeros(x.shape[0])
     a = np.abs(x)
@@ -146,7 +150,16 @@ def _lp_rows(p: float, x: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(a, axis=1)
     if p == 1.0:
         return np.add.reduce(a, axis=1)
-    return np.add.reduce(a ** p, axis=1) ** (1.0 / p)
+    with np.errstate(over="ignore", under="ignore"):
+        sums = np.add.reduce(a ** p, axis=1)
+        out = sums ** (1.0 / p)
+        bad = ~((sums >= _TINY) & (sums < math.inf))
+        if bad.any():
+            top = np.maximum.reduce(a, axis=1)
+            redo = np.flatnonzero(bad & (top > 0.0) & (top < math.inf))
+            scaled = a[redo] / top[redo, None]
+            out[redo] = top[redo] * np.add.reduce(scaled ** p, axis=1) ** (1.0 / p)
+    return out
 
 
 def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -833,13 +846,12 @@ def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
 
     This is the pointwise norm of the class of v in the quotient module,
     min over t of |v + basis^T t|, computed by the gauge kernel
-    ``_extension_values`` with gauge 1 and zero values on the basis.
+    ``_extension_values``.
     """
     if not v.module.same_module(n.module):
         raise DimensionMismatch("element and submodule live in different modules")
     return Fn(_extension_values([
-        (fiber.norm, 1.0, b, np.zeros(b.shape[0]), vec, None)
-        for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
+        (fiber.norm, b, vec) for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
     ])[0], v.module.space)
 
 
@@ -877,91 +889,87 @@ def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.nd
     return None
 
 
-#: One gauge-over-a-subspace problem: (norm, g, rows, r, e, anchor), see
-#: ``_extension_values``.
-_GaugeProblem = tuple[FiberNorm, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]
+#: One gauge-over-a-subspace problem: (norm, rows, e), see ``_extension_values``.
+_GaugeProblem = tuple[FiberNorm, np.ndarray, np.ndarray]
 
 
 def _extension_values(problems: Sequence[_GaugeProblem]) -> tuple[np.ndarray, list]:
-    """inf over t of g * norm(e + rows^T t) - r.t, per problem (norm, g, rows, r, e, anchor).
+    """min over t of norm(e + rows^T t) and a minimiser, per problem (norm, rows, e).
 
-    The one kernel for "minimise a gauge over an affine subspace", behind
-    quotient norms (g = 1, r = 0), Hahn-Banach steps and the domination
-    test.  By duality the infimum is max { w.e : rows @ w = r,
-    dual_norm(w) <= g }, and every branch returns w.e for a feasible w, so a
-    value never overshoots domination.  An image-lp gauge |A x|_p is the lp
-    gauge of rows @ A^T and A e.  Polyhedral gauges (p = 1 or infinity)
-    share one block-diagonal linear program, euclidean ones (l2, image-l2,
-    gram) use a closed form, and the other lp gauges share one
-    ``_lp_gauge_values`` solve per exponent and shape: with r = 0 the rows
-    are made orthonormal and the anchor is 0, else ``anchor`` is a dual
-    point u with rows u = r (lp coordinates) and |u|_q about g or less.
-    Returns the values and, per problem of such a solve, its primal point
-    y = e + rows^T t and dual point u in the lp coordinates (else None).
+    The one kernel for "minimise a gauge over an affine subspace": a
+    quotient norm is the distance from e to the span of the rows, and the
+    domination test of ``hahn_banach_extend`` (like the dual norm of an
+    image-lp fiber) is the lq distance from a particular solution to a null
+    space.  An image-lp gauge |A x|_p is the lp gauge of rows @ A^T and
+    A e.  Polyhedral gauges (p = 1 or infinity) share one block-diagonal
+    linear program in primal form, euclidean ones (l2, image-l2, gram) use
+    a closed form, and the other lp gauges share one ``_lp_gauge_values``
+    solve per exponent and shape, on rows made orthonormal.  Returns the
+    values and, per problem on an lp or image-lp gauge with p != 2, a
+    minimiser y = e + rows^T t in the lp coordinates (A (e + rows^T t) on
+    an image-lp gauge), else None.
     """
     out = np.zeros(len(problems))
     points: list = [None] * len(problems)
     poly: list[int] = []
     blocks = []
     smooth: dict[tuple, list[int]] = {}
-    for i, (norm, g, rows, r, e, anchor) in enumerate(problems):
-        if g == 0.0 or not e.any():
+    for i, (norm, rows, e) in enumerate(problems):
+        if not isinstance(norm, (LpNorm, ImageLpNorm)) or norm.p == 2.0:
+            if e.any():
+                s = _sqrtm_spd(_as_gram(norm, rows.shape[1]))
+                out[i] = _ball_dual_program(rows @ s, s @ e)
             continue
-        if isinstance(norm, (LpNorm, ImageLpNorm)) and norm.p != 2.0:
-            if isinstance(norm, ImageLpNorm):
-                rows, e = rows @ norm.matrix.T, norm.matrix @ e
-            if norm.p in (1.0, math.inf):
-                poly.append(i)
-                blocks.append((rows, r, e, g, norm.p))
-                continue
-            if not r.any():
-                rows = row_space_basis(rows)
-                r, anchor = np.zeros(rows.shape[0]), np.zeros(e.size)
+        if isinstance(norm, ImageLpNorm):
+            rows, e = rows @ norm.matrix.T, norm.matrix @ e
+        if not e.any():
+            points[i] = np.zeros(e.size)
+        elif norm.p in (1.0, math.inf):
+            poly.append(i)
+            blocks.append((rows, e, norm.p))
+        else:
+            rows = row_space_basis(rows)
             smooth.setdefault((norm.p, *rows.shape), []).append(i)
-            points[i] = (g, rows, r, e, anchor)
-            continue
-        s = _sqrtm_spd(_as_gram(norm, rows.shape[1]))
-        out[i] = _ball_dual_program(rows @ s, r, s @ e, g)
+            points[i] = (rows, e)
     if blocks:
-        out[poly] = _polyhedral_dual_programs(blocks)
+        for i, (_, _, p), y in zip(poly, blocks, _polyhedral_programs(blocks)):
+            out[i], points[i] = _lp_rows(p, y[None])[0], y
     for (p, *_), members in smooth.items():
-        stacks = [np.array(part, dtype=float) for part in zip(*(points[i] for i in members))]
-        out[members], ys, ws = _lp_gauge_values(p, *stacks)
-        for i, y, w in zip(members, ys, ws):
-            points[i] = (y, w)
+        rows, e = (np.array(part) for part in zip(*(points[i] for i in members)))
+        out[members], ys, _ = _lp_gauge_values(p, rows, e)
+        for i, y in zip(members, ys):
+            points[i] = y
     return out, points
 
 
-def _polyhedral_dual_programs(blocks: Sequence[tuple]) -> np.ndarray:
-    """Per block (eq, r, obj, g, p), the max of obj.u over eq @ u = r and the
-    polyhedral dual ball of radius g, all blocks as one linear program.
+def _polyhedral_programs(blocks: Sequence[tuple]) -> list[np.ndarray]:
+    """Per block (rows, e, p), a minimiser y = e + rows^T t of |y|_p
+    (p in {1, infinity}), all blocks as one linear program.
 
-    For p = 1 the dual ball is the box |u_i| <= g; for p = infinity it is
-    sum |u_i| <= g, kept linear by splitting u into positive and negative
-    parts and bounding their sum by one row.  The blocks share no variable
-    and no row, so an optimum of the whole is optimal on every block, whose
-    value is read from its own slice of x.  Infeasibility certifies that
-    some block has no dominated extension.
+    Primal forms over t and nonnegative slacks, minimising the sum of the
+    slacks: for p = infinity one s with -s <= e + rows^T t <= s entry by
+    entry; for p = 1 the parts y+ and y- with e + rows^T t = y+ - y-
+    (three times faster in HiGHS than one s per entry on 2,000 atoms).
+    Every t is feasible, and y is read back from t, so it lies on the
+    affine subspace whatever the solver's tolerance.  The blocks share no
+    variable and no row, so an optimum of the whole is optimal on every
+    block.
     """
-    cost, lo, hi, b_lo, b_hi = [], [], [], [], []
+    cost, b_lo, b_hi = [], [], []
     at_row, at_col, entries = [], [], []
     n_rows = n_cols = 0
-    for eq, r, obj, g, p in blocks:
-        m = obj.size
+    for rows, e, p in blocks:
+        k, m = rows.shape
         if p == 1.0:
-            cost.append(-obj)
-            lo.append(np.full(m, -g))
-            hi.append(np.full(m, g))
-            b_lo.append(r)
-            b_hi.append(r)
-            mat = eq
+            mat = np.hstack([rows.T, -np.eye(m), np.eye(m)])
+            b_lo.append(-e)
+            b_hi.append(-e)
         else:
-            cost.append(np.concatenate([-obj, obj]))
-            lo.append(np.zeros(2 * m))
-            hi.append(np.full(2 * m, math.inf))
-            b_lo.append(np.append(r, -math.inf))
-            b_hi.append(np.append(r, g))
-            mat = np.vstack([np.hstack([eq, -eq]), np.ones((1, 2 * m))])
+            one = np.ones((m, 1))
+            mat = np.block([[rows.T, -one], [rows.T, one]])
+            b_lo.append(np.concatenate([np.full(m, -math.inf), -e]))
+            b_hi.append(np.concatenate([-e, np.full(m, math.inf)]))
+        cost.append(np.concatenate([np.zeros(k), np.ones(mat.shape[1] - k)]))
         i, j = np.nonzero(mat)
         at_row.append(i + n_rows)
         at_col.append(j + n_cols)
@@ -970,10 +978,12 @@ def _polyhedral_dual_programs(blocks: Sequence[tuple]) -> np.ndarray:
         n_cols += mat.shape[1]
     c = np.concatenate(cost)
     a = (np.concatenate(entries), (np.concatenate(at_row), np.concatenate(at_col)))
-    x = _linear_program(c, np.concatenate(lo), np.concatenate(hi), a,
-                        np.concatenate(b_lo), np.concatenate(b_hi), "extension")
-    starts = np.cumsum([0] + [part.size for part in cost[:-1]])
-    return -np.add.reduceat(c * x, starts)
+    # t is free and the slacks nonnegative: the cost is 0 on t and 1 on a slack.
+    x = _linear_program(c, np.where(c > 0.0, 0.0, -math.inf), np.full(c.size, math.inf), a,
+                        np.concatenate(b_lo), np.concatenate(b_hi), "gauge")
+    starts = np.cumsum([0] + [part.size for part in cost])
+    return [e + x[start:start + rows.shape[0]] @ rows
+            for (rows, e, _), start in zip(blocks, starts)]
 
 
 def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
@@ -984,8 +994,8 @@ def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
     or (entries, (rows, columns)).  Every linear program of the package goes
     through here, as one HiGHS call through ``scipy.optimize.milp`` without
     integrality, which checks its input and options more cheaply than
-    ``linprog``.  An infeasible program raises DominationViolated, any other
-    failure SolverFailed.
+    ``linprog``.  The package's programs are always feasible and bounded,
+    so any failure raises SolverFailed.
     """
     # Imported here: scipy.optimize would double the package's import time.
     from scipy.optimize import milp
@@ -993,68 +1003,58 @@ def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
 
     rows = (csc_array(a, shape=(b_lo.size, c.size)), b_lo, b_hi) if b_lo.size else None
     res = milp(c, bounds=(lo, hi), constraints=rows)
-    if res.status == 2:
-        raise DominationViolated("functional exceeds the gauge on the extension domain")
     if not res.success:
         raise SolverFailed(f"{what} linear program failed: {res.message}")
     return res.x
 
 
-def _ball_dual_program(a: np.ndarray, r: np.ndarray, c: np.ndarray, g: float) -> float:
-    """max of u.c over a @ u = r and |u|_2 <= g, in closed form.
+def _ball_dual_program(a: np.ndarray, c: np.ndarray) -> float:
+    """max of u.c over a @ u = 0 and |u|_2 <= 1, in closed form: the length
+    of the projection of c onto the null space of a.
 
-    A gram gauge G is whitened first: a = rows G^(1/2), c = G^(1/2) e.  The
-    minimum-norm particular solution is orthogonal to the kernel of a, so
-    the feasible slice is a centered ball of radius sqrt(g^2 - |particular|^2)
-    inside that kernel.
+    A gram gauge G is whitened first, a = rows G^(1/2) and c = G^(1/2) e,
+    so the value is the gram distance from e to the span of the rows.
     """
     if a.shape[0] == 0:
-        return g * float(np.linalg.norm(c))
-    q0 = np.linalg.pinv(a) @ r
-    rho2 = g * g - float(q0 @ q0)
-    if rho2 < -1e-9 * max(1.0, g * g):
-        raise DominationViolated("functional exceeds the gauge on the extension domain")
+        return float(np.linalg.norm(c))
     _, sv, vh = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
-    null = vh[rank:]
-    return float(c @ q0) + math.sqrt(max(rho2, 0.0)) * float(np.linalg.norm(null @ c))
+    return float(np.linalg.norm(vh[rank:] @ c))
 
 
-#: Largest gap, relative to max(g |e|_p, |primal value|), between the primal
-#: value and the dual value that ``_lp_gauge_values`` returns.
+#: Largest gap, relative to max(|e|_p, |y|_p), between the primal value
+#: |y|_p and the dual value that ``_lp_gauge_values`` returns.
 _GAP_RTOL = 1e-6
 
 
-def _lp_gauge_values(p: float, g: np.ndarray, c: np.ndarray, r: np.ndarray,
-                     e: np.ndarray, anchor: np.ndarray
+def _lp_gauge_values(p: float, c: np.ndarray, e: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """inf over t of g[i] |e[i] + c[i]^T t|_p - r[i].t per problem i, certified
-    (1 < p < infinity, the rows of each c[i] independent).
+    """min over t of |e[i] + c[i]^T t|_p per problem i, certified
+    (1 < p < infinity, the rows of each c[i] orthonormal).
 
     ``_newton`` from the least-squares point gives a primal point
-    y = e + c^T t and its value h.  The value returned is w.e for a dual
-    point w: g grad|y|_p, projected onto {c w = r}, then pulled back into
-    the ball |w|_q <= max(g, |a|_q) toward the ``anchor`` a by bisection.
-    So it never overshoots domination; SolverFailed is raised when h
-    exceeds it by more than ``_GAP_RTOL``.  Products run row by row, so a
-    value does not depend on the stack.  Returns the values, y and w.
+    y = e + c^T t.  The value returned is w.e for a dual point w: the
+    gradient of |.|_p at y, projected onto the null space of c and scaled
+    by min(1, 1/|w|_q) into the dual ball.  So it never overshoots the
+    minimum; SolverFailed is raised when |y|_p exceeds it by more than
+    ``_GAP_RTOL``.  Products run row by row, so a value does not depend on
+    the stack.  Returns the values, y and w.
     """
     ct = np.swapaxes(c, 1, 2)
-    cct = _matmul_rows(c, ct)
-    q = _lp_conjugate(p)
+    reg = 1e-12 * np.eye(c.shape[1])
 
     def at(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y = e[rows] + _matvec_rows(ct[rows], t)
-        n = _safe_lp_rows(p, y)
+        n = _lp_rows(p, y)
         return y, n, y / np.where(n > 0.0, n, 1.0)[:, None]
 
     def objective(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return g[rows] * at(rows, t)[1] - np.add.reduce(r[rows] * t, axis=1)
+        return at(rows, t)[1]
 
     def derivatives(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The Hessian g (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights
-        # floored at 1e-12 of the largest, plus 1e-12 of g/|y| c c^T, so that
-        # a nearly flat direction (large p) still has a bounded step.
+        # The Hessian (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights
+        # floored at 1e-12 of the largest, plus 1e-12/|y| c c^T (= I), so
+        # that a nearly flat direction (large p) still has a bounded step.
         _, n, u = at(rows, t)
         au = np.abs(u)
         cj = _matvec_rows(c[rows], np.sign(u) * au ** (p - 1.0))
@@ -1062,37 +1062,22 @@ def _lp_gauge_values(p: float, g: np.ndarray, c: np.ndarray, r: np.ndarray,
         floor[floor == 0.0] = 1.0
         weight = np.maximum(au, floor[:, None]) ** (p - 2.0)
         hess = _matmul_rows(c[rows] * weight[:, None, :], ct[rows]) - cj[:, :, None] * cj[:, None, :]
-        hess = (p - 1.0) * hess + 1e-12 * cct[rows]
-        hess *= (g[rows] / np.where(n > 0.0, n, 1.0))[:, None, None]
-        return g[rows, None] * cj - r[rows], hess
+        hess = (p - 1.0) * hess + reg
+        hess /= np.where(n > 0.0, n, 1.0)[:, None, None]
+        return cj, hess
 
-    scale = g * _safe_lp_rows(p, e)
-    t0 = -np.linalg.solve(cct, _matvec_rows(c, e)[..., None])[..., 0]
-    t = _newton(t0, objective, derivatives, scale)
-    y, n, u = at(np.arange(g.size), t)
-    h = g * n - np.add.reduce(r * t, axis=1)
-    w = g[:, None] * np.sign(u) * np.abs(u) ** (p - 1.0)
-    w -= _matvec_rows(ct, np.linalg.solve(cct, (_matvec_rows(c, w) - r)[..., None])[..., 0])
-    radius = np.maximum(g, _safe_lp_rows(q, anchor))
-    lo, hi = np.zeros(g.size), np.ones(g.size)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        inside = _safe_lp_rows(q, anchor + mid[:, None] * (w - anchor)) <= radius
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    w = np.where((_safe_lp_rows(q, w) <= radius)[:, None], w, anchor + lo[:, None] * (w - anchor))
+    scale = _lp_rows(p, e)
+    t = _newton(-_matvec_rows(c, e), objective, derivatives, scale)
+    y, n, u = at(np.arange(e.shape[0]), t)
+    w = np.sign(u) * np.abs(u) ** (p - 1.0)
+    w -= _matvec_rows(ct, _matvec_rows(c, w))
+    w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
     value = np.add.reduce(w * e, axis=1)
-    bad = np.flatnonzero(h - value > _GAP_RTOL * np.maximum(scale, np.abs(h)))
+    bad = np.flatnonzero(n - value > _GAP_RTOL * np.maximum(scale, n))
     if bad.size:
-        raise SolverFailed(f"l{p:g} gauge kernel: primal value {h[bad[0]]:.9g} exceeds the"
+        raise SolverFailed(f"l{p:g} gauge kernel: primal value {n[bad[0]]:.9g} exceeds the"
                            f" dual value {value[bad[0]]:.9g} by more than {_GAP_RTOL:g}")
     return value, y, w
-
-
-def _safe_lp_rows(p: float, y: np.ndarray) -> np.ndarray:
-    """``_lp_rows`` scaled by each row's largest entry, so |y|^p cannot overflow."""
-    top = np.maximum.reduce(np.abs(y), axis=1)
-    top[top == 0.0] = 1.0
-    return _lp_rows(p, y / top[:, None]) * top
 
 
 #: ``_newton``: step cap, and the Newton decrements, relative to a row's

@@ -5,6 +5,8 @@ modules with small fibers, and seeded random elements.  Tests that need a
 specific oracle value construct their inputs inline instead.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -18,6 +20,7 @@ from rieszmod import (
     Fn,
     GramNorm,
     Idempotent,
+    ImageLpNorm,
     InputError,
     Kind,
     LpNorm,
@@ -120,6 +123,56 @@ def primal_lp_distance(p, v, basis):
                   bounds=[(None, None)] * k + [(0.0, None)] * s_count, method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def reference_need(norm, basis, r):
+    """min { N*(w) : basis @ w = r }, N* the dual of the fiber norm N.
+
+    An independent solve of the dual problem max { l.r : N(basis^T l) <= 1 }:
+    a linear program for l1 and l-infinity gauges, plain or image, and
+    otherwise BFGS on l.r / N(basis^T l), whose value at a near-optimal l
+    is accurate to second order.
+    """
+    from scipy.optimize import minimize
+
+    p = getattr(norm, "p", 2.0)
+    if p in (1.0, math.inf):
+        c = norm.matrix @ basis.T if isinstance(norm, ImageLpNorm) else basis.T
+        (m, k), cost = c.shape, -np.asarray(r, dtype=float)
+        if p == math.inf:   # -1 <= c l <= 1
+            a_ub, b_ub, bounds = np.vstack([c, -c]), np.ones(2 * m), [(None, None)] * k
+        else:   # s >= |c l| with sum s <= 1
+            eye = np.eye(m)
+            a_ub = np.block([[c, -eye], [-c, -eye], [np.zeros((1, k)), np.ones((1, m))]])
+            b_ub = np.concatenate([np.zeros(2 * m), [1.0]])
+            cost = np.concatenate([cost, np.zeros(m)])
+            bounds = [(None, None)] * k + [(0.0, None)] * m
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert res.success, res.message
+        return float(-res.fun)
+
+    def neg(l):
+        return -float(l @ r) / norm.norm(basis.T @ l)
+
+    l = np.linalg.lstsq(basis @ basis.T, r, rcond=None)[0]
+    for _ in range(3):
+        l = minimize(neg, l, method="BFGS", options={"gtol": 1e-13}).x
+    return -neg(l)
+
+
+def reference_dual_norm(norm, w):
+    """N*(w) = sup { w.x : N(x) <= 1 }, by ``reference_need``."""
+    return reference_need(norm, np.eye(w.size), w)
+
+
+def assert_extension(norm, basis, r, g, w):
+    """w extends r from the rows of basis, N*(w) <= g (1 + 1e-9), and N*(w)
+    is the least dual norm of any extension, all to 1e-9 (relative)."""
+    assert np.max(np.abs(basis @ w - r), initial=0.0) <= 1e-9 * max(1.0, np.abs(r).max(initial=0.0))
+    dual = reference_dual_norm(norm, w)
+    assert dual <= g * (1.0 + 1e-9)
+    need = reference_need(norm, basis, r) if basis.shape[0] else 0.0
+    assert abs(dual - need) <= 1e-9 * max(1.0, need)
 
 
 def count_calls(monkeypatch, owner, name):

@@ -31,6 +31,46 @@ def run_twice(capsys, *argv):
     return code1, out1
 
 
+def schema_errors(instance, name):
+    """The messages of validating instance against schemas/<name>.schema.json.
+
+    The schemas refer to each other by $id, so they are validated against
+    one registry of all of them.
+    """
+    from jsonschema import Draft7Validator
+    from referencing import Registry, Resource
+
+    schemas = {path.name.removesuffix(".schema.json"): json.loads(path.read_text())
+               for path in SCHEMAS.glob("*.schema.json")}
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values())
+    validator = Draft7Validator(schemas[name], registry=registry)
+    return [e.message for e in validator.iter_errors(instance)]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def cli_error(capture, *argv, code="input_error", path=...):
+    """Run a command that must fail: exit 2, nothing on stderr, and exactly
+    one JSON document on stdout, an envelope of the error schema with the
+    given code and path (``...`` leaves the path unchecked).  Returns the
+    error object.  ``capture`` is capsys, or capfd where LAPACK could write
+    to file descriptors 1 and 2 directly."""
+    status = main(list(argv))
+    captured = capture.readouterr()
+    assert status == 2
+    assert captured.err == ""
+    document = json.loads(captured.out, parse_constant=reject_constant)
+    assert schema_errors(document, "error") == []
+    err = document["error"]
+    assert err["code"] == code
+    if path is not ...:
+        assert err["path"] == path
+    return err
+
+
 # --------------------------------------------------------------------------
 # Golden outputs of the documented commands (byte for byte)
 # --------------------------------------------------------------------------
@@ -114,6 +154,24 @@ def test_pushforward_command(capsys):
     assert [f["dim"] for f in report["module"]["fibers"]] == [2, 2, 1]
 
 
+def test_pushforward_with_a_huge_exponent_warns_nothing(capfd, tmp_path):
+    # lp fibers with p = 1e30: the power of every entry other than 0 and 1
+    # leaves the double range, so the fiber norms rescale instead of
+    # overflowing, and nothing reaches stderr.
+    module = json.loads((DATA / "module_push.json").read_text())
+    for fiber in module["fibers"]:
+        fiber["norm"] = {"lp": 1e30}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    code = main(["pushforward", "--module", str(path), "--map", str(DATA / "map_dup.json")])
+    captured = capfd.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert schema_errors(report, "report") == []
+    assert report["norm_preserved"] is True
+
+
 def test_pushforward_sample_draw_is_the_per_fiber_stream():
     # `pushforward` draws each sample's coordinates at once; numpy's
     # Generator gives the same values as one draw per fiber, so reports
@@ -130,7 +188,8 @@ def test_pushforward_sample_draw_is_the_per_fiber_stream():
 @pytest.mark.parametrize("lp", [1.0, 1.5, 3.0])
 def test_hahn_banach_command(capsys, tmp_path, lp):
     # The functional has dual norm exactly the gauge, so for 1 < p < inf its
-    # only dominated extension is (1, 0).
+    # only dominated extension is (1, 0); at p = 1 the least-norm extensions
+    # are (1, s) with |s| <= 1, and the linear program's vertex is (1, 1).
     problem = json.loads((DATA / "hb_problem.json").read_text())
     problem["module"]["fibers"][0]["norm"] = {"lp": lp}
     path = tmp_path / "problem.json"
@@ -139,7 +198,7 @@ def test_hahn_banach_command(capsys, tmp_path, lp):
     assert code == 0
     report = json.loads(out)
     (row,) = report["extension"]
-    assert row[0] == 1.0
+    assert row == ([1.0, 1.0] if lp == 1.0 else [1.0, 0.0])
     assert dual_vector_norm(LpNorm(lp), np.array(row)) <= 1.0 + 1e-9
     assert report["restriction_values"] == [[1.0]]
 
@@ -169,89 +228,59 @@ def test_stone_command(capsys):
 def test_nan_stone_generator_is_an_error(capsys, tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text('{"generators": [[NaN, 1], [1, 0]]}')
-    code = main(["stone", "--structure", str(DATA / "structure_l2.json"),
-                 "--generators", str(gens)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert json.loads(captured.out)["error"]["code"] == "non_idempotent_input"
-    assert "Traceback" not in captured.err
+    cli_error(capsys, "stone", "--structure", str(DATA / "structure_l2.json"),
+              "--generators", str(gens), code="non_idempotent_input", path=None)
 
 
 def test_missing_file_is_an_input_error(capsys):
-    code, out = run(capsys, "laws", "--structure", "/does/not/exist.json")
-    assert code == 2
-    err = json.loads(out)["error"]
-    assert err["code"] == "input_error"
-    assert err["path"] == "/does/not/exist.json"
+    cli_error(capsys, "laws", "--structure", "/does/not/exist.json",
+              path="/does/not/exist.json")
 
 
 def test_malformed_json_is_an_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, out = run(capsys, "laws", "--structure", str(bad))
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "input_error"
+    cli_error(capsys, "laws", "--structure", str(bad), path=str(bad))
 
 
 def test_wrong_fn_length_is_an_input_error(capsys):
-    code, out = run(capsys, "cotangent", "--graph", str(DATA / "path2.json"),
-                    "--p", "2", "--fn", "[0]")
-    assert code == 2
-    err = json.loads(out)["error"]
-    assert err["code"] == "input_error"
+    err = cli_error(capsys, "cotangent", "--graph", str(DATA / "path2.json"),
+                    "--p", "2", "--fn", "[0]", path="$.fn")
     assert "fn" in err["message"]
 
 
 def test_bad_exponent_is_an_input_error(capsys):
-    code, out = run(capsys, "cotangent", "--graph", str(DATA / "path2.json"),
-                    "--p", "two", "--fn", "[0,1]")
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "input_error"
+    cli_error(capsys, "cotangent", "--graph", str(DATA / "path2.json"),
+              "--p", "two", "--fn", "[0,1]", path="$.p")
 
 
 def test_structural_rejections_exit_two(capsys, tmp_path):
     # A module whose element file has the wrong shape.
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"vectors": [[1.0]]}))
-    code, out = run(capsys, "project", "--module", str(DATA / "module_gram.json"),
-                    "--element", str(short), "--set", str(DATA / "set_line.json"))
-    assert code == 2
-    assert "error" in json.loads(out)
-
-
-def input_error_at(capsys, path, *argv):
-    """Run a command that must fail on its input: exit 2, one JSON error envelope."""
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ""
-    err = json.loads(captured.out)["error"]
-    assert err["code"] == "input_error"
-    assert err["path"] == path
-    return err
+    cli_error(capsys, "project", "--module", str(DATA / "module_gram.json"),
+              "--element", str(short), "--set", str(DATA / "set_line.json"), path="$.vectors")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_nonpositive_samples_are_input_errors(capsys, samples):
-    input_error_at(capsys, "$.samples", "laws", "--structure",
-                   str(DATA / "structure_l2.json"), "--samples", samples)
-    input_error_at(capsys, "$.samples", "pushforward", "--module", str(DATA / "module_push.json"),
-                   "--map", str(DATA / "map_dup.json"), "--samples", samples)
+    cli_error(capsys, "laws", "--structure", str(DATA / "structure_l2.json"),
+              "--samples", samples, path="$.samples")
+    cli_error(capsys, "pushforward", "--module", str(DATA / "module_push.json"),
+              "--map", str(DATA / "map_dup.json"), "--samples", samples, path="$.samples")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
 def test_bad_ring_tol_is_an_input_error(capsys, tol):
-    input_error_at(capsys, "$.ring_tol", "laws", "--structure",
-                   str(DATA / "structure_l2.json"), "--samples", "10", f"--ring-tol={tol}")
+    cli_error(capsys, "laws", "--structure", str(DATA / "structure_l2.json"),
+              "--samples", "10", f"--ring-tol={tol}", path="$.ring_tol")
 
 
 def test_report_never_prints_nan(capsys):
-    code = main(["cotangent", "--graph", str(DATA / "path2.json"), "--p", "2", "--fn", "[NaN,1]"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ""
-    assert "NaN" not in captured.out
-    assert json.loads(captured.out)["error"]["code"] == "input_error"
+    # cli_error parses without NaN constants, so NaN could show only in a string.
+    err = cli_error(capsys, "cotangent", "--graph", str(DATA / "path2.json"),
+                    "--p", "2", "--fn", "[NaN,1]")
+    assert "NaN" not in json.dumps(err)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -267,7 +296,7 @@ def test_hahn_banach_rejects_malformed_problems(capsys, tmp_path, key, value, lp
     problem[key] = value
     bad = tmp_path / "problem.json"
     bad.write_text(json.dumps(problem))
-    input_error_at(capsys, f"$.{key}", "hahn-banach", "--problem", str(bad))
+    cli_error(capsys, "hahn-banach", "--problem", str(bad), path=f"$.{key}")
 
 
 @pytest.mark.parametrize("lp", [1.0, 2.0, 3.0])
@@ -278,7 +307,7 @@ def test_hahn_banach_refuses_a_negative_gauge(capsys, tmp_path, lp):
     problem["gauge"] = [-1.0]
     bad = tmp_path / "problem.json"
     bad.write_text(json.dumps(problem))
-    input_error_at(capsys, "$.gauge[0]", "hahn-banach", "--problem", str(bad))
+    cli_error(capsys, "hahn-banach", "--problem", str(bad), path="$.gauge[0]")
 
 
 @pytest.mark.parametrize("lp", [1.0, 2.0, 3.0, "inf"])
@@ -293,17 +322,6 @@ def test_hahn_banach_negligible_basis_row_is_a_domination_failure(capsys, tmp_pa
     code, out = run(capsys, "hahn-banach", "--problem", str(bad))
     assert code == 1
     assert json.loads(out)["failures"][0]["code"] == "domination_violated"
-
-
-def input_error_on_fds(capfd, path, *argv):
-    """input_error_at on file descriptors 1 and 2, which LAPACK writes to directly."""
-    code = main(list(argv))
-    captured = capfd.readouterr()
-    assert code == 2
-    assert captured.err == ""
-    err = json.loads(captured.out)["error"]  # one JSON document, nothing before it
-    assert err["code"] == "input_error"
-    assert err["path"] == path
 
 
 NAN, INF = float("nan"), float("inf")
@@ -323,7 +341,7 @@ def test_hahn_banach_refuses_non_finite_basis_and_functional(capfd, tmp_path, ke
     problem[key] = value
     bad = tmp_path / "problem.json"
     bad.write_text(json.dumps(problem))
-    input_error_on_fds(capfd, path, "hahn-banach", "--problem", str(bad))
+    cli_error(capfd, "hahn-banach", "--problem", str(bad), path=path)
 
 
 @pytest.mark.parametrize("fiber_set,path", [
@@ -342,8 +360,8 @@ def test_hahn_banach_refuses_non_finite_basis_and_functional(capfd, tmp_path, ke
 def test_project_refuses_non_finite_sets(capfd, tmp_path, fiber_set, path):
     bad = tmp_path / "set.json"
     bad.write_text(json.dumps({"fibers": [fiber_set]}))
-    input_error_on_fds(capfd, path, "project", "--module", str(DATA / "module_gram.json"),
-                       "--element", str(DATA / "element_34.json"), "--set", str(bad))
+    cli_error(capfd, "project", "--module", str(DATA / "module_gram.json"),
+              "--element", str(DATA / "element_34.json"), "--set", str(bad), path=path)
 
 
 def huge_subspace_project(tmp_path):
@@ -370,23 +388,12 @@ def test_project_onto_a_huge_basis_row_prints_one_document(capfd, tmp_path):
     assert abs(x - 1.0) <= 1e-15 and y == 0.0
 
 
-def space_mismatch(capsys, *argv):
-    """Run a command whose input has the wrong shape: exit 2, space_mismatch."""
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ""
-    err = json.loads(captured.out)["error"]
-    assert err["code"] == "space_mismatch"
-    return err["message"]
-
-
 def test_nested_stone_generator_is_a_space_mismatch(capsys, tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps({"generators": [[1, 0], [[1, 0], [0, 1]]]}))
-    message = space_mismatch(capsys, "stone", "--structure", str(DATA / "structure_l2.json"),
-                             "--generators", str(gens))
-    assert message == "expected 2 values, got shape (2, 2)"
+    err = cli_error(capsys, "stone", "--structure", str(DATA / "structure_l2.json"),
+                    "--generators", str(gens), code="space_mismatch", path=None)
+    assert err["message"] == "expected 2 values, got shape (2, 2)"
 
 
 def test_nested_hahn_banach_gauge_is_a_space_mismatch(capsys, tmp_path):
@@ -395,8 +402,9 @@ def test_nested_hahn_banach_gauge_is_a_space_mismatch(capsys, tmp_path):
     problem["gauge"] = [problem["gauge"]]
     bad = tmp_path / "problem.json"
     bad.write_text(json.dumps(problem))
-    message = space_mismatch(capsys, "hahn-banach", "--problem", str(bad))
-    assert message == f"expected {n} values, got shape (1, {n})"
+    err = cli_error(capsys, "hahn-banach", "--problem", str(bad), code="space_mismatch",
+                    path=None)
+    assert err["message"] == f"expected {n} values, got shape (1, {n})"
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -414,7 +422,7 @@ def test_non_integer_fiber_dim_is_an_input_error(capsys, tmp_path, dim):
     module["fibers"][1]["dim"] = dim
     bad = tmp_path / "module.json"
     bad.write_text(json.dumps(module))
-    input_error_at(capsys, "$.fibers[1].dim", "decompose", "--module", str(bad))
+    cli_error(capsys, "decompose", "--module", str(bad), path="$.fibers[1].dim")
 
 
 # --------------------------------------------------------------------------
@@ -435,10 +443,8 @@ def test_seed_env_fallback(capsys, monkeypatch):
 
 def test_invalid_seed_env_is_an_input_error(capsys, monkeypatch):
     monkeypatch.setenv("RIESZMOD_SEED", "abc")
-    code, out = run(capsys, "laws", "--structure", str(DATA / "structure_l2.json"),
-                    "--samples", "10")
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "input_error"
+    cli_error(capsys, "laws", "--structure", str(DATA / "structure_l2.json"),
+              "--samples", "10", path="$env.RIESZMOD_SEED")
 
 
 def test_default_seed_is_zero(capsys):
@@ -498,23 +504,6 @@ DATA_SCHEMAS = {
     "stone_gens.json": "generators",
     "structure_l2.json": "structure",
 }
-
-
-def schema_errors(instance, name):
-    """The messages of validating instance against schemas/<name>.schema.json.
-
-    The schemas refer to each other by $id, so they are validated against
-    one registry of all of them.
-    """
-    from jsonschema import Draft7Validator
-    from referencing import Registry, Resource
-
-    schemas = {path.name.removesuffix(".schema.json"): json.loads(path.read_text())
-               for path in SCHEMAS.glob("*.schema.json")}
-    registry = Registry().with_resources(
-        (schema["$id"], Resource.from_contents(schema)) for schema in schemas.values())
-    validator = Draft7Validator(schemas[name], registry=registry)
-    return [e.message for e in validator.iter_errors(instance)]
 
 
 def test_data_files_and_goldens_validate_against_the_schemas(capfd, tmp_path):

@@ -46,6 +46,7 @@ from rieszmod import (
     z_module,
 )
 from helpers import (
+    assert_extension,
     count_solver_calls,
     gram_module,
     lp_module,
@@ -55,8 +56,8 @@ from helpers import (
     random_element,
     random_fn,
     random_spd,
+    reference_need,
     sequential_hom_apply,
-    sequential_independent_rows,
 )
 
 
@@ -552,10 +553,9 @@ def test_extension_restricts_exactly_and_is_dominated():
     f_rows = [0.5 * rng.standard_normal(2) for _ in range(2)]
     ext = hahn_banach_extend(n, f_rows, gauge)
     for a in range(2):
-        # The stored interpolation data keeps the inputs bitwise.
-        assert np.array_equal(ext.basis[a][:2], basis[a])
-        assert np.array_equal(ext.values[a][:2], np.asarray(f_rows[a]))
+        # Restriction, domination and the least dual norm, to 1e-9.
         row = ext.functional.matrices[a][0]
+        assert_extension(LpNorm(2.0), basis[a], f_rows[a], gauge.values[a], row)
         for j in range(2):
             assert abs(row @ basis[a][j] - f_rows[a][j]) <= 1e-9
         for _ in range(200):
@@ -574,13 +574,14 @@ def test_extension_l1_example_stays_dominated():
 
 def test_extension_canonical_value_euclidean():
     # Extending f(t, 0) = t/2 from span{e1} under the unit Euclidean gauge:
-    # the canonical second coordinate is inf_t ||(t, 1)|| - t/2 = sqrt(3)/2.
+    # the extension of least dual norm is (0.5, 0), of norm 0.5.
     m = lp_module(make_structure(1), (2,), p=2.0)
     n = Submodule(m, (np.array([[1.0, 0.0]]),))
     ext = hahn_banach_extend(n, [[0.5]], m.space.one_fn())
     row = ext.functional.matrices[0][0]
     assert abs(row[0] - 0.5) <= 1e-9
-    assert abs(row[1] - math.sqrt(3.0) / 2.0) <= 1e-9
+    assert abs(row[1]) <= 1e-9
+    assert abs(np.linalg.norm(row) - 0.5) <= 1e-9
 
 
 def test_extension_of_zero_functional_is_dominated():
@@ -596,15 +597,15 @@ def test_extension_of_zero_functional_is_dominated():
 
 
 def test_extension_on_rank_deficient_consistent_basis():
-    # A repeated basis row with equal values: the completion keeps one copy.
+    # A repeated basis row with equal values: the least-norm extension is
+    # (0.5, 0), of dual norm 0.5, the need.
     m = lp_module(make_structure(1), (2,), p=2.0)
     basis = np.array([[1.0, 0.0], [1.0, 0.0]])
     ext = hahn_banach_extend(Submodule(m, (basis,)), [[0.5, 0.5]], m.space.one_fn())
     row = ext.functional.matrices[0][0]
-    assert np.array_equal(basis @ row, [0.5, 0.5])
+    assert_extension(LpNorm(2.0), basis, np.array([0.5, 0.5]), 1.0, row)
     assert np.linalg.norm(row) <= 1.0 + 1e-12
-    assert ext.basis[0].shape == (2, 2)
-    assert np.array_equal(ext.basis[0][0], basis[0])
+    assert abs(np.linalg.norm(row) - 0.5) <= 1e-9
 
 
 def test_extension_rejects_undominated_data():
@@ -639,11 +640,11 @@ def test_domination_counts_a_negligible_basis_row_as_zero(p):
         hahn_banach_extend(n, [[1.0]], m.space.one_fn())
 
 
-def test_extension_runs_one_program_per_round(monkeypatch):
-    # An l1 atom (d = 4, two basis rows: two completion steps) and an
-    # l-infinity atom (d = 5, one row: four steps) share one domination
-    # program and one program per completion round, 1 + 4 HiGHS calls in
-    # all, and each atom's extension equals its one-atom extension.
+def test_extension_runs_one_program(monkeypatch):
+    # An l1 atom (d = 4, two basis rows) and an l-infinity atom (d = 5, one
+    # row) share one linear program, the domination test, whose minimisers
+    # are the extensions; each equals its one-atom extension, restricts,
+    # and has the least dual norm.
     rng = np.random.default_rng(211)
     fibers = (Fiber(4, LpNorm(1.0)), Fiber(5, LpNorm(math.inf)))
     m = FiberModule(make_structure(2), fibers)
@@ -652,22 +653,26 @@ def test_extension_runs_one_program_per_round(monkeypatch):
     gauge = Fn([2.0, 3.0], m.space)
     calls = count_solver_calls(monkeypatch)
     ext = hahn_banach_extend(Submodule(m, bases), f_rows, gauge)
-    assert calls[0] == 1 + 4
+    assert calls[0] == 1
     one = make_structure(1)
     for a in range(2):
         alone = FiberModule(one, (fibers[a],))
+        calls[0] = 0
         single = hahn_banach_extend(Submodule(alone, (bases[a],)), [f_rows[a]],
                                     Fn([gauge.values[a]], alone.space))
+        assert calls[0] == 1
         got = ext.functional.matrices[a][0]
         want = single.functional.matrices[0][0]
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
-        assert np.array_equal(ext.basis[a], single.basis[0])
+        assert_extension(fibers[a].norm, bases[a], f_rows[a], gauge.values[a], got)
 
 
-def test_extension_completions_match_the_sequential_greedy():
+def test_extension_of_200_l1_atoms_matches_one_atom_extensions(monkeypatch):
     # 200 l1 atoms, d = 8, three basis rows each; every fifth atom repeats a
-    # row, so its completion drops one.  The values come from one row w
-    # with |w|_inf < 1, so f is dominated by the gauge 1.
+    # row.  The values come from one row w with |w|_inf < 1, so f is
+    # dominated by the gauge 1.  One HiGHS call extends all atoms, and every
+    # extension equals the atom's one-atom extension, restricts and has the
+    # least dual norm.
     rng = np.random.default_rng(631)
     n, d = 200, 8
     m = lp_module(make_structure(n), (d,) * n, p=1.0)
@@ -676,12 +681,37 @@ def test_extension_completions_match_the_sequential_greedy():
         b[2] = b[0]
     w = rng.uniform(-0.5, 0.5, (n, d))
     f_rows = [b @ w_a for b, w_a in zip(bases, w)]
+    calls = count_solver_calls(monkeypatch)
     ext = hahn_banach_extend(Submodule(m, tuple(bases)), f_rows, m.space.one_fn())
-    for b, got in zip(bases, ext.basis):
-        cand = np.vstack([b, np.eye(d)])
-        want = cand[sequential_independent_rows(cand)]
-        assert got.tobytes() == want.tobytes()
-    assert ext.basis[0].shape == (d, d) and ext.basis[1].shape == (d, d)
+    assert calls[0] == 1
+    alone = lp_module(make_structure(1), (d,), p=1.0)
+    for b, r, got in zip(bases, f_rows, ext.functional.matrices):
+        calls[0] = 0
+        single = hahn_banach_extend(Submodule(alone, (b,)), [r], alone.space.one_fn())
+        assert calls[0] == 1
+        want = single.functional.matrices[0][0]
+        assert np.all(np.abs(got[0] - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        assert_extension(LpNorm(1.0), b, r, 1.0, got[0])
+
+
+@pytest.mark.parametrize("kind", ["image-l1", "image-linf", "image-l3", "gram"])
+def test_image_lp_and_gram_extensions_have_the_least_dual_norm(kind):
+    # One fiber of the kind (d = 2-6, k < d basis rows), each problem with
+    # a slack gauge (1.3 times the need) and a tight one (the need itself):
+    # the extension restricts, stays dominated and has the least dual norm.
+    rng = np.random.default_rng(len(kind) + 7)
+    exponent = {"image-l1": 1.0, "image-linf": math.inf, "image-l3": 3.0}.get(kind)
+    for _ in range(8):
+        d = int(rng.integers(2, 7))
+        k = int(rng.integers(1, d))
+        norm = (GramNorm(random_spd(rng, d)) if exponent is None
+                else ImageLpNorm(rng.standard_normal((d + 2, d)), exponent))
+        m = FiberModule(make_structure(1), (Fiber(d, norm),))
+        basis, r = rng.standard_normal((k, d)), rng.standard_normal(k)
+        need = reference_need(norm, basis, r)
+        for g in (1.3 * need, need):
+            ext = hahn_banach_extend(Submodule(m, (basis,)), [r], Fn([g], m.space))
+            assert_extension(norm, basis, r, g, ext.functional.matrices[0][0])
 
 
 def test_extension_reports_the_first_error_in_atom_order(monkeypatch):

@@ -45,7 +45,13 @@ from rieszmod import (
     zero_indicator,
 )
 from rieszmod import modules
-from rieszmod.modules import _GAP_RTOL, _extension_values, independent_rows
+from rieszmod.modules import (
+    _GAP_RTOL,
+    _extension_values,
+    _lp_gauge_values,
+    _lp_rows,
+    independent_rows,
+)
 from helpers import (
     count_solver_calls,
     gram_module,
@@ -231,6 +237,36 @@ def test_lp_norm_values():
     assert LpNorm(2.0).norm(x) == 5.0
     assert LpNorm(math.inf).norm(x) == 4.0
     assert LpNorm(2.0).norm(np.zeros(0)) == 0.0
+
+
+def test_lp_norm_rescales_powers_out_of_range():
+    # 1e-6 ** 60 underflows to 0 and 1e6 ** 60 overflows to inf; the row
+    # is recomputed scaled by its largest entry, so the norm stays positive
+    # and finite.
+    want = 3.0 ** (1.0 / 60.0)
+    assert LpNorm(60.0).norm([1e-6] * 3) == pytest.approx(1e-6 * want, rel=1e-15)
+    assert LpNorm(60.0).norm([1e6] * 3) == pytest.approx(1e6 * want, rel=1e-15)
+    assert LpNorm(1e30).norm([1e6, -3.0]) == 1e6
+
+
+def test_stacked_lp_rows_equal_one_row_calls():
+    # Rows in range keep the bits of the plain power sum; rows out of range
+    # (tiny, huge, zero, inf, nan entries) are rescaled or left alone row by
+    # row, so every row of a stack has the bits of its one-row call.
+    rng = np.random.default_rng(140)
+    x = rng.standard_normal((60, 5)) * 10.0 ** rng.integers(-200, 200, (60, 1))
+    x[::7] = 0.0
+    x[3, 2], x[4, 1], x[5, 0] = math.inf, math.nan, -1e-320
+    for p in (1.0, 1.5, 2.0, 3.0, 60.0, 1e30, math.inf):
+        stacked = _lp_rows(p, x)
+        for row, val in zip(x, stacked):
+            assert _lp_rows(p, row[None]).tobytes() == np.array([val]).tobytes()
+        if p in (1.5, 2.0, 3.0, 60.0):
+            with np.errstate(over="ignore", under="ignore"):
+                sums = np.add.reduce(np.abs(x) ** p, axis=1)
+            plain = (sums >= np.finfo(float).tiny) & (sums < math.inf)
+            assert plain.any()
+            assert np.array_equal(stacked[plain], sums[plain] ** (1.0 / p))
 
 
 # --------------------------------------------------------------------------
@@ -663,9 +699,9 @@ def test_wide_polyhedral_quotient_norm_is_fast():
     assert np.all(q.values <= pointwise_norm(v).values + 1e-12)
 
 
-def reference_gauge(norm, g, rows, r, e):
-    """inf over t of g * norm(e + rows^T t) - r.t and its argmin, by BFGS
-    from the least-squares point with the analytic gradient."""
+def reference_gauge(norm, rows, e):
+    """inf over t of norm(e + rows^T t) and its argmin, by BFGS from the
+    least-squares point with the analytic gradient."""
     from scipy.optimize import minimize
 
     a = norm.matrix if isinstance(norm, ImageLpNorm) else np.eye(e.size)
@@ -675,7 +711,7 @@ def reference_gauge(norm, g, rows, r, e):
         y = a @ (e + rows.T @ t)
         n = float(np.sum(np.abs(y) ** p) ** (1.0 / p))
         dual = np.sign(y) * np.abs(y / n) ** (p - 1.0)
-        return g * n - r @ t, g * rows @ (a.T @ dual) - r
+        return n, rows @ (a.T @ dual)
 
     t = np.linalg.lstsq(rows.T, -e, rcond=None)[0]
     for _ in range(3):
@@ -683,50 +719,47 @@ def reference_gauge(norm, g, rows, r, e):
     return h(t)[0], t
 
 
-def random_gauge_problems(rng, p, image, dominated, count):
-    """Random (norm, g, rows, r, e, anchor) problems with d <= 12 and k < d;
-    dominated ones take r from a dual point u0 of norm 0.7 g, the anchor."""
-    q = p / (p - 1.0)
+def random_gauge_problems(rng, p, image, count):
+    """Random (norm, rows, e) problems with d <= 12 and k < d."""
     out = []
     for _ in range(count):
         d = int(rng.integers(2, 13))
         k = int(rng.integers(1, d))
         norm = ImageLpNorm(rng.standard_normal((d + 2, d)), p) if image else LpNorm(p)
-        g = float(rng.uniform(0.5, 2.0))
-        rows = rng.standard_normal((k, d))
-        e = rng.standard_normal(d)
-        if dominated:
-            u0 = rng.standard_normal(d + 2 if image else d)
-            u0 *= 0.7 * g / np.sum(np.abs(u0) ** q) ** (1.0 / q)
-            r = rows @ (norm.matrix.T @ u0 if image else u0)
-            out.append((norm, g, rows, r, e, u0))
-        else:
-            out.append((norm, g, rows, np.zeros(k), e, None))
+        out.append((norm, rng.standard_normal((k, d)), rng.standard_normal(d)))
     return out
+
+
+def on_the_affine_set(norm, rows, e, y):
+    """y = A (e + rows^T t) for some t (A = I on lp gauges), to 1e-9."""
+    a = norm.matrix if isinstance(norm, ImageLpNorm) else np.eye(e.size)
+    t = np.linalg.lstsq(a @ rows.T, y - a @ e, rcond=None)[0]
+    return np.max(np.abs(a @ (e + rows.T @ t) - y)) <= 1e-9 * max(1.0, np.abs(y).max())
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 30.0])
 def test_lp_gauge_kernel_matches_a_reference_solve(p):
     # Every lp gauge problem with p not in {1, 2, inf} runs the Newton
     # kernel: its value is a dual value, so it never exceeds the primal at
-    # any point, and here it is within 1e-7 of an independent BFGS solve.
-    # At p = 30 the norm is nearly flat along its largest entry.
+    # any point, and here it is within 1e-7 of an independent BFGS solve,
+    # as is the norm of the minimiser it returns, which lies on the affine
+    # set.  At p = 30 the norm is nearly flat along its largest entry.
     rng = np.random.default_rng(int(10 * p))
-    problems = [prob for image in (False, True) for dominated in (False, True)
-                for prob in random_gauge_problems(rng, p, image, dominated, 6)]
+    problems = [prob for image in (False, True)
+                for prob in random_gauge_problems(rng, p, image, 12)]
     values, points = _extension_values(problems)
-    assert all(point is not None for point in points)
-    for (norm, g, rows, r, e, _), val in zip(problems, values):
-        ref, _ = reference_gauge(norm, g, rows, r, e)
+    for (norm, rows, e), val, y in zip(problems, values, points):
+        ref, _ = reference_gauge(norm, rows, e)
         assert val <= ref + 1e-12 * max(1.0, abs(ref))
         assert abs(val - ref) <= 1e-7 * max(1.0, abs(ref))
+        assert on_the_affine_set(norm, rows, e, y)
+        assert abs(LpNorm(p).norm(y) - ref) <= 1e-7 * max(1.0, abs(ref))
 
 
 def test_lp_gauge_kernel_value_does_not_depend_on_the_stack():
     rng = np.random.default_rng(404)
     problems = [prob for p in (1.5, 3.0) for image in (False, True)
-                for dominated in (False, True)
-                for prob in random_gauge_problems(rng, p, image, dominated, 5)]
+                for prob in random_gauge_problems(rng, p, image, 10)]
     stacked, _ = _extension_values(problems)
     for prob, val in zip(problems, stacked):
         alone = _extension_values([prob])[0][0]
@@ -738,18 +771,19 @@ def test_lp_gauge_kernel_near_p_one_certifies_or_raises(monkeypatch):
     # and a dual point inside the dual ball, or SolverFailed is raised.
     rng = np.random.default_rng(1101)
     p, q = 1.1, 11.0
-    problems = random_gauge_problems(rng, p, False, True, 8)
-    problems += random_gauge_problems(rng, p, False, False, 8)
-    for norm, g, rows, r, e, anchor in problems:
+    problems = random_gauge_problems(rng, p, False, 16)
+    for norm, rows, e in problems:
         try:
-            (val,), ((y, w),) = _extension_values([(norm, g, rows, r, e, anchor)])
+            (val,), (y,) = _extension_values([(norm, rows, e)])
         except SolverFailed:
             continue
-        t = np.linalg.lstsq(rows.T, y - e, rcond=None)[0]
-        assert np.max(np.abs(rows.T @ t + e - y)) <= 1e-9 * max(1.0, np.abs(y).max())
-        primal = g * norm.norm(y) - r @ t
-        assert primal - val <= _GAP_RTOL * max(g * norm.norm(e), abs(primal))
-        assert np.sum(np.abs(w) ** q) ** (1.0 / q) <= g * (1.0 + 1e-12)
+        assert on_the_affine_set(norm, rows, e, y)
+        assert norm.norm(y) - val <= _GAP_RTOL * max(norm.norm(e), norm.norm(y))
+        c = row_space_basis(rows)
+        (dual_val,), _, (w,) = _lp_gauge_values(p, c[None], e[None])
+        assert dual_val == val
+        assert np.max(np.abs(c @ w)) <= 1e-12 * max(1.0, np.abs(w).max())
+        assert np.sum(np.abs(w) ** q) ** (1.0 / q) <= 1.0 + 1e-12
         assert abs(w @ e - val) <= 1e-12 * max(1.0, abs(val))
     # Without Newton steps the least-squares point is not certified.
     monkeypatch.setattr(modules, "_NEWTON_STEPS", 0)
