@@ -107,6 +107,9 @@ def _parse_vector(raw: str, length: int, what: str) -> list[float]:
             or not all(isinstance(x, (int, float)) for x in values)):
         raise InputError(f"{what} must be a JSON array of {length} numbers",
                          path=f"$.{what}")
+    for i, x in enumerate(values):
+        if not math.isfinite(x):
+            raise InputError(f"{what} entries must be finite", path=f"$.{what}[{i}]")
     return [float(x) for x in values]
 
 

@@ -27,6 +27,7 @@ from .modules import (
     LpNorm,
     ModuleElement,
     _gram_norms,
+    _split_atoms,
     independent_rows,
     kernel_basis,
     pointwise_norm,
@@ -38,6 +39,7 @@ from .spaces import (
     FiniteMeasureSpace,
     Fn,
     Kind,
+    _lp_rows,
     _require,
 )
 
@@ -186,17 +188,19 @@ class _MatrixEval:
     """Evaluate a matrix-realized sublinear map on the space it is bound to.
 
     The per-atom matrices are stacked into one, so an evaluation is a single
-    matrix-vector product followed by a segmented lp reduction.  ``starts``
-    holds the first stacked row of every atom that has rows and ``owners``
-    those atoms; atoms without rows evaluate to 0.
+    matrix-vector product followed by one ``_lp_rows`` call per row count:
+    ``groups`` holds, per count, the atoms with that many rows and the
+    indices of their stacked rows, one row per atom.  Atoms without rows
+    evaluate to 0.
     """
 
     def __init__(self, mats: tuple[np.ndarray, ...], lp: LpNorm):
         counts = np.array([m.shape[0] for m in mats])
+        starts = np.cumsum(counts) - counts
         self.n = len(mats)
         self.stacked = np.concatenate(mats, axis=0)
-        self.owners = np.flatnonzero(counts)
-        self.starts = (np.cumsum(counts) - counts)[self.owners]
+        self.groups = [(atoms, starts[atoms, None] + np.arange(counts[atoms[0]]))
+                       for atoms in _split_atoms(counts) if counts[atoms[0]]]
         self.p = lp.p
         self.space: FiniteMeasureSpace | None = None
 
@@ -213,15 +217,10 @@ class _MatrixEval:
     def __call__(self, v: np.ndarray) -> Fn:
         if self.space is None:
             raise InvalidStructure("sublinear map is not bound to a space; see SublinearMap.on")
-        a = np.abs(self.stacked @ np.asarray(v, dtype=float))
+        y = self.stacked @ np.asarray(v, dtype=float)
         out = np.zeros(self.n)
-        if self.starts.size:
-            if self.p == math.inf:
-                out[self.owners] = np.maximum.reduceat(a, self.starts)
-            elif self.p == 1.0:
-                out[self.owners] = np.add.reduceat(a, self.starts)
-            else:
-                out[self.owners] = np.add.reduceat(a ** self.p, self.starts) ** (1.0 / self.p)
+        for atoms, rows in self.groups:
+            out[atoms] = _lp_rows(self.p, y[rows])
         return Fn(out, self.space)
 
 

@@ -407,13 +407,13 @@ def riesz_inverse(h: HilbertModule, eta: ModuleElement) -> ModuleElement:
     return ModuleElement(vecs, h.module)
 
 
-def hilbert_reflexivity_check(h: HilbertModule, tol: float = 1e-10) -> bool:
+def hilbert_reflexivity_check(h: HilbertModule) -> bool:
     """The bidual embedding equals the composition of the two Riesz maps.
 
     On atom a, J is the matrix J_a of ``bidual_embed`` and the composite
     v -> G*_a G_a v, where G*_a is the gram of the dual module's fiber.  Per
     fiber group the matrices are sliced as a stack from J's flat vector, and
-    one product and one max-abs residual against ``tol`` compare the two.
+    one product and one max-abs residual against 1e-10 compare the two.
     """
     j = bidual_embed(h.module, h.system)
     grams_star = _grams(h.dual())
@@ -421,6 +421,6 @@ def hilbert_reflexivity_check(h: HilbertModule, tol: float = 1e-10) -> bool:
         j_stack = j._stack(g.atoms)
         g_star = np.stack([grams_star[a] for a in g.atoms])
         residual = j_stack - g_star @ _as_gram(g.proto, g.dim, g.mats)
-        if np.max(np.abs(residual), initial=0.0) > tol:
+        if np.max(np.abs(residual), initial=0.0) > 1e-10:
             return False
     return True

@@ -8,18 +8,19 @@ bound that is not certified.  Duals are Hom into the scalar fibers of the
 pairing space Z, with closed-form dual norms for lp and gram fibers.  The
 Hahn-Banach extension is one solve of min { dual norm : restriction = f }
 on every atom, whose value decides domination and whose minimiser is the
-extension.  It and the dual norms of image-lp fibers run the batched gauge
-kernel of ``modules`` (``_extension_values``): one linear program in
-primal form per call for the polyhedral gauges, closed forms for euclidean
-ones, one stacked damped-Newton solve with a certified duality gap for the
-other lp gauges."""
+extension.  It and the dual norms of image-lp fibers run the batched lp
+gauge kernel of ``modules`` (``_lp_gauges``) in the lp coordinates of
+``_lp_factor``: one linear program in primal form per call for the
+polyhedral gauges, a closed form for euclidean ones, one stacked
+damped-Newton solve with a certified duality gap for the other lp
+gauges."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -44,19 +45,19 @@ from .modules import (
     ModuleElement,
     Submodule,
     _as_gram,
-    _extension_values,
     _FiberGroup,
     _finite_matrix,
     _gram_norms,
     _gram_rows,
     _lp_conjugate,
+    _lp_factor,
+    _lp_gauges,
     _linear_program,
     _lp_rows,
     _matmul_rows,
     _matvec_rows,
     _newton,
     _split_atoms,
-    _sqrtm_spd,
     _stack_ranks,
     _svd_ranks,
     kernel_basis,
@@ -382,14 +383,15 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     infinite when no w reaches r, and per finite problem a minimiser w with
     a certified bound on its dual norm.
 
-    dual_norm(w) = min { |u|_q : M u = w } with q the conjugate exponent and
-    M = I (lp), A^T (image-lp through A) or G^(1/2) (gram G), so the whole
-    is min { |u|_q : rows M u = r }, and w = M u for its minimiser u.  One
-    SVD of rows M cut at ``RANK_RTOL`` gives the least-norm solution u0, so
-    a direction that the null space counts as zero is never inverted into
-    u0.  For q = 2, u0 is the minimiser; otherwise the minimiser is the lq
-    nearest point to 0 of u0 plus the null space of rows M: the gauge
-    kernel, one call for all such problems.  The bound is |u|_q.
+    In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, so
+    dual_norm(w) = min { |u|_q : M^T u = w } with q the conjugate exponent
+    (M = I for lp fibers), the whole is min { |u|_q : rows M^T u = r }, and
+    w = M^T u for its minimiser u.  One SVD of rows M^T cut at
+    ``RANK_RTOL`` gives the least-norm solution u0, so a direction that the
+    null space counts as zero is never inverted into u0.  The minimiser is
+    the lq nearest point to 0 of u0 plus the null space of rows M^T, whose
+    basis from the SVD is orthonormal: ``_lp_gauges``, one call for all
+    problems.  The bound is |u|_q.
     """
     out = np.full(len(problems), math.inf)
     found: list[tuple[np.ndarray, float] | None] = [None] * len(problems)
@@ -397,29 +399,21 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     factors = []
     dual = []
     for i, (norm, rows, r) in enumerate(problems):
-        if isinstance(norm, ImageLpNorm):
-            factor, q = norm.matrix.T, _lp_conjugate(norm.p)
-        elif isinstance(norm, GramNorm):
-            factor, q = _sqrtm_spd(norm.gram), 2.0
-        else:
-            factor, q = np.eye(rows.shape[1]), _lp_conjugate(norm.p)
-        a = rows @ factor
+        p, m = _lp_factor(norm)
+        a = rows if m is None else rows @ m.T
         u, sv, vt = np.linalg.svd(a)
         rank = int(_svd_ranks(sv))
         u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
         if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
             continue
-        if q == 2.0:
-            out[i] = _lp_rows(2.0, u0[None])[0]
-            found[i] = (factor @ u0, out[i])
-            continue
+        q = _lp_conjugate(p)
         live.append(i)
-        factors.append((factor, q))
-        dual.append((LpNorm(q), vt[rank:], u0))
+        factors.append((m, q))
+        dual.append((q, vt[rank:], u0))
     if dual:
-        out[live], points = _extension_values(dual)
-        for i, (factor, q), y in zip(live, factors, points):
-            found[i] = (factor @ y, _lp_rows(q, y[None])[0])
+        out[live], points = _lp_gauges(dual)
+        for i, (m, q), y in zip(live, factors, points):
+            found[i] = (y if m is None else m.T @ y, _lp_rows(q, y[None])[0])
     return out, found
 
 
@@ -434,15 +428,15 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
 
     Closed forms, each evaluated once for the whole stack: zero fibers and
     zero matrices; one-dimensional targets (dual norm of the row, from the
-    gauge kernel on image-lp sources); l1 sources (max over columns);
-    l-infinity sources (sign-pattern enumeration); euclidean sources and
-    targets (whitened spectral norm).  An image-lq target |B y|_q is the lq
-    target of the matrix B A.  By duality |A|_{X -> lq} is the largest dual
-    norm X*(A^T s) over the extreme points s of the lq* unit ball: the rows
-    of A for an l-infinity target, and the sign vectors for an l1 target of
-    at most 16 rows when X* has a closed form.  Everything else runs the
-    power method, whose value is attained at a unit vector: a lower bound,
-    not certified.
+    gauge kernel on image-lp sources); l1 and l-infinity sources (of at most
+    16 dimensions), the largest target norm of A s over the vertices s of
+    the source ball; euclidean sources and targets (whitened spectral
+    norm).  An image-lq target |B y|_q is the lq target of the matrix B A.
+    By duality |A|_{X -> lq} is the largest dual norm X*(A^T s) over the
+    vertices s of the lq* unit ball: for an l-infinity target, and for an
+    l1 target of at most 16 rows when X* has a closed form.  Both vertex
+    maxima run ``_vertex_norms``.  Everything else runs the power method,
+    whose value is attained at a unit vector: a lower bound, not certified.
     """
     k = a.shape[0]
     if src.dim == 0 or tgt.dim == 0:
@@ -456,48 +450,47 @@ def _operator_norms(src: _FiberGroup, tgt: _FiberGroup, a: np.ndarray) -> np.nda
     if tgt.dim == 1:
         return tgt.norms_of(np.ones((k, 1))) * _dual_norms(src, a[:, 0, :])
     lp_src = src.proto.p if isinstance(src.proto, LpNorm) else None
-    if lp_src == 1.0:
-        return np.max([tgt.norms_of(a[:, :, j]) for j in range(src.dim)], axis=0)
-    if lp_src == math.inf and src.dim <= 16:
-        # Every sign vector at once, in chunks of at most 2^15 images.
-        signs = _sign_vectors(src.dim)
-        step = max(1, 2 ** 15 // k)
-        best = np.zeros(k)
-        for c in range(0, signs.shape[0], step):
-            chunk = signs[c:c + step]
-            images = np.swapaxes(a @ chunk.T, 1, 2).reshape(-1, tgt.dim)
-            each = tgt.take(np.repeat(np.arange(k), chunk.shape[0])).norms_of(images)
-            best = np.maximum(best, each.reshape(k, -1).max(axis=1))
-        return best
+    if lp_src == 1.0 or (lp_src == math.inf and src.dim <= 16):
+        return _vertex_norms(lambda pos, y: tgt.take(pos).norms_of(y), a,
+                             np.eye(src.dim) if lp_src == 1.0 else _sign_vectors(src.dim))
     g_src = _as_gram(src.proto, src.dim, src.mats)
     g_tgt = _as_gram(tgt.proto, tgt.dim, tgt.mats)
     if g_src is not None and g_tgt is not None:
-        white = _sqrtm_spd(g_tgt) @ a @ np.linalg.inv(_sqrtm_spd(g_src))
+        # G = L L^T whitens by L^T, as in ``_lp_factor``: |L^T x|_2^2 = x^T G x.
+        l_src, l_tgt = np.linalg.cholesky(g_src), np.linalg.cholesky(g_tgt)
+        white = np.swapaxes(l_tgt, -1, -2) @ a @ np.linalg.inv(np.swapaxes(l_src, -1, -2))
         return np.linalg.norm(white, 2, axis=(1, 2))
     q = None if isinstance(tgt.proto, GramNorm) else tgt.proto.p
     if isinstance(tgt.proto, ImageLpNorm):
         a = _matmul_rows(tgt.mats, a)
     closed_dual = isinstance(src.proto, LpNorm) or g_src is not None
     if q == math.inf or (q == 1.0 and a.shape[1] <= 16 and closed_dual):
-        return _dual_extreme_norms(src, a, q)
+        m = a.shape[1]
+        return _vertex_norms(lambda pos, w: _dual_norms(src.take(pos), w),
+                             np.swapaxes(a, 1, 2), np.eye(m) if q == math.inf else _sign_vectors(m))
     return _power_norms(src, q, None if q is not None else tgt.mats, a)
 
 
-def _dual_extreme_norms(src: _FiberGroup, a: np.ndarray, q: float) -> np.ndarray:
-    """max of X*(A^T s) over the extreme points s of the lq* unit ball, per matrix.
+def _vertex_norms(values: Callable, a: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """max over the rows s of ``vertices`` of values(i, a[i] @ s), per matrix a[i].
 
-    That is |A|_{X -> lq} for q = infinity (s the unit vectors, A^T s the
-    rows of A) and q = 1 (s the sign vectors, in chunks of at most 2^12
-    rows), X* the dual norm of member i of src.
+    ``values(pos, y)`` is the norm of row y[j] under member pos[j] of a
+    fiber group.  A norm of a linear image is convex, so its maximum over a
+    polytope is taken at a vertex; the vertices are the unit vectors (l1
+    balls, up to sign) or the sign vectors (l-infinity balls, up to sign).
+    ``_operator_norms`` maximises target norms of A s over the source ball
+    (l1 and l-infinity sources) and source dual norms of A^T s over the
+    ball dual to the target (l-infinity and l1 targets).  The images come
+    from ``np.matmul``, one matrix at a time, in chunks of at most 2^12
+    images (one vertex per matrix when the stack is larger).
     """
-    k, m, d = a.shape
-    ext = np.eye(m) if q == math.inf else _sign_vectors(m)
+    k, m = a.shape[:2]
     step = max(1, 2 ** 12 // k)
     best = np.zeros(k)
-    for c in range(0, ext.shape[0], step):
-        chunk = ext[c:c + step]
-        rows = _matmul_rows(chunk[None], a).reshape(-1, d)
-        each = _dual_norms(src.take(np.repeat(np.arange(k), chunk.shape[0])), rows)
+    for c in range(0, vertices.shape[0], step):
+        chunk = vertices[c:c + step]
+        images = np.swapaxes(a @ chunk.T, 1, 2).reshape(-1, m)
+        each = values(np.repeat(np.arange(k), chunk.shape[0]), images)
         best = np.maximum(best, each.reshape(k, -1).max(axis=1))
     return best
 

@@ -32,7 +32,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .order import FinitePartition, Idempotent
-from .spaces import _TINY, FiniteFStructure, Fn, _require
+from .spaces import FiniteFStructure, Fn, _lp_rows, _require, _rescaled_rows
 
 #: Relative singular-value cutoff for every rank decision in the package.
 RANK_RTOL = 1e-9
@@ -41,7 +41,7 @@ RANK_RTOL = 1e-9
 def _svd_ranks(s: np.ndarray) -> np.ndarray:
     """The package's rank rule on singular values (descending along the last
     axis): how many exceed RANK_RTOL * (largest sigma or 1)."""
-    return np.sum(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
+    return np.add.reduce(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
 def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
@@ -136,32 +136,6 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 # so a value has the same bits whether it is computed alone or in a group
 # (numpy's array and scalar powers can differ in the last bit).
 
-def _lp_rows(p: float, x: np.ndarray) -> np.ndarray:
-    """The lp norm of every row of x.
-
-    As in ``spaces.lp_norm``, a row whose power sum underflows (to 0 or a
-    subnormal) or overflows while its largest entry is nonzero and finite
-    is recomputed scaled by that entry; rows in range keep their bits.
-    """
-    if x.shape[1] == 0:
-        return np.zeros(x.shape[0])
-    a = np.abs(x)
-    if p == math.inf:
-        return np.maximum.reduce(a, axis=1)
-    if p == 1.0:
-        return np.add.reduce(a, axis=1)
-    with np.errstate(over="ignore", under="ignore"):
-        sums = np.add.reduce(a ** p, axis=1)
-        out = sums ** (1.0 / p)
-        bad = ~((sums >= _TINY) & (sums < math.inf))
-        if bad.any():
-            top = np.maximum.reduce(a, axis=1)
-            redo = np.flatnonzero(bad & (top > 0.0) & (top < math.inf))
-            scaled = a[redo] / top[redo, None]
-            out[redo] = top[redo] * np.add.reduce(scaled ** p, axis=1) ** (1.0 / p)
-    return out
-
-
 def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     """mats[i] @ x[i] for every i.
 
@@ -179,8 +153,11 @@ def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _gram_rows(grams: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sqrt(x[i]^T G[i] x[i]) for every i."""
-    return np.sqrt(np.maximum(np.add.reduce(x * _matvec_rows(grams, x), axis=1), 0.0))
+    """sqrt(x[i]^T G[i] x[i]) for every i, under the range guard of ``_lp_rows``."""
+    def sums_of(idx, rows: np.ndarray) -> np.ndarray:
+        return np.add.reduce(rows * _matvec_rows(grams[idx], rows), axis=1)
+
+    return _rescaled_rows(x, sums_of, lambda s: np.sqrt(np.maximum(s, 0.0)))
 
 
 def _image_rows(p: float, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -829,14 +806,16 @@ class Submodule:
             fixed.append(arr)
         object.__setattr__(self, "bases", tuple(fixed))
 
-    def contains(self, v: ModuleElement, tol: float = 1e-9) -> bool:
+    def contains(self, v: ModuleElement) -> bool:
+        """True iff every fiber vector lies in the span of its basis rows, to
+        1e-9 (relative to max(1, max |vector|) where the basis is not empty)."""
         for vec, b in zip(v.vectors, self.bases):
             if b.shape[0] == 0:
-                if np.any(np.abs(vec) > tol):
+                if np.any(np.abs(vec) > 1e-9):
                     return False
                 continue
             coeff, *_ = np.linalg.lstsq(b.T, vec, rcond=None)
-            if np.any(np.abs(b.T @ coeff - vec) > tol * max(1.0, float(np.abs(vec).max()))):
+            if np.any(np.abs(b.T @ coeff - vec) > 1e-9 * max(1.0, float(np.abs(vec).max()))):
                 return False
         return True
 
@@ -867,12 +846,6 @@ def _lp_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _sqrtm_spd(g: np.ndarray) -> np.ndarray:
-    """The square root of a symmetric positive semidefinite matrix or stack."""
-    w, q = np.linalg.eigh(g)
-    return (q * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ np.swapaxes(q, -1, -2)
-
-
 def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.ndarray | None:
     """The gram matrix of a euclidean fiber norm (l2, gram, image-l2), else None.
 
@@ -889,53 +862,75 @@ def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.nd
     return None
 
 
-#: One gauge-over-a-subspace problem: (norm, rows, e), see ``_extension_values``.
-_GaugeProblem = tuple[FiberNorm, np.ndarray, np.ndarray]
+def _lp_factor(norm: FiberNorm) -> tuple[float, np.ndarray | None]:
+    """The fiber norm as x -> |M x|_p: (p, M), M None for an lp norm, A for
+    an image-lp norm |A x|_p and, for a gram norm, the Cholesky factor L^T
+    of G = L L^T (|L^T x|_2^2 = x^T G x; a quarter of the cost of G^(1/2)
+    by ``eigh``).  The one place a fiber norm becomes lp coordinates."""
+    if isinstance(norm, LpNorm):
+        return norm.p, None
+    if isinstance(norm, ImageLpNorm):
+        return norm.p, norm.matrix
+    return 2.0, np.linalg.cholesky(norm.gram).T
 
 
-def _extension_values(problems: Sequence[_GaugeProblem]) -> tuple[np.ndarray, list]:
+def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
+                      ) -> tuple[np.ndarray, list[np.ndarray]]:
     """min over t of norm(e + rows^T t) and a minimiser, per problem (norm, rows, e).
 
     The one kernel for "minimise a gauge over an affine subspace": a
     quotient norm is the distance from e to the span of the rows, and the
     domination test of ``hahn_banach_extend`` (like the dual norm of an
     image-lp fiber) is the lq distance from a particular solution to a null
-    space.  An image-lp gauge |A x|_p is the lp gauge of rows @ A^T and
-    A e.  Polyhedral gauges (p = 1 or infinity) share one block-diagonal
-    linear program in primal form, euclidean ones (l2, image-l2, gram) use
-    a closed form, and the other lp gauges share one ``_lp_gauge_values``
-    solve per exponent and shape, on rows made orthonormal.  Returns the
-    values and, per problem on an lp or image-lp gauge with p != 2, a
-    minimiser y = e + rows^T t in the lp coordinates (A (e + rows^T t) on
-    an image-lp gauge), else None.
+    space.  In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, the
+    problem is the lp gauge of rows @ M^T and M e, which ``_lp_gauges``
+    solves; for 1 < p < infinity the rows are first replaced by an
+    orthonormal basis of their span, cut by the package's rank rule
+    (``row_space_basis``).  Returns the values and, per problem, a
+    minimiser y = M (e + rows^T t) in the lp coordinates.
+    """
+    lp = []
+    for norm, rows, e in problems:
+        p, m = _lp_factor(norm)
+        if m is not None:
+            rows, e = rows @ m.T, m @ e
+        if p not in (1.0, math.inf) and e.any():
+            rows = row_space_basis(rows)
+        lp.append((p, rows, e))
+    return _lp_gauges(lp)
+
+
+def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """min over t of |e + rows^T t|_p and a minimiser y = e + rows^T t, per
+    problem (p, rows, e), the rows orthonormal unless p is 1 or infinity.
+
+    Polyhedral gauges (p = 1 or infinity) share one block-diagonal linear
+    program in primal form; euclidean ones take the least-squares step
+    y = e - rows^T rows e in closed form, one problem at a time; the other
+    lp gauges share one ``_lp_gauge_values`` solve per exponent and shape.
     """
     out = np.zeros(len(problems))
     points: list = [None] * len(problems)
     poly: list[int] = []
     blocks = []
     smooth: dict[tuple, list[int]] = {}
-    for i, (norm, rows, e) in enumerate(problems):
-        if not isinstance(norm, (LpNorm, ImageLpNorm)) or norm.p == 2.0:
-            if e.any():
-                s = _sqrtm_spd(_as_gram(norm, rows.shape[1]))
-                out[i] = _ball_dual_program(rows @ s, s @ e)
-            continue
-        if isinstance(norm, ImageLpNorm):
-            rows, e = rows @ norm.matrix.T, norm.matrix @ e
+    for i, (p, rows, e) in enumerate(problems):
         if not e.any():
             points[i] = np.zeros(e.size)
-        elif norm.p in (1.0, math.inf):
+        elif p in (1.0, math.inf):
             poly.append(i)
-            blocks.append((rows, e, norm.p))
+            blocks.append((rows, e, p))
+        elif p == 2.0:
+            points[i] = y = e - rows.T @ (rows @ e)
+            out[i] = _lp_rows(2.0, y[None])[0]
         else:
-            rows = row_space_basis(rows)
-            smooth.setdefault((norm.p, *rows.shape), []).append(i)
-            points[i] = (rows, e)
+            smooth.setdefault((p, *rows.shape), []).append(i)
     if blocks:
         for i, (_, _, p), y in zip(poly, blocks, _polyhedral_programs(blocks)):
             out[i], points[i] = _lp_rows(p, y[None])[0], y
     for (p, *_), members in smooth.items():
-        rows, e = (np.array(part) for part in zip(*(points[i] for i in members)))
+        rows, e = (np.array(part) for part in zip(*(problems[i][1:] for i in members)))
         out[members], ys, _ = _lp_gauge_values(p, rows, e)
         for i, y in zip(members, ys):
             points[i] = y
@@ -1006,20 +1001,6 @@ def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
     if not res.success:
         raise SolverFailed(f"{what} linear program failed: {res.message}")
     return res.x
-
-
-def _ball_dual_program(a: np.ndarray, c: np.ndarray) -> float:
-    """max of u.c over a @ u = 0 and |u|_2 <= 1, in closed form: the length
-    of the projection of c onto the null space of a.
-
-    A gram gauge G is whitened first, a = rows G^(1/2) and c = G^(1/2) e,
-    so the value is the gram distance from e to the span of the rows.
-    """
-    if a.shape[0] == 0:
-        return float(np.linalg.norm(c))
-    _, sv, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * sv[0])) if sv.size else 0
-    return float(np.linalg.norm(vh[rank:] @ c))
 
 
 #: Largest gap, relative to max(|e|_p, |y|_p), between the primal value

@@ -259,14 +259,55 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _pow_rows(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e entry by entry with the scalar (libm) pow.
-
-    numpy's array pow takes other routes (SIMD, sqrt, square) that can
-    differ from the scalar pow in the last place; going through the scalar
-    pow makes each row of a batch equal its single-function computation bit
-    for bit.
-    """
+    """x ** e entry by entry with the scalar (libm) pow, as a sequential
+    loop over Python floats would compute it."""
     return np.array([t ** e for t in x.tolist()])
+
+
+def _rescaled_rows(a: np.ndarray, sums_of: Callable, root: Callable) -> np.ndarray:
+    """root(sums_of(all, a)) per row of a, guarded against the double range.
+
+    ``sums_of(idx, rows)`` is the sum (a power sum, or x^T G x) of the rows
+    ``rows`` of members ``idx`` (a slice or a mask), and root(sums_of(.)) must be absolutely
+    homogeneous of degree 1.  A row whose sum underflows (to 0 or a
+    subnormal), overflows or is NaN while its largest |entry| is nonzero
+    and finite is recomputed from the row scaled by that entry; rows in
+    range keep their bits.  This is the one range guard of the package.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sums = sums_of(slice(None), a)
+        out = root(sums)
+        lo, hi = np.minimum.reduce(sums, initial=math.inf), np.maximum.reduce(sums, initial=0.0)
+        if not (lo >= _TINY and hi < math.inf):  # one test for the stack; NaN fails it
+            top = np.maximum.reduce(np.abs(a), axis=1, initial=0.0)
+            bad = ~((sums >= _TINY) & (sums < math.inf)) & (top > 0.0) & (top < math.inf)
+            out[bad] = top[bad] * root(sums_of(bad, a[bad] / top[bad, None]))
+    return out
+
+
+def _lp_rows(p: float, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """(Σ_j |x_ij|^p w_j)^{1/p} for every row i of x, w the weights (all 1
+    when None); max_j |x_ij| for p = inf.
+
+    The one lp reduction of the package: V-distances, fiber norms and
+    matrix-realized seminorms all run it.  Sums leaving the double range
+    are handled by ``_rescaled_rows``.  Each row is reduced on its own, so
+    its value does not depend on the other rows.
+    """
+    if x.shape[1] == 0:
+        return np.zeros(x.shape[0])
+    a = np.abs(x)
+    if p == math.inf:
+        return np.maximum.reduce(a, axis=1)
+    if p == 1.0 and weights is None:
+        # A sum of |x_ij| leaves the double range only where the norm does.
+        return np.add.reduce(a, axis=1)
+
+    def sums_of(_, rows: np.ndarray) -> np.ndarray:
+        powers = rows if p == 1.0 else rows ** p
+        return np.add.reduce(powers if weights is None else powers * weights, axis=1)
+
+    return _rescaled_rows(a, sums_of, (lambda s: s) if p == 1.0 else (lambda s: s ** (1.0 / p)))
 
 
 def lp_norm(f: Fn, p: float) -> Any:
@@ -274,35 +315,15 @@ def lp_norm(f: Fn, p: float) -> Any:
 
     Reduces over the atoms like :meth:`Fn.deviation`: a Python float for one
     function, an array of shape ``(S,)`` for a batch, and each row of a
-    batch equals its single-function call bit for bit.  The outer 1/p-th
-    root keeps positive homogeneity, which the module axioms rely on.  A
-    row whose power sum underflows (to 0 or a subnormal) or overflows while
-    its largest entry is nonzero and finite is recomputed scaled by that
-    entry; rows in range keep their bits.
+    batch equals its single-function call bit for bit (``_lp_rows``).  The
+    outer 1/p-th root keeps positive homogeneity, which the module axioms
+    rely on.
     """
     if p != math.inf and (not p >= 1.0 or math.isnan(p)):
         raise InvalidExponent(f"p must lie in [1, inf], got {p!r}")
-    a = np.abs(f.values)
-    if p == math.inf:
-        return f._reduced(a.max(axis=-1))
-
-    def sums_of(rows):
-        return ((rows if p == 1.0 else rows ** p) * f.space.mu).sum(axis=-1)
-
-    def root(sums):
-        return sums if p == 1.0 else _pow_rows(sums, 1.0 / p)
-
-    rows = a.reshape(-1, a.shape[-1])
-    with np.errstate(over="ignore", under="ignore"):
-        sums = sums_of(rows)
-    out = root(sums)
-    in_range = [_TINY <= t < math.inf for t in sums.tolist()]
-    if not all(in_range):
-        top = rows.max(axis=-1)
-        redo = ~np.array(in_range) & (top > 0.0) & (top < math.inf)
-        with np.errstate(over="ignore", under="ignore"):
-            out[redo] = top[redo] * root(sums_of(rows[redo] / top[redo, None]))
-    return float(out[0]) if a.ndim == 1 else out
+    x = f.values
+    out = _lp_rows(p, x.reshape(-1, x.shape[-1]), f.space.mu)
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def l0_distance(f: Fn, g: Fn, truncation: Callable[[np.ndarray], np.ndarray] | None = None) -> Any:

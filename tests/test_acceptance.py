@@ -588,7 +588,7 @@ def test_criterion_08_bidual_embedding():
                 assert np.allclose(x, y, atol=1e-9)
 
     h = HilbertModule(gram_module(structure, [random_spd(rng, d) for d in (2, 3, 1)]))
-    assert hilbert_reflexivity_check(h, tol=1e-10)
+    assert hilbert_reflexivity_check(h)
     done(8, "bidual embedding isometric at 1e-9 with surjectivity witnesses "
             "on five module kinds, Hilbert J matches the composed Riesz "
             "maps at 1e-10")

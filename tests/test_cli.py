@@ -283,6 +283,14 @@ def test_report_never_prints_nan(capsys):
     assert "NaN" not in json.dumps(err)
 
 
+@pytest.mark.parametrize("fn,path", [("[NaN, 1]", "$.fn[0]"), ("[0, Infinity]", "$.fn[1]"),
+                                     ("[-Infinity, 1]", "$.fn[0]")])
+def test_non_finite_fn_values_are_refused_at_their_entry(capsys, fn, path):
+    err = cli_error(capsys, "cotangent", "--graph", str(DATA / "path2.json"),
+                    "--p", "2", "--fn", fn, path=path)
+    assert "finite" in err["message"]
+
+
 @pytest.mark.parametrize("key,value", [
     ("functional", []),
     ("functional", [[1.0], [0.0]]),

@@ -215,6 +215,18 @@ def test_generated_norm_reproduces_psi():
             assert lhs.deviation(rhs) <= 1e-9 * max(1.0, rhs.sup_abs)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_generated_norm_reproduces_psi_out_of_the_power_range(p, scale):
+    # |v|_p at atom 0 has a power sum outside the double range; psi and the
+    # fiber norm both rescale it.  Atom 1's row is rank 0 by RANK_RTOL.
+    gen = generate_module(seminorm_family([np.eye(2), [[1e-200, 0.0]]], p=p), make_structure(2))
+    v = scale * np.ones(2)
+    psi = gen.psi.evaluate(v).values[0]
+    assert math.isclose(psi, scale * 2.0 ** (1.0 / p), rel_tol=1e-12)
+    assert math.isclose(pointwise_norm(gen.generator_map(v)).values[0], psi, rel_tol=1e-12)
+
+
 def test_generator_images_span_every_fiber():
     rng = np.random.default_rng(157)
     structure, gen = cotangent_module(random_graph(rng), 2.0)

@@ -389,6 +389,27 @@ def test_power_method_value_does_not_depend_on_the_group():
             assert one_atom_hom_norm(m, src_norm, tgt_norm) == grouped[a], (src_norm, a)
 
 
+def test_vertex_maximum_value_does_not_depend_on_the_group():
+    # The vertex closed forms: l1 and l-infinity sources (target norms of
+    # A s over the source ball's vertices), l-infinity and l1 targets
+    # (source dual norms of A^T s over the dual ball's vertices).
+    rng = np.random.default_rng(233)
+    pairs = [(LpNorm(1.0), LpNorm(3.0)), (LpNorm(1.0), GramNorm(random_spd(rng, 4))),
+             (LpNorm(math.inf), LpNorm(3.0)), (LpNorm(math.inf), GramNorm(random_spd(rng, 4))),
+             (LpNorm(math.inf), ImageLpNorm(rng.standard_normal((5, 4)), 2.0)),
+             (LpNorm(3.0), LpNorm(math.inf)), (GramNorm(random_spd(rng, 4)), LpNorm(math.inf)),
+             (LpNorm(3.0), LpNorm(1.0)), (GramNorm(random_spd(rng, 4)), LpNorm(1.0)),
+             (LpNorm(2.0), ImageLpNorm(rng.standard_normal((5, 4)), 1.0))]
+    structure = make_structure(50)
+    for src_norm, tgt_norm in pairs:
+        mats = [rng.standard_normal((4, 4)) for _ in range(50)]
+        src = FiberModule(structure, (Fiber(4, src_norm),) * 50)
+        tgt = FiberModule(structure, (Fiber(4, tgt_norm),) * 50)
+        grouped = hom_norm(HomElement(mats, src, tgt)).values
+        for a, m in enumerate(mats):
+            assert one_atom_hom_norm(m, src_norm, tgt_norm) == grouped[a], (src_norm, tgt_norm, a)
+
+
 def test_power_method_on_two_hundred_atoms_is_fast():
     rng = np.random.default_rng(229)
     structure = make_structure(200)

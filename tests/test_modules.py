@@ -594,6 +594,19 @@ def test_quotient_norm_zero_iff_membership():
         assert quotient_norm(outside, n).values[0] > 1e-6
 
 
+def test_quotient_norm_cuts_a_nearly_dependent_span_by_one_rank_rule():
+    # (0, 1) modulo span{(1, 0), (1, 1e-10)}: RANK_RTOL counts the span as
+    # one-dimensional on every fiber kind, so each distance is 1.
+    image = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    norms = [LpNorm(1.0), LpNorm(2.0), LpNorm(3.0), LpNorm(math.inf),
+             GramNorm(np.diag([2.0, 1.0])), ImageLpNorm(image, 2.0), ImageLpNorm(image, 3.0)]
+    basis = np.array([[1.0, 0.0], [1.0, 1e-10]])
+    for norm in norms:
+        m = FiberModule(make_structure(1), (Fiber(2, norm),))
+        q = quotient_norm(ModuleElement([[0.0, 1.0]], m), Submodule(m, (basis,))).values[0]
+        assert abs(q - 1.0) <= 1e-12, norm
+
+
 def brute_quotient(norm, vec, basis, radius, steps, stages=3):
     """Progressively refined coefficient grid; exact enough since the
     objective is convex, so the coarse argmin localizes the true one."""
