@@ -10,8 +10,8 @@ Hahn-Banach extension is one solve of min { dual norm : restriction = f }
 on every atom, whose value decides domination and whose minimiser is the
 extension.  It and the dual norms of image-lp fibers run the batched lp
 gauge kernel of ``modules`` (``_lp_gauges``) in the lp coordinates of
-``_lp_factor``: one linear program in primal form per call for the
-polyhedral gauges, a closed form for euclidean ones, one stacked
+``_lp_factor``: one call of the certified simplex ``_polyhedral_gauges``
+for the polyhedral gauges, a closed form for euclidean ones, one stacked
 damped-Newton solve with a certified duality gap for the other lp
 gauges."""
 
@@ -52,7 +52,6 @@ from .modules import (
     _lp_conjugate,
     _lp_factor,
     _lp_gauges,
-    _linear_program,
     _lp_rows,
     _matmul_rows,
     _matvec_rows,
@@ -378,10 +377,12 @@ def _dual_norms(src: _FiberGroup, rows: np.ndarray) -> np.ndarray:
 
 
 def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
-                    ) -> tuple[np.ndarray, list[tuple[np.ndarray, float] | None]]:
+                    ) -> tuple[np.ndarray, list[tuple[np.ndarray, float, np.ndarray] | None]]:
     """min { dual_norm(w) : rows @ w = r } per problem (norm, rows, r),
-    infinite when no w reaches r, and per finite problem a minimiser w with
-    a certified bound on its dual norm.
+    infinite when no w reaches r, and per finite problem a minimiser w, a
+    certified bound on its dual norm and a certificate x: a vector of the
+    span of the rows with norm(x) <= 1, so w.x, the same for every w that
+    restricts to r, is a lower bound on the minimum.
 
     In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, so
     dual_norm(w) = min { |u|_q : M^T u = w } with q the conjugate exponent
@@ -391,10 +392,13 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     null space counts as zero is never inverted into u0.  The minimiser is
     the lq nearest point to 0 of u0 plus the null space of rows M^T, whose
     basis from the SVD is orthonormal: ``_lp_gauges``, one call for all
-    problems.  The bound is |u|_q.
+    problems.  The bound is |u|_q.  The gauge's dual point v lies in the
+    row space of rows M^T and has |v|_p <= 1; x = rows^T l for the l with
+    M rows^T l = v, so M x = v and w.x = u.v = u0.v, the gauge's dual
+    value.  With rows = I, x is a maximiser of r.x over norm(x) <= 1.
     """
     out = np.full(len(problems), math.inf)
-    found: list[tuple[np.ndarray, float] | None] = [None] * len(problems)
+    found: list[tuple[np.ndarray, float, np.ndarray] | None] = [None] * len(problems)
     live: list[int] = []
     factors = []
     dual = []
@@ -408,12 +412,12 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
             continue
         q = _lp_conjugate(p)
         live.append(i)
-        factors.append((m, q))
+        factors.append((m, q, rows.T @ u[:, :rank], sv[:rank], vt[:rank]))
         dual.append((q, vt[rank:], u0))
     if dual:
-        out[live], points = _lp_gauges(dual)
-        for i, (m, q), y in zip(live, factors, points):
-            found[i] = (y if m is None else m.T @ y, _lp_rows(q, y[None])[0])
+        out[live], points, duals = _lp_gauges(dual)
+        for i, (m, q, ru, sv, vt), y, v in zip(live, factors, points, duals):
+            found[i] = (y if m is None else m.T @ y, _lp_rows(q, y[None])[0], ru @ (vt @ v / sv))
     return out, found
 
 
@@ -545,8 +549,10 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
     src, up to a positive factor (g[i] != 0).
 
     Closed forms for lp sources (the vector norming g in the conjugate
-    exponent) and euclidean ones (G^-1 g); image-lp balls |B x|_p <= 1 go
-    to ``_image_vertices`` (p in {1, infinity}) or ``_image_newton``.
+    exponent) and euclidean ones (G^-1 g); on image-lp balls |B x|_p <= 1
+    the certificate of the dual norm of g from ``_min_dual_norms`` (p in
+    {1, infinity}: the simplex's dual point v = B x, so x = B^+ v) or
+    ``_image_newton``.
     """
     if isinstance(src.proto, LpNorm):
         q = _lp_conjugate(src.proto.p)
@@ -556,29 +562,10 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram, g[..., None])[..., 0]
     if src.proto.p not in (1.0, math.inf):
         return _image_newton(src.mats, src.proto.p, g)
-    return _image_vertices(src.mats, src.proto.p, g)
-
-
-def _image_vertices(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
-    """Per row i, an optimal vertex of max g[i].x over |B[i] x|_p <= 1
-    (p in {1, infinity}), all rows as the blocks of one linear program."""
-    k, m, d = b.shape
-    if p == math.inf:   # -1 <= B x <= 1
-        blocks, lo = b, np.full((k, d), -math.inf)
-        b_lo, b_hi = -np.ones((k, m)), np.ones((k, m))
-    else:   # slacks s >= |B x| with sum s <= 1
-        eye = np.broadcast_to(-np.eye(m), (k, m, m))
-        blocks = np.block([[b, eye], [-b, eye], [np.zeros((k, 1, d)), np.ones((k, 1, m))]])
-        lo = np.hstack([np.full((k, d), -math.inf), np.zeros((k, m))])
-        b_lo = np.full((k, 2 * m + 1), -math.inf)
-        b_hi = np.hstack([np.zeros((k, 2 * m)), np.ones((k, 1))])
-    cost = np.zeros(lo.shape)
-    cost[:, :d] = -g
-    i, row, col = np.nonzero(blocks)
-    a = (blocks[i, row, col], (row + i * blocks.shape[1], col + i * blocks.shape[2]))
-    x = _linear_program(cost.ravel(), lo.ravel(), np.full(lo.size, math.inf), a,
-                        b_lo.ravel(), b_hi.ravel(), "operator-norm")
-    return x.reshape(k, -1)[:, :d]
+    _, found = _min_dual_norms([(norm, np.eye(src.dim), row) for norm, row in zip(src.norms, g)])
+    if any(f is None for f in found):   # B is not injective
+        raise SolverFailed("operator-norm program: an image-lp unit ball is unbounded")
+    return np.array([x for _, _, x in found])
 
 
 def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
@@ -710,12 +697,14 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
     interpolation): it restricts to f, and its dual norm, the need, is at
     most the gauge.  So the tie-break is the minimum-dual-norm extension,
     unique on euclidean fibers and on lp fibers with 1 < p < infinity; on
-    l1 and l-infinity gauges (plain or image) it is an optimal vertex of the
-    primal linear program, so extending f(e1) = 1 from span{e1} in a
-    two-dimensional l1 fiber under gauge 1 gives (1, 1).  Atoms without
-    basis rows get the zero functional.  Polyhedral gauges cost one linear
-    program (one HiGHS call) for all atoms, the other lp gauges one stacked
-    Newton solve per exponent and shape, euclidean ones a closed form.
+    l1 and l-infinity gauges (plain or image) it is the optimal vertex that
+    the simplex of ``_polyhedral_gauges`` reaches by Bland's rule from the
+    least-norm particular solution, which it keeps when no pivot improves
+    on it: extending f(e1) = 1 from span{e1} in a two-dimensional l1 fiber
+    under gauge 1 gives (1, 0).  Atoms without basis rows get the zero
+    functional.  Polyhedral gauges cost one simplex call for all atoms, the
+    other lp gauges one stacked Newton solve per exponent and shape,
+    euclidean ones a closed form.
     Every answer is checked: a restriction residual above 1e-9 (relative)
     or a dual-norm bound above gauge(a) * (1 + 1e-9) raises SolverFailed
     instead of returning a wrong extension.  Errors come in atom order: a
@@ -747,7 +736,7 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
                 f"atom {a}: functional exceeds the gauge on the submodule"
                 f" (it needs a gauge of at least {need:.6g}, got {gauges[a]:.6g})"
             )
-        w, bound = ext
+        w, bound, _ = ext
         b, r = given[a]
         residual = float(np.abs(b @ w - r).max())
         if residual > 1e-9 * max(1.0, float(np.abs(r).max())) or bound > gauges[a] * (1.0 + 1e-9):

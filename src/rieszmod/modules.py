@@ -884,123 +884,189 @@ def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray
     image-lp fiber) is the lq distance from a particular solution to a null
     space.  In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, the
     problem is the lp gauge of rows @ M^T and M e, which ``_lp_gauges``
-    solves; for 1 < p < infinity the rows are first replaced by an
-    orthonormal basis of their span, cut by the package's rank rule
-    (``row_space_basis``).  Returns the values and, per problem, a
-    minimiser y = M (e + rows^T t) in the lp coordinates.
+    solves once the rows are replaced by an orthonormal basis of their span,
+    cut by the package's rank rule (``row_space_basis``) for every exponent.
+    Returns the values and, per problem, a minimiser y = M (e + rows^T t) in
+    the lp coordinates.
     """
     lp = []
     for norm, rows, e in problems:
         p, m = _lp_factor(norm)
         if m is not None:
             rows, e = rows @ m.T, m @ e
-        if p not in (1.0, math.inf) and e.any():
+        if e.any():
             rows = row_space_basis(rows)
         lp.append((p, rows, e))
-    return _lp_gauges(lp)
+    return _lp_gauges(lp)[:2]
 
 
 def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]
-               ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """min over t of |e + rows^T t|_p and a minimiser y = e + rows^T t, per
-    problem (p, rows, e), the rows orthonormal unless p is 1 or infinity.
+               ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """min over t of |e + rows^T t|_p, a minimiser y = e + rows^T t and a
+    dual point w (rows @ w = 0, |w|_q <= 1 for the conjugate q, w.e the
+    value), per problem (p, rows, e), the rows orthonormal.
 
-    Polyhedral gauges (p = 1 or infinity) share one block-diagonal linear
-    program in primal form; euclidean ones take the least-squares step
-    y = e - rows^T rows e in closed form, one problem at a time; the other
-    lp gauges share one ``_lp_gauge_values`` solve per exponent and shape.
+    Polyhedral gauges (p = 1 or infinity) share one ``_polyhedral_gauges``
+    call; euclidean ones take the least-squares step y = e - rows^T rows e
+    and w = y / |y|_2 in closed form, one problem at a time; the other lp
+    gauges share one ``_lp_gauge_values`` solve per exponent and shape.
     """
     out = np.zeros(len(problems))
     points: list = [None] * len(problems)
+    duals: list = [None] * len(problems)
     poly: list[int] = []
-    blocks = []
     smooth: dict[tuple, list[int]] = {}
     for i, (p, rows, e) in enumerate(problems):
         if not e.any():
-            points[i] = np.zeros(e.size)
+            points[i] = duals[i] = np.zeros(e.size)
         elif p in (1.0, math.inf):
             poly.append(i)
-            blocks.append((rows, e, p))
         elif p == 2.0:
             points[i] = y = e - rows.T @ (rows @ e)
             out[i] = _lp_rows(2.0, y[None])[0]
+            duals[i] = y / out[i] if out[i] > 0.0 else np.zeros(e.size)
         else:
             smooth.setdefault((p, *rows.shape), []).append(i)
-    if blocks:
-        for i, (_, _, p), y in zip(poly, blocks, _polyhedral_programs(blocks)):
-            out[i], points[i] = _lp_rows(p, y[None])[0], y
+    if poly:
+        for i, answer in zip(poly, _polyhedral_gauges([problems[i] for i in poly])):
+            out[i], points[i], duals[i] = answer
     for (p, *_), members in smooth.items():
         rows, e = (np.array(part) for part in zip(*(problems[i][1:] for i in members)))
-        out[members], ys, _ = _lp_gauge_values(p, rows, e)
-        for i, y in zip(members, ys):
-            points[i] = y
-    return out, points
+        out[members], ys, ws = _lp_gauge_values(p, rows, e)
+        for i, y, w in zip(members, ys, ws):
+            points[i], duals[i] = y, w
+    return out, points, duals
 
 
-def _polyhedral_programs(blocks: Sequence[tuple]) -> list[np.ndarray]:
-    """Per block (rows, e, p), a minimiser y = e + rows^T t of |y|_p
-    (p in {1, infinity}), all blocks as one linear program.
+#: The simplex of ``_polyhedral_gauges``: at most ``_PIVOTS_PER_COLUMN``
+#: lockstep pivots per tableau column; entries up to ``_PIVOT_TOL`` are not
+#: pivots and reduced costs above -``_COST_TOL`` are not negative (the
+#: tableau starts with entries of at most 1 and costs 0 or 1); and the
+#: largest gap it certifies, relative to |e|_p.
+_PIVOTS_PER_COLUMN = 10
+_PIVOT_TOL = 1e-9
+_COST_TOL = 1e-12
+_SIMPLEX_GAP = 1e-10
 
-    Primal forms over t and nonnegative slacks, minimising the sum of the
-    slacks: for p = infinity one s with -s <= e + rows^T t <= s entry by
-    entry; for p = 1 the parts y+ and y- with e + rows^T t = y+ - y-
-    (three times faster in HiGHS than one s per entry on 2,000 atoms).
-    Every t is feasible, and y is read back from t, so it lies on the
-    affine subspace whatever the solver's tolerance.  The blocks share no
-    variable and no row, so an optimum of the whole is optimal on every
-    block.
+
+def _polyhedral_gauges(blocks: Sequence[tuple[float, np.ndarray, np.ndarray]]
+                       ) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Per block (p, rows, e), p in {1, infinity}, the rows orthonormal and
+    e != 0: (value, y, w) with y = e + rows^T t a minimiser of |y|_p, w a
+    dual point and value = w.e, certified.
+
+    The l1 and Chebyshev approximation problems (Barrodale & Roberts 1973;
+    Barrodale & Phillips 1975) as primal linear programs over t = t+ - t-
+    and nonnegative slacks, solved by a dense tableau simplex under Bland's
+    rule (Bland 1977), which cannot cycle: the entering column is the first
+    with a negative reduced cost, the leaving row the one of least ratio
+    whose basic column comes first.  Blocks of one (p, k, m) pivot in
+    lockstep, every update elementwise, so a block's bits do not depend on
+    the stack.  The start is t = 0, so a minimiser at t = 0 is kept when the
+    first optimal basis sits there.
+
+    y is read back from t, so it lies on the affine set; w is read from the
+    reduced costs of the slacks, projected onto the null space of the rows
+    and scaled into the dual unit ball, so w.e never exceeds the minimum.
+    SolverFailed is raised when |y|_p exceeds w.e by more than
+    ``_SIMPLEX_GAP`` |e|_p, or a block is not optimal within the pivot
+    budget.
     """
-    cost, b_lo, b_hi = [], [], []
-    at_row, at_col, entries = [], [], []
-    n_rows = n_cols = 0
-    for rows, e, p in blocks:
-        k, m = rows.shape
-        if p == 1.0:
-            mat = np.hstack([rows.T, -np.eye(m), np.eye(m)])
-            b_lo.append(-e)
-            b_hi.append(-e)
-        else:
-            one = np.ones((m, 1))
-            mat = np.block([[rows.T, -one], [rows.T, one]])
-            b_lo.append(np.concatenate([np.full(m, -math.inf), -e]))
-            b_hi.append(np.concatenate([-e, np.full(m, math.inf)]))
-        cost.append(np.concatenate([np.zeros(k), np.ones(mat.shape[1] - k)]))
-        i, j = np.nonzero(mat)
-        at_row.append(i + n_rows)
-        at_col.append(j + n_cols)
-        entries.append(mat[i, j])
-        n_rows += mat.shape[0]
-        n_cols += mat.shape[1]
-    c = np.concatenate(cost)
-    a = (np.concatenate(entries), (np.concatenate(at_row), np.concatenate(at_col)))
-    # t is free and the slacks nonnegative: the cost is 0 on t and 1 on a slack.
-    x = _linear_program(c, np.where(c > 0.0, 0.0, -math.inf), np.full(c.size, math.inf), a,
-                        np.concatenate(b_lo), np.concatenate(b_hi), "gauge")
-    starts = np.cumsum([0] + [part.size for part in cost])
-    return [e + x[start:start + rows.shape[0]] @ rows
-            for (rows, e, _), start in zip(blocks, starts)]
+    groups: dict[tuple, list[int]] = {}
+    for i, (p, rows, e) in enumerate(blocks):
+        groups.setdefault((p, *rows.shape), []).append(i)
+    out: list = [None] * len(blocks)
+    for (p, *_), members in groups.items():
+        r, e = (np.array(part) for part in zip(*(blocks[i][1:] for i in members)))
+        rt = np.swapaxes(r, 1, 2)
+        scale = np.maximum.reduce(np.abs(e), axis=1)
+        t, w = _simplex(p, rt, e / scale[:, None])
+        y = e + _matvec_rows(rt, t * scale[:, None])
+        w -= _matvec_rows(rt, _matvec_rows(r, w))
+        w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
+        value = np.add.reduce(w * e, axis=1)
+        n = _lp_rows(p, y)
+        bad = np.flatnonzero(n - value > _SIMPLEX_GAP * _lp_rows(p, e))
+        if bad.size:
+            raise SolverFailed(f"l{p:g} simplex: primal value {n[bad[0]]:.17g} exceeds the"
+                               f" dual value {value[bad[0]]:.17g} by more than {_SIMPLEX_GAP:g}")
+        for i, v, y_i, w_i in zip(members, value.tolist(), y, w):
+            out[i] = (v, y_i, w_i)
+    return out
 
 
-def _linear_program(c: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: Any,
-                    b_lo: np.ndarray, b_hi: np.ndarray, what: str) -> np.ndarray:
-    """A minimiser of c.x over lo <= x <= hi and b_lo <= A x <= b_hi.
+def _simplex(p: float, rt: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and the raw dual point w of min |e + rt t|_p per block (p in {1,
+    infinity}, rt a (n, m, k) stack, |e|_inf = 1), by ``_polyhedral_gauges``'s
+    simplex.
 
-    ``a`` is anything ``scipy.sparse.csc_array`` reads as A: a dense matrix
-    or (entries, (rows, columns)).  Every linear program of the package goes
-    through here, as one HiGHS call through ``scipy.optimize.milp`` without
-    integrality, which checks its input and options more cheaply than
-    ``linprog``.  The package's programs are always feasible and bounded,
-    so any failure raises SolverFailed.
+    The tableau holds the constraint rows, then the reduced costs; its
+    last column is the right-hand side.  Columns: t+, t-, then for p = 1
+    the parts u, v of e + rt t = u - v (cost 1 each, row i signed so that
+    the part of e_i's sign starts basic at |e_i|), for p = infinity the
+    bound s (cost 1) and the slacks of e + rt t <= s and -(e + rt t) <= s,
+    with s pivoted in on the tightest row first.  The dual point is
+    w = 1 - d_u for p = 1 and the reduced costs of the first slacks less
+    those of the second for p = infinity.
     """
-    # Imported here: scipy.optimize would double the package's import time.
-    from scipy.optimize import milp
-    from scipy.sparse import csc_array
+    n, m, k = rt.shape
+    eye = np.broadcast_to(np.eye(m), (n, m, m))
+    if p == 1.0:
+        sign = np.where(e >= 0.0, 1.0, -1.0)[:, :, None]
+        body = np.concatenate([-sign * rt, sign * rt, sign * eye, -sign * eye,
+                               np.abs(e)[:, :, None]], axis=2)
+        cost = np.concatenate([np.zeros(2 * k), np.ones(2 * m), [0.0]]) - np.add.reduce(body, axis=1)
+        basis = 2 * k + np.arange(m) + np.where(sign[:, :, 0] > 0.0, 0, m)
+    else:
+        ones, zero = np.ones((n, m, 1)), np.zeros((n, m, m))
+        body = np.concatenate([
+            np.concatenate([rt, -rt, -ones, eye, zero, -e[:, :, None]], axis=2),
+            np.concatenate([-rt, rt, -ones, zero, eye, e[:, :, None]], axis=2)], axis=1)
+        cost = np.zeros((n, body.shape[2]))
+        cost[:, 2 * k] = 1.0
+        basis = np.broadcast_to(2 * k + 1 + np.arange(2 * m), (n, 2 * m)).copy()
+    tab = np.concatenate([body, cost[:, None, :]], axis=1)
+    if p == math.inf:
+        _pivot(tab, basis, np.arange(n), np.argmin(tab[:, :-1, -1], axis=1), np.full(n, 2 * k))
+    act = np.arange(n)
+    budget = _PIVOTS_PER_COLUMN * (tab.shape[2] - 1)
+    for step in range(budget + 1):
+        neg = tab[act, -1, :-1] < -_COST_TOL
+        live = neg.any(axis=1)
+        act, neg = act[live], neg[live]
+        if act.size == 0:
+            break
+        if step == budget:
+            raise SolverFailed(f"l{p:g} simplex: {act.size} of {n} blocks not optimal after"
+                               f" {budget} pivots")
+        col = np.argmax(neg, axis=1)
+        entries = tab[act, :-1, col]
+        ok = entries > _PIVOT_TOL
+        if not ok.any(axis=1).all():
+            raise SolverFailed(f"l{p:g} simplex: an entering column has no pivot")
+        ratio = np.where(ok, tab[act, :-1, -1] / np.where(ok, entries, 1.0), math.inf)
+        tied = ratio == np.minimum.reduce(ratio, axis=1)[:, None]
+        _pivot(tab, basis, act, np.argmin(np.where(tied, basis[act], tab.shape[2]), axis=1), col)
+    x = np.zeros((n, tab.shape[2]))
+    np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
+    d = tab[:, -1, :-1]
+    if p == 1.0:
+        w = 1.0 - d[:, 2 * k:2 * k + m]
+    else:
+        w = d[:, 2 * k + 1:2 * k + 1 + m] - d[:, 2 * k + 1 + m:]
+    return x[:, :k] - x[:, k:2 * k], w
 
-    rows = (csc_array(a, shape=(b_lo.size, c.size)), b_lo, b_hi) if b_lo.size else None
-    res = milp(c, bounds=(lo, hi), constraints=rows)
-    if not res.success:
-        raise SolverFailed(f"{what} linear program failed: {res.message}")
-    return res.x
+
+def _pivot(tab: np.ndarray, basis: np.ndarray, blocks: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray) -> None:
+    """Pivot tableau blocks[i] on (rows[i], cols[i]), in place, elementwise."""
+    t = tab[blocks]
+    at = np.arange(blocks.size)
+    prow = t[at, rows] / t[at, rows, cols][:, None]
+    t -= t[at, :, cols][:, :, None] * prow[:, None, :]
+    t[at, rows] = prow
+    tab[blocks] = t
+    basis[blocks, rows] = cols
 
 
 #: Largest gap, relative to max(|e|_p, |y|_p), between the primal value

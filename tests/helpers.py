@@ -179,9 +179,8 @@ def count_calls(monkeypatch, owner, name):
     """Count calls of ``owner.name`` from here on, in a one-entry list.
 
     The library looks its numpy functions up as attributes on each call
-    (``np.linalg.svd``, ``np.linalg.eigvalsh``, ``np.eye``) and imports
-    ``scipy.optimize.milp`` on each call, so patching the attribute sees
-    every call.
+    (``np.linalg.svd``, ``np.linalg.eigvalsh``, ``np.eye``) and its own
+    kernels as module globals, so patching the attribute sees every call.
     """
     calls = [0]
     real = getattr(owner, name)
@@ -195,11 +194,12 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_solver_calls(monkeypatch):
-    """Count the library's HiGHS calls: every linear program of the library
-    goes through ``scipy.optimize.milp``."""
-    import scipy.optimize
+    """Count the library's linear-program solves: every l1 and l-infinity
+    program of the library goes through one call of the simplex kernel
+    ``modules._polyhedral_gauges``."""
+    from rieszmod import modules
 
-    return count_calls(monkeypatch, scipy.optimize, "milp")
+    return count_calls(monkeypatch, modules, "_polyhedral_gauges")
 
 
 def count_svd_calls(monkeypatch):

@@ -189,7 +189,8 @@ def test_pushforward_sample_draw_is_the_per_fiber_stream():
 def test_hahn_banach_command(capsys, tmp_path, lp):
     # The functional has dual norm exactly the gauge, so for 1 < p < inf its
     # only dominated extension is (1, 0); at p = 1 the least-norm extensions
-    # are (1, s) with |s| <= 1, and the linear program's vertex is (1, 1).
+    # are (1, s) with |s| <= 1, and the simplex keeps its start, the
+    # least-norm particular solution (1, 0), which is already optimal.
     problem = json.loads((DATA / "hb_problem.json").read_text())
     problem["module"]["fibers"][0]["norm"] = {"lp": lp}
     path = tmp_path / "problem.json"
@@ -198,7 +199,7 @@ def test_hahn_banach_command(capsys, tmp_path, lp):
     assert code == 0
     report = json.loads(out)
     (row,) = report["extension"]
-    assert row == ([1.0, 1.0] if lp == 1.0 else [1.0, 0.0])
+    assert row == [1.0, 0.0]
     assert dual_vector_norm(LpNorm(lp), np.array(row)) <= 1.0 + 1e-9
     assert report["restriction_values"] == [[1.0]]
 
@@ -415,13 +416,28 @@ def test_nested_hahn_banach_gauge_is_a_space_mismatch(capsys, tmp_path):
     assert err["message"] == f"expected {n} values, got shape (1, {n})"
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported on the first linear program only.
+def test_run_path_leaves_scipy_optimize_and_sparse_unloaded():
+    # Importing the CLI, a hahn-banach run on an l1 fiber and an l1
+    # quotient norm solve their linear programs without scipy.
     src = pathlib.Path(rieszmod.__file__).resolve().parent.parent
-    code = "import sys, rieszmod.cli; print('scipy.optimize' in sys.modules)"
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import numpy as np",
+        "from rieszmod import LpNorm, ModuleElement, Submodule, quotient_norm",
+        "from rieszmod.cli import main",
+        "from rieszmod.modules import Fiber, FiberModule",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main(['hahn-banach', '--problem', {str(DATA / 'hb_problem.json')!r}]) == 0",
+        "m = FiberModule.from_json({'structure': {'U': 'Linf', 'V': 'Linf', 'space': {",
+        "    'atoms': ['x'], 'weights': [1.0]}}, 'fibers': [{'dim': 3, 'norm': {'lp': 1.0}}]})",
+        "q = quotient_norm(ModuleElement([[1.0, -2.0, 0.5]], m),",
+        "                  Submodule(m, (np.array([[1.0, 0.0, 0.0]]),)))",
+        "assert q.values[0] == 2.5",
+        "print(sorted(k for k in ('scipy.optimize', 'scipy.sparse') if k in sys.modules))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("dim", [2.7, True, "2"])

@@ -691,9 +691,9 @@ def test_extension_runs_one_program(monkeypatch):
 def test_extension_of_200_l1_atoms_matches_one_atom_extensions(monkeypatch):
     # 200 l1 atoms, d = 8, three basis rows each; every fifth atom repeats a
     # row.  The values come from one row w with |w|_inf < 1, so f is
-    # dominated by the gauge 1.  One HiGHS call extends all atoms, and every
-    # extension equals the atom's one-atom extension, restricts and has the
-    # least dual norm.
+    # dominated by the gauge 1.  One simplex call extends all atoms, and
+    # every extension equals the atom's one-atom extension bit for bit,
+    # restricts and has the least dual norm.
     rng = np.random.default_rng(631)
     n, d = 200, 8
     m = lp_module(make_structure(n), (d,) * n, p=1.0)
@@ -711,7 +711,7 @@ def test_extension_of_200_l1_atoms_matches_one_atom_extensions(monkeypatch):
         single = hahn_banach_extend(Submodule(alone, (b,)), [r], alone.space.one_fn())
         assert calls[0] == 1
         want = single.functional.matrices[0][0]
-        assert np.all(np.abs(got[0] - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(got[0], want)
         assert_extension(LpNorm(1.0), b, r, 1.0, got[0])
 
 
@@ -810,18 +810,17 @@ def test_image_polyhedral_power_steps_share_one_program(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_failed_operator_norm_program_raises_a_typed_error(monkeypatch, p):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    from rieszmod import modules
+    from rieszmod.homdual import _FiberGroup, _lmo
 
-    from rieszmod.homdual import _image_vertices
-
-    def failing(*args, **kwargs):
-        return OptimizeResult(status=4, success=False, message="numerical difficulties")
-
-    monkeypatch.setattr(scipy.optimize, "milp", failing)
-    b = np.array([[[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]]])
-    with pytest.raises(SolverFailed, match="numerical difficulties"):
-        _image_vertices(b, p, np.array([[1.0, -1.0]]))
+    # A matrix that is not injective has an unbounded ball.
+    flat = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(SolverFailed, match="unbounded"):
+        _lmo(_FiberGroup.single(ImageLpNorm(flat, p), 2), np.array([[1.0, -1.0]]))
+    monkeypatch.setattr(modules, "_PIVOTS_PER_COLUMN", 0)
+    b = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]])
+    with pytest.raises(SolverFailed, match="not optimal after 0 pivots"):
+        _lmo(_FiberGroup.single(ImageLpNorm(b, p), 2), np.array([[1.0, -1.0]]))
 
 
 # --------------------------------------------------------------------------
