@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -67,22 +67,12 @@ class Graph:
                 raise InvalidStructure("edge weights must be strictly positive")
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
-        out = []
-        for u, v, w in self.edges:
-            if u == i:
-                out.append((v, w))
-            elif v == i:
-                out.append((u, w))
-        return out
+        return [(v if u == i else u, w) for u, v, w in self.edges if i in (u, v)]
 
     def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [
-                {"u": self.vertices[u], "v": self.vertices[v], "w": float(w)}
-                for u, v, w in self.edges
-            ],
-        }
+        return {"vertices": list(self.vertices),
+                "edges": [{"u": self.vertices[u], "v": self.vertices[v], "w": float(w)}
+                          for u, v, w in self.edges]}
 
     @classmethod
     def from_json(cls, obj: Any, where: str = "$") -> "Graph":
@@ -113,45 +103,84 @@ class SublinearMap:
 
     ``matrices`` holds one real matrix M_a per atom, all with ``domain_dim``
     columns; a map of this form is sublinear by construction and its null
-    spaces are exact.  ``evaluate`` is the stacked evaluation of all atoms at
-    once; it needs a space, which ``on`` binds in a copy of the map, as
-    ``generate_module`` does for each module it builds.  Matrices that are
-    not 2-D, that disagree on the domain dimension or that hold NaN or an
-    infinity are refused with InvalidStructure.
+    spaces are exact.  The rows of all matrices are stored once, in one
+    read-only stack, and ``matrices`` are views of it.  ``evaluate`` needs a
+    space, which ``on`` binds in a copy of the map, as ``generate_module``
+    does for each module it builds.  Matrices that are not 2-D, that
+    disagree on the domain dimension or that hold NaN or an infinity are
+    refused with InvalidStructure, naming the first faulty matrix.
     """
 
     matrices: tuple[np.ndarray, ...]
     p: float
-    kind: str | None = None
-    evaluate: _MatrixEval = field(init=False, repr=False)
+    _space = None   # the space evaluate works on, bound by ``on``
 
     def __post_init__(self):
-        fixed = []
+        mats = []
         for a, m in enumerate(self.matrices):
             try:
-                arr = np.array(m, dtype=float)
+                arr = np.asarray(m, dtype=float)
             except (TypeError, ValueError) as exc:
-                raise InvalidStructure(f"seminorm matrix {a} must be a matrix of numbers") from exc
+                raise _refusal(mats, f"seminorm matrix {a} must be a matrix of numbers") from exc
             if arr.ndim != 2:
-                raise InvalidStructure(f"seminorm matrix {a} must be 2-D, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidStructure(f"seminorm matrix {a} has a NaN or infinite entry")
-            arr.setflags(write=False)
-            fixed.append(arr)
-        if len({m.shape[1] for m in fixed}) != 1:
-            raise InvalidStructure("all seminorm matrices must share the domain dimension")
-        object.__setattr__(self, "matrices", tuple(fixed))
-        object.__setattr__(self, "evaluate", _MatrixEval(self.matrices, LpNorm(self.p)))
+                raise _refusal(mats, f"seminorm matrix {a} must be 2-D, got shape {arr.shape}")
+            mats.append(arr)
+        same = len({m.shape[1] for m in mats}) == 1
+        rows = np.concatenate(mats) if same else None
+        if not same or not np.isfinite(rows).all():
+            raise _refusal(mats, "all seminorm matrices must share the domain dimension")
+        LpNorm(self.p)  # refuses an exponent outside [1, inf]
+        rows.setflags(write=False)
+        counts = np.array([m.shape[0] for m in mats])
+        object.__setattr__(self, "matrices", _row_views(rows, counts))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def domain_dim(self) -> int:
-        return self.matrices[0].shape[1]
+        return self._rows.shape[1]
+
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per row count, the atoms with that many rows and their row indices."""
+        counts = self._counts
+        starts = np.cumsum(counts) - counts
+        return [(atoms, starts[atoms, None] + np.arange(counts[atoms[0]]))
+                for atoms in _split_atoms(counts) if counts[atoms[0]]]
 
     def on(self, space: FiniteMeasureSpace) -> "SublinearMap":
         """This map with its evaluation bound to ``space``; self is unchanged."""
+        if self._counts.size != space.n:
+            raise InvalidStructure(f"sublinear map covers {self._counts.size} atoms,"
+                                   f" space has {space.n}")
         bound = copy.copy(self)
-        object.__setattr__(bound, "evaluate", self.evaluate.on(space))
+        object.__setattr__(bound, "_space", space)
         return bound
+
+    def evaluate(self, v: Sequence[float] | np.ndarray) -> Fn:
+        """psi(v) on the bound space: one product with the row stack, then
+        one ``_lp_rows`` call per row count.  Atoms without rows give 0."""
+        if self._space is None:
+            raise InvalidStructure("sublinear map is not bound to a space; see SublinearMap.on")
+        y = self._rows @ np.asarray(v, dtype=float)
+        out = np.zeros(self._counts.size)
+        for atoms, rows in self._groups:
+            out[atoms] = _lp_rows(self.p, y[rows])
+        return Fn(out, self._space)
+
+
+def _refusal(mats: list[np.ndarray], message: str) -> InvalidStructure:
+    """The refusal of the first faulty matrix: a NaN or an infinity in one of
+    ``mats``, the matrices read so far, comes before ``message``."""
+    bad = [a for a, m in enumerate(mats) if not np.isfinite(m).all()]
+    return InvalidStructure(f"seminorm matrix {bad[0]} has a NaN or infinite entry" if bad
+                            else message)
+
+
+def _row_views(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per atom a, the view of its ``counts[a]`` consecutive rows of ``rows``."""
+    ends = np.cumsum(counts).tolist()
+    return tuple([rows[b - c:b] for b, c in zip(ends, counts.tolist())])
 
 
 def graph_gradient(graph: Graph, p: float) -> SublinearMap:
@@ -164,64 +193,22 @@ def graph_gradient(graph: Graph, p: float) -> SublinearMap:
     if math.isnan(p) or p < 1.0:
         raise InvalidStructure(f"gradient exponent must lie in [1, inf], got {p!r}")
     n = len(graph.vertices)
-    # One pass over the edges, in the row order Graph.neighbors gives.
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in graph.edges:
-        adjacency[u].append((v, w))
-        adjacency[v].append((u, w))
-    mats = []
-    for x, nbrs in enumerate(adjacency):
-        m = np.zeros((len(nbrs), n))
-        for r, (y, w) in enumerate(nbrs):
-            scale = 1.0 if p == math.inf else w ** (1.0 / p)
-            m[r, y], m[r, x] = scale, -scale
-        mats.append(m)
-    return SublinearMap(tuple(mats), p, "graph_gradient")
+    # Each edge gives a row to both its ends; a stable sort by owner puts
+    # every vertex's rows in edge order, the order Graph.neighbors gives.
+    ends = np.array([(u, v) for u, v, _ in graph.edges], dtype=np.intp).reshape(-1, 2)
+    scales = np.repeat([1.0 if p == math.inf else w ** (1.0 / p) for *_, w in graph.edges], 2)
+    order = np.argsort(ends.reshape(-1), kind="stable")
+    owner, scale = ends.reshape(-1)[order], scales[order]
+    at = np.arange(order.size)
+    rows = np.zeros((order.size, n))
+    rows[at, ends[:, ::-1].reshape(-1)[order]] = scale
+    rows[at, owner] = -scale
+    return SublinearMap(_row_views(rows, np.bincount(owner, minlength=n)), p)
 
 
 def seminorm_family(matrices: Sequence[np.ndarray], p: float = 2.0) -> SublinearMap:
     """Per-atom seminorms x -> ||M_a x||_p given directly by their matrices."""
-    return SublinearMap(tuple(matrices), p, "seminorm_family")
-
-
-class _MatrixEval:
-    """Evaluate a matrix-realized sublinear map on the space it is bound to.
-
-    The per-atom matrices are stacked into one, so an evaluation is a single
-    matrix-vector product followed by one ``_lp_rows`` call per row count:
-    ``groups`` holds, per count, the atoms with that many rows and the
-    indices of their stacked rows, one row per atom.  Atoms without rows
-    evaluate to 0.
-    """
-
-    def __init__(self, mats: tuple[np.ndarray, ...], lp: LpNorm):
-        counts = np.array([m.shape[0] for m in mats])
-        starts = np.cumsum(counts) - counts
-        self.n = len(mats)
-        self.stacked = np.concatenate(mats, axis=0)
-        self.groups = [(atoms, starts[atoms, None] + np.arange(counts[atoms[0]]))
-                       for atoms in _split_atoms(counts) if counts[atoms[0]]]
-        self.p = lp.p
-        self.space: FiniteMeasureSpace | None = None
-
-    def on(self, space: FiniteMeasureSpace) -> "_MatrixEval":
-        """A copy bound to ``space``, sharing the stacked matrices."""
-        if self.n != space.n:
-            raise InvalidStructure(
-                f"sublinear map covers {self.n} atoms, space has {space.n}"
-            )
-        bound = copy.copy(self)
-        bound.space = space
-        return bound
-
-    def __call__(self, v: np.ndarray) -> Fn:
-        if self.space is None:
-            raise InvalidStructure("sublinear map is not bound to a space; see SublinearMap.on")
-        y = self.stacked @ np.asarray(v, dtype=float)
-        out = np.zeros(self.n)
-        for atoms, rows in self.groups:
-            out[atoms] = _lp_rows(self.p, y[rows])
-        return Fn(out, self.space)
+    return SublinearMap(tuple(matrices), p)
 
 
 # --------------------------------------------------------------------------
@@ -251,11 +238,16 @@ class GeneratedModule:
     def kernels(self) -> tuple[np.ndarray, ...]:
         return tuple(kernel_basis(m) for m in self.psi.matrices)
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The lifts' rows in one stack; ``generate_module`` sets the one they view."""
+        return np.concatenate(self.lifts)
+
     def generator_map(self, v: Sequence[float] | np.ndarray) -> ModuleElement:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.psi.domain_dim,):
             raise InputError(f"expected a vector of length {self.psi.domain_dim}")
-        return ModuleElement([c @ v for c in self.lifts], self.module)
+        return ModuleElement._from_flat(self._rows @ v, self.module)
 
     def generator_images(self) -> list[ModuleElement]:
         return [self.generator_map(e) for e in np.eye(self.psi.domain_dim)]
@@ -270,17 +262,19 @@ def _lift_rows(mats: tuple[np.ndarray, ...]) -> list[list[int]]:
     A rank-deficient one runs that greedy over its rows in the column-pivot
     order of a pivoted QR of its transpose, so a tiny row does not displace
     a large one it depends on (which would make the other rows'
-    coefficients, and a gram fiber's condition number, blow up).
+    coefficients, and a gram fiber's condition number, blow up).  Only then
+    is scipy imported.
     """
-    from scipy.linalg import qr
-
     ranks = row_ranks(mats)
     sel = [list(range(m.shape[0])) if r == m.shape[0] else [] for m, r in zip(mats, ranks)]
     short = [a for a, (m, r) in enumerate(zip(mats, ranks)) if 0 < r < m.shape[0]]
-    orders = [qr(mats[a].T, pivoting=True, mode="r")[1] for a in short]
-    kept = independent_rows([mats[a][order] for a, order in zip(short, orders)])
-    for a, order, k in zip(short, orders, kept):
-        sel[a] = sorted(order[k].tolist())
+    if short:
+        from scipy.linalg import qr
+
+        orders = [qr(mats[a].T, pivoting=True, mode="r")[1] for a in short]
+        kept = independent_rows([mats[a][order] for a, order in zip(short, orders)])
+        for a, order, k in zip(short, orders, kept):
+            sel[a] = sorted(order[k].tolist())
     return sel
 
 
@@ -293,46 +287,54 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
     norm equal to psi, images spanning every fiber) then hold by
     construction; both are re-verified in the test suite.  The module's
     ``psi`` is a copy of psi bound to the structure's space; psi itself is
-    left as it was.
+    left as it was.  The lifts are views of psi's own row stack when every
+    atom keeps all its rows, else of one gather of the kept rows.
     """
     psi = psi.on(structure.space)
+    sel = _lift_rows(psi.matrices)
+    kept = np.array([len(s) for s in sel])
+    if np.array_equal(kept, psi._counts):
+        rows, lifts = psi._rows, psi.matrices
+    else:
+        starts = (np.cumsum(psi._counts) - psi._counts).tolist()
+        rows = psi._rows[[start + i for start, s in zip(starts, sel) for i in s]]
+        rows.setflags(write=False)
+        lifts = _row_views(rows, kept)
     fibers: list[Fiber | None] = []
-    lifts: list[np.ndarray] = []
     gram_atoms: list[int] = []
     grams: list[np.ndarray] = []
-    for m_a, sel in zip(psi.matrices, _lift_rows(psi.matrices)):
-        lift = m_a[sel]
-        r = len(sel)
+    for m_a, s, lift in zip(psi.matrices, sel, lifts):
+        r = len(s)
         if r == 0:
             fibers.append(Fiber(0, LpNorm(2.0)))
+            continue
+        # Express every seminorm row through the kept ones: the fiber norm
+        # of coordinates x is then the lp norm of R x.  Kept rows get exact
+        # basis rows, only the rest are solved.  An atom that keeps every
+        # row has R = I, whose gram is I too.
+        full = r == m_a.shape[0]
+        if full:
+            factor = np.eye(r)
         else:
-            # Express every seminorm row through the kept ones: the
-            # fiber norm of coordinates x is then the lp norm of R x.
-            # Kept rows get exact basis rows, only the rest are solved.  An
-            # atom that keeps every row has R = I, whose gram is I too.
-            full = r == m_a.shape[0]
-            if full:
-                factor = np.eye(r)
-            else:
-                factor = np.zeros((m_a.shape[0], r))
-                factor[sel] = np.eye(r)
-                rest = sorted(set(range(m_a.shape[0])).difference(sel))
-                factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
-            if psi.p == 2.0:
-                # Validated below, one ``_check_grams`` call per size.
-                gram_atoms.append(len(fibers))
-                grams.append(factor if full else factor.T @ factor)
-                fibers.append(None)
-            else:
-                fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
-        lifts.append(lift)
+            factor = np.zeros((m_a.shape[0], r))
+            factor[s] = np.eye(r)
+            rest = sorted(set(range(m_a.shape[0])).difference(s))
+            factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
+        if psi.p == 2.0:
+            # Validated below, one ``_check_grams`` call per size.
+            gram_atoms.append(len(fibers))
+            grams.append(factor if full else factor.T @ factor)
+            fibers.append(None)
+        else:
+            fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
     norms, defect = _gram_norms(grams)
     if defect is not None:
         raise InvalidStructure(defect[1])
     for a, norm in zip(gram_atoms, norms):
         fibers[a] = Fiber(norm.gram.shape[0], norm)
-    module = FiberModule(structure, tuple(fibers))
-    return GeneratedModule(module, psi, tuple(lifts))
+    gen = GeneratedModule(FiberModule(structure, tuple(fibers)), psi, lifts)
+    object.__setattr__(gen, "_rows", rows)
+    return gen
 
 
 def universal_factor(
@@ -355,9 +357,9 @@ def universal_factor(
         raise InvalidStructure("target lives over a different space; pass the structure hom")
     basis_images = [s(e) for e in np.eye(d)]
     amap = phi.atom_map if phi is not None else range(target.space.n)
-    psi_on_basis = [gen.psi.evaluate(e) for e in np.eye(d)]
-    for e_img, psi_e in zip(basis_images, psi_on_basis):
-        allowed = phi.apply(psi_e) if phi is not None else psi_e
+    for e, e_img in zip(np.eye(d), basis_images):
+        allowed = gen.psi.evaluate(e)
+        allowed = phi.apply(allowed) if phi is not None else allowed
         lhs = pointwise_norm(e_img)
         bound = Fn(b.values * allowed.values, lhs.space)
         scale = max(1.0, bound.sup_abs, lhs.sup_abs)
@@ -368,12 +370,9 @@ def universal_factor(
         a = amap[t]
         s_t = np.stack([img.vectors[t] for img in basis_images], axis=1)
         kern = gen.kernels[a]
-        if kern.shape[0] and s_t.size:
-            resid = s_t @ kern.T
-            if np.any(np.abs(resid) > 1e-9 * max(1.0, float(np.abs(s_t).max()))):
-                raise BoundViolated(
-                    f"atom {t}: images do not vanish on psi's null directions"
-                )
+        if kern.shape[0] and s_t.size and np.any(
+                np.abs(s_t @ kern.T) > 1e-9 * max(1.0, float(np.abs(s_t).max()))):
+            raise BoundViolated(f"atom {t}: images do not vanish on psi's null directions")
         matrices.append(s_t @ np.linalg.pinv(gen.lifts[a]))
     return HomElement(matrices, gen.module, target, phi)
 
@@ -424,12 +423,8 @@ def pullback_module(
     guards the degenerate configurations that cannot arise here).
     """
     hom = StructureHom(m.structure, source_structure, tuple(point_map))
-    mu_src = source_structure.space.mu
-    mu_tgt = m.space.mu
-    pushed = np.zeros(m.space.n)
-    for x, t in enumerate(hom.atom_map):
-        pushed[t] += mu_src[x]
-    c = float(np.max(pushed / mu_tgt))
+    pushed = np.bincount(hom.atom_map, weights=source_structure.space.mu, minlength=m.space.n)
+    c = float(np.max(pushed / m.space.mu))
     if not math.isfinite(c):
         raise CompressionViolated("no finite compression constant exists")
     pm, pf = pushforward_module(hom, m)
@@ -449,19 +444,14 @@ def dual_embed(phi: StructureHom, m: FiberModule,
     if system is None:
         system = DualSystem.default(m.structure)
     dual_src = dual_module(m, system)
-    pushed_dual, _ = pushforward_module(
-        StructureHom(dual_src.structure, _retarget(phi.target, dual_src.structure), phi.atom_map),
-        dual_src,
-    )
+    # phi's target space with the dual's kinds.
+    like = dual_src.structure
+    target = FiniteFStructure(phi.target.space, like.u_kind, like.v_kind)
+    pushed_dual, _ = pushforward_module(StructureHom(like, target, phi.atom_map), dual_src)
     pm, _ = pushforward_module(phi, m)
     system_tgt = DualSystem(pm.structure, system.w_kind, system.z_kind)
     dual_of_pushed = dual_module(pm, system_tgt)
     return HomElement._eye(pushed_dual, dual_of_pushed)
-
-
-def _retarget(structure: FiniteFStructure, like: FiniteFStructure) -> FiniteFStructure:
-    """The same space as ``structure`` with the kinds of ``like``."""
-    return FiniteFStructure(structure.space, like.u_kind, like.v_kind)
 
 
 def cotangent_module(graph: Graph, p: float,
@@ -477,5 +467,4 @@ def cotangent_module(graph: Graph, p: float,
     space = FiniteMeasureSpace.make(graph.vertices, weights)
     v_kind = Kind("Linf") if p == math.inf else Kind("Lp", p)
     structure = FiniteFStructure(space, Kind("Linf"), v_kind)
-    psi = graph_gradient(graph, p)
-    return structure, generate_module(psi, structure)
+    return structure, generate_module(graph_gradient(graph, p), structure)

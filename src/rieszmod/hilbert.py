@@ -226,11 +226,13 @@ class SubspaceSet(FiberSet):
     def project(self, v: np.ndarray, gram: np.ndarray) -> np.ndarray:
         if self.basis.shape[0] == 0:
             return np.zeros_like(v)
-        # Rows scaled by powers of two, so b @ gram @ b.T cannot overflow.
+        # Rows and v scaled by powers of two, so b @ gram @ b.T and b @ gram @ v
+        # cannot overflow; the projection is linear, so scaling back is exact.
         _, exp = np.frexp(np.abs(self.basis).max(axis=1, initial=0.0))
         b = np.ldexp(self.basis, -exp[:, None])
-        t = np.linalg.lstsq(b @ gram @ b.T, b @ gram @ v, rcond=None)[0]
-        return b.T @ t
+        _, e = np.frexp(np.abs(v).max(initial=0.0))
+        t = np.linalg.lstsq(b @ gram @ b.T, b @ gram @ np.ldexp(v, -e), rcond=None)[0]
+        return np.ldexp(b.T @ t, e)
 
     def to_json(self) -> dict:
         return {"kind": "subspace", "basis": [[float(x) for x in r] for r in self.basis]}

@@ -574,12 +574,15 @@ def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
     Its gradient condition B^T J(B x) = g says that g norms x, so by
     homogeneity it points at the maximiser of g.x over |B x|_p <= 1.
     ``_newton`` from the p = 2 minimiser scaled to the best point of its ray.
+    A trial point whose objective overflows reads +inf, so the line search
+    rejects it; a singular Newton system (large p) raises SolverFailed.
     """
     bt = np.swapaxes(b, 1, 2)
 
     def f(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return (np.add.reduce(np.abs(_matvec_rows(b[rows], z)) ** p, axis=1) / p
-                - np.add.reduce(g[rows] * z, axis=1))
+        with np.errstate(over="ignore"):
+            powers = np.abs(_matvec_rows(b[rows], z)) ** p
+        return np.add.reduce(powers, axis=1) / p - np.add.reduce(g[rows] * z, axis=1)
 
     def derivatives(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = _matvec_rows(b[rows], z)
@@ -591,7 +594,10 @@ def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
     x = np.linalg.solve(_matmul_rows(bt, b), g[..., None])[..., 0]
     ray = np.add.reduce(g * x, axis=1) / np.add.reduce(np.abs(_matvec_rows(b, x)) ** p, axis=1)
     x = x * (ray ** (1.0 / (p - 1.0)))[:, None]
-    return _newton(x, f, derivatives, np.abs(f(np.arange(g.shape[0]), x)))
+    try:
+        return _newton(x, f, derivatives, np.abs(f(np.arange(g.shape[0]), x)))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailed(f"image-l{p:g} Newton kernel: singular Newton system") from exc
 
 
 def hom_norm(t: HomElement) -> Fn:
@@ -713,7 +719,7 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
     m = n.module
     if gauge.space != m.space:
         raise ModuleMismatch("gauge lives on a different measure space")
-    if np.any(gauge.values < 0.0):
+    if not np.all(gauge.values >= 0.0):   # NaN fails every comparison
         raise DominationViolated("gauge must be nonnegative")
     gauges = [float(x) for x in gauge.values]
     given: list[tuple[np.ndarray, np.ndarray]] = []

@@ -440,6 +440,45 @@ def test_run_path_leaves_scipy_optimize_and_sparse_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_full_rank_generated_modules_leave_scipy_unloaded():
+    # Only rank-deficient atoms need scipy's pivoted QR; graph gradients
+    # and full-rank seminorm families have none.
+    src = pathlib.Path(rieszmod.__file__).resolve().parent.parent
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import numpy as np",
+        "from rieszmod import generate_module, seminorm_family",
+        "from rieszmod.cli import main",
+        "from rieszmod.spaces import FiniteFStructure, FiniteMeasureSpace, Kind",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main(['cotangent', '--graph', {str(DATA / 'path2.json')!r}, '--p', '2',",
+        "                 '--fn', '[0, 1]']) == 0",
+        "space = FiniteMeasureSpace.make(['a', 'b'], [1.0, 1.0])",
+        "structure = FiniteFStructure(space, Kind('Linf'), Kind('Lp', 3.0))",
+        "mats = [np.eye(3), np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])]",
+        "assert generate_module(seminorm_family(mats, 3.0), structure).module.dims == (3, 2)",
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_project_of_a_huge_element_scales_it_back_exactly(capfd, tmp_path):
+    # b @ gram @ v overflowed for v = [1e308, 1e308], and the NaN projection
+    # then failed JSON serialization with no path.
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"vectors": [[1e308, 1e308]]}))
+    code = main(["project", "--module", str(DATA / "module_gram.json"),
+                 "--element", str(element), "--set", str(DATA / "set_line.json")])
+    captured = capfd.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["projection"] == [[1e308, 0.0]]
+    assert report["distance"] == [1e308]
+
+
 @pytest.mark.parametrize("dim", [2.7, True, "2"])
 def test_non_integer_fiber_dim_is_an_input_error(capsys, tmp_path, dim):
     module = json.loads((DATA / "module_221.json").read_text())

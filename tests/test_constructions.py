@@ -180,6 +180,62 @@ def test_sublinear_map_is_derived_from_its_matrices():
         psi.evaluate([3.0, 1.0])  # generating a module leaves psi unbound
 
 
+@pytest.mark.parametrize("matrices, message", [
+    ([[[float("nan"), 1.0]], np.ones((1, 2, 2))], "seminorm matrix 0 has a NaN or infinite entry"),
+    ([np.eye(2), [[1.0, float("inf")]], "x"], "seminorm matrix 1 has a NaN or infinite entry"),
+    ([np.eye(2), np.ones((1, 3)), [[float("nan")] * 3]],
+     "seminorm matrix 2 has a NaN or infinite entry"),
+    ([np.eye(2), np.ones((1, 3))], "all seminorm matrices must share the domain dimension"),
+    ([np.eye(2), np.ones((1, 2, 2)), [[float("nan"), 1.0]]],
+     "seminorm matrix 1 must be 2-D, got shape (1, 2, 2)"),
+], ids=["nan-then-3d", "inf-then-not-numbers", "nan-and-domain", "domain", "3d-then-nan"])
+def test_refusals_name_the_first_faulty_matrix(matrices, message):
+    with pytest.raises(InvalidStructure) as info:
+        seminorm_family(matrices)
+    assert info.value.message == message
+
+
+def ring_with_chords(n, rng):
+    """A ring plus a chord from every even vertex a third of the way round."""
+    pairs = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    pairs |= {tuple(sorted((i, (i + n // 3) % n))) for i in range(0, n, 2)}
+    return Graph(tuple(f"v{i}" for i in range(n)),
+                 tuple((a, b, float(rng.uniform(0.5, 2.0))) for a, b in sorted(pairs)))
+
+
+def test_psi_rows_are_stored_once():
+    # The matrices are read-only views of one row stack, and a module whose
+    # atoms all keep every row lifts through views of that same stack.
+    rng = np.random.default_rng(629)
+    mats = [rng.standard_normal((k, 3)) for k in (2, 0, 3, 1)]
+    for psi in (seminorm_family(mats, 3.0), graph_gradient(ring_with_chords(40, rng), 2.0)):
+        stack = psi.matrices[0].base
+        assert all(m.base is stack and not m.flags.writeable for m in psi.matrices)
+    _, gen = cotangent_module(ring_with_chords(500, rng), 2.0)
+    assert all(np.shares_memory(lift, m) for lift, m in zip(gen.lifts, gen.psi.matrices))
+    f = rng.standard_normal(500)
+    df = gen.generator_map(f)
+    assert np.array_equal(df.flat, np.concatenate([lift @ f for lift in gen.lifts]))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_generator_map_matches_per_atom_lifts_on_rank_deficient_atoms(p):
+    rng = np.random.default_rng(631)
+    mats = [rng.standard_normal((k, 5)) for k in (4, 0, 3, 6, 2)]
+    mats[0][3] = mats[0][0] - 2.0 * mats[0][2]     # rank 3 of 4 rows
+    mats[2][1] = 0.0                                # rank 2 of 3 rows
+    mats[3] = mats[3][:, :2] @ rng.standard_normal((2, 5))   # rank 2 of 6 rows
+    gen = generate_module(seminorm_family(mats, p), make_structure(5))
+    assert gen.module.dims == (3, 0, 2, 2, 2)
+    stack = gen.lifts[0].base
+    assert all(lift.base is stack and not lift.flags.writeable for lift in gen.lifts)
+    for v in rng.standard_normal((10, 5)):
+        got = gen.generator_map(v).vectors
+        for lift, x in zip(gen.lifts, got):
+            want = lift @ v
+            assert np.allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
 def test_generated_modules_keep_their_own_space():
     psi = seminorm_family([np.eye(2), np.eye(2)])
     g1 = generate_module(psi, make_structure(2))

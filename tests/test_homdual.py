@@ -649,6 +649,17 @@ def test_extension_rejects_undominated_data():
             hahn_banach_extend(n, f_rows, gauge)
 
 
+def test_a_nan_gauge_is_refused():
+    # NaN fails every comparison, so a test for gauge < 0 let it through
+    # and f = 5 was extended as dominated.  An infinite gauge dominates all.
+    m = lp_module(make_structure(1), (2,), p=2.0)
+    n = Submodule(m, (np.array([[1.0, 0.0]]),))
+    with pytest.raises(DominationViolated, match="nonnegative"):
+        hahn_banach_extend(n, [[5.0]], Fn([math.nan], m.space))
+    ext = hahn_banach_extend(n, [[5.0]], Fn([math.inf], m.space))
+    assert ext.functional.matrices[0].tolist() == [[5.0, 0.0]]
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_domination_counts_a_negligible_basis_row_as_zero(p):
     # The row 1e-300 e1 is zero at the package's rank threshold, and the
@@ -806,6 +817,19 @@ def test_image_polyhedral_power_steps_share_one_program(monkeypatch, p):
     calls[0] = steps[0] = 0
     hom_norm(t)
     assert 0 < calls[0] <= steps[0]
+
+
+def test_singular_image_lp_newton_system_raises_a_typed_error():
+    # At p = 20 the Newton Hessian of the image-lp LMO is singular here;
+    # numpy's LinAlgError and an overflow warning used to escape hom_norm.
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((3, 2))
+    a = rng.standard_normal((2, 2))
+    structure = make_structure(1)
+    t = HomElement([a], FiberModule(structure, (Fiber(2, ImageLpNorm(b, 20.0)),)),
+                   FiberModule(structure, (Fiber(2, LpNorm(3.0)),)))
+    with pytest.raises(SolverFailed, match="image-l20 Newton kernel"):
+        hom_norm(t)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
