@@ -130,8 +130,19 @@ class SublinearMap:
         if not same or not np.isfinite(rows).all():
             raise _refusal(mats, "all seminorm matrices must share the domain dimension")
         LpNorm(self.p)  # refuses an exponent outside [1, inf]
+        self._store(rows, np.array([m.shape[0] for m in mats]))
+
+    @classmethod
+    def _trusted(cls, rows: np.ndarray, counts: np.ndarray, p: float) -> "SublinearMap":
+        """Wrap a row stack without copying or checking it: only for finite 2-D
+        stacks the library built and no one else holds, p in [1, inf]."""
+        psi = cls.__new__(cls)
+        object.__setattr__(psi, "p", p)
+        psi._store(rows, counts)
+        return psi
+
+    def _store(self, rows: np.ndarray, counts: np.ndarray) -> None:
         rows.setflags(write=False)
-        counts = np.array([m.shape[0] for m in mats])
         object.__setattr__(self, "matrices", _row_views(rows, counts))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_counts", counts)
@@ -203,7 +214,7 @@ def graph_gradient(graph: Graph, p: float) -> SublinearMap:
     rows = np.zeros((order.size, n))
     rows[at, ends[:, ::-1].reshape(-1)[order]] = scale
     rows[at, owner] = -scale
-    return SublinearMap(_row_views(rows, np.bincount(owner, minlength=n)), p)
+    return SublinearMap._trusted(rows, np.bincount(owner, minlength=n), p)
 
 
 def seminorm_family(matrices: Sequence[np.ndarray], p: float = 2.0) -> SublinearMap:

@@ -111,7 +111,9 @@ class Idempotent:
 
     def __post_init__(self):
         u = self.element
-        dev = (u * u).deviation(u)
+        # Huge entries overflow u*u; the deviation then refuses them, silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = (u * u).deviation(u)
         if isinstance(dev, np.ndarray):
             raise SpaceMismatch("an idempotent is one element, not a batch")
         # Written so that a NaN deviation is refused too.
@@ -471,12 +473,11 @@ def _first_failure(failing: Sequence[np.ndarray]) -> tuple[int, int] | None:
     ``failing`` holds one bool array of shape ``(S,)`` per check, in the
     order a sample-by-sample loop would run the checks.
     """
-    failing = np.stack(failing)
-    hit = failing.any(axis=0)
+    hit = failing[0] if len(failing) == 1 else np.logical_or.reduce(failing)
     if not hit.any():
         return None
     row = int(np.argmax(hit))
-    return row, int(np.argmax(failing[:, row]))
+    return row, next(c for c, bad in enumerate(failing) if bad[row])
 
 
 def _witness(lhs, rhs, sample_index: int, row: int) -> dict:

@@ -104,15 +104,15 @@ class FiniteMeasureSpace:
         return f
 
     def zero_fn(self) -> "Fn":
-        return Fn(np.zeros(self.n), self)
+        return Fn._trusted(np.zeros(self.n), self)
 
     def one_fn(self) -> "Fn":
-        return Fn(np.ones(self.n), self)
+        return Fn._trusted(np.ones(self.n), self)
 
     def indicator(self, mask: Sequence[bool]) -> "Fn":
         arr = np.asarray(mask)
         _require(arr.shape == (self.n,), "indicator mask length must match atom count", "$.mask")
-        return Fn(np.where(arr, 1.0, 0.0), self)
+        return Fn._trusted(np.where(arr, 1.0, 0.0), self)
 
     def to_json(self) -> dict:
         return {
@@ -147,8 +147,9 @@ class Fn:
 
     Implements the full lattice/f-algebra interface: pointwise ring and
     lattice operations, order, and the strictly-positive-part indicator.
-    Values are immutable numpy arrays, of shape ``(n,)`` for one function or
-    ``(S, n)`` for a batch of S functions on the same space.  Elementwise
+    Values are read-only numpy arrays, of shape ``(n,)`` for one function or
+    ``(S, n)`` for a batch of S functions on the same space; the constructor
+    copies them, so they never alias the caller's data.  Elementwise
     operations keep the shape and need operands of equal shape; ``leq``,
     ``equals``, ``deviation`` and ``sup_abs`` reduce over the atoms, giving a
     Python bool or float for one function and an array of shape ``(S,)`` for
@@ -166,6 +167,15 @@ class Fn:
         arr.setflags(write=False)
         self.values = arr
         self.space = space
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray, space: FiniteMeasureSpace) -> "Fn":
+        """Wrap a float array without copying or checking it: only for arrays
+        the library built, of shape (n,) or (S, n), that nothing else holds."""
+        arr.setflags(write=False)
+        f = cls.__new__(cls)
+        f.values, f.space = arr, space
+        return f
 
     def _check(self, other: "Fn") -> None:
         if not isinstance(other, Fn):
@@ -189,34 +199,34 @@ class Fn:
         if not isinstance(other, Fn):
             return NotImplemented
         self._check(other)
-        return Fn(self.values + other.values, self.space)
+        return Fn._trusted(self.values + other.values, self.space)
 
     def __sub__(self, other: "Fn") -> "Fn":
         if not isinstance(other, Fn):
             return NotImplemented
         self._check(other)
-        return Fn(self.values - other.values, self.space)
+        return Fn._trusted(self.values - other.values, self.space)
 
     def __neg__(self) -> "Fn":
-        return Fn(-self.values, self.space)
+        return Fn._trusted(-self.values, self.space)
 
     def __mul__(self, other: "Fn") -> Any:
         # Non-Fn right operands (module elements) dispatch to their __rmul__.
         if not isinstance(other, Fn):
             return NotImplemented
         self._check(other)
-        return Fn(self.values * other.values, self.space)
+        return Fn._trusted(self.values * other.values, self.space)
 
     def scale(self, lam: float) -> "Fn":
-        return Fn(self.values * float(lam), self.space)
+        return Fn._trusted(self.values * float(lam), self.space)
 
     def join(self, other: "Fn") -> "Fn":
         self._check(other)
-        return Fn(np.maximum(self.values, other.values), self.space)
+        return Fn._trusted(np.maximum(self.values, other.values), self.space)
 
     def meet(self, other: "Fn") -> "Fn":
         self._check(other)
-        return Fn(np.minimum(self.values, other.values), self.space)
+        return Fn._trusted(np.minimum(self.values, other.values), self.space)
 
     def leq(self, other: "Fn") -> Any:
         self._check(other)
@@ -231,16 +241,16 @@ class Fn:
         return self._reduced(np.abs(self.values - other.values).max(axis=-1))
 
     def zero(self) -> "Fn":
-        return Fn(np.zeros(self.values.shape), self.space)
+        return Fn._trusted(np.zeros(self.values.shape), self.space)
 
     def one(self) -> "Fn":
-        return Fn(np.ones(self.values.shape), self.space)
+        return Fn._trusted(np.ones(self.values.shape), self.space)
 
     def chi_pos(self) -> "Fn":
-        return Fn(np.where(self.values > 0.0, 1.0, 0.0), self.space)
+        return Fn._trusted(np.where(self.values > 0.0, 1.0, 0.0), self.space)
 
     def abs(self) -> "Fn":
-        return Fn(np.abs(self.values), self.space)
+        return Fn._trusted(np.abs(self.values), self.space)
 
     @property
     def sup_abs(self) -> Any:
@@ -589,7 +599,7 @@ def stone_atoms(
     order = np.argsort(at)
     labels = np.argsort(order)[inverse]
     rows = np.where(np.arange(order.size)[:, None] == labels, 1.0, 0.0)
-    atom_sets = [Idempotent._trusted(Fn(row, first.space)) for row in rows]
+    atom_sets = [Idempotent._trusted(Fn._trusted(row, first.space)) for row in rows]
     embedding = tuple(tuple(np.flatnonzero(sig).tolist()) for sig in member[:, at[order]])
     return atom_sets, embedding
 

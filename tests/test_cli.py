@@ -1,6 +1,7 @@
 """CLI contract: deterministic byte output, golden files, exit codes."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import rieszmod
-from rieszmod import LpNorm, dual_vector_norm
-from rieszmod.cli import _REFS, _build_parser, main
+from rieszmod import LpNorm, dual_vector_norm, errors
+from rieszmod.cli import _HANDLERS, _REFS, _build_parser, _dumps, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -230,6 +231,15 @@ def test_nan_stone_generator_is_an_error(capsys, tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text('{"generators": [[NaN, 1], [1, 0]]}')
     cli_error(capsys, "stone", "--structure", str(DATA / "structure_l2.json"),
+              "--generators", str(gens), code="non_idempotent_input", path=None)
+
+
+def test_huge_stone_generator_is_refused_without_a_warning(capfd, tmp_path):
+    # u*u overflows at 1e308; the idempotent check refuses the generator
+    # without a numpy warning on stderr.
+    gens = tmp_path / "gens.json"
+    gens.write_text('{"generators": [[1e308, 0]]}')
+    cli_error(capfd, "stone", "--structure", str(DATA / "structure_l2.json"),
               "--generators", str(gens), code="non_idempotent_input", path=None)
 
 
@@ -595,3 +605,77 @@ def test_data_files_and_goldens_validate_against_the_schemas(capfd, tmp_path):
         assert captured.err == ""
         document = json.loads(captured.out)
         assert schema_errors(document, "error" if want == 2 else "report") == [], argv
+
+
+# --------------------------------------------------------------------------
+# The report writer: json.dumps's bytes
+# --------------------------------------------------------------------------
+
+#: One run of each command on tests/data.
+COMMAND_ARGV = [
+    ["laws", "--structure", str(DATA / "structure_l2.json"), "--samples", "50"],
+    ["cotangent", "--graph", str(DATA / "path2.json"), "--p", "3", "--fn", "[0.5,-1.25]"],
+    ["project", "--module", str(DATA / "module_gram.json"),
+     "--element", str(DATA / "element_34.json"), "--set", str(DATA / "set_line.json")],
+    ["decompose", "--module", str(DATA / "module_221.json")],
+    ["dual", "--module", str(DATA / "module_push.json")],
+    ["pushforward", "--module", str(DATA / "module_push.json"),
+     "--map", str(DATA / "map_dup.json"), "--samples", "5"],
+    ["hahn-banach", "--problem", str(DATA / "hb_problem.json")],
+    ["stone", "--structure", str(DATA / "structure_l2.json"),
+     "--generators", str(DATA / "stone_gens.json")],
+]
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def test_writer_matches_json_dumps_on_every_report_and_envelope():
+    assert sorted(argv[0] for argv in COMMAND_ARGV) == sorted(_HANDLERS)
+    reports = [_HANDLERS[argv[0]](_build_parser().parse_args(argv))[1] for argv in COMMAND_ARGV]
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.RieszmodError)]
+    assert len({c.code for c in classes}) == len(classes) >= 19
+    envelopes = [c("refused \"x\" at \u00e9\n", path=f"$.a[{i}]").to_json()
+                 for i, c in enumerate(classes)]
+    envelopes.append(errors.InputError("no path").to_json())
+    for obj in reports + envelopes:
+        assert _dumps(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [{}], {"a": [], "b": {}}, [[[]], [[1.0, 2.5]], [[3, 4], []]],
+    [1, 2.5, True, False, None, "s", -0.0], [True, False], [None], [1, True], [0.0, 1],
+    {"z": 1, "a": [2.0, -3.0], "m": {"y": None, "b": [True]}},
+    ["caf\u00e9", "\u2028", "\U0001f600", "tab\tnew\nline", "quote\"back\\", "\x00\x1f"],
+    {"\u00e9": "\u00e9", "": ""},
+    [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7],
+    [10**30, -(10**30), 0, -1], 10**30, -0.0, 5e-324, "top", None, True,
+    (1.0, (2, "x")),
+])
+def test_writer_matches_json_dumps_on_synthetic_reports(obj):
+    assert _dumps(obj) == reference_dumps(obj)
+
+
+def test_writer_takes_str_keys_only():
+    # Every report and envelope is keyed by strings; the writer does not
+    # convert other keys as json.dumps would, it refuses them.
+    for key in (1, 2.5, None, True):
+        with pytest.raises(TypeError):
+            _dumps({key: 0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", [
+    lambda x: x, lambda x: [x], lambda x: [1.0, x], lambda x: [1, x],
+    lambda x: {"k": [[0.5], {"deep": x}]},
+])
+def test_writer_refuses_non_finite_floats_as_json_dumps_does(value, wrap):
+    obj = wrap(value)
+    with pytest.raises(ValueError) as want:
+        reference_dumps(obj)
+    with pytest.raises(ValueError) as got:
+        _dumps(obj)
+    assert str(got.value) == str(want.value) == (
+        f"Out of range float values are not JSON compliant: {value!r}")

@@ -127,6 +127,27 @@ def test_graph_gradient_rows_follow_neighbor_order():
         assert psi.matrices[x].tobytes() == want.tobytes()
 
 
+def test_graph_gradient_keeps_the_stack_it_wrote(monkeypatch):
+    # psi's matrices are read-only views of the one row stack graph_gradient
+    # allocates and fills, not of a second copy of it.
+    allocated = []
+    real = np.zeros
+
+    def spy(*args, **kwargs):
+        allocated.append(real(*args, **kwargs))
+        return allocated[-1]
+
+    monkeypatch.setattr(np, "zeros", spy)
+    g = Graph(("a", "b", "c", "d"), ((0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5)))
+    _, gen = cotangent_module(g, 2.0)
+    monkeypatch.undo()
+    (stack,) = [z for z in allocated if z.shape == (6, 4)]
+    assert not stack.flags.writeable
+    for a in range(3):
+        assert np.shares_memory(gen.psi.matrices[a], stack)
+    assert gen.psi.matrices[3].shape == (0, 4)
+
+
 def test_graph_gradient_evaluation():
     g = Graph(("a", "b", "c"), ((0, 1, 1.0), (1, 2, 1.0)))
     structure, gen = cotangent_module(g, 1.0)

@@ -111,6 +111,54 @@ def test_fn_chi_pos_and_lattice_ops():
     assert f.meet(f.zero()).values.tolist() == [0.0, 0.0, -1.0]
 
 
+def test_public_constructors_copy_caller_data():
+    space = make_space(3)
+    for data in (np.array([1.0, -2.0, 3.0]), np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])):
+        kept = data.copy()
+        f = Fn(data, space)
+        assert not np.shares_memory(f.values, data)
+        data[..., 0] = 99.0
+        assert np.array_equal(f.values, kept) and not f.values.flags.writeable
+    data = np.array([1.0, -2.0, 3.0])
+    for f in (space.fn(data), space.fn(data.tolist())):
+        assert not np.shares_memory(f.values, data)
+        data[1] = 7.0
+        assert f.values.tolist() == [1.0, -2.0, 3.0] and not f.values.flags.writeable
+        data[1] = -2.0
+    for mask in (np.array([True, False, True]), np.array([1.0, 0.0, 1.0])):
+        f = space.indicator(mask)
+        assert not np.shares_memory(f.values, mask)
+        mask[1] = True
+        assert f.values.tolist() == [1.0, 0.0, 1.0] and not f.values.flags.writeable
+
+
+def test_operation_results_are_read_only():
+    space = make_space(3)
+    for rows in (np.array([2.0, 0.0, -1.0]), np.array([[2.0, 0.0, -1.0], [1.0, -3.0, 0.5]])):
+        f, g = Fn(rows, space), Fn(np.abs(rows), space)
+        results = (f + g, f - g, -f, f * g, f.scale(2.0), f.join(g), f.meet(g),
+                   f.zero(), f.one(), f.chi_pos(), f.abs())
+        assert len(results) == 11
+        for out in results:
+            assert type(out) is Fn and not out.values.flags.writeable
+            assert out.values.shape == rows.shape and out.values.dtype == np.float64
+            with pytest.raises(ValueError):
+                out.values[..., 0] = 5.0
+    for f in (space.zero_fn(), space.one_fn()):
+        assert not f.values.flags.writeable
+
+
+def test_stone_atoms_are_read_only():
+    space = make_space(4)
+    atoms, _ = stone_atoms([space.indicator([True, True, False, False]),
+                            space.indicator([True, False, True, False])])
+    assert len(atoms) == 4
+    for atom in atoms:
+        assert not atom.element.values.flags.writeable
+        with pytest.raises(ValueError):
+            atom.element.values[0] = 2.0
+
+
 # --------------------------------------------------------------------------
 # Distances
 # --------------------------------------------------------------------------
