@@ -416,9 +416,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RieszmodError as exc:
         sys.stdout.write(_dumps(exc.to_json()))
         return 2
-    except (ValueError, TypeError) as exc:
-        # Malformed arrays and the like surface from numpy as ValueError, and
-        # a report holding a NaN or an infinity from _dumps.
+    except (ValueError, TypeError, OverflowError) as exc:
+        # Malformed arrays and the like surface from numpy as ValueError, a
+        # JSON integer beyond the float range as OverflowError, and a report
+        # holding a NaN or an infinity from _dumps.
         err = InputError(str(exc))
         sys.stdout.write(_dumps(err.to_json()))
         return 2

@@ -47,7 +47,6 @@ from .modules import (
     _as_gram,
     _FiberGroup,
     _finite_matrix,
-    _gram_norms,
     _gram_rows,
     _lp_conjugate,
     _lp_factor,
@@ -57,6 +56,7 @@ from .modules import (
     _matvec_rows,
     _newton,
     _split_atoms,
+    _stack_gram_norms,
     _stack_ranks,
     _svd_ranks,
     kernel_basis,
@@ -640,7 +640,7 @@ def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
             for a in g.atoms:
                 fibers[a] = dual
         elif isinstance(g.proto, GramNorm):
-            norms, defect = _gram_norms(np.linalg.inv(g.mats) if g.dim else g.mats)
+            norms, defect = _stack_gram_norms(np.linalg.inv(g.mats) if g.dim else g.mats)
             if defect is not None:
                 raise InvalidStructure(defect[1])
             for a, norm in zip(g.atoms.tolist(), norms):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Any, Callable, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +37,11 @@ from .spaces import FiniteFStructure, Fn, _lp_rows, _require, _rescaled_rows
 
 #: Relative singular-value cutoff for every rank decision in the package.
 RANK_RTOL = 1e-9
+
+#: The largest fiber dimension a module read from JSON may declare, so that
+#: the d x d blocks of its duals and homs (d^2 doubles) stay allocatable.
+#: Modules built in the library, such as generated ones, are not capped.
+MAX_FIBER_DIM = 4096
 
 
 def _svd_ranks(s: np.ndarray) -> np.ndarray:
@@ -188,58 +194,132 @@ class FiberNorm:
     @staticmethod
     def from_json(obj: Any, where: str = "$") -> "FiberNorm":
         norm = _parse_norm(obj, where)
-        if type(norm) is GramNorm:
-            try:
-                return GramNorm(norm.gram)
-            except InvalidStructure as exc:
-                raise InputError(exc.message, path=where + ".gram") from exc
+        if type(norm) is list:
+            norms, problem = _parse_grams([norm])
+            if problem is not None:
+                raise InputError(problem[1], path=where + ".gram" + problem[2])
+            return norms[0]
         return norm
 
 
-def _parse_norm(obj: Any, where: str) -> FiberNorm:
-    """A fiber norm from JSON; a gram matrix is checked to be finite and
-    square only, and the GramNorm carries it unvalidated (see ``_gram_norms``)."""
+def _parse_norm(obj: Any, where: str) -> FiberNorm | list:
+    """A fiber norm from JSON.  A gram matrix comes back as its JSON value,
+    checked to be a square list of lists only: ``_parse_grams`` checks its
+    entries and validates it, together with the other grams of its size."""
     _require(isinstance(obj, dict) and len(obj) == 1,
              "fiber norm must be {\"lp\": p}, {\"gram\": [[...]]}, or"
              " {\"image_lp\": {\"matrix\": [[...]], \"p\": p}}", where)
     key = next(iter(obj))
     if key == "lp":
-        p = obj["lp"]
-        if p == "inf":
-            return LpNorm(math.inf)
-        _require(isinstance(p, (int, float)), "lp exponent must be a number or \"inf\"",
-                 where + ".lp")
+        p = _exponent(obj["lp"], "lp exponent", where + ".lp")
         try:
-            return LpNorm(float(p))
+            return LpNorm(p)
         except InvalidExponent as exc:
             raise InputError(exc.message, path=where + ".lp") from exc
     if key == "gram":
-        g = _finite_matrix(obj["gram"], "gram matrix entries", where + ".gram")
-        _require(g.ndim == 2 and g.shape[0] == g.shape[1], "gram matrix must be square",
-                 where + ".gram")
-        return GramNorm._trusted(g)
+        g = obj["gram"]
+        # A JSON [] has no rows to fix a width, so no gram is 0 x 0 here.
+        if not (type(g) is list and g and all(type(r) is list and len(r) == len(g) for r in g)):
+            try:
+                np.asarray(g, dtype=float)
+            except (TypeError, ValueError) as exc:  # ragged, or not numbers
+                raise InputError("gram matrix entries must be numbers",
+                                 path=where + ".gram" + _non_number_at(g)) from exc
+            raise InputError("gram matrix must be square", path=where + ".gram")
+        return g
     if key == "image_lp":
         inner = obj["image_lp"]
         _require(isinstance(inner, dict) and "matrix" in inner and "p" in inner,
                  "image_lp needs 'matrix' and 'p'", where + ".image_lp")
-        p = math.inf if inner["p"] == "inf" else float(inner["p"])
+        p = _exponent(inner["p"], "image_lp p", where + ".image_lp.p")
         return ImageLpNorm(_finite_matrix(inner["matrix"], "image matrix entries",
                                           where + ".image_lp.matrix"), p)
     raise InputError(f"unknown fiber norm kind {key!r}", path=where)
 
 
+def _exponent(raw: Any, what: str, where: str) -> float:
+    """A JSON exponent: a number or "inf"."""
+    if raw == "inf":
+        return math.inf
+    _require(_number_type(type(raw)), f"{what} must be a number or \"inf\"", where)
+    return float(raw)
+
+
+def _number_type(t: type) -> bool:
+    """Whether t is the type of a JSON number: an int or a float, not a bool."""
+    return t is not bool and issubclass(t, (int, float))
+
+
+def _numbers(values: Iterable) -> bool:
+    """Whether every value is a JSON number, with one test per distinct type."""
+    return all(map(_number_type, set(map(type, values))))
+
+
+def _non_number_at(raw: Any, depth: int = -1) -> str:
+    """The index path, such as "[1][0]", of the first entry of the nested
+    lists raw that is not a number; "" when there is none.  With a depth,
+    the entries sit that many lists deep, and a list there is refused too."""
+    if isinstance(raw, list):
+        for i, x in enumerate(raw):
+            if isinstance(x, list) and depth != 1:
+                sub = _non_number_at(x, depth - 1)
+                if sub:
+                    return f"[{i}]{sub}"
+            elif not _number_type(type(x)):
+                return f"[{i}]"
+    return ""
+
+
 def _finite_matrix(raw: Any, what: str, where: str) -> np.ndarray:
-    """A JSON number, vector or matrix as floats; NaN and infinities are
+    """A JSON number, vector or matrix as floats.  An entry that is not a
+    JSON number (a bool or a string, say), NaN and the infinities are
     refused at their entry."""
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be numbers", path=where) from exc
+        entries = [raw]
+        for _ in range(arr.ndim):
+            entries = chain.from_iterable(entries)
+        numbers = _numbers(entries)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        numbers = False
+    if not numbers:
+        raise InputError(f"{what} must be numbers", path=where + _non_number_at(raw))
     bad = np.argwhere(~np.isfinite(arr))
     if bad.shape[0]:
         raise InputError(f"{what} must be finite",
                          path=where + "".join(f"[{i}]" for i in bad[0]))
     return arr
+
+
+def _parse_grams(raws: list[list]) -> tuple[list["GramNorm"], tuple[int, str, str] | None]:
+    """The GramNorms of JSON gram matrices of one size (square lists of
+    lists, from ``_parse_norm``): their entries are type-checked and
+    converted as one list, checked finite as one stack, and validated by
+    ``_stack_gram_norms``.
+
+    Returns the norms of the matrices before the first one refused, and
+    that one as (its position, the message, the path of the faulty entry
+    below the matrix, "" for the matrix), or None when all pass.
+    """
+    k, d = len(raws), len(raws[0])
+    entries = list(chain.from_iterable(chain.from_iterable(raws)))
+    problem = None
+    if not _numbers(entries):
+        k = next(m for m, g in enumerate(raws) if not _numbers(chain.from_iterable(g)))
+        problem = k, "gram matrix entries must be numbers", _non_number_at(raws[k], 2)
+    stack = np.array(entries[:k * d * d], dtype=float).reshape(k, d, d)
+    finite = np.isfinite(stack)
+    if not finite.all():
+        first = np.argwhere(~finite)[0].tolist()
+        k = first[0]
+        problem = k, "gram matrix entries must be finite", "".join(f"[{i}]" for i in first[1:])
+    if not k:
+        return [], problem
+    norms, defect = _stack_gram_norms(stack[:k])
+    if defect is not None:
+        problem = defect[0], defect[1], ""
+        norms = norms[:defect[0]]
+    return norms, problem
 
 
 @dataclass(frozen=True)
@@ -292,25 +372,33 @@ def _check_grams(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, np.where(symmetric, np.where(definite, 0, 2), 1)
 
 
+def _stack_gram_norms(stack: np.ndarray) -> tuple[list["GramNorm"], tuple[int, str] | None]:
+    """The GramNorm of every matrix of a (k, d, d) stack, validated by one
+    ``_check_grams`` call, and the position and defect message of the first
+    matrix refused, or None when all pass (only then are the norms valid).
+    A norm's gram is a read-only view into a fresh stack.
+    """
+    fixed, codes = _check_grams(stack)
+    fixed.setflags(write=False)
+    bad = np.flatnonzero(codes)
+    defect = (int(bad[0]), _GRAM_DEFECTS[codes[bad[0]]]) if bad.size else None
+    return list(map(GramNorm._trusted, fixed)), defect
+
+
 def _gram_norms(grams: Sequence[np.ndarray]
                 ) -> tuple[list["GramNorm"], tuple[int, str] | None]:
-    """The GramNorm of every square matrix, validated by ``_check_grams``
-    with one call per matrix size, and the position and defect message of
-    the first matrix refused, or None when all pass (only then are the
-    norms valid).  A norm's gram is a read-only view into a fresh stack.
-    """
+    """``_stack_gram_norms`` for square matrices of any sizes, with one
+    call per size; the defect reported is the first in the given order."""
     sizes = np.fromiter((g.shape[0] for g in grams), dtype=np.intp, count=len(grams))
-    fixed = [None] * len(grams)
+    norms = [None] * len(grams)
     defect = None
     for idx in _split_atoms(sizes):
-        stack, codes = _check_grams(np.stack([grams[i] for i in idx]))
-        stack.setflags(write=False)
-        bad = np.flatnonzero(codes)
-        if bad.size and (defect is None or idx[bad[0]] < defect[0]):
-            defect = int(idx[bad[0]]), _GRAM_DEFECTS[codes[bad[0]]]
-        for i, g in zip(idx.tolist(), stack):
-            fixed[i] = g
-    return [GramNorm._trusted(g) for g in fixed], defect
+        some, bad = _stack_gram_norms(np.stack([grams[i] for i in idx]))
+        if bad is not None and (defect is None or idx[bad[0]] < defect[0]):
+            defect = int(idx[bad[0]]), bad[1]
+        for i, norm in zip(idx.tolist(), some):
+            norms[i] = norm
+    return norms, defect
 
 
 @dataclass(frozen=True)
@@ -557,48 +645,74 @@ class FiberModule:
 
     @classmethod
     def from_json(cls, obj: Any, where: str = "$") -> "FiberModule":
+        """A module from JSON, in one pass over the fibers.
+
+        Fibers with one lp exponent and dimension share one ``Fiber``.  The
+        gram matrices of each size are converted as one stack and checked
+        together after the pass (``_parse_grams``).  The error raised is the
+        first in fiber order: the pass stops at its first error, of
+        whatever type, and a faulty gram at an earlier fiber beats it; a
+        gram is checked before its fiber's dimension.  Errors inside the
+        pass carry paths relative to their fiber, which is named only when
+        one is raised.
+        """
         _require(isinstance(obj, dict), "module must be an object", where)
         for key in ("structure", "fibers"):
             _require(key in obj, f"module is missing {key!r}", f"{where}.{key}")
         structure = FiniteFStructure.from_json(obj["structure"], where + ".structure")
         raw = obj["fibers"]
         _require(isinstance(raw, list), "fibers must be a list", where + ".fibers")
-        # Gram matrices are validated together after the parse, one
-        # ``_check_grams`` call per size.  Errors still come in fiber order:
-        # the parse stops at its first error, of whatever type, which a gram
-        # defect at that fiber or an earlier one beats (GramNorm ran before
-        # Fiber).
-        fibers: list[Fiber] = []
-        gram_atoms: list[int] = []
-        grams: list[np.ndarray] = []
-        failure = None
-        try:
-            for i, f in enumerate(raw):
-                here = f"{where}.fibers[{i}]"
-                _require(isinstance(f, dict) and "dim" in f and "norm" in f,
-                         "each fiber needs 'dim' and 'norm'", here)
-                dim = f["dim"]
-                # JSON integers may be written as 2.0; 2.7 and true are not dims.
-                integral = isinstance(dim, int) or isinstance(dim, float) and dim.is_integer()
-                _require(integral and not isinstance(dim, bool),
-                         "fiber dim must be an integer", here + ".dim")
-                norm = _parse_norm(f["norm"], here + ".norm")
-                if type(norm) is GramNorm:
-                    gram_atoms.append(i)
-                    grams.append(norm.gram)
+        fibers: list[Fiber | None] = [None] * len(raw)
+        lp_fibers: dict[tuple, Fiber] = {}
+        grams: dict[int, tuple[list[int], list[int], list[list]]] = {}
+        errors: list[tuple[int, Exception]] = []
+        for i, f in enumerate(raw):
+            try:
+                if not (isinstance(f, dict) and "dim" in f and "norm" in f):
+                    raise InputError("each fiber needs 'dim' and 'norm'", "")
+                dim, norm = f["dim"], f["norm"]
+                if type(dim) is not int:
+                    # JSON integers may be written as 2.0; 2.7 and true are not dims.
+                    if isinstance(dim, float) and dim.is_integer():
+                        dim = int(dim)
+                    _require(isinstance(dim, int) and not isinstance(dim, bool),
+                             "fiber dim must be an integer", ".dim")
+                if dim > MAX_FIBER_DIM:
+                    raise InputError(f"fiber dim must be at most {MAX_FIBER_DIM}", ".dim")
+                p = norm.get("lp") if type(norm) is dict and len(norm) == 1 else None
+                # A key of the shared lp fibers; never a bool, as True == 1.
+                if type(p) in (int, float, str):
+                    fiber = lp_fibers.get((dim, p))
+                    if fiber is None:
+                        fiber = lp_fibers[dim, p] = Fiber(dim, _parse_norm(norm, ".norm"))
+                    fibers[i] = fiber
+                    continue
+                parsed = _parse_norm(norm, ".norm")
+                if type(parsed) is list:
+                    atoms, dims, raws = grams.setdefault(len(parsed), ([], [], []))
+                    atoms.append(i)
+                    dims.append(dim)
+                    raws.append(parsed)
+                else:
+                    fibers[i] = Fiber(dim, parsed)
+            except Exception as exc:  # of any type: raised below, unless a gram is refused first
+                errors.append((i, exc))
+                break
+        for atoms, dims, raws in grams.values():
+            norms, problem = _parse_grams(raws)
+            if problem is not None:
+                errors.append((atoms[problem[0]], InputError(problem[1], ".norm.gram" + problem[2])))
+            for a, dim, norm in zip(atoms, dims, norms):
                 try:
-                    fibers.append(Fiber(int(dim), norm))
+                    fibers[a] = Fiber(dim, norm)
                 except (InvalidStructure, DimensionMismatch) as exc:
-                    raise InputError(exc.message, path=here) from exc
-        except Exception as exc:   # any parse error, raised after the grams
-            failure = exc
-        norms, defect = _gram_norms(grams)
-        if defect is not None:
-            raise InputError(defect[1], path=f"{where}.fibers[{gram_atoms[defect[0]]}].norm.gram")
-        if failure is not None:
-            raise failure
-        for a, gram_norm in zip(gram_atoms, norms):
-            fibers[a] = Fiber(fibers[a].dim, gram_norm)
+                    errors.append((a, exc))
+                    break
+        if errors:
+            i, exc = min(errors, key=lambda e: e[0])
+            if isinstance(exc, (InputError, InvalidStructure, DimensionMismatch)):
+                raise InputError(exc.message, path=f"{where}.fibers[{i}]{exc.path or ''}") from exc
+            raise exc
         try:
             return cls(structure, tuple(fibers))
         except InvalidStructure as exc:
@@ -618,15 +732,19 @@ class ModuleElement:
         dims = module._dim_array
         if len(vectors) != dims.size:
             raise DimensionMismatch("one vector per atom is required")
-        parts = [np.asarray(vec, dtype=float).reshape(-1) for vec in vectors]
-        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=dims.size)
+        try:
+            sizes = np.fromiter(map(len, vectors), dtype=np.intp, count=dims.size)
+        except TypeError as exc:  # a scalar has no length
+            raise DimensionMismatch("fiber vectors must be flat") from exc
         bad = np.flatnonzero(sizes != dims)
         if bad.size:
             a = bad[0]
             raise DimensionMismatch(
                 f"fiber vector has length {sizes[a]}, fiber dimension is {dims[a]}"
             )
-        flat = np.concatenate(parts) if parts else np.zeros(0)
+        flat = np.concatenate(vectors, axis=None, dtype=float) if dims.size else np.zeros(0)
+        if flat.size != module._offsets[-1]:
+            raise DimensionMismatch("fiber vectors must be flat")
         flat.setflags(write=False)
         self.flat = flat
         self.module = module
@@ -706,6 +824,9 @@ class ModuleElement:
         raw = obj["vectors"]
         _require(isinstance(raw, list) and all(isinstance(v, list) for v in raw),
                  "vectors must be a list of lists", where + ".vectors")
+        if not _numbers(chain.from_iterable(raw)):
+            raise InputError("fiber vector entries must be numbers",
+                             path=where + ".vectors" + _non_number_at(raw, 2))
         try:
             el = cls(raw, module)
         except DimensionMismatch as exc:

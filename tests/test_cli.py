@@ -6,13 +6,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rieszmod
 from rieszmod import LpNorm, dual_vector_norm, errors
 from rieszmod.cli import _HANDLERS, _REFS, _build_parser, _dumps, main
+from rieszmod.modules import MAX_FIBER_DIM
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -363,6 +367,19 @@ def test_hahn_banach_refuses_non_finite_basis_and_functional(capfd, tmp_path, ke
     cli_error(capfd, "hahn-banach", "--problem", str(bad), path=path)
 
 
+@pytest.mark.parametrize("key,value,path", [
+    ("basis", [[[True, 0.0]]], "$.basis[0][0][0]"),
+    ("basis", [[[1.0, "0"]]], "$.basis[0][0][1]"),
+    ("functional", [["1.0"]], "$.functional[0][0]"),
+])
+def test_hahn_banach_basis_and_functional_must_be_json_numbers(capfd, tmp_path, key, value, path):
+    problem = json.loads((DATA / "hb_problem.json").read_text())
+    problem[key] = value
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(problem))
+    cli_error(capfd, "hahn-banach", "--problem", str(bad), path=path)
+
+
 @pytest.mark.parametrize("fiber_set,path", [
     ({"kind": "subspace", "basis": [[NAN, 0.0]]}, "$.fibers[0].basis[0][0]"),
     ({"kind": "subspace", "basis": [[1.0, INF]]}, "$.fibers[0].basis[0][1]"),
@@ -377,6 +394,18 @@ def test_hahn_banach_refuses_non_finite_basis_and_functional(capfd, tmp_path, ke
      "$.fibers[0].parts[0].basis[0][1]"),
 ])
 def test_project_refuses_non_finite_sets(capfd, tmp_path, fiber_set, path):
+    bad = tmp_path / "set.json"
+    bad.write_text(json.dumps({"fibers": [fiber_set]}))
+    cli_error(capfd, "project", "--module", str(DATA / "module_gram.json"),
+              "--element", str(DATA / "element_34.json"), "--set", str(bad), path=path)
+
+
+@pytest.mark.parametrize("fiber_set,path", [
+    ({"kind": "subspace", "basis": [[True, 0.0]]}, "$.fibers[0].basis[0][0]"),
+    ({"kind": "ball", "center": [0.0, "0"], "radius": 1.0}, "$.fibers[0].center[1]"),
+    ({"kind": "ball", "center": [0.0, 0.0], "radius": "1"}, "$.fibers[0].radius"),
+])
+def test_project_set_entries_must_be_json_numbers(capfd, tmp_path, fiber_set, path):
     bad = tmp_path / "set.json"
     bad.write_text(json.dumps({"fibers": [fiber_set]}))
     cli_error(capfd, "project", "--module", str(DATA / "module_gram.json"),
@@ -498,6 +527,144 @@ def test_non_integer_fiber_dim_is_an_input_error(capsys, tmp_path, dim):
     cli_error(capsys, "decompose", "--module", str(bad), path="$.fibers[1].dim")
 
 
+@pytest.mark.parametrize("command", ["dual", "decompose", "pushforward"])
+def test_huge_fiber_dim_is_an_input_error(capfd, command):
+    # Once an OverflowError traceback (dual, pushforward) or a 309-digit
+    # dimension in a report (decompose).
+    argv = [command, "--module", str(DATA / "module_huge_dim.json")]
+    if command == "pushforward":
+        argv += ["--map", str(DATA / "map_dup.json")]
+    err = cli_error(capfd, *argv, path="$.fibers[0].dim")
+    assert err["message"] == f"fiber dim must be at most {MAX_FIBER_DIM}"
+
+
+@pytest.mark.parametrize("dim", [2**63, MAX_FIBER_DIM + 1])
+def test_fiber_dim_above_the_cap_is_an_input_error(capfd, tmp_path, dim):
+    module = json.loads((DATA / "module_push.json").read_text())
+    module["fibers"][1]["dim"] = dim
+    bad = tmp_path / "module.json"
+    bad.write_text(json.dumps(module))
+    cli_error(capfd, "dual", "--module", str(bad), path="$.fibers[1].dim")
+
+
+@pytest.mark.parametrize("keys,value,path", [
+    (("norm",), {"lp": True}, "$.fibers[0].norm.lp"),
+    (("norm",), {"lp": "2"}, "$.fibers[0].norm.lp"),
+    (("norm", "gram", 0, 0), "1.0", "$.fibers[0].norm.gram[0][0]"),
+    (("norm", "gram", 1, 1), True, "$.fibers[0].norm.gram[1][1]"),
+])
+def test_module_entries_must_be_json_numbers(capfd, tmp_path, keys, value, path):
+    # Each edit once parsed as a number: {"lp": true} as l1, "1.0" as 1.0.
+    module = json.loads((DATA / "module_gram.json").read_text())
+    parent = module["fibers"][0]
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    bad = tmp_path / "module.json"
+    bad.write_text(json.dumps(module))
+    cli_error(capfd, "decompose", "--module", str(bad), path=path)
+
+
+def test_element_entries_must_be_json_numbers(capfd, tmp_path):
+    element = tmp_path / "element.json"
+    element.write_text('{"vectors": [[3.0, "4"]]}')
+    cli_error(capfd, "project", "--module", str(DATA / "module_gram.json"), "--element",
+              str(element), "--set", str(DATA / "set_line.json"), path="$.vectors[0][1]")
+
+
+def test_integer_exponent_beyond_the_float_range_is_an_input_error(capfd, tmp_path):
+    # A JSON integer too large for a float was an OverflowError traceback.
+    module = (DATA / "module_push.json").read_text().replace('"lp": 2.0', '"lp": 1' + "0" * 400, 1)
+    bad = tmp_path / "module.json"
+    bad.write_text(module)
+    cli_error(capfd, "dual", "--module", str(bad))
+
+
+# --------------------------------------------------------------------------
+# CLI fuzzing: every mutated input gets one JSON document and exit 0, 1 or 2
+# --------------------------------------------------------------------------
+
+_MODULES = ("module_221.json", "module_gram.json", "module_push.json", "module_huge_dim.json")
+
+#: Per command, its arguments; a tuple lists the tests/data files a slot takes.
+FUZZ_ARGV = {
+    "laws": ["--structure", ("structure_l2.json",), "--samples", "20"],
+    "cotangent": ["--graph", ("path2.json",), "--p", "2", "--fn", "[0.5, -1]"],
+    "project": ["--module", ("module_gram.json",), "--element", ("element_34.json",),
+                "--set", ("set_line.json",)],
+    "decompose": ["--module", _MODULES],
+    "dual": ["--module", _MODULES],
+    "pushforward": ["--module", _MODULES, "--map", ("map_dup.json",), "--samples", "5"],
+    "hahn-banach": ["--problem", ("hb_problem.json", "hb_violating.json")],
+    "stone": ["--structure", ("structure_l2.json",), "--generators", ("stone_gens.json",)],
+}
+
+#: Replacements for a value: non-finite and subnormal numbers, and wrong types.
+_VALUES = [math.nan, math.inf, -math.inf, 1e-320, "x", "2", True, None, [], {}, [1.0]]
+
+#: Replacements for a fiber dim: invalid ones, which are refused before
+#: anything of their size is allocated, or small valid ones.
+_DIMS = [-1, 2.5, True, "2", 1e308, MAX_FIBER_DIM + 1, 0, 1, 2, 3]
+
+
+def _json_paths(doc, at=()):
+    yield at
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, at + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _json_paths(value, at + (i,))
+
+
+@st.composite
+def _mutated_text(draw, text):
+    """text truncated, or with one value replaced or one key or item deleted."""
+    kind = draw(st.sampled_from(["truncate", "replace", "delete"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    paths = list(_json_paths(doc))[1:]
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_DIMS if path[-1] == "dim" else _VALUES))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_ARGV))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_get_one_document_and_a_contract_exit_code(capfd, tmp_path, command, data):
+    spec = FUZZ_ARGV[command]
+    slots = [i for i, arg in enumerate(spec) if isinstance(arg, tuple)]
+    target = data.draw(st.sampled_from(slots))
+    argv = [command]
+    for i, arg in enumerate(spec):
+        if isinstance(arg, tuple):
+            text = (DATA / data.draw(st.sampled_from(arg))).read_text()
+            if i == target:
+                text = data.draw(_mutated_text(text))
+            path = tmp_path / f"input{i}.json"
+            path.write_text(text)
+            arg = str(path)
+        argv.append(arg)
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")   # a warning would reach stderr
+        code = main(argv)
+    captured = capfd.readouterr()
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == ""
+    document = json.loads(captured.out, parse_constant=reject_constant)
+    assert schema_errors(document, "error" if code == 2 else "report") == []
+
+
 # --------------------------------------------------------------------------
 # Seed resolution
 # --------------------------------------------------------------------------
@@ -576,13 +743,19 @@ DATA_SCHEMAS = {
     "set_line.json": "convex_set",
     "stone_gens.json": "generators",
     "structure_l2.json": "structure",
+    "module_huge_dim.json": "module",
 }
+
+#: The files of tests/data that are bad input: their schema refuses them, as
+#: the CLI does.
+REFUSED_DATA = {"module_huge_dim.json"}
 
 
 def test_data_files_and_goldens_validate_against_the_schemas(capfd, tmp_path):
     assert sorted(DATA_SCHEMAS) == sorted(p.name for p in DATA.glob("*.json"))
     for file, name in DATA_SCHEMAS.items():
-        assert schema_errors(json.loads((DATA / file).read_text()), name) == [], file
+        refusals = schema_errors(json.loads((DATA / file).read_text()), name)
+        assert (refusals != []) == (file in REFUSED_DATA), file
     for golden in sorted(GOLDEN.glob("*.json")):
         assert schema_errors(json.loads(golden.read_text()), "report") == [], golden.name
 

@@ -1,7 +1,9 @@
 """Fiberwise modules: pointwise norms, glueing, quotients, dimensions."""
 
 import itertools
+import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ from rieszmod import (
     Fiber,
     FiberModule,
     FiberNorm,
+    FiniteFStructure,
     FinitePartition,
     Fn,
     GramNorm,
@@ -71,6 +74,8 @@ from helpers import (
     sequential_independent_rows,
     sequential_rank,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # --------------------------------------------------------------------------
@@ -211,12 +216,13 @@ def test_module_json_reports_gram_defects_in_fiber_order():
             FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
         assert info.value.path == path
         assert words in info.value.message
-    # Parse errors that are not InputError lose to an earlier gram defect
-    # too, and still surface as they are on their own.
+    # Parse errors of any type lose to an earlier gram defect too, and still
+    # surface as they are on their own: an image exponent below 1 as
+    # InvalidExponent, a word where a number belongs as InputError.
     image_p = {"dim": 2, "norm": {"image_lp": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "p": 0.5}}}
     image_word = {"dim": 2, "norm": {"image_lp": {"matrix": [[1.0, 0.0], [0.0, 1.0]],
                                                   "p": "two"}}}
-    for later, error in ((image_p, InvalidExponent), (image_word, ValueError)):
+    for later, error in ((image_p, InvalidExponent), (image_word, InputError)):
         fibers = [{3: indefinite, 5: later}.get(i, plain) for i in range(7)]
         with pytest.raises(InputError) as info:
             FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
@@ -347,6 +353,174 @@ def test_element_shape_checks():
     assert all(np.array_equal(a, b) for a, b in zip(back.vectors, v.vectors))
     with pytest.raises(InputError):
         ModuleElement.from_json({"vectors": [[1.0], [2.0]]}, m)
+
+
+def _per_atom_flat(vectors):
+    """The flat vector of the per-atom construction: one conversion per atom."""
+    return np.concatenate([np.asarray(v, dtype=float).reshape(-1) for v in vectors] or [np.zeros(0)])
+
+
+def test_element_flat_equals_the_per_atom_concatenation():
+    rng = np.random.default_rng(41)
+    dims = [int(d) for d in rng.integers(0, 5, 300)]
+    m = lp_module(make_structure(len(dims)), dims)
+    arrays = [rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300) for d in dims]
+    cases = {
+        "numpy arrays": arrays,
+        "lists of floats": [a.tolist() for a in arrays],
+        "lists of ints": [[int(x) for x in rng.integers(-2**60, 2**60, d)] for d in dims],
+        "mixed": [a if i % 3 else a.tolist() for i, a in enumerate(arrays)],
+        "float32 arrays": [rng.standard_normal(d).astype(np.float32) for d in dims],
+    }
+    for name, vectors in cases.items():
+        v = ModuleElement(vectors, m)
+        assert v.flat.dtype == np.float64, name
+        assert v.flat.tobytes() == _per_atom_flat(vectors).tobytes(), name
+        assert not v.flat.flags.writeable
+    empty = lp_module(make_structure(3), (0, 0, 0))
+    assert ModuleElement([[], np.zeros(0), []], empty).flat.tobytes() == b""
+
+
+def test_element_refuses_vectors_that_are_not_flat():
+    m = lp_module(make_structure(3), (2, 1, 2))
+    for vectors in (
+        [[1.0, 2.0], 3.0, [4.0, 5.0]],                       # a scalar
+        [[1.0, 2.0], np.float64(3.0), [4.0, 5.0]],
+        [[1.0, 2.0], np.array(3.0), [4.0, 5.0]],             # a 0-d array
+        [[1.0, 2.0], [3.0], np.ones((2, 2))],                # 2-D: 4 entries, length 2
+        [np.ones((2, 3)), [3.0], [4.0, 5.0]],
+        [[[1.0, 2.0], [3.0, 4.0]], [3.0], [4.0, 5.0]],       # nested lists
+    ):
+        with pytest.raises(DimensionMismatch, match="flat"):
+            ModuleElement(vectors, m)
+    # A column, flattened, has its length: it is flat.
+    v = ModuleElement([np.ones((2, 1)), [3.0], [4.0, 5.0]], m)
+    assert v.flat.tolist() == [1.0, 1.0, 3.0, 4.0, 5.0]
+    with pytest.raises(DimensionMismatch) as info:
+        ModuleElement([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], m)
+    assert info.value.message == "fiber vector has length 2, fiber dimension is 1"
+
+
+def _fiber_by_fiber(obj):
+    """The module of obj built one fiber at a time from ``FiberNorm.from_json``."""
+    return FiberModule(FiniteFStructure.from_json(obj["structure"]),
+                       tuple(Fiber(int(f["dim"]), FiberNorm.from_json(f["norm"]))
+                             for f in obj["fibers"]))
+
+
+def _assert_same_module(got, want):
+    assert got == want
+    for f, g in zip(got.fibers, want.fibers):
+        assert type(f.norm) is type(g.norm)
+        if type(f.norm) is GramNorm:
+            assert f.norm.gram.tobytes() == g.norm.gram.tobytes()
+            assert not f.norm.gram.flags.writeable
+
+
+def _mixed_module_json(rng, n):
+    fibers = []
+    for i in range(n):
+        d = int(rng.integers(0, 5))
+        kind = ("lp", "gram", "image")[i % 3] if d else "lp"
+        if kind == "lp":
+            p = (1, 1.0, 2.0, 3.0, "inf", 1e30)[int(rng.integers(0, 6))]
+            norm = {"lp": p}
+        elif kind == "gram":
+            g = random_spd(rng, d)
+            if i % 7 == 0:   # symmetric only to within tolerance: stored as (G + G^T) / 2
+                g[0, -1] += 1e-14
+            norm = {"gram": g.tolist()}
+        else:
+            norm = {"image_lp": {"matrix": rng.standard_normal((d + 1, d)).tolist(), "p": 1.0}}
+        fibers.append({"dim": float(d) if i % 11 == 0 else d, "norm": norm})
+    return {"structure": make_structure(n).to_json(), "fibers": fibers}
+
+
+def test_module_from_json_equals_the_fiber_by_fiber_build():
+    rng = np.random.default_rng(42)
+    objs = [json.loads((DATA / name).read_text())
+            for name in ("module_221.json", "module_gram.json", "module_push.json")]
+    objs.append(json.loads((DATA / "hb_problem.json").read_text())["module"])
+    objs.append(json.loads(json.dumps(_mixed_module_json(rng, 2000))))
+    for obj in objs:
+        _assert_same_module(FiberModule.from_json(obj), _fiber_by_fiber(obj))
+
+
+def test_module_from_json_shares_one_lp_fiber_per_dim_and_exponent():
+    structure = make_structure(6)
+    fibers = [{"dim": 2, "norm": {"lp": 2.0}}, {"dim": 2, "norm": {"lp": 2}},
+              {"dim": 2.0, "norm": {"lp": 2.0}}, {"dim": 1, "norm": {"lp": 2.0}},
+              {"dim": 2, "norm": {"lp": "inf"}}, {"dim": 2, "norm": {"lp": "inf"}}]
+    m = FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+    assert m.fibers[0] is m.fibers[1] is m.fibers[2]
+    assert m.fibers[4] is m.fibers[5]
+    assert m.fibers[3] == Fiber(1, LpNorm(2.0)) and m.fibers[4] == Fiber(2, LpNorm(math.inf))
+    assert type(m.fibers[0].dim) is int
+
+
+@pytest.mark.parametrize("dim", [1e308, 2**63, modules.MAX_FIBER_DIM + 1])
+def test_module_from_json_caps_the_fiber_dim(dim):
+    # Refused at the dim, before anything of that size is allocated.
+    structure = make_structure(2)
+    for norm in ({"lp": 2.0}, {"gram": [[1.0]]}, {"image_lp": {"matrix": [[1.0]], "p": 1.0}}):
+        fibers = [{"dim": 1, "norm": {"lp": 2.0}}, {"dim": dim, "norm": norm}]
+        with pytest.raises(InputError) as info:
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+        assert (info.value.path, info.value.message) == (
+            "$.fibers[1].dim", f"fiber dim must be at most {modules.MAX_FIBER_DIM}")
+
+
+def test_module_from_json_accepts_the_capped_dim():
+    # Parsing allocates nothing of the fiber's size; nothing else runs here.
+    fibers = [{"dim": modules.MAX_FIBER_DIM, "norm": {"lp": 2.0}}]
+    m = FiberModule.from_json({"structure": make_structure(1).to_json(), "fibers": fibers})
+    assert m.fibers[0].dim == modules.MAX_FIBER_DIM
+
+
+@pytest.mark.parametrize("word", [True, False, "2", "1.0", None])
+def test_module_from_json_takes_only_numbers_where_the_schema_says_number(word):
+    structure = make_structure(2)
+    plain = {"dim": 1, "norm": {"lp": 2.0}}
+    gram = [[2.0, 0.5], [0.5, 1.0]]
+    bad_gram = [[2.0, 0.5], [0.5, word]]
+    image = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    bad_image = [[1.0, 0.0], [word, 1.0], [1.0, 1.0]]
+    cases = [
+        ({"lp": word}, "$.fibers[1].norm.lp"),
+        ({"gram": bad_gram}, "$.fibers[1].norm.gram[1][1]"),
+        ({"image_lp": {"matrix": image, "p": word}}, "$.fibers[1].norm.image_lp.p"),
+        ({"image_lp": {"matrix": bad_image, "p": 1.0}}, "$.fibers[1].norm.image_lp.matrix[1][0]"),
+    ]
+    for norm, path in cases:
+        fibers = [plain, {"dim": 2, "norm": norm}]
+        with pytest.raises(InputError) as info:
+            FiberModule.from_json({"structure": structure.to_json(), "fibers": fibers})
+        assert info.value.path == path
+        with pytest.raises(InputError) as info:
+            FiberNorm.from_json(norm, "$.norm")
+        assert info.value.path == "$.norm" + path.removeprefix("$.fibers[1].norm")
+    m = FiberModule.from_json({"structure": structure.to_json(),
+                               "fibers": [plain, {"dim": 2, "norm": {"gram": gram}}]})
+    with pytest.raises(InputError) as info:
+        ModuleElement.from_json({"vectors": [[1.0], [2.0, word]]}, m, "$.element")
+    assert (info.value.path, info.value.message) == (
+        "$.element.vectors[1][1]", "fiber vector entries must be numbers")
+    # "inf" stays a valid exponent.
+    assert FiberNorm.from_json({"image_lp": {"matrix": image, "p": "inf"}}).p == math.inf
+
+
+def test_module_and_element_refuse_a_list_where_a_number_belongs():
+    structure = make_structure(2)
+    plain = {"dim": 1, "norm": {"lp": 2.0}}
+    nested = {"dim": 2, "norm": {"gram": [[2.0, [0.5]], [0.5, 1.0]]}}
+    with pytest.raises(InputError) as info:
+        FiberModule.from_json({"structure": structure.to_json(), "fibers": [plain, nested]})
+    assert (info.value.path, info.value.message) == (
+        "$.fibers[1].norm.gram[0][1]", "gram matrix entries must be numbers")
+    m = lp_module(structure, (1, 2))
+    with pytest.raises(InputError) as info:
+        ModuleElement.from_json({"vectors": [[1.0], [2.0, [0.0]]]}, m)
+    assert info.value.path == "$.vectors[1][1]"
 
 
 def test_element_cross_module_arithmetic_rejected():
