@@ -39,7 +39,7 @@ from .modules import (
     pointwise_norm,
 )
 from .order import LAW_IDS, RING_TOL, riesz_law_suite
-from .spaces import DualSystem, FiniteFStructure, Fn, stone_atoms
+from .spaces import DualSystem, FiniteFStructure, Fn, _integer, _require_numbers, stone_atoms
 
 SCHEMA_VERSION = "1.0.0"
 
@@ -141,14 +141,11 @@ def _parse_vector(raw: str, length: int, what: str) -> list[float]:
         values = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} must be a JSON array: {exc}", path=f"$.{what}") from exc
-    if (not isinstance(values, list) or len(values) != length
-            or not all(isinstance(x, (int, float)) for x in values)):
-        raise InputError(f"{what} must be a JSON array of {length} numbers",
-                         path=f"$.{what}")
-    for i, x in enumerate(values):
-        if not math.isfinite(x):
-            raise InputError(f"{what} entries must be finite", path=f"$.{what}[{i}]")
-    return [float(x) for x in values]
+    message = f"{what} must be a JSON array of {length} numbers"
+    if not isinstance(values, list) or len(values) != length:
+        raise InputError(message, path=f"$.{what}")
+    _require_numbers(values, message, f"$.{what}", 1)
+    return _finite_matrix(values, f"{what} entries", f"$.{what}").tolist()
 
 
 def _report(command: str, seed: int, payload: dict) -> dict:
@@ -261,9 +258,10 @@ def _cmd_pushforward(args: argparse.Namespace) -> tuple[int, dict]:
                          path=args.map)
     target = FiniteFStructure.from_json(mapping["target"], "$.target")
     amap = mapping["atom_map"]
-    if not isinstance(amap, list) or not all(isinstance(i, int) for i in amap):
+    if not isinstance(amap, list):
         raise InputError("atom_map must be a list of integers", path="$.atom_map")
-    hom = StructureHom(module.structure, target, tuple(amap))
+    amap = tuple(_integer(i, "atom_map entry", f"$.atom_map[{k}]") for k, i in enumerate(amap))
+    hom = StructureHom(module.structure, target, amap)
     pushed, forward = pushforward_module(hom, module)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
@@ -304,6 +302,7 @@ def _cmd_hahn_banach(args: argparse.Namespace) -> tuple[int, dict]:
                          path="$.functional")
     functional = [_finite_matrix(r, "functional values", f"$.functional[{a}]")
                   for a, r in enumerate(functional)]
+    _require_numbers(problem["gauge"], "gauge values must be numbers", "$.gauge")
     gauge = module.space.fn(problem["gauge"])
     if not np.all(np.isfinite(gauge.values)):
         raise InputError("gauge values must be finite", path="$.gauge")
@@ -333,6 +332,7 @@ def _cmd_stone(args: argparse.Namespace) -> tuple[int, dict]:
         raise InputError("generators must be {\"generators\": [[0/1, ...], ...]}",
                          path=args.generators)
     space = structure.space
+    _require_numbers(data["generators"], "generator values must be numbers", "$.generators")
     gens = [space.fn(g) for g in data["generators"]]
     atoms, embedding = stone_atoms(gens)
     payload = {

@@ -28,7 +28,6 @@ from .modules import (
     ModuleElement,
     _gram_norms,
     _split_atoms,
-    independent_rows,
     kernel_basis,
     pointwise_norm,
     row_ranks,
@@ -40,6 +39,7 @@ from .spaces import (
     Fn,
     Kind,
     _lp_rows,
+    _number_type,
     _require,
 )
 
@@ -89,7 +89,7 @@ class Graph:
             _require(e["u"] in index, f"unknown vertex {e['u']!r}", here + ".u")
             _require(e["v"] in index, f"unknown vertex {e['v']!r}", here + ".v")
             w = e.get("w", 1.0)
-            _require(isinstance(w, (int, float)), "edge weight must be a number", here + ".w")
+            _require(_number_type(type(w)), "edge weight must be a number", here + ".w")
             edges.append((index[e["u"]], index[e["v"]], float(w)))
         try:
             return cls(tuple(vertices), tuple(edges))
@@ -267,25 +267,25 @@ class GeneratedModule:
 def _lift_rows(mats: tuple[np.ndarray, ...]) -> list[list[int]]:
     """Per matrix, the rows its fiber keeps, in row order.
 
-    One ``row_ranks`` call decides every rank.  A matrix of full row rank
-    keeps all its rows, as the greedy of ``independent_rows`` would: by
-    interlacing, each leading block of rows is then of full row rank too.
-    A rank-deficient one runs that greedy over its rows in the column-pivot
-    order of a pivoted QR of its transpose, so a tiny row does not displace
-    a large one it depends on (which would make the other rows'
-    coefficients, and a gram fiber's condition number, blow up).  Only then
-    is scipy imported.
+    One ``row_ranks`` call decides every rank r, and a matrix of full row
+    rank keeps all its rows.  Else r steps of a pivoted Gram-Schmidt pick
+    them: each takes the row of largest residual norm (the first on ties)
+    and removes its direction from every residual.  So a tiny row does not
+    displace a large one it depends on, which would make the other rows'
+    coefficients, and a gram fiber's condition number, blow up.
     """
     ranks = row_ranks(mats)
     sel = [list(range(m.shape[0])) if r == m.shape[0] else [] for m, r in zip(mats, ranks)]
-    short = [a for a, (m, r) in enumerate(zip(mats, ranks)) if 0 < r < m.shape[0]]
-    if short:
-        from scipy.linalg import qr
-
-        orders = [qr(mats[a].T, pivoting=True, mode="r")[1] for a in short]
-        kept = independent_rows([mats[a][order] for a, order in zip(short, orders)])
-        for a, order, k in zip(short, orders, kept):
-            sel[a] = sorted(order[k].tolist())
+    for a, (m, r) in enumerate(zip(mats, ranks)):
+        if 0 < r < m.shape[0]:
+            _, e = np.frexp(np.abs(m).max())  # a power-of-two scale: squares cannot overflow
+            res, picked = np.ldexp(m, -e), []
+            for _ in range(r):
+                j = int(np.argmax(np.einsum("kd,kd->k", res, res)))
+                q = res[j] / np.linalg.norm(res[j])
+                res -= np.outer(res @ q, q)
+                picked.append(j)
+            sel[a] = sorted(picked)
     return sel
 
 

@@ -15,7 +15,14 @@ from typing import Any
 
 import numpy as np
 
-from .errors import EmptySet, InputError, InvalidStructure, ModuleMismatch, NotHilbert
+from .errors import (
+    DimensionMismatch,
+    EmptySet,
+    InputError,
+    InvalidStructure,
+    ModuleMismatch,
+    NotHilbert,
+)
 from .homdual import bidual_embed, dual_module
 from .modules import (
     FiberModule,
@@ -27,20 +34,7 @@ from .modules import (
     kernel_basis,
     pointwise_norm,
 )
-from .spaces import DualSystem, Fn, _require
-
-
-def _not_hilbert(module: FiberModule, atom: int) -> NotHilbert:
-    name = type(module.fibers[atom].norm).__name__
-    return NotHilbert(f"fiber {atom} has norm {name}, not an inner-product norm")
-
-
-def _gram_of(module: FiberModule, atom: int) -> np.ndarray:
-    fiber = module.fibers[atom]
-    g = _as_gram(fiber.norm, fiber.dim)
-    if g is None:
-        raise _not_hilbert(module, atom)
-    return g
+from .spaces import DualSystem, Fn, _require, _require_numbers
 
 
 def _grams(module: FiberModule) -> tuple[np.ndarray, ...]:
@@ -53,7 +47,8 @@ def _grams(module: FiberModule) -> tuple[np.ndarray, ...]:
     for g in module._groups:
         gram = _as_gram(g.proto, g.dim, g.mats)
         if gram is None:
-            raise _not_hilbert(module, int(g.atoms[0]))
+            raise NotHilbert(f"fiber {g.atoms[0]} has norm {type(g.proto).__name__},"
+                             " not an inner-product norm")
         gram = gram.view()
         gram.setflags(write=False)
         for a, m in zip(g.atoms.tolist(), [gram] * g.atoms.size if gram.ndim == 2 else gram):
@@ -164,6 +159,10 @@ class FiberSet:
     def project(self, v: np.ndarray, gram: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def fits(self, dim: int) -> bool:
+        """Whether the set lies in a fiber of this dimension."""
+        raise NotImplementedError
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -200,8 +199,11 @@ class FiberSet:
 
 
 def _box_bound(raw: Any, unbounded: float, where: str) -> np.ndarray:
-    """A JSON box bound as floats: each entry finite, or the infinity on the
-    bound's open side (-inf for lo, inf for hi); others are refused at their entry."""
+    """A JSON box bound as floats: each entry a finite number, or the open side's
+    infinity str(unbounded) ("-inf" for lo, "inf" for hi); others are refused at their entry."""
+    if isinstance(raw, list):
+        raw = [unbounded if x == str(unbounded) else x for x in raw]
+        _require_numbers(raw, f"box bound entries must be numbers or {str(unbounded)!r}", where)
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -233,6 +235,9 @@ class SubspaceSet(FiberSet):
         _, e = np.frexp(np.abs(v).max(initial=0.0))
         t = np.linalg.lstsq(b @ gram @ b.T, b @ gram @ np.ldexp(v, -e), rcond=None)[0]
         return np.ldexp(b.T @ t, e)
+
+    def fits(self, dim: int) -> bool:
+        return self.basis.shape[1] == dim
 
     def to_json(self) -> dict:
         return {"kind": "subspace", "basis": [[float(x) for x in r] for r in self.basis]}
@@ -276,6 +281,9 @@ class BoxSet(FiberSet):
                 break
         return x
 
+    def fits(self, dim: int) -> bool:
+        return self.lo.size == dim
+
     def to_json(self) -> dict:
         def enc(a):
             return [("inf" if x == math.inf else "-inf" if x == -math.inf else float(x))
@@ -303,6 +311,9 @@ class BallSet(FiberSet):
         if norm <= self.radius:
             return v.copy()
         return self.center + (self.radius / norm) * d
+
+    def fits(self, dim: int) -> bool:
+        return self.center.shape == (dim,)
 
     def to_json(self) -> dict:
         return {"kind": "ball", "center": [float(x) for x in self.center],
@@ -332,6 +343,9 @@ class IntersectionSet(FiberSet):
             "alternating projections did not settle; the intersection is empty"
             " or has empty interior beyond tolerance"
         )
+
+    def fits(self, dim: int) -> bool:
+        return all(part.fits(dim) for part in self.parts)
 
     def to_json(self) -> dict:
         return {"kind": "intersection", "parts": [p.to_json() for p in self.parts]}
@@ -364,23 +378,18 @@ def project_convex(v: ModuleElement, c: ConvexSet) -> ModuleElement:
     module = v.module
     if len(c.fibers) != module.space.n:
         raise ModuleMismatch("convex set needs one fiber set per atom")
-    out = []
-    for a, (vec, part) in enumerate(zip(v.vectors, c.fibers)):
-        out.append(part.project(vec, _gram_of(module, a)))
-    return ModuleElement(out, module)
+    grams = _grams(module)
+    for a, (part, dim) in enumerate(zip(c.fibers, module.dims)):
+        if not part.fits(dim):
+            raise DimensionMismatch(f"fiber set {a} does not lie in the {dim}-dim fiber of atom"
+                                    f" {module.space.atoms[a]!r}", path=f"$.fibers[{a}]")
+    return ModuleElement([p.project(x, g) for x, p, g in zip(v.vectors, c.fibers, grams)], module)
 
 
 def orthogonal_complement(n: Submodule) -> Submodule:
     """Per atom, the gram-orthogonal complement of the span."""
-    module = n.module
-    bases = []
-    for a, b in enumerate(n.bases):
-        gram = _gram_of(module, a)
-        if b.shape[0] == 0:
-            bases.append(np.eye(module.fibers[a].dim))
-        else:
-            bases.append(kernel_basis(b @ gram))
-    return Submodule(module, tuple(bases))
+    bases = [kernel_basis(b @ gram) for b, gram in zip(n.bases, _grams(n.module))]
+    return Submodule(n.module, tuple(bases))
 
 
 # --------------------------------------------------------------------------

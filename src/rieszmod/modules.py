@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,18 @@ from .errors import (
     SpaceMismatch,
 )
 from .order import FinitePartition, Idempotent
-from .spaces import FiniteFStructure, Fn, _lp_rows, _require, _rescaled_rows
+from .spaces import (
+    FiniteFStructure,
+    Fn,
+    _integer,
+    _lp_rows,
+    _non_number_at,
+    _number_type,
+    _numbers,
+    _require,
+    _require_numbers,
+    _rescaled_rows,
+)
 
 #: Relative singular-value cutoff for every rank decision in the package.
 RANK_RTOL = 1e-9
@@ -91,27 +102,6 @@ def _split_atoms(*keys: np.ndarray) -> list[np.ndarray]:
 def matrix_rank(m: np.ndarray) -> int:
     """Rank with the package-wide threshold 1e-9 * (largest sigma or 1)."""
     return row_ranks([m])[0]
-
-
-def independent_rows(mats: Sequence[np.ndarray]) -> list[list[int]]:
-    """Per matrix, the indices of a maximal independent subset of its rows,
-    greedy in row order: a row is kept when it raises the rank of the rows
-    kept so far, until the rank reaches the column count.
-
-    The matrices run in lockstep: step i tests row i of every matrix still
-    short of full column rank, in one ``row_ranks`` call.
-    """
-    kept: list[list[int]] = [[] for _ in mats]
-    for i in range(max((m.shape[0] for m in mats), default=0)):
-        live = [j for j, m in enumerate(mats)
-                if i < m.shape[0] and len(kept[j]) < m.shape[1]]
-        if not live:
-            break
-        ranks = row_ranks([mats[j][kept[j] + [i]] for j in live])
-        for j, r in zip(live, ranks):
-            if r > len(kept[j]):
-                kept[j].append(i)
-    return kept
 
 
 def row_space_basis(m: np.ndarray) -> np.ndarray:
@@ -220,11 +210,7 @@ def _parse_norm(obj: Any, where: str) -> FiberNorm | list:
         g = obj["gram"]
         # A JSON [] has no rows to fix a width, so no gram is 0 x 0 here.
         if not (type(g) is list and g and all(type(r) is list and len(r) == len(g) for r in g)):
-            try:
-                np.asarray(g, dtype=float)
-            except (TypeError, ValueError) as exc:  # ragged, or not numbers
-                raise InputError("gram matrix entries must be numbers",
-                                 path=where + ".gram" + _non_number_at(g)) from exc
+            _require_numbers(g, "gram matrix entries must be numbers", where + ".gram", 2)
             raise InputError("gram matrix must be square", path=where + ".gram")
         return g
     if key == "image_lp":
@@ -243,31 +229,6 @@ def _exponent(raw: Any, what: str, where: str) -> float:
         return math.inf
     _require(_number_type(type(raw)), f"{what} must be a number or \"inf\"", where)
     return float(raw)
-
-
-def _number_type(t: type) -> bool:
-    """Whether t is the type of a JSON number: an int or a float, not a bool."""
-    return t is not bool and issubclass(t, (int, float))
-
-
-def _numbers(values: Iterable) -> bool:
-    """Whether every value is a JSON number, with one test per distinct type."""
-    return all(map(_number_type, set(map(type, values))))
-
-
-def _non_number_at(raw: Any, depth: int = -1) -> str:
-    """The index path, such as "[1][0]", of the first entry of the nested
-    lists raw that is not a number; "" when there is none.  With a depth,
-    the entries sit that many lists deep, and a list there is refused too."""
-    if isinstance(raw, list):
-        for i, x in enumerate(raw):
-            if isinstance(x, list) and depth != 1:
-                sub = _non_number_at(x, depth - 1)
-                if sub:
-                    return f"[{i}]{sub}"
-            elif not _number_type(type(x)):
-                return f"[{i}]"
-    return ""
 
 
 def _finite_matrix(raw: Any, what: str, where: str) -> np.ndarray:
@@ -670,13 +631,7 @@ class FiberModule:
             try:
                 if not (isinstance(f, dict) and "dim" in f and "norm" in f):
                     raise InputError("each fiber needs 'dim' and 'norm'", "")
-                dim, norm = f["dim"], f["norm"]
-                if type(dim) is not int:
-                    # JSON integers may be written as 2.0; 2.7 and true are not dims.
-                    if isinstance(dim, float) and dim.is_integer():
-                        dim = int(dim)
-                    _require(isinstance(dim, int) and not isinstance(dim, bool),
-                             "fiber dim must be an integer", ".dim")
+                dim, norm = _integer(f["dim"], "fiber dim", ".dim"), f["norm"]
                 if dim > MAX_FIBER_DIM:
                     raise InputError(f"fiber dim must be at most {MAX_FIBER_DIM}", ".dim")
                 p = norm.get("lp") if type(norm) is dict and len(norm) == 1 else None
@@ -824,9 +779,7 @@ class ModuleElement:
         raw = obj["vectors"]
         _require(isinstance(raw, list) and all(isinstance(v, list) for v in raw),
                  "vectors must be a list of lists", where + ".vectors")
-        if not _numbers(chain.from_iterable(raw)):
-            raise InputError("fiber vector entries must be numbers",
-                             path=where + ".vectors" + _non_number_at(raw, 2))
+        _require_numbers(raw, "fiber vector entries must be numbers", where + ".vectors", 2)
         try:
             el = cls(raw, module)
         except DimensionMismatch as exc:

@@ -40,6 +40,44 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise InputError(message, path=path)
 
 
+def _number_type(t: type) -> bool:
+    """Whether t is the type of a JSON number: an int or a float, not a bool."""
+    return t is not bool and issubclass(t, (int, float))
+
+
+def _numbers(values: Iterable) -> bool:
+    """Whether every value is a JSON number, with one test per distinct type."""
+    return all(map(_number_type, set(map(type, values))))
+
+
+def _non_number_at(raw: Any, depth: int = -1) -> str:
+    """The index path, such as "[1][0]", of the first entry of the nested
+    lists raw that is not a number; "" when there is none.  With a depth,
+    the entries sit that many lists deep, and a list there is refused too."""
+    if isinstance(raw, list):
+        for i, x in enumerate(raw):
+            if isinstance(x, list) and depth != 1:
+                sub = _non_number_at(x, depth - 1)
+                if sub:
+                    return f"[{i}]{sub}"
+            elif not _number_type(type(x)):
+                return f"[{i}]"
+    return ""
+
+
+def _require_numbers(raw: Any, message: str, where: str, depth: int = -1) -> None:
+    """Refuse the first entry ``_non_number_at`` finds in raw, at its path."""
+    bad = _non_number_at(raw, depth)
+    _require(not bad, message, where + bad)
+
+
+def _integer(raw: Any, what: str, where: str) -> int:
+    """A JSON integer, which may be written as 2.0; 2.5, true and "2" are refused."""
+    _require(type(raw) is int or (type(raw) is float and raw.is_integer()),
+             f"{what} must be an integer", where)
+    return int(raw)
+
+
 def _frozen(values: Sequence[float]) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -130,12 +168,11 @@ class FiniteMeasureSpace:
         weights = obj["weights"]
         _require(isinstance(atoms, list) and all(isinstance(a, str) for a in atoms),
                  "atoms must be a list of strings", where + ".atoms")
-        _require(isinstance(weights, list) and all(isinstance(w, (int, float)) for w in weights),
-                 "weights must be a list of numbers", where + ".weights")
         aux = obj.get("aux_weights")
-        if aux is not None:
-            _require(isinstance(aux, list) and all(isinstance(w, (int, float)) for w in aux),
-                     "aux_weights must be a list of numbers", where + ".aux_weights")
+        for key in ("weights", "aux_weights") if aux is not None else ("weights",):
+            here, message = f"{where}.{key}", f"{key} must be a list of numbers"
+            _require(isinstance(obj[key], list), message, here)
+            _require_numbers(obj[key], message, here, 1)
         try:
             return cls.make(atoms, weights, aux)
         except InvalidStructure as exc:
@@ -400,7 +437,7 @@ class Kind:
         _require(isinstance(obj, dict) and set(obj) == {"Lp"},
                  "kind must be 'Linf', 'L0', or {\"Lp\": p}", where)
         p = obj["Lp"]
-        _require(isinstance(p, (int, float)), "Lp exponent must be a number", where + ".Lp")
+        _require(_number_type(type(p)), "Lp exponent must be a number", where + ".Lp")
         try:
             return cls("Lp", float(p))
         except InvalidExponent as exc:

@@ -217,8 +217,8 @@ def sequential_hom_apply(h, v):
 
 
 def sequential_rank(m):
-    """The package's rank rule on one matrix, one SVD per call: the rank
-    test ``independent_rows`` once ran for every candidate row."""
+    """The package's rank rule on one matrix, one SVD per call: a
+    reference for the stacked ``row_ranks``."""
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
@@ -226,10 +226,10 @@ def sequential_rank(m):
 
 
 def sequential_independent_rows(m):
-    """The greedy row choice of ``independent_rows`` on one matrix, one
-    ``sequential_rank`` per candidate row: a reference for the lockstep
-    version.  A row is kept when it raises the rank of the rows kept so far,
-    until the rank reaches the column count."""
+    """A maximal independent subset of the rows of m, greedy in row order,
+    one ``sequential_rank`` per candidate row: a row is kept when it raises
+    the rank of the rows kept so far, until the rank reaches the column
+    count."""
     kept = []
     for i in range(m.shape[0]):
         if len(kept) == m.shape[1]:

@@ -479,28 +479,56 @@ def test_run_path_leaves_scipy_optimize_and_sparse_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_full_rank_generated_modules_leave_scipy_unloaded():
-    # Only rank-deficient atoms need scipy's pivoted QR; graph gradients
-    # and full-rank seminorm families have none.
+def test_every_command_and_rank_deficient_generated_modules_run_without_scipy():
+    # Only numpy is a runtime dependency: with every scipy import failing,
+    # the 8 commands run on tests/data (the three golden reports byte for
+    # byte), and rank-deficient atoms get their lifts by numpy alone.
     src = pathlib.Path(rieszmod.__file__).resolve().parent.parent
+    argvs = [
+        ["laws", "--structure", "structure_l2.json", "--samples", "10000", "--seed", "7"],
+        ["cotangent", "--graph", "path2.json", "--p", "2", "--fn", "[0,1]"],
+        ["decompose", "--module", "module_221.json"],
+        ["project", "--module", "module_gram.json", "--element", "element_34.json",
+         "--set", "set_line.json"],
+        ["dual", "--module", "module_push.json"],
+        ["pushforward", "--module", "module_push.json", "--map", "map_dup.json"],
+        ["hahn-banach", "--problem", "hb_problem.json"],
+        ["stone", "--structure", "structure_l2.json", "--generators", "stone_gens.json"],
+    ]
+    argvs = [[str(DATA / a) if a.endswith(".json") else a for a in argv] for argv in argvs]
     code = "\n".join([
-        "import contextlib, io, sys",
+        "import contextlib, io, json, sys",
+        "sys.modules['scipy'] = None  # any scipy import raises ImportError",
         "import numpy as np",
         "from rieszmod import generate_module, seminorm_family",
         "from rieszmod.cli import main",
         "from rieszmod.spaces import FiniteFStructure, FiniteMeasureSpace, Kind",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    assert main(['cotangent', '--graph', {str(DATA / 'path2.json')!r}, '--p', '2',",
-        "                 '--fn', '[0, 1]']) == 0",
-        "space = FiniteMeasureSpace.make(['a', 'b'], [1.0, 1.0])",
-        "structure = FiniteFStructure(space, Kind('Linf'), Kind('Lp', 3.0))",
-        "mats = [np.eye(3), np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])]",
-        "assert generate_module(seminorm_family(mats, 3.0), structure).module.dims == (3, 2)",
-        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))",
+        "results = []",
+        f"for argv in {argvs!r}:",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
+        "        results.append([main(argv), out.getvalue()])",
+        "rng = np.random.default_rng(631)",
+        "mats = [rng.standard_normal((k, 5)) for k in (4, 0, 3, 6, 2)]",
+        "mats[0][3] = mats[0][0] - 2.0 * mats[0][2]",
+        "mats[2][1] = 0.0",
+        "mats[3] = mats[3][:, :2] @ rng.standard_normal((2, 5))",
+        "space = FiniteMeasureSpace.make(list('abcde'), [1.0] * 5)",
+        "for p in (1.0, 2.0, 3.0):",
+        "    structure = FiniteFStructure(space, Kind('Linf'), Kind('Lp', p))",
+        "    gen = generate_module(seminorm_family(mats, p), structure)",
+        "    assert gen.module.dims == (3, 0, 2, 2, 2), gen.module.dims",
+        "print(json.dumps(results))",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stderr == ""
+    results = json.loads(out.stdout)
+    assert [status for status, _ in results] == [0] * 8
+    for name, (_, report) in zip(["laws", "cotangent", "decompose"], results):
+        assert report == (GOLDEN / f"{name}.json").read_text()
+    assert all(json.loads(report)["command"] == argv[0]
+               for argv, (_, report) in zip(argvs, results))
 
 
 def test_project_of_a_huge_element_scales_it_back_exactly(capfd, tmp_path):
@@ -570,6 +598,82 @@ def test_element_entries_must_be_json_numbers(capfd, tmp_path):
     element.write_text('{"vectors": [[3.0, "4"]]}')
     cli_error(capfd, "project", "--module", str(DATA / "module_gram.json"), "--element",
               str(element), "--set", str(DATA / "set_line.json"), path="$.vectors[0][1]")
+
+
+def edited_argv(tmp_path, argv):
+    """argv with each "name.json" read from tests/data, and each (name,
+    keys, value) a copy of that file with the entry at keys set to value."""
+    out = []
+    for arg in argv:
+        if isinstance(arg, tuple):
+            name, keys, value = arg
+            doc = json.loads((DATA / name).read_text())
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = value
+            (tmp_path / name).write_text(json.dumps(doc))
+            arg = str(tmp_path / name)
+        elif arg.endswith(".json"):
+            arg = str(DATA / arg)
+        out.append(arg)
+    return out
+
+
+def box(lo):
+    return {"kind": "box", "lo": lo, "hi": [1.0, 1.0]}
+
+
+PROJECT = ["project", "--module", "module_gram.json", "--element", "element_34.json", "--set"]
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["laws", "--structure", ("structure_l2.json", ("space", "weights", 0), True)],
+     "$.space.weights[0]"),
+    (["laws", "--structure", ("structure_l2.json", ("space", "aux_weights"), [True, 0.5])],
+     "$.space.aux_weights[0]"),
+    (["laws", "--structure", ("structure_l2.json", ("V",), {"Lp": True})], "$.V.Lp"),
+    (["cotangent", "--graph", ("path2.json", ("edges", 0, "w"), True), "--p", "2", "--fn", "[0,1]"],
+     "$.edges[0].w"),
+    (["cotangent", "--graph", "path2.json", "--p", "2", "--fn", "[true, 1]"], "$.fn[0]"),
+    (["pushforward", "--module", "module_push.json", "--map",
+      ("map_dup.json", ("atom_map", 0), True)], "$.atom_map[0]"),
+    (["hahn-banach", "--problem", ("hb_problem.json", ("gauge",), ["1.0"])], "$.gauge[0]"),
+    (["hahn-banach", "--problem", ("hb_problem.json", ("gauge",), [True])], "$.gauge[0]"),
+    (["stone", "--structure", "structure_l2.json", "--generators",
+      ("stone_gens.json", ("generators", 0), ["1", "0"])], "$.generators[0][0]"),
+    (["stone", "--structure", "structure_l2.json", "--generators",
+      ("stone_gens.json", ("generators", 0), [True, False])], "$.generators[0][0]"),
+    ([*PROJECT, ("set_line.json", ("fibers", 0), box(["-1.0", -1.0]))], "$.fibers[0].lo[0]"),
+    ([*PROJECT, ("set_line.json", ("fibers", 0), box([True, -1.0]))], "$.fibers[0].lo[0]"),
+])
+def test_bools_and_strings_are_not_json_numbers(capfd, tmp_path, argv, path):
+    # Each input once exited 0 with a report, reading true as 1 and "1.0" as 1.0.
+    cli_error(capfd, *edited_argv(tmp_path, argv), path=path)
+
+
+def test_box_bounds_take_the_schema_infinities(capfd, tmp_path):
+    argv = [*PROJECT, ("set_line.json", ("fibers", 0), box(["-inf", -1.0]))]
+    assert main(edited_argv(tmp_path, argv)) == 0
+    assert json.loads(capfd.readouterr().out)["projection"] == [[1.0, 1.0]]
+    argv = [*PROJECT, ("set_line.json", ("fibers", 0), box(["inf", -1.0]))]
+    cli_error(capfd, *edited_argv(tmp_path, argv), path="$.fibers[0].lo[0]")
+
+
+@pytest.mark.parametrize("fiber_set", [
+    {"kind": "ball", "center": [0.0], "radius": 1.0},
+    {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+    {"kind": "subspace", "basis": [[1.0, 0.0, 0.0]]},
+    {"kind": "intersection", "parts": [box([-1.0, -1.0]),
+                                       {"kind": "ball", "center": [0.0] * 3, "radius": 1.0}]},
+])
+def test_fiber_sets_must_have_their_fibers_dimension(capfd, tmp_path, fiber_set):
+    # A 1-vector center or bound was broadcast over the 2-dim fiber (the
+    # ball gave [0.6, 0.8]), and a width of 3 failed in numpy with no path.
+    argv = [*PROJECT, ("set_line.json", ("fibers", 0), fiber_set)]
+    err = cli_error(capfd, *edited_argv(tmp_path, argv), code="dimension_mismatch",
+                    path="$.fibers[0]")
+    assert "'x'" in err["message"]
 
 
 def test_integer_exponent_beyond_the_float_range_is_an_input_error(capfd, tmp_path):

@@ -341,8 +341,9 @@ def test_generated_kernels_are_built_on_first_read():
 
 
 def test_full_row_rank_atoms_keep_every_row():
-    # Graph atoms are of full row rank: the lift is the seminorm matrix and
-    # the parent greedy's choice, and the factor is the identity.
+    # Graph atoms are of full row rank: the lift is the seminorm matrix, as
+    # a greedy choice of independent rows would keep, and the factor is the
+    # identity.
     rng = np.random.default_rng(617)
     _, gen = cotangent_module(random_graph(rng, n=15, extra=10), 2.0)
     for m, lift, fiber in zip(gen.psi.matrices, gen.lifts, gen.module.fibers):
@@ -403,6 +404,25 @@ def test_generate_module_keeps_large_rows_of_rank_deficient_atoms(m):
     for v in np.eye(2):
         got = pointwise_norm(gen.generator_map(v)).values[0]
         assert abs(got - np.linalg.norm(m @ v)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_generated_fiber_dim_is_the_seminorm_rank(p):
+    # The tiny row is below RANK_RTOL next to the large doubled one: the
+    # fiber keeps one row, and the kernel spans the other two directions.
+    m = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.5e-9, 0.0]])
+    gen = generate_module(seminorm_family([m], p), make_structure(1))
+    assert gen.module.dims == (matrix_rank(m),) == (1,)
+    assert gen.module.dims[0] + gen.kernels[0].shape[0] == 3
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_rank_deficient_atoms_of_huge_rows_keep_their_largest_rows(p):
+    # Squared norms of these rows overflow; the pivoting runs on the rows
+    # scaled by a power of two, which picks the same rows.
+    m = np.array([[1e200, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 3e200, 0.0], [0.0, 0.0, 1.0]])
+    gen = generate_module(seminorm_family([m], p), make_structure(1))
+    assert gen.lifts[0].tolist() == [[1e200, 0.0, 0.0], [0.0, 3e200, 0.0]]
 
 
 def test_generator_map_checks_length():

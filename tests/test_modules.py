@@ -49,6 +49,7 @@ from rieszmod import (
     zero_indicator,
 )
 from rieszmod import modules
+from rieszmod.constructions import _lift_rows
 from rieszmod.homdual import _min_dual_norms
 from rieszmod.modules import (
     _GAP_RTOL,
@@ -58,7 +59,6 @@ from rieszmod.modules import (
     _lp_gauge_values,
     _lp_rows,
     _polyhedral_gauges,
-    independent_rows,
 )
 from helpers import (
     count_solver_calls,
@@ -71,7 +71,6 @@ from helpers import (
     reference_need,
     random_fn,
     random_spd,
-    sequential_independent_rows,
     sequential_rank,
 )
 
@@ -1196,12 +1195,15 @@ def test_row_ranks_equal_each_matrix_rank():
     assert row_ranks([]) == []
 
 
-def test_lockstep_independent_rows_match_the_sequential_greedy():
-    rng = np.random.default_rng(607)
-    mats = mixed_rank_matrices(rng)
-    assert independent_rows(mats) == [sequential_independent_rows(m) for m in mats]
-    # Near-threshold rows are decided both ways across the sample.
-    near = [m for m in mats if m.shape[0] >= 2 and m.shape[0] <= m.shape[1]
-            and 0 < sequential_rank(m) < m.shape[0]]
-    assert near
-    assert independent_rows([]) == []
+def test_rank_deficient_lifts_keep_as_many_rows_as_the_rank():
+    # The pivoted Gram-Schmidt of _lift_rows keeps exactly r rows of a
+    # rank-r matrix, and they span its row space.
+    mats = [m for m in mixed_rank_matrices(np.random.default_rng(607))
+            if matrix_rank(m) < m.shape[0]]
+    # Some are deficient by a near-threshold row, not by their shape.
+    assert any(0 < matrix_rank(m) and m.shape[0] <= m.shape[1] for m in mats)
+    for m, sel in zip(mats, _lift_rows(tuple(mats))):
+        lift, r = m[sel], matrix_rank(m)
+        assert sel == sorted(sel)
+        assert lift.shape[0] == matrix_rank(lift) == r
+        assert matrix_rank(np.vstack([lift, m])) == r
