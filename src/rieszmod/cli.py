@@ -60,12 +60,16 @@ _REFS = {
 def _dumps(obj: Any) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
     byte for byte for str-keyed objects, without json's pure-Python indent encoder."""
-    return _encode(obj, "\n") + "\n"
+    return _encode(obj, "\n", {}) + "\n"
 
 
-def _encode(o: Any, nl: str) -> str:
+def _encode(o: Any, nl: str, memo: dict) -> str:
     """o as JSON, nested under the line break and indent ``nl``.  A list
-    that holds only ints or only finite floats is written with one join."""
+    that holds only ints, only finite floats or only strs is written with
+    one join.  A dict is encoded once per depth: ``memo`` maps its id and
+    len(nl) to its text, for the dicts of one ``_dumps`` call (which keeps
+    them alive), so a dict shared by many fibers (``_module_json``) costs
+    one encoding."""
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
@@ -77,12 +81,19 @@ def _encode(o: Any, nl: str) -> str:
                 return "[" + inner + text + nl + "]"
         elif kinds == {int}:
             return "[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]"
-        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]"
+        elif kinds == {str}:
+            return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, o)) + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(x, inner, memo) for x in o]) + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        key = id(o), len(nl)
+        text = memo.get(key)
+        if text is None:
+            items = [encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
+                     for k, v in sorted(o.items())]
+            text = memo[key] = "{" + inner + ("," + inner).join(items) + nl + "}"
+        return text
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -157,6 +168,15 @@ def _report(command: str, seed: int, payload: dict) -> dict:
     }
     out.update(payload)
     return out
+
+
+def _module_json(module: FiberModule) -> dict:
+    """``module.to_json()`` with one fiber dict per distinct ``Fiber`` object,
+    so that ``_dumps`` encodes a fiber shared by many atoms once."""
+    shared = {id(f): f for f in module.fibers}
+    dicts = {key: f.to_json() for key, f in shared.items()}
+    return {"structure": module.structure.to_json(),
+            "fibers": [dicts[id(f)] for f in module.fibers]}
 
 
 def _exponent_json(p: float) -> Any:
@@ -243,7 +263,7 @@ def _cmd_dual(args: argparse.Namespace) -> tuple[int, dict]:
     payload = {
         "W": system.w_kind.to_json(),
         "Z": system.z_kind.to_json(),
-        "dual": dual.to_json(),
+        "dual": _module_json(dual),
         "reflexive": reflexive,
     }
     return (0 if reflexive else 1), _report("dual", _resolve_seed(args.seed), payload)
@@ -265,18 +285,23 @@ def _cmd_pushforward(args: argparse.Namespace) -> tuple[int, dict]:
     pushed, forward = pushforward_module(hom, module)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
+    # The samples are checked as (samples, coordinates) blocks of at most
+    # 2^16 floats, each one draw: numpy's Generator gives the same stream as
+    # one draw per sample.  Every map runs row by row, so a row has the bits
+    # of its sample checked alone.
+    n = int(module._offsets[-1])
+    block = max(1, 2 ** 16 // max(n, 1))
     preserved = True
-    for _ in range(args.samples):
-        # One draw of all coordinates: numpy's Generator gives the same
-        # stream as one draw per fiber.
-        v = ModuleElement._from_flat(rng.standard_normal(int(module._offsets[-1])), module)
+    for start in range(0, args.samples, block):
+        v = ModuleElement._from_flat(
+            rng.standard_normal((min(block, args.samples - start), n)), module)
         lhs = pointwise_norm(forward.apply(v))
         rhs = hom.apply(pointwise_norm(v))
-        if not lhs.equals(rhs):
+        if not lhs.equals(rhs).all():
             preserved = False
             break
     payload = {
-        "module": pushed.to_json(),
+        "module": _module_json(pushed),
         "norm_preserved": preserved,
         "samples": args.samples,
     }

@@ -93,9 +93,10 @@ class StructureHom:
         return cls(structure, structure, tuple(range(structure.space.n)))
 
     def apply(self, f: Fn) -> Fn:
+        """f read along the atom map; a batch maps row by row."""
         if f.space != self.source.space:
             raise ModuleMismatch("argument lives on the wrong measure space")
-        return Fn(f.values[list(self.atom_map)], self.target.space)
+        return Fn(f.values[..., list(self.atom_map)], self.target.space)
 
     def compose(self, other: "StructureHom") -> "StructureHom":
         """self after other (other: A -> B, self: B -> C)."""
@@ -230,11 +231,12 @@ class HomElement:
         return f"HomElement({[m.tolist() for m in self.matrices]!r})"
 
     def apply(self, v: ModuleElement) -> ModuleElement:
+        """T v; a stack of elements (``ModuleElement._from_flat``) maps row by row."""
         if not v.module.same_module(self.source):
             raise ModuleMismatch("argument lives in the wrong module")
-        out = np.zeros(int(self.target._offsets[-1]))
+        out = np.zeros(v.flat.shape[:-1] + (int(self.target._offsets[-1]),))
         for r, c, mats, cols, rows in self._layout.blocks:
-            out[rows] = _matvec_rows(self.flat[mats].reshape(-1, r, c), v.flat[cols])
+            out[..., rows] = _matvec_rows(self.flat[mats].reshape(-1, r, c), v.flat[..., cols])
         return ModuleElement._from_flat(out, self.target)
 
     def _check(self, other: "HomElement") -> None:

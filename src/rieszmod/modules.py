@@ -82,10 +82,19 @@ def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
 
 def _stack_ranks(stack: np.ndarray) -> np.ndarray:
     """The rank of every matrix of a (k, rows, cols) stack, by the rule of
-    ``row_ranks``, with one singular-value call (none when empty)."""
+    ``row_ranks``, with one singular-value call (none when empty).
+
+    A matrix whose largest singular value overflows (inf > 1e-9 * inf is
+    false) is recomputed from the matrix scaled by a power of two that
+    brings its largest entry into [1, 2), where the rule stays relative."""
     if stack.size == 0:
         return np.zeros(stack.shape[0], dtype=np.intp)
-    return _svd_ranks(np.linalg.svd(stack, compute_uv=False))
+    s = np.linalg.svd(stack, compute_uv=False)
+    huge = np.flatnonzero(~np.isfinite(s[:, 0]))
+    if huge.size:
+        _, e = np.frexp(np.maximum.reduce(np.abs(stack[huge]).reshape(huge.size, -1), axis=1))
+        s[huge] = np.linalg.svd(np.ldexp(stack[huge], 1 - e[:, None, None]), compute_uv=False)
+    return _svd_ranks(s)
 
 
 def _split_atoms(*keys: np.ndarray) -> list[np.ndarray]:
@@ -133,13 +142,14 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 # (numpy's array and scalar powers can differ in the last bit).
 
 def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mats[i] @ x[i] for every i.
+    """mats[i] @ x[..., i, :] for every i, x a (k, cols) stack or an
+    (S, k, cols) stack of S of them.
 
-    Elementwise products and one reduction rather than BLAS or ``einsum``,
-    whose summation order can change with the stack, so that a row's bits
-    do not depend on the other rows.
+    Elementwise products and one reduction over the last axis rather than
+    BLAS or ``einsum``, whose summation order can change with the stack, so
+    that a row's bits do not depend on the other rows.
     """
-    return np.add.reduce(mats * x[:, None, :], axis=2)
+    return np.add.reduce(mats * x[..., None, :], axis=-1)
 
 
 def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -707,7 +717,12 @@ class ModuleElement:
 
     @classmethod
     def _from_flat(cls, flat: np.ndarray, module: FiberModule) -> "ModuleElement":
-        """Wrap a fresh flat vector of the module's layout (taken, not copied)."""
+        """Wrap a fresh flat vector of the module's layout (taken, not copied).
+
+        The only way to build a stack of S elements: an (S, N) ``flat``, one
+        element per row, which ``pointwise_norm`` and ``HomElement.apply``
+        take and map row by row; the other methods take single elements only.
+        """
         el = cls.__new__(cls)
         flat.setflags(write=False)
         el.flat = flat
@@ -795,12 +810,25 @@ class ModuleElement:
 def pointwise_norm(v: ModuleElement) -> Fn:
     """The fiber norm of each fiber vector, as a function on the space.
 
-    One stacked kernel call per fiber group.
+    One stacked kernel call per fiber group.  A stack of S elements (see
+    ``ModuleElement._from_flat``) gives an (S, n) batch, each row with the
+    bits of its element's own call: a group's S * k rows go through one
+    kernel call, its matrices repeated per element.
     """
-    out = np.zeros(v.module.space.n)
-    for g in v.module._groups:
-        out[g.atoms] = g.norms_of(v.flat[g.cols])
-    return Fn(out, v.module.space)
+    flat, groups = v.flat, v.module._groups
+    if flat.ndim == 1:
+        out = np.zeros(v.module.space.n)
+        for g in groups:
+            out[g.atoms] = g.norms_of(flat[g.cols])
+        return Fn._trusted(out, v.module.space)
+    s = flat.shape[0]
+    out = np.zeros((s, v.module.space.n))
+    for g in groups:
+        k = g.atoms.size
+        rows = flat[:, g.cols].reshape(s * k, g.dim)
+        norms_of = g.norms_of if g.mats is None else g.take(np.tile(np.arange(k), s)).norms_of
+        out[:, g.atoms] = norms_of(rows).reshape(s, k)
+    return Fn._trusted(out, v.module.space)
 
 
 def module_distance(v: ModuleElement, w: ModuleElement) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -65,8 +66,25 @@ def _non_number_at(raw: Any, depth: int = -1) -> str:
     return ""
 
 
+def _nested_numbers(raw: list, depth: int) -> bool:
+    """Whether raw holds only numbers, level by level down its lists of lists
+    (at most ``depth`` levels, any number when -1), with one test per
+    distinct type per level as in ``_numbers``.  A level that mixes lists
+    with other values reads False, and ``_non_number_at`` decides it."""
+    level = raw
+    while True:
+        kinds = set(map(type, level))
+        if kinds != {list} or depth == 1:
+            return all(map(_number_type, kinds))
+        level = list(chain.from_iterable(level))
+        depth -= 1
+
+
 def _require_numbers(raw: Any, message: str, where: str, depth: int = -1) -> None:
-    """Refuse the first entry ``_non_number_at`` finds in raw, at its path."""
+    """Refuse the first entry ``_non_number_at`` finds in raw, at its path.
+    Lists of numbers pass by ``_nested_numbers``; only other input is walked."""
+    if type(raw) is list and _nested_numbers(raw, depth):
+        return
     bad = _non_number_at(raw, depth)
     _require(not bad, message, where + bad)
 

@@ -5,6 +5,7 @@ modules with small fibers, and seeded random elements.  Tests that need a
 specific oracle value construct their inputs inline instead.
 """
 
+import json
 import math
 
 import numpy as np
@@ -27,8 +28,10 @@ from rieszmod import (
     ModuleElement,
     PartitionMismatch,
     SimpleElement,
+    StructureHom,
     pointwise_norm,
     positive_part,
+    pushforward_module,
 )
 from rieszmod.modules import _matvec_rows
 from rieszmod.order import _SIMPLE_OPS, LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
@@ -214,6 +217,37 @@ def sequential_hom_apply(h, v):
     amap = h.hom.atom_map if h.hom is not None else range(h.target.space.n)
     return [_matvec_rows(m[None], v.vectors[amap[t]][None])[0]
             for t, m in enumerate(h.matrices)]
+
+
+def sequential_pushforward_report(module_path, map_path, samples, seed):
+    """The text of the ``pushforward`` report as a per-sample loop writes it:
+    per sample one draw, one ``forward.apply``, two ``pointwise_norm`` calls
+    and one ``StructureHom.apply``, stopping at the first sample whose norms
+    differ; encoded by ``json.dumps``.  A reference for the stacked check."""
+    with open(module_path, encoding="utf-8") as fh:
+        module = FiberModule.from_json(json.load(fh))
+    with open(map_path, encoding="utf-8") as fh:
+        mapping = json.load(fh)
+    hom = StructureHom(module.structure, FiniteFStructure.from_json(mapping["target"]),
+                       tuple(mapping["atom_map"]))
+    pushed, forward = pushforward_module(hom, module)
+    rng = np.random.default_rng(seed)
+    preserved = True
+    for _ in range(samples):
+        v = ModuleElement._from_flat(rng.standard_normal(int(module._offsets[-1])), module)
+        if not pointwise_norm(forward.apply(v)).equals(hom.apply(pointwise_norm(v))):
+            preserved = False
+            break
+    report = {
+        "command": "pushforward",
+        "module": pushed.to_json(),
+        "norm_preserved": preserved,
+        "samples": samples,
+        "schema_version": "1.0.0",
+        "seed": seed,
+        "spec_refs": ["pushforward-module", "pushforward-isometry"],
+    }
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def sequential_rank(m):

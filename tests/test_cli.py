@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rieszmod
-from rieszmod import LpNorm, dual_vector_norm, errors
-from rieszmod.cli import _HANDLERS, _REFS, _build_parser, _dumps, main
+from rieszmod import FiberModule, HomElement, LpNorm, ModuleElement, dual_vector_norm, errors
+from rieszmod.cli import _HANDLERS, _REFS, _build_parser, _dumps, _module_json, main
 from rieszmod.modules import MAX_FIBER_DIM
+from helpers import sequential_pushforward_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -178,16 +179,115 @@ def test_pushforward_with_a_huge_exponent_warns_nothing(capfd, tmp_path):
 
 
 def test_pushforward_sample_draw_is_the_per_fiber_stream():
-    # `pushforward` draws each sample's coordinates at once; numpy's
-    # Generator gives the same values as one draw per fiber, so reports
-    # keep their bytes.
+    # `pushforward` draws a block of samples' coordinates at once; numpy's
+    # Generator gives the same values as one draw per sample and fiber, so
+    # reports keep their bytes.
     dims = np.random.default_rng(11).integers(0, 6, 210)
     dims[::17] = 0
     for seed in (0, 1, 12345):
-        per_fiber, flat = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            want = np.concatenate([per_fiber.standard_normal(d) for d in dims])
-            assert np.array_equal(flat.standard_normal(int(dims.sum())), want)
+        per_fiber, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [np.concatenate([per_fiber.standard_normal(d) for d in dims]) for _ in range(3)]
+        assert np.array_equal(block.standard_normal((3, int(dims.sum()))), np.stack(want))
+
+
+def test_cotangent_with_huge_parallel_edges_keeps_every_fiber(capsys):
+    # Two parallel a-b edges of weight 1e308 at p = 1: vertex a's two
+    # gradient rows are equal and their largest singular value overflows,
+    # which ranked them 0 and gave a and b 0-dim fibers with |df| = 0.
+    code, out = run_twice(capsys, "cotangent", "--graph", str(DATA / "graph_huge_parallel.json"),
+                          "--p", "1", "--fn", "[1,1.25,3]")
+    assert code == 0
+    report = json.loads(out)
+    assert report["fiber_dims"] == [1, 1, 1]
+    assert report["|df|"] == pytest.approx([5e307, 5e307, 1.75], rel=1e-12)
+
+
+def test_dual_and_pushforward_goldens_and_deterministic(capsys):
+    # The pushforward case maps two target atoms to one source atom, so its
+    # report holds one fiber dict for both.
+    code, out = run_twice(capsys, "dual", "--module", str(DATA / "module_221.json"))
+    assert code == 0
+    assert out == (GOLDEN / "dual.json").read_text()
+    code, out = run_twice(
+        capsys, "pushforward", "--module", str(DATA / "module_push.json"),
+        "--map", str(DATA / "map_dup.json"), "--samples", "100", "--seed", "7")
+    assert code == 0
+    assert out == (GOLDEN / "pushforward.json").read_text()
+    assert json.loads((DATA / "map_dup.json").read_text())["atom_map"] == [0, 0, 1]
+
+
+def wide_pushforward_inputs(tmp_path):
+    """A 500-atom module of about 2,000 coordinates, lp, gram and image-lp
+    fibers of dimensions 0-7, and a map of 400 target atoms with repeats:
+    the stacked check runs in blocks of 2^16 // N < 100 samples."""
+    rng = np.random.default_rng(41)
+    fibers = []
+    for i in range(500):
+        d = int(rng.integers(0, 8))
+        kind = i % 6
+        if kind == 4 and d:
+            a = rng.standard_normal((d, d))
+            norm = {"gram": (a @ a.T + d * np.eye(d)).tolist()}
+        elif kind == 5 and d:
+            norm = {"image_lp": {"matrix": rng.standard_normal((d + 1, d)).tolist(), "p": 3.0}}
+        else:
+            norm = {"lp": ["inf", 1.0, 2.0, 3.0, 1.5, 2.0][kind]}
+        fibers.append({"dim": d, "norm": norm})
+    n = sum(f["dim"] for f in fibers)
+    assert 2 ** 16 // n < 100
+    structure = {"U": "Linf", "V": {"Lp": 2.0}, "space": {
+        "atoms": [f"x{i}" for i in range(500)], "weights": [1.0] * 500}}
+    target = {"U": "Linf", "V": {"Lp": 2.0}, "space": {
+        "atoms": [f"t{i}" for i in range(400)], "weights": [1.0] * 400}}
+    module_path, map_path = tmp_path / "module.json", tmp_path / "map.json"
+    module_path.write_text(json.dumps({"structure": structure, "fibers": fibers}))
+    map_path.write_text(json.dumps({"target": target,
+                                    "atom_map": rng.integers(0, 500, 400).tolist()}))
+    return str(module_path), str(map_path)
+
+
+@pytest.mark.parametrize("samples", [1, 10, 100])
+@pytest.mark.parametrize("wide", [False, True])
+def test_pushforward_report_is_the_per_sample_loops(capsys, tmp_path, samples, wide):
+    # The stacked check writes the bytes of a check one sample at a time,
+    # with one block (3 coordinates) or several (about 2,000).
+    if wide:
+        module_path, map_path = wide_pushforward_inputs(tmp_path)
+    else:
+        module_path, map_path = str(DATA / "module_push.json"), str(DATA / "map_dup.json")
+    code, out = run(capsys, "pushforward", "--module", module_path, "--map", map_path,
+                    "--samples", str(samples), "--seed", "3")
+    assert code == 0
+    assert out == sequential_pushforward_report(module_path, map_path, samples, 3)
+
+
+@pytest.mark.parametrize("samples", [1, 100])
+def test_pushforward_check_sees_a_perturbed_last_sample(capsys, monkeypatch, tmp_path, samples):
+    # A forward map that is wrong at one atom of the last sample only: the
+    # stacked check reaches it in the last block, reports the failure and
+    # exits 1.
+    module_path, map_path = wide_pushforward_inputs(tmp_path)
+    apply, seen = HomElement.apply, [0]
+
+    def skewed(self, v):
+        out = apply(self, v)
+        flat = np.array(out.flat, ndmin=2)
+        last = samples - 1 - seen[0]
+        if 0 <= last < flat.shape[0]:
+            flat[last, 0] = 1e6  # the first coordinate of the first nonzero target fiber
+        seen[0] += flat.shape[0]
+        return ModuleElement._from_flat(flat.reshape(out.flat.shape), out.module)
+
+    monkeypatch.setattr(HomElement, "apply", skewed)
+    code, out = run(capsys, "pushforward", "--module", module_path, "--map", map_path,
+                    "--samples", str(samples), "--seed", "3")
+    assert seen[0] == samples
+    assert code == 1
+    assert json.loads(out)["norm_preserved"] is False
+    # The per-sample loop, under the same perturbation, agrees.
+    seen[0] = 0
+    assert out == sequential_pushforward_report(module_path, map_path, samples, 3)
+    assert seen[0] == samples
 
 
 @pytest.mark.parametrize("lp", [1.0, 1.5, 3.0])
@@ -827,7 +927,8 @@ def test_report_schema_file_matches_the_cli():
     schema = json.loads((SCHEMAS / "report.schema.json").read_text())
     assert schema["properties"]["command"]["enum"] == sorted(_REFS)
     goldens = sorted(GOLDEN.glob("*.json"))
-    assert [g.name for g in goldens] == ["cotangent.json", "decompose.json", "laws.json"]
+    assert [g.name for g in goldens] == ["cotangent.json", "decompose.json", "dual.json",
+                                         "laws.json", "pushforward.json"]
     for golden in goldens:
         report = json.loads(golden.read_text())
         assert set(schema["required"]) <= set(report)
@@ -848,6 +949,7 @@ DATA_SCHEMAS = {
     "stone_gens.json": "generators",
     "structure_l2.json": "structure",
     "module_huge_dim.json": "module",
+    "graph_huge_parallel.json": "graph",
 }
 
 #: The files of tests/data that are bad input: their schema refuses them, as
@@ -933,6 +1035,26 @@ def test_writer_matches_json_dumps_on_every_report_and_envelope():
 ])
 def test_writer_matches_json_dumps_on_synthetic_reports(obj):
     assert _dumps(obj) == reference_dumps(obj)
+
+
+def test_writer_encodes_a_shared_dict_at_each_depth():
+    # One dict object twice at one depth and once at another: the memo keys
+    # a dict's text by its depth too.
+    shared = {"dim": 2, "norm": {"lp": 2.0}, "names": ["a", "b\u00e9"]}
+    obj = {"fibers": [shared, shared, {"inner": [shared]}], "top": shared, "list": ["x"]}
+    assert _dumps(obj) == reference_dumps(obj)
+
+
+def test_module_reports_share_one_dict_per_fiber_object():
+    module = FiberModule.from_json(json.loads((DATA / "module_221.json").read_text()))
+    fibers = _module_json(module)["fibers"]
+    assert _module_json(module) == module.to_json()
+    assert fibers[0] is fibers[1] and module.fibers[0] is module.fibers[1]
+    # FiberModule.to_json keeps returning fresh dicts.
+    fresh = module.to_json()["fibers"]
+    assert fresh[0] is not fresh[1]
+    fresh[0]["dim"] = 99
+    assert module.to_json()["fibers"][0]["dim"] == 2
 
 
 def test_writer_takes_str_keys_only():

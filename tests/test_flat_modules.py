@@ -267,6 +267,36 @@ def test_pushforward_preserves_pointwise_norms_bit_for_bit(module):
                               phi.apply(pointwise_norm(v)).values)
 
 
+@pytest.mark.parametrize("s", [1, 3, 17])
+def test_stacked_maps_equal_their_single_element_calls(module, s):
+    # A stack of S elements (an (S, N) flat) through pointwise_norm,
+    # HomElement.apply and StructureHom.apply: each row has the bits of its
+    # element's own call, on lp, gram, image-lp and dim-0 groups, with rows
+    # far out of the double range among them.
+    rng = np.random.default_rng(20 + s)
+    flat = np.stack([mixed_element(module, rng).flat for _ in range(s)])
+    flat *= np.array([1.0, 1e200, 1e-200])[np.arange(s) % 3, None]
+    stack = ModuleElement._from_flat(flat.copy(), module)
+    phi = StructureHom(module.structure, make_structure(700),
+                       tuple(int(i) for i in rng.integers(0, N_MIXED, 700)))
+    pm, pf = pushforward_module(phi, module)
+    h = HomElement([rng.standard_normal((t.dim, module.fibers[a].dim))
+                    for t, a in zip(pm.fibers, phi.atom_map)], module, pm, phi)
+    norms = pointwise_norm(stack).values
+    images = h.apply(stack).flat
+    pushed = pointwise_norm(pf.apply(stack)).values
+    moved = phi.apply(pointwise_norm(stack)).values
+    assert norms.shape == (s, N_MIXED) and images.shape == (s, pm._offsets[-1])
+    assert pushed.shape == moved.shape == (s, 700)
+    for i in range(s):
+        one = ModuleElement._from_flat(flat[i].copy(), module)
+        assert norms[i].tobytes() == pointwise_norm(one).values.tobytes()
+        assert images[i].tobytes() == h.apply(one).flat.tobytes()
+        assert pushed[i].tobytes() == pointwise_norm(pf.apply(one)).values.tobytes()
+        assert moved[i].tobytes() == phi.apply(pointwise_norm(one)).values.tobytes()
+    assert np.array_equal(pushed, moved)
+
+
 def test_fiber_refuses_norms_outside_the_three_kinds():
     class Doubled(FiberNorm):
         def norm(self, x):

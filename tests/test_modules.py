@@ -1195,6 +1195,19 @@ def test_row_ranks_equal_each_matrix_rank():
     assert row_ranks([]) == []
 
 
+def test_row_ranks_of_matrices_whose_largest_singular_value_overflows():
+    # inf > 1e-9 * inf is false: these counted rank 0.  They are ranked as
+    # the same matrices scaled into range, and matrices in range keep theirs.
+    assert row_ranks([np.array([[1e308, -1e308, 0.0], [1e308, -1e308, 0.0]])]) == [1]
+    mats = mixed_rank_matrices(np.random.default_rng(613))
+    huge = [m / np.abs(m).max() * 1.7e308 if m.any() else m for m in mats]
+    with np.errstate(over="ignore"):
+        assert not all(np.isfinite(np.linalg.svd(m, compute_uv=False)).all() for m in huge)
+    unit = [m / np.abs(m).max() if m.any() else m for m in mats]
+    assert row_ranks(huge) == row_ranks(unit) == [sequential_rank(m) for m in unit]
+    assert row_ranks(mats + huge) == row_ranks(mats) + row_ranks(unit)
+
+
 def test_rank_deficient_lifts_keep_as_many_rows_as_the_rank():
     # The pivoted Gram-Schmidt of _lift_rows keeps exactly r rows of a
     # rank-r matrix, and they span its row space.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rieszmod import (
     DualSystem,
@@ -25,6 +27,7 @@ from rieszmod import (
     support_of,
     supporting_element,
 )
+from rieszmod.spaces import _non_number_at, _require_numbers
 from helpers import (
     count_calls,
     make_space,
@@ -711,3 +714,21 @@ def test_fstructure_modulus_refuses_a_negative_distance_override():
 
     with pytest.raises(InvalidStructure):
         check_fstructure_laws(structure, fstruct_triples(structure, 3, seed=1), d_u=negative)
+
+
+_json_leaf = st.one_of(st.integers(-3, 3), st.floats(allow_nan=True), st.booleans(),
+                       st.none(), st.text(max_size=2), st.just({}), st.just(()))
+
+
+@given(st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=4), max_leaves=20),
+       st.sampled_from([-1, 0, 1, 2, 3]))
+def test_require_numbers_refuses_exactly_what_the_walk_finds(raw, depth):
+    # The one-test-per-type pass decides only lists of numbers; anything
+    # else is walked, so the verdict and the path are the walk's.
+    bad = _non_number_at(raw, depth)
+    if bad:
+        with pytest.raises(InputError) as exc:
+            _require_numbers(raw, "refused", "$.x", depth)
+        assert exc.value.path == "$.x" + bad and exc.value.message == "refused"
+    else:
+        _require_numbers(raw, "refused", "$.x", depth)
