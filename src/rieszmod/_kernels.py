@@ -1,0 +1,288 @@
+"""The lp gauge kernel: min over t of |e + rows^T t|_p, certified.
+
+The quotient norm, the Hahn-Banach extension of least dual norm and the
+dual norm of an image-lp fiber each minimise a gauge over an affine
+subspace.  ``modules._lp_factor`` writes their fiber norms in lp
+coordinates, and ``_lp_gauges`` answers the problems (p, rows, e) with one
+record.  Products run row by row (``_matvec_rows``, ``_matmul_rows``), so
+an answer has the same bits whatever else shares its stack.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from .errors import SolverFailed
+from .spaces import _lp_rows
+
+
+def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mats[i] @ x[..., i, :] for every i, x a (k, cols) stack or an
+    (S, k, cols) stack of S of them.
+
+    Elementwise products and one reduction over the last axis rather than
+    BLAS or ``einsum``, whose summation order can change with the stack, so
+    that a row's bits do not depend on the other rows.
+    """
+    return np.add.reduce(mats * x[..., None, :], axis=-1)
+
+
+def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b[i] @ a[i] for every i (b may have one member for all), row by row
+    as in ``_matvec_rows``."""
+    return np.add.reduce(b[:, :, :, None] * a[:, None, :, :], axis=2)
+
+
+def _lp_conjugate(p: float) -> float:
+    if p == 1.0:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1.0)
+
+
+class _Gauges(NamedTuple):
+    """The answer of ``_lp_gauges``, per problem: ``value`` = w.e, a
+    certified lower bound on the minimum; ``upper`` = |y|_p, the value at
+    the minimiser y; the points y = e + rows^T t; and the dual points w,
+    with rows @ w = 0 and |w|_q <= 1 for the conjugate q."""
+    value: np.ndarray
+    upper: np.ndarray
+    points: list[np.ndarray]
+    duals: list[np.ndarray]
+
+
+def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]) -> _Gauges:
+    """min over t of |e + rows^T t|_p per problem (p, rows, e), the rows
+    orthonormal, as one ``_Gauges`` record.
+
+    A euclidean problem takes the least-squares step y = e - rows^T rows e
+    and w = y / |y|_2 in closed form, one problem at a time; value and
+    upper are both |y|_2.  The other problems are grouped by (p, rows
+    shape), and each group makes one ``_simplex`` call (p in {1, infinity})
+    or one ``_gauge_newton`` call, which proposes t and a dual direction w.
+    The one certificate step then projects w onto the null space of the
+    rows and scales it into the dual unit ball, so value = w.e never
+    exceeds the minimum, and raises SolverFailed when |y|_p exceeds it by
+    more than the solver's tolerance (``_SIMPLEX_GAP``, ``_GAP_RTOL``)
+    times |e|_p, the value at t = 0.
+    """
+    value, upper = np.zeros(len(problems)), np.zeros(len(problems))
+    points: list = [None] * len(problems)
+    duals: list = [None] * len(problems)
+    groups: dict[tuple, list[int]] = {}
+    for i, (p, rows, e) in enumerate(problems):
+        if not e.any():
+            points[i] = duals[i] = np.zeros(e.size)
+        elif p == 2.0:
+            points[i] = y = e - rows.T @ (rows @ e)
+            value[i] = upper[i] = _lp_rows(2.0, y[None])[0]
+            duals[i] = y / value[i] if value[i] > 0.0 else np.zeros(e.size)
+        else:
+            groups.setdefault((p, *rows.shape), []).append(i)
+    for (p, *_), members in groups.items():
+        r, e = (np.array(part) for part in zip(*(problems[i][1:] for i in members)))
+        rt = np.swapaxes(r, 1, 2)
+        solve, gap = ((_simplex, _SIMPLEX_GAP) if p in (1.0, math.inf)
+                      else (_gauge_newton, _GAP_RTOL))
+        t, w = solve(p, r, e)
+        y = e + _matvec_rows(rt, t)
+        w -= _matvec_rows(rt, _matvec_rows(r, w))
+        w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
+        v = np.add.reduce(w * e, axis=1)
+        n = _lp_rows(p, y)
+        bad = np.flatnonzero(n - v > gap * _lp_rows(p, e))
+        if bad.size:
+            raise SolverFailed(f"l{p:g} gauge kernel: primal value {n[bad[0]]:.17g} exceeds the"
+                               f" dual value {v[bad[0]]:.17g} by more than {gap:g} |e|_p")
+        value[members], upper[members] = v, n
+        for i, y_i, w_i in zip(members, y, w):
+            points[i], duals[i] = y_i, w_i
+    return _Gauges(value, upper, points, duals)
+
+
+#: ``_simplex``: at most ``_PIVOTS_PER_COLUMN`` lockstep pivots per tableau
+#: column; entries up to ``_PIVOT_TOL`` are not pivots and reduced costs
+#: above -``_COST_TOL`` are not negative (the tableau starts with entries
+#: of at most 1 and costs 0 or 1); and the largest gap ``_lp_gauges``
+#: certifies for it, relative to |e|_p.
+_PIVOTS_PER_COLUMN = 10
+_PIVOT_TOL = 1e-9
+_COST_TOL = 1e-12
+_SIMPLEX_GAP = 1e-10
+
+
+def _simplex(p: float, r: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and a raw dual direction w for min |e + r^T t|_p per block (p in
+    {1, infinity}, r an (n, k, m) stack, e != 0).
+
+    The l1 and Chebyshev approximation problems (Barrodale & Roberts 1973;
+    Barrodale & Phillips 1975) as primal linear programs over t = t+ - t-
+    and nonnegative slacks, for e scaled to |e|_inf = 1, solved by a dense
+    tableau simplex under Bland's rule (Bland 1977), which cannot cycle:
+    the entering column is the first with a negative reduced cost, the
+    leaving row the one of least ratio whose basic column comes first.
+    Blocks pivot in lockstep, every update elementwise, so a block's bits
+    do not depend on the stack.  The start is t = 0, so a minimiser at
+    t = 0 is kept when the first optimal basis sits there.  SolverFailed is
+    raised when a block is not optimal within the pivot budget.
+
+    The tableau holds the constraint rows, then the reduced costs; its
+    last column is the right-hand side.  Columns: t+, t-, then for p = 1
+    the parts u, v of e + r^T t = u - v (cost 1 each, row i signed so that
+    the part of e_i's sign starts basic at |e_i|), for p = infinity the
+    bound s (cost 1) and the slacks of e + r^T t <= s and -(e + r^T t) <= s,
+    with s pivoted in on the tightest row first.  The dual direction is
+    w = 1 - d_u for p = 1 and the reduced costs of the first slacks less
+    those of the second for p = infinity.
+    """
+    rt = np.swapaxes(r, 1, 2)
+    scale = np.maximum.reduce(np.abs(e), axis=1)
+    e = e / scale[:, None]
+    n, m, k = rt.shape
+    eye = np.broadcast_to(np.eye(m), (n, m, m))
+    if p == 1.0:
+        sign = np.where(e >= 0.0, 1.0, -1.0)[:, :, None]
+        body = np.concatenate([-sign * rt, sign * rt, sign * eye, -sign * eye,
+                               np.abs(e)[:, :, None]], axis=2)
+        cost = np.concatenate([np.zeros(2 * k), np.ones(2 * m), [0.0]]) - np.add.reduce(body, axis=1)
+        basis = 2 * k + np.arange(m) + np.where(sign[:, :, 0] > 0.0, 0, m)
+    else:
+        ones, zero = np.ones((n, m, 1)), np.zeros((n, m, m))
+        body = np.concatenate([
+            np.concatenate([rt, -rt, -ones, eye, zero, -e[:, :, None]], axis=2),
+            np.concatenate([-rt, rt, -ones, zero, eye, e[:, :, None]], axis=2)], axis=1)
+        cost = np.zeros((n, body.shape[2]))
+        cost[:, 2 * k] = 1.0
+        basis = np.broadcast_to(2 * k + 1 + np.arange(2 * m), (n, 2 * m)).copy()
+    tab = np.concatenate([body, cost[:, None, :]], axis=1)
+    if p == math.inf:
+        _pivot(tab, basis, np.arange(n), np.argmin(tab[:, :-1, -1], axis=1), np.full(n, 2 * k))
+    act = np.arange(n)
+    budget = _PIVOTS_PER_COLUMN * (tab.shape[2] - 1)
+    for step in range(budget + 1):
+        neg = tab[act, -1, :-1] < -_COST_TOL
+        live = neg.any(axis=1)
+        act, neg = act[live], neg[live]
+        if act.size == 0:
+            break
+        if step == budget:
+            raise SolverFailed(f"l{p:g} simplex: {act.size} of {n} blocks not optimal after"
+                               f" {budget} pivots")
+        col = np.argmax(neg, axis=1)
+        entries = tab[act, :-1, col]
+        ok = entries > _PIVOT_TOL
+        if not ok.any(axis=1).all():
+            raise SolverFailed(f"l{p:g} simplex: an entering column has no pivot")
+        ratio = np.where(ok, tab[act, :-1, -1] / np.where(ok, entries, 1.0), math.inf)
+        tied = ratio == np.minimum.reduce(ratio, axis=1)[:, None]
+        _pivot(tab, basis, act, np.argmin(np.where(tied, basis[act], tab.shape[2]), axis=1), col)
+    x = np.zeros((n, tab.shape[2]))
+    np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
+    d = tab[:, -1, :-1]
+    if p == 1.0:
+        w = 1.0 - d[:, 2 * k:2 * k + m]
+    else:
+        w = d[:, 2 * k + 1:2 * k + 1 + m] - d[:, 2 * k + 1 + m:]
+    return (x[:, :k] - x[:, k:2 * k]) * scale[:, None], w
+
+
+def _pivot(tab: np.ndarray, basis: np.ndarray, blocks: np.ndarray, rows: np.ndarray,
+           cols: np.ndarray) -> None:
+    """Pivot tableau blocks[i] on (rows[i], cols[i]), in place, elementwise."""
+    t = tab[blocks]
+    at = np.arange(blocks.size)
+    prow = t[at, rows] / t[at, rows, cols][:, None]
+    t -= t[at, :, cols][:, :, None] * prow[:, None, :]
+    t[at, rows] = prow
+    tab[blocks] = t
+    basis[blocks, rows] = cols
+
+
+#: Largest gap, relative to |e|_p, that ``_lp_gauges`` certifies for
+#: ``_gauge_newton``.
+_GAP_RTOL = 1e-6
+
+
+def _gauge_newton(p: float, c: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and a raw dual direction w for min |e[i] + c[i]^T t|_p per problem
+    i (1 < p < infinity, the rows of each c[i] orthonormal).
+
+    ``_newton`` runs from the least-squares point t = -c e; w is the
+    gradient of |.|_p at y = e + c^T t.
+    """
+    ct = np.swapaxes(c, 1, 2)
+    reg = 1e-12 * np.eye(c.shape[1])
+
+    def at(rows: np.ndarray | slice, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = e[rows] + _matvec_rows(ct[rows], t)
+        n = _lp_rows(p, y)
+        return n, y / np.where(n > 0.0, n, 1.0)[:, None]
+
+    def objective(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return at(rows, t)[0]
+
+    def derivatives(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The Hessian (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights
+        # floored at 1e-12 of the largest, plus 1e-12/|y| c c^T (= I), so
+        # that a nearly flat direction (large p) still has a bounded step.
+        n, u = at(rows, t)
+        au = np.abs(u)
+        cj = _matvec_rows(c[rows], np.sign(u) * au ** (p - 1.0))
+        floor = 1e-12 * np.maximum.reduce(au, axis=1)
+        floor[floor == 0.0] = 1.0
+        weight = np.maximum(au, floor[:, None]) ** (p - 2.0)
+        hess = _matmul_rows(c[rows] * weight[:, None, :], ct[rows]) - cj[:, :, None] * cj[:, None, :]
+        hess = (p - 1.0) * hess + reg
+        hess /= np.where(n > 0.0, n, 1.0)[:, None, None]
+        return cj, hess
+
+    t = _newton(-_matvec_rows(c, e), objective, derivatives, _lp_rows(p, e))
+    u = at(slice(None), t)[1]
+    return t, np.sign(u) * np.abs(u) ** (p - 1.0)
+
+
+#: ``_newton``: step cap, and the Newton decrements, relative to a row's
+#: scale, below which a step is taken in full and at which the row stops.
+_NEWTON_STEPS = 100
+_NEWTON_FULL = 1e-14
+_NEWTON_RTOL = 1e-20
+
+
+def _newton(x: np.ndarray, objective: Callable, derivatives: Callable,
+            scale: np.ndarray) -> np.ndarray:
+    """Minimise a convex objective from each row of x, in place, by damped Newton.
+
+    ``objective(rows, z)`` is the objective of problems ``rows`` at points
+    z, ``derivatives(rows, z)`` their gradients and positive definite
+    Hessians.  A step is halved until the Armijo condition with fraction
+    1/4 holds (Boyd & Vandenberghe, Convex Optimization, 9.5), or taken in
+    full when the decrement and any rise are below ``_NEWTON_FULL``, where
+    rounding hides the decrease.  A row stops at a decrement of ``_NEWTON_RTOL``, when a damped
+    step fails, or after ``_NEWTON_STEPS`` steps; rows never mix.
+    """
+    act = np.arange(x.shape[0])
+    fx = objective(act, x)
+    for _ in range(_NEWTON_STEPS):
+        grad, hess = derivatives(act, x[act])
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        dec = np.add.reduce(grad * step, axis=1)
+        t = np.ones(act.size)
+        fn = objective(act, x[act] - step)
+        full = (dec <= _NEWTON_FULL * scale[act]) & (fn <= fx[act] + _NEWTON_FULL * scale[act])
+        for _ in range(60):
+            short = (fn > fx[act] - 0.25 * t * dec) & ~full
+            if not short.any():
+                break
+            t[short] *= 0.5
+            fn[short] = objective(act[short], x[act[short]] - t[short, None] * step[short])
+        go = (dec > _NEWTON_RTOL * scale[act]) & (full | (fn < fx[act]))
+        act, step, t, fn = act[go], step[go], t[go], fn[go]
+        if act.size == 0:
+            break
+        x[act] -= t[:, None] * step
+        fx[act] = fn
+    return x

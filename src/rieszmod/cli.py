@@ -24,12 +24,7 @@ import numpy as np
 from .constructions import Graph, cotangent_module, pushforward_module
 from .errors import DominationViolated, InputError, RieszmodError
 from .hilbert import ConvexSet, HilbertModule, project_convex
-from .homdual import (
-    StructureHom,
-    dual_module,
-    hahn_banach_extend,
-    is_reflexive,
-)
+from .homdual import StructureHom, _bidual_embed, _surjective, dual_module, hahn_banach_extend
 from .modules import (
     FiberModule,
     ModuleElement,
@@ -259,7 +254,7 @@ def _cmd_dual(args: argparse.Namespace) -> tuple[int, dict]:
     module = FiberModule.from_json(_load(args.module))
     system = DualSystem.default(module.structure)
     dual = dual_module(module, system)
-    reflexive = is_reflexive(module, system)
+    reflexive = _surjective(_bidual_embed(module, dual, system))
     payload = {
         "W": system.w_kind.to_json(),
         "Z": system.z_kind.to_json(),

@@ -18,8 +18,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundViolated, CompressionViolated, InputError, InvalidStructure
-from .homdual import HomElement, StructureHom, dual_module
+from .errors import (
+    BoundViolated,
+    CompressionViolated,
+    InconsistentGenerators,
+    InputError,
+    InvalidStructure,
+)
+from .homdual import HomElement, StructureHom, dual_module, extend_from_generators
 from .modules import (
     Fiber,
     FiberModule,
@@ -359,15 +365,16 @@ def universal_factor(
 
     The domination bound is checked on a basis of the domain (BoundViolated
     on failure); it forces s to vanish on each atom's null directions, which
-    is what makes the factor well defined.  The factor at each atom sends
-    generator coordinates x to S_a lift_a^+ x (pseudoinverse retraction)
-    where S_a stacks the images of the domain basis.
+    is what makes the factor well defined.  The factor is
+    ``extend_from_generators`` sending the generator images of the domain
+    basis to their images under s.  Images it finds inconsistent with a
+    linear map, which do not vanish on psi's null directions, raise
+    BoundViolated.
     """
     d = gen.psi.domain_dim
     if phi is None and target.space != gen.module.space:
         raise InvalidStructure("target lives over a different space; pass the structure hom")
     basis_images = [s(e) for e in np.eye(d)]
-    amap = phi.atom_map if phi is not None else range(target.space.n)
     for e, e_img in zip(np.eye(d), basis_images):
         allowed = gen.psi.evaluate(e)
         allowed = phi.apply(allowed) if phi is not None else allowed
@@ -376,16 +383,10 @@ def universal_factor(
         scale = max(1.0, bound.sup_abs, lhs.sup_abs)
         if np.any(lhs.values > bound.values + 1e-9 * scale):
             raise BoundViolated("images of the domain basis exceed the stated bound")
-    matrices = []
-    for t in range(target.space.n):
-        a = amap[t]
-        s_t = np.stack([img.vectors[t] for img in basis_images], axis=1)
-        kern = gen.kernels[a]
-        if kern.shape[0] and s_t.size and np.any(
-                np.abs(s_t @ kern.T) > 1e-9 * max(1.0, float(np.abs(s_t).max()))):
-            raise BoundViolated(f"atom {t}: images do not vanish on psi's null directions")
-        matrices.append(s_t @ np.linalg.pinv(gen.lifts[a]))
-    return HomElement(matrices, gen.module, target, phi)
+    try:
+        return extend_from_generators(gen.generator_images(), basis_images, target, phi)
+    except InconsistentGenerators as exc:
+        raise BoundViolated(exc.message) from exc
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from ._kernels import _matvec_rows
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -30,7 +31,6 @@ from .modules import (
     Submodule,
     _as_gram,
     _finite_matrix,
-    _matvec_rows,
     kernel_basis,
     pointwise_norm,
 )

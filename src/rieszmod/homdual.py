@@ -9,11 +9,10 @@ pairing space Z, with closed-form dual norms for lp and gram fibers.  The
 Hahn-Banach extension is one solve of min { dual norm : restriction = f }
 on every atom, whose value decides domination and whose minimiser is the
 extension.  It and the dual norms of image-lp fibers run the batched lp
-gauge kernel of ``modules`` (``_lp_gauges``) in the lp coordinates of
-``_lp_factor``: one call of the certified simplex ``_polyhedral_gauges``
-for the polyhedral gauges, a closed form for euclidean ones, one stacked
-damped-Newton solve with a certified duality gap for the other lp
-gauges."""
+gauge kernel ``_kernels._lp_gauges`` in the lp coordinates of
+``_lp_factor``: a closed form for euclidean gauges, and otherwise one
+simplex or damped-Newton call per group whose duality gap one
+certificate step checks."""
 
 from __future__ import annotations
 
@@ -24,6 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from ._kernels import _lp_conjugate, _lp_gauges, _matmul_rows, _matvec_rows, _newton
 from .errors import (
     DimensionMismatch,
     DominationViolated,
@@ -48,13 +48,8 @@ from .modules import (
     _FiberGroup,
     _finite_matrix,
     _gram_rows,
-    _lp_conjugate,
     _lp_factor,
-    _lp_gauges,
     _lp_rows,
-    _matmul_rows,
-    _matvec_rows,
-    _newton,
     _split_atoms,
     _stack_gram_norms,
     _stack_ranks,
@@ -412,14 +407,15 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
         u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
         if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
             continue
-        q = _lp_conjugate(p)
         live.append(i)
-        factors.append((m, q, rows.T @ u[:, :rank], sv[:rank], vt[:rank]))
-        dual.append((q, vt[rank:], u0))
+        factors.append((m, rows.T @ u[:, :rank], sv[:rank], vt[:rank]))
+        dual.append((_lp_conjugate(p), vt[rank:], u0))
     if dual:
-        out[live], points, duals = _lp_gauges(dual)
-        for i, (m, q, ru, sv, vt), y, v in zip(live, factors, points, duals):
-            found[i] = (y if m is None else m.T @ y, _lp_rows(q, y[None])[0], ru @ (vt @ v / sv))
+        gauges = _lp_gauges(dual)
+        out[live] = gauges.value
+        for i, (m, ru, sv, vt), y, bound, v in zip(live, factors, gauges.points,
+                                                   gauges.upper, gauges.duals):
+            found[i] = (y if m is None else m.T @ y, bound, ru @ (vt @ v / sv))
     return out, found
 
 
@@ -706,13 +702,12 @@ def hahn_banach_extend(n: Submodule, f_rows: Sequence[Sequence[float]], gauge: F
     most the gauge.  So the tie-break is the minimum-dual-norm extension,
     unique on euclidean fibers and on lp fibers with 1 < p < infinity; on
     l1 and l-infinity gauges (plain or image) it is the optimal vertex that
-    the simplex of ``_polyhedral_gauges`` reaches by Bland's rule from the
+    the simplex of ``_kernels`` reaches by Bland's rule from the
     least-norm particular solution, which it keeps when no pivot improves
     on it: extending f(e1) = 1 from span{e1} in a two-dimensional l1 fiber
     under gauge 1 gives (1, 0).  Atoms without basis rows get the zero
-    functional.  Polyhedral gauges cost one simplex call for all atoms, the
-    other lp gauges one stacked Newton solve per exponent and shape,
-    euclidean ones a closed form.
+    functional.  Each group of lp gauges of one exponent and shape costs
+    one simplex or stacked Newton call, euclidean gauges a closed form.
     Every answer is checked: a restriction residual above 1e-9 (relative)
     or a dual-norm bound above gauge(a) * (1 + 1e-9) raises SolverFailed
     instead of returning a wrong extension.  Errors come in atom order: a
@@ -818,7 +813,11 @@ def bidual_embed(m: FiberModule, system: DualSystem | None = None) -> HomElement
     """
     if system is None:
         system = DualSystem.default(m.structure)
-    dual = dual_module(m, system)
+    return _bidual_embed(m, dual_module(m, system), system)
+
+
+def _bidual_embed(m: FiberModule, dual: FiberModule, system: DualSystem) -> HomElement:
+    """``bidual_embed`` from M* = dual_module(m, system), built once by the caller."""
     inverted = DualSystem(
         FiniteFStructure(system.space, system.base.u_kind, system.w_kind),
         system.base.v_kind, system.z_kind,
@@ -835,7 +834,11 @@ def is_reflexive(m: FiberModule, system: DualSystem | None = None) -> bool:
     Finite-dimensional fibers always pass; the certificate checks the
     construction of J rather than citing the dimension count.
     """
-    j = bidual_embed(m, system)
+    return _surjective(bidual_embed(m, system))
+
+
+def _surjective(j: HomElement) -> bool:
+    """The certificate of ``is_reflexive`` on the bidual embedding j."""
     lay = j._layout
     if not np.array_equal(lay.rows, lay.cols):
         return False
@@ -881,7 +884,7 @@ def extend_from_generators(
             continue
         sol, *_ = np.linalg.lstsq(g, img, rcond=None)
         resid = g @ sol - img
-        scale = max(1.0, float(np.abs(img).max()))
+        scale = max(1.0, float(np.abs(img).max(initial=0.0)))
         if np.any(np.abs(resid) > 1e-9 * scale):
             raise InconsistentGenerators(
                 f"atom {t}: generator images are not consistent with a linear map"

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+from ._kernels import _lp_gauges, _matvec_rows
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -29,7 +30,6 @@ from .errors import (
     InvalidStructure,
     ModuleMismatch,
     NotAPartition,
-    SolverFailed,
     SpaceMismatch,
 )
 from .order import FinitePartition, Idempotent
@@ -140,23 +140,6 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 # the k norms.  ``FiberNorm.norm`` runs the same kernel on a one-row stack,
 # so a value has the same bits whether it is computed alone or in a group
 # (numpy's array and scalar powers can differ in the last bit).
-
-def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mats[i] @ x[..., i, :] for every i, x a (k, cols) stack or an
-    (S, k, cols) stack of S of them.
-
-    Elementwise products and one reduction over the last axis rather than
-    BLAS or ``einsum``, whose summation order can change with the stack, so
-    that a row's bits do not depend on the other rows.
-    """
-    return np.add.reduce(mats * x[..., None, :], axis=-1)
-
-
-def _matmul_rows(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """b[i] @ a[i] for every i (b may have one member for all), row by row
-    as in ``_matvec_rows``."""
-    return np.add.reduce(b[:, :, :, None] * a[:, None, :, :], axis=2)
-
 
 def _gram_rows(grams: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sqrt(x[i]^T G[i] x[i]) for every i, under the range guard of ``_lp_rows``."""
@@ -940,14 +923,6 @@ def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
 # Minimizing a gauge over an affine subspace
 # --------------------------------------------------------------------------
 
-def _lp_conjugate(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return p / (p - 1.0)
-
-
 def _as_gram(norm: FiberNorm, dim: int, mats: np.ndarray | None = None) -> np.ndarray | None:
     """The gram matrix of a euclidean fiber norm (l2, gram, image-l2), else None.
 
@@ -989,7 +964,7 @@ def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray
     solves once the rows are replaced by an orthonormal basis of their span,
     cut by the package's rank rule (``row_space_basis``) for every exponent.
     Returns the values and, per problem, a minimiser y = M (e + rows^T t) in
-    the lp coordinates.
+    the lp coordinates, from the kernel's record.
     """
     lp = []
     for norm, rows, e in problems:
@@ -999,277 +974,8 @@ def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray
         if e.any():
             rows = row_space_basis(rows)
         lp.append((p, rows, e))
-    return _lp_gauges(lp)[:2]
-
-
-def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]
-               ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """min over t of |e + rows^T t|_p, a minimiser y = e + rows^T t and a
-    dual point w (rows @ w = 0, |w|_q <= 1 for the conjugate q, w.e the
-    value), per problem (p, rows, e), the rows orthonormal.
-
-    Polyhedral gauges (p = 1 or infinity) share one ``_polyhedral_gauges``
-    call; euclidean ones take the least-squares step y = e - rows^T rows e
-    and w = y / |y|_2 in closed form, one problem at a time; the other lp
-    gauges share one ``_lp_gauge_values`` solve per exponent and shape.
-    """
-    out = np.zeros(len(problems))
-    points: list = [None] * len(problems)
-    duals: list = [None] * len(problems)
-    poly: list[int] = []
-    smooth: dict[tuple, list[int]] = {}
-    for i, (p, rows, e) in enumerate(problems):
-        if not e.any():
-            points[i] = duals[i] = np.zeros(e.size)
-        elif p in (1.0, math.inf):
-            poly.append(i)
-        elif p == 2.0:
-            points[i] = y = e - rows.T @ (rows @ e)
-            out[i] = _lp_rows(2.0, y[None])[0]
-            duals[i] = y / out[i] if out[i] > 0.0 else np.zeros(e.size)
-        else:
-            smooth.setdefault((p, *rows.shape), []).append(i)
-    if poly:
-        for i, answer in zip(poly, _polyhedral_gauges([problems[i] for i in poly])):
-            out[i], points[i], duals[i] = answer
-    for (p, *_), members in smooth.items():
-        rows, e = (np.array(part) for part in zip(*(problems[i][1:] for i in members)))
-        out[members], ys, ws = _lp_gauge_values(p, rows, e)
-        for i, y, w in zip(members, ys, ws):
-            points[i], duals[i] = y, w
-    return out, points, duals
-
-
-#: The simplex of ``_polyhedral_gauges``: at most ``_PIVOTS_PER_COLUMN``
-#: lockstep pivots per tableau column; entries up to ``_PIVOT_TOL`` are not
-#: pivots and reduced costs above -``_COST_TOL`` are not negative (the
-#: tableau starts with entries of at most 1 and costs 0 or 1); and the
-#: largest gap it certifies, relative to |e|_p.
-_PIVOTS_PER_COLUMN = 10
-_PIVOT_TOL = 1e-9
-_COST_TOL = 1e-12
-_SIMPLEX_GAP = 1e-10
-
-
-def _polyhedral_gauges(blocks: Sequence[tuple[float, np.ndarray, np.ndarray]]
-                       ) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Per block (p, rows, e), p in {1, infinity}, the rows orthonormal and
-    e != 0: (value, y, w) with y = e + rows^T t a minimiser of |y|_p, w a
-    dual point and value = w.e, certified.
-
-    The l1 and Chebyshev approximation problems (Barrodale & Roberts 1973;
-    Barrodale & Phillips 1975) as primal linear programs over t = t+ - t-
-    and nonnegative slacks, solved by a dense tableau simplex under Bland's
-    rule (Bland 1977), which cannot cycle: the entering column is the first
-    with a negative reduced cost, the leaving row the one of least ratio
-    whose basic column comes first.  Blocks of one (p, k, m) pivot in
-    lockstep, every update elementwise, so a block's bits do not depend on
-    the stack.  The start is t = 0, so a minimiser at t = 0 is kept when the
-    first optimal basis sits there.
-
-    y is read back from t, so it lies on the affine set; w is read from the
-    reduced costs of the slacks, projected onto the null space of the rows
-    and scaled into the dual unit ball, so w.e never exceeds the minimum.
-    SolverFailed is raised when |y|_p exceeds w.e by more than
-    ``_SIMPLEX_GAP`` |e|_p, or a block is not optimal within the pivot
-    budget.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, (p, rows, e) in enumerate(blocks):
-        groups.setdefault((p, *rows.shape), []).append(i)
-    out: list = [None] * len(blocks)
-    for (p, *_), members in groups.items():
-        r, e = (np.array(part) for part in zip(*(blocks[i][1:] for i in members)))
-        rt = np.swapaxes(r, 1, 2)
-        scale = np.maximum.reduce(np.abs(e), axis=1)
-        t, w = _simplex(p, rt, e / scale[:, None])
-        y = e + _matvec_rows(rt, t * scale[:, None])
-        w -= _matvec_rows(rt, _matvec_rows(r, w))
-        w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
-        value = np.add.reduce(w * e, axis=1)
-        n = _lp_rows(p, y)
-        bad = np.flatnonzero(n - value > _SIMPLEX_GAP * _lp_rows(p, e))
-        if bad.size:
-            raise SolverFailed(f"l{p:g} simplex: primal value {n[bad[0]]:.17g} exceeds the"
-                               f" dual value {value[bad[0]]:.17g} by more than {_SIMPLEX_GAP:g}")
-        for i, v, y_i, w_i in zip(members, value.tolist(), y, w):
-            out[i] = (v, y_i, w_i)
-    return out
-
-
-def _simplex(p: float, rt: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t and the raw dual point w of min |e + rt t|_p per block (p in {1,
-    infinity}, rt a (n, m, k) stack, |e|_inf = 1), by ``_polyhedral_gauges``'s
-    simplex.
-
-    The tableau holds the constraint rows, then the reduced costs; its
-    last column is the right-hand side.  Columns: t+, t-, then for p = 1
-    the parts u, v of e + rt t = u - v (cost 1 each, row i signed so that
-    the part of e_i's sign starts basic at |e_i|), for p = infinity the
-    bound s (cost 1) and the slacks of e + rt t <= s and -(e + rt t) <= s,
-    with s pivoted in on the tightest row first.  The dual point is
-    w = 1 - d_u for p = 1 and the reduced costs of the first slacks less
-    those of the second for p = infinity.
-    """
-    n, m, k = rt.shape
-    eye = np.broadcast_to(np.eye(m), (n, m, m))
-    if p == 1.0:
-        sign = np.where(e >= 0.0, 1.0, -1.0)[:, :, None]
-        body = np.concatenate([-sign * rt, sign * rt, sign * eye, -sign * eye,
-                               np.abs(e)[:, :, None]], axis=2)
-        cost = np.concatenate([np.zeros(2 * k), np.ones(2 * m), [0.0]]) - np.add.reduce(body, axis=1)
-        basis = 2 * k + np.arange(m) + np.where(sign[:, :, 0] > 0.0, 0, m)
-    else:
-        ones, zero = np.ones((n, m, 1)), np.zeros((n, m, m))
-        body = np.concatenate([
-            np.concatenate([rt, -rt, -ones, eye, zero, -e[:, :, None]], axis=2),
-            np.concatenate([-rt, rt, -ones, zero, eye, e[:, :, None]], axis=2)], axis=1)
-        cost = np.zeros((n, body.shape[2]))
-        cost[:, 2 * k] = 1.0
-        basis = np.broadcast_to(2 * k + 1 + np.arange(2 * m), (n, 2 * m)).copy()
-    tab = np.concatenate([body, cost[:, None, :]], axis=1)
-    if p == math.inf:
-        _pivot(tab, basis, np.arange(n), np.argmin(tab[:, :-1, -1], axis=1), np.full(n, 2 * k))
-    act = np.arange(n)
-    budget = _PIVOTS_PER_COLUMN * (tab.shape[2] - 1)
-    for step in range(budget + 1):
-        neg = tab[act, -1, :-1] < -_COST_TOL
-        live = neg.any(axis=1)
-        act, neg = act[live], neg[live]
-        if act.size == 0:
-            break
-        if step == budget:
-            raise SolverFailed(f"l{p:g} simplex: {act.size} of {n} blocks not optimal after"
-                               f" {budget} pivots")
-        col = np.argmax(neg, axis=1)
-        entries = tab[act, :-1, col]
-        ok = entries > _PIVOT_TOL
-        if not ok.any(axis=1).all():
-            raise SolverFailed(f"l{p:g} simplex: an entering column has no pivot")
-        ratio = np.where(ok, tab[act, :-1, -1] / np.where(ok, entries, 1.0), math.inf)
-        tied = ratio == np.minimum.reduce(ratio, axis=1)[:, None]
-        _pivot(tab, basis, act, np.argmin(np.where(tied, basis[act], tab.shape[2]), axis=1), col)
-    x = np.zeros((n, tab.shape[2]))
-    np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
-    d = tab[:, -1, :-1]
-    if p == 1.0:
-        w = 1.0 - d[:, 2 * k:2 * k + m]
-    else:
-        w = d[:, 2 * k + 1:2 * k + 1 + m] - d[:, 2 * k + 1 + m:]
-    return x[:, :k] - x[:, k:2 * k], w
-
-
-def _pivot(tab: np.ndarray, basis: np.ndarray, blocks: np.ndarray, rows: np.ndarray,
-           cols: np.ndarray) -> None:
-    """Pivot tableau blocks[i] on (rows[i], cols[i]), in place, elementwise."""
-    t = tab[blocks]
-    at = np.arange(blocks.size)
-    prow = t[at, rows] / t[at, rows, cols][:, None]
-    t -= t[at, :, cols][:, :, None] * prow[:, None, :]
-    t[at, rows] = prow
-    tab[blocks] = t
-    basis[blocks, rows] = cols
-
-
-#: Largest gap, relative to max(|e|_p, |y|_p), between the primal value
-#: |y|_p and the dual value that ``_lp_gauge_values`` returns.
-_GAP_RTOL = 1e-6
-
-
-def _lp_gauge_values(p: float, c: np.ndarray, e: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """min over t of |e[i] + c[i]^T t|_p per problem i, certified
-    (1 < p < infinity, the rows of each c[i] orthonormal).
-
-    ``_newton`` from the least-squares point gives a primal point
-    y = e + c^T t.  The value returned is w.e for a dual point w: the
-    gradient of |.|_p at y, projected onto the null space of c and scaled
-    by min(1, 1/|w|_q) into the dual ball.  So it never overshoots the
-    minimum; SolverFailed is raised when |y|_p exceeds it by more than
-    ``_GAP_RTOL``.  Products run row by row, so a value does not depend on
-    the stack.  Returns the values, y and w.
-    """
-    ct = np.swapaxes(c, 1, 2)
-    reg = 1e-12 * np.eye(c.shape[1])
-
-    def at(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        y = e[rows] + _matvec_rows(ct[rows], t)
-        n = _lp_rows(p, y)
-        return y, n, y / np.where(n > 0.0, n, 1.0)[:, None]
-
-    def objective(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return at(rows, t)[1]
-
-    def derivatives(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The Hessian (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights
-        # floored at 1e-12 of the largest, plus 1e-12/|y| c c^T (= I), so
-        # that a nearly flat direction (large p) still has a bounded step.
-        _, n, u = at(rows, t)
-        au = np.abs(u)
-        cj = _matvec_rows(c[rows], np.sign(u) * au ** (p - 1.0))
-        floor = 1e-12 * np.maximum.reduce(au, axis=1)
-        floor[floor == 0.0] = 1.0
-        weight = np.maximum(au, floor[:, None]) ** (p - 2.0)
-        hess = _matmul_rows(c[rows] * weight[:, None, :], ct[rows]) - cj[:, :, None] * cj[:, None, :]
-        hess = (p - 1.0) * hess + reg
-        hess /= np.where(n > 0.0, n, 1.0)[:, None, None]
-        return cj, hess
-
-    scale = _lp_rows(p, e)
-    t = _newton(-_matvec_rows(c, e), objective, derivatives, scale)
-    y, n, u = at(np.arange(e.shape[0]), t)
-    w = np.sign(u) * np.abs(u) ** (p - 1.0)
-    w -= _matvec_rows(ct, _matvec_rows(c, w))
-    w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
-    value = np.add.reduce(w * e, axis=1)
-    bad = np.flatnonzero(n - value > _GAP_RTOL * np.maximum(scale, n))
-    if bad.size:
-        raise SolverFailed(f"l{p:g} gauge kernel: primal value {n[bad[0]]:.9g} exceeds the"
-                           f" dual value {value[bad[0]]:.9g} by more than {_GAP_RTOL:g}")
-    return value, y, w
-
-
-#: ``_newton``: step cap, and the Newton decrements, relative to a row's
-#: scale, below which a step is taken in full and at which the row stops.
-_NEWTON_STEPS = 100
-_NEWTON_FULL = 1e-14
-_NEWTON_RTOL = 1e-20
-
-
-def _newton(x: np.ndarray, objective: Callable, derivatives: Callable,
-            scale: np.ndarray) -> np.ndarray:
-    """Minimise a convex objective from each row of x, in place, by damped Newton.
-
-    ``objective(rows, z)`` is the objective of problems ``rows`` at points
-    z, ``derivatives(rows, z)`` their gradients and positive definite
-    Hessians.  A step is halved until the Armijo condition with fraction
-    1/4 holds (Boyd & Vandenberghe, Convex Optimization, 9.5), or taken in
-    full when the decrement and any rise are below ``_NEWTON_FULL``, where
-    rounding hides the decrease.  A row stops at a decrement of ``_NEWTON_RTOL``, when a damped
-    step fails, or after ``_NEWTON_STEPS`` steps; rows never mix.
-    """
-    act = np.arange(x.shape[0])
-    fx = objective(act, x)
-    for _ in range(_NEWTON_STEPS):
-        grad, hess = derivatives(act, x[act])
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        dec = np.add.reduce(grad * step, axis=1)
-        t = np.ones(act.size)
-        fn = objective(act, x[act] - step)
-        full = (dec <= _NEWTON_FULL * scale[act]) & (fn <= fx[act] + _NEWTON_FULL * scale[act])
-        for _ in range(60):
-            short = (fn > fx[act] - 0.25 * t * dec) & ~full
-            if not short.any():
-                break
-            t[short] *= 0.5
-            fn[short] = objective(act[short], x[act[short]] - t[short, None] * step[short])
-        go = (dec > _NEWTON_RTOL * scale[act]) & (full | (fn < fx[act]))
-        act, step, t, fn = act[go], step[go], t[go], fn[go]
-        if act.size == 0:
-            break
-        x[act] -= t[:, None] * step
-        fx[act] = fn
-    return x
+    gauges = _lp_gauges(lp)
+    return gauges.value, gauges.points
 
 
 # --------------------------------------------------------------------------

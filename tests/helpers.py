@@ -7,6 +7,7 @@ specific oracle value construct their inputs inline instead.
 
 import json
 import math
+import sys
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,7 +34,7 @@ from rieszmod import (
     positive_part,
     pushforward_module,
 )
-from rieszmod.modules import _matvec_rows
+from rieszmod._kernels import _matvec_rows
 from rieszmod.order import _SIMPLE_OPS, LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
 from rieszmod.spaces import _METRIC_TOL, FSTRUCT_LAW_IDS, _space_constant
 
@@ -197,12 +198,19 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_solver_calls(monkeypatch):
-    """Count the library's linear-program solves: every l1 and l-infinity
-    program of the library goes through one call of the simplex kernel
-    ``modules._polyhedral_gauges``."""
-    from rieszmod import modules
+    """Count the library's gauge-kernel calls: every l1 and l-infinity
+    program of the library, like every other lp gauge, is solved inside one
+    call of ``_kernels._lp_gauges``.  Every rieszmod module that imported
+    the kernel by name gets the counter too, so calls from each are seen."""
+    from rieszmod import _kernels
 
-    return count_calls(monkeypatch, modules, "_polyhedral_gauges")
+    real = _kernels._lp_gauges
+    calls = count_calls(monkeypatch, _kernels, "_lp_gauges")
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("rieszmod.") and vars(mod).get("_lp_gauges") is real:
+            monkeypatch.setattr(mod, "_lp_gauges", _kernels._lp_gauges)
+    return calls
 
 
 def count_svd_calls(monkeypatch):

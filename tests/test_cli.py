@@ -216,6 +216,36 @@ def test_dual_and_pushforward_goldens_and_deterministic(capsys):
     assert json.loads((DATA / "map_dup.json").read_text())["atom_map"] == [0, 0, 1]
 
 
+def test_dual_command_builds_the_dual_module_once(monkeypatch, capsys):
+    # M* serves both the report and the bidual embedding: two dual_module
+    # calls in all, M* and M**, from whichever module calls them.
+    from rieszmod import cli, homdual
+
+    real = homdual.dual_module
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for owner in (cli, homdual):
+        monkeypatch.setattr(owner, "dual_module", counted)
+    code, out = run(capsys, "dual", "--module", str(DATA / "module_221.json"))
+    assert code == 0
+    assert out == (GOLDEN / "dual.json").read_text()
+    assert len(calls) == 2
+
+
+def test_hahn_banach_golden_and_deterministic(capsys):
+    # One atom each of an l1, l-infinity, l3, l2, gram and image-l1 fiber:
+    # the report pins the minimiser of every branch of the gauge kernel.
+    code, out = run_twice(capsys, "hahn-banach", "--problem", str(DATA / "hb_mixed.json"))
+    assert code == 0
+    assert out == (GOLDEN / "hahn_banach.json").read_text()
+    fibers = json.loads((DATA / "hb_mixed.json").read_text())["module"]["fibers"]
+    assert [next(iter(f["norm"])) for f in fibers] == ["lp"] * 4 + ["gram", "image_lp"]
+
+
 def wide_pushforward_inputs(tmp_path):
     """A 500-atom module of about 2,000 coordinates, lp, gram and image-lp
     fibers of dimensions 0-7, and a map of 400 target atoms with repeats:
@@ -928,7 +958,7 @@ def test_report_schema_file_matches_the_cli():
     assert schema["properties"]["command"]["enum"] == sorted(_REFS)
     goldens = sorted(GOLDEN.glob("*.json"))
     assert [g.name for g in goldens] == ["cotangent.json", "decompose.json", "dual.json",
-                                         "laws.json", "pushforward.json"]
+                                         "hahn_banach.json", "laws.json", "pushforward.json"]
     for golden in goldens:
         report = json.loads(golden.read_text())
         assert set(schema["required"]) <= set(report)
@@ -938,6 +968,7 @@ def test_report_schema_file_matches_the_cli():
 #: The input schema of every file in tests/data.
 DATA_SCHEMAS = {
     "element_34.json": "element",
+    "hb_mixed.json": "hahn_banach_problem",
     "hb_problem.json": "hahn_banach_problem",
     "hb_violating.json": "hahn_banach_problem",
     "map_dup.json": "pushforward_map",

@@ -466,6 +466,17 @@ def test_universal_factor_zero_map():
     assert all(np.allclose(m, 0.0) for m in zero.matrices)
 
 
+def test_universal_factor_into_zero_dimensional_fibers():
+    # A target atom of dimension 0 over a source fiber of dimension 1 or 2:
+    # the factor has a 0-row matrix there and no residual to check.
+    structure, gen = cotangent_module(path_graph(3), 2.0)
+    target = lp_module(structure, (0, 1, 0))
+    zero = universal_factor(
+        gen, target, lambda v: target.zero_element(), structure.space.zero_fn())
+    assert [m.shape for m in zero.matrices] == [(0, 1), (1, 2), (0, 1)]
+    assert all(not m.any() for m in zero.matrices)
+
+
 def test_universal_factor_rejects_undominated_map():
     structure, gen = cotangent_module(path_graph(2), 2.0)
     one = structure.space.one_fn()

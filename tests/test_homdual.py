@@ -834,14 +834,14 @@ def test_singular_image_lp_newton_system_raises_a_typed_error():
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_failed_operator_norm_program_raises_a_typed_error(monkeypatch, p):
-    from rieszmod import modules
+    from rieszmod import _kernels
     from rieszmod.homdual import _FiberGroup, _lmo
 
     # A matrix that is not injective has an unbounded ball.
     flat = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
     with pytest.raises(SolverFailed, match="unbounded"):
         _lmo(_FiberGroup.single(ImageLpNorm(flat, p), 2), np.array([[1.0, -1.0]]))
-    monkeypatch.setattr(modules, "_PIVOTS_PER_COLUMN", 0)
+    monkeypatch.setattr(_kernels, "_PIVOTS_PER_COLUMN", 0)
     b = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]])
     with pytest.raises(SolverFailed, match="not optimal after 0 pivots"):
         _lmo(_FiberGroup.single(ImageLpNorm(b, p), 2), np.array([[1.0, -1.0]]))

@@ -48,18 +48,11 @@ from rieszmod import (
     row_space_basis,
     zero_indicator,
 )
-from rieszmod import modules
+from rieszmod import _kernels, modules
+from rieszmod._kernels import _GAP_RTOL, _SIMPLEX_GAP, _lp_conjugate, _lp_gauges
 from rieszmod.constructions import _lift_rows
 from rieszmod.homdual import _min_dual_norms
-from rieszmod.modules import (
-    _GAP_RTOL,
-    _SIMPLEX_GAP,
-    _extension_values,
-    _lp_conjugate,
-    _lp_gauge_values,
-    _lp_rows,
-    _polyhedral_gauges,
-)
+from rieszmod.modules import _extension_values, _lp_factor, _lp_rows
 from helpers import (
     count_solver_calls,
     gram_module,
@@ -333,7 +326,7 @@ def test_module_action_rejects_batched_fn():
 def test_failed_linear_program_raises_a_typed_error(monkeypatch):
     # Without pivots the start t = 0 is not optimal here: the simplex
     # raises instead of returning |v|_1.
-    monkeypatch.setattr(modules, "_PIVOTS_PER_COLUMN", 0)
+    monkeypatch.setattr(_kernels, "_PIVOTS_PER_COLUMN", 0)
     m = lp_module(make_structure(1), (3,), p=1.0)
     v = ModuleElement([[1.0, -2.0, 0.5]], m)
     with pytest.raises(SolverFailed, match="not optimal after 0 pivots"):
@@ -891,20 +884,27 @@ def test_wide_polyhedral_quotient_norm_is_fast():
     assert np.all(q.values <= pointwise_norm(v).values + 1e-12)
 
 
-def certified_gauge(p, rows, e):
-    """The simplex's value of min |e + rows^T t|_p (p in {1, inf}) on one
-    block, after checking its certificate: y on the affine set, a dual
-    point w with rows @ w = 0 and |w|_q <= 1, and |y|_p - w.e within the
-    kernel's gap tolerance."""
+def certified_gauge(norm, rows, e):
+    """The kernel's value of min over t of norm(e + rows^T t), norm an
+    exponent p (the lp norm) or a fiber norm, after checking the record of
+    ``_lp_gauges`` on the problem in lp coordinates: y on the affine set, a
+    dual point w with rows @ w = 0 and |w|_q <= 1, value = w.e, and
+    value <= upper = |y|_p <= value + gap |e|_p for the branch's gap (0
+    for the euclidean closed form)."""
+    p, m = (norm, None) if isinstance(norm, float) else _lp_factor(norm)
+    if m is not None:
+        rows, e = rows @ m.T, m @ e
     r = row_space_basis(rows)
-    ((value, y, w),) = _polyhedral_gauges([(p, r, e)])
+    (value,), (upper,), (y,), (w,) = _lp_gauges([(p, r, e)])
     t = np.linalg.lstsq(r.T, y - e, rcond=None)[0] if r.size else np.zeros(0)
     assert np.max(np.abs(e + r.T @ t - y)) <= 1e-12 * np.abs(e).max()
     assert np.max(np.abs(r @ w), initial=0.0) <= 1e-12
     assert _lp_rows(_lp_conjugate(p), w[None])[0] <= 1.0 + 1e-15
-    assert abs(value - w @ e) <= 1e-12 * _lp_rows(p, e[None])[0]
     scale = _lp_rows(p, e[None])[0]
-    assert -1e-15 * scale <= _lp_rows(p, y[None])[0] - value <= _SIMPLEX_GAP * scale
+    assert abs(value - w @ e) <= 1e-12 * scale
+    assert upper == _lp_rows(p, y[None])[0]
+    gap = _SIMPLEX_GAP if p in (1.0, math.inf) else _GAP_RTOL if p != 2.0 else 0.0
+    assert value - 1e-15 * scale <= upper <= value + gap * scale
     return value
 
 
@@ -930,6 +930,57 @@ def test_simplex_matches_highs_on_the_fixed_and_random_cases():
     for p, e, rows in cases:
         exact = primal_lp_distance(p, e, rows)
         assert abs(certified_gauge(p, rows, e) - exact) <= 1e-9 * max(1.0, exact)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_lp_gauge_record_is_certified_on_every_branch(p):
+    # Plain and image-lp problems of the exponent, and gram problems (l2
+    # in lp coordinates): every record passes certified_gauge, and a plain
+    # problem's value matches an independent solve.
+    rng = np.random.default_rng(int(10 * p) if p < math.inf else 1000)
+    for _ in range(10):
+        d = int(rng.integers(2, 8))
+        k = int(rng.integers(1, d))
+        rows, e = rng.standard_normal((k, d)), rng.standard_normal(d)
+        a = rng.standard_normal((d, d))
+        value = certified_gauge(p, rows, e)
+        certified_gauge(ImageLpNorm(rng.standard_normal((d + 2, d)), p), rows, e)
+        certified_gauge(GramNorm(a @ a.T + np.eye(d)), rows, e)
+        if p in (1.0, math.inf):
+            exact = primal_lp_distance(p, e, rows)
+        elif p == 2.0:
+            exact = np.linalg.norm(e - rows.T @ np.linalg.lstsq(rows.T, e, rcond=None)[0])
+        else:
+            exact = reference_gauge(LpNorm(p), rows, e)[0]
+        assert abs(value - exact) <= 1e-7 * max(1.0, exact)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_certificate_step_makes_any_proposal_feasible(monkeypatch, p):
+    # Solvers that propose a random t and a random dual direction far
+    # outside the dual ball, with no gap limit: the certificate step still
+    # gives a dual point w with rows @ w = 0 and |w|_q <= 1, so value = w.e
+    # is a lower bound on the minimum and upper = |y|_p an upper one.
+    rng = np.random.default_rng(int(p) if p < math.inf else 7)
+
+    def propose(p, r, e):
+        return rng.standard_normal(r.shape[:2]), 10.0 * rng.standard_normal(e.shape)
+
+    for name in ("_simplex", "_gauge_newton"):
+        monkeypatch.setattr(_kernels, name, propose)
+    for name in ("_SIMPLEX_GAP", "_GAP_RTOL"):
+        monkeypatch.setattr(_kernels, name, math.inf)
+    for _ in range(20):
+        d = int(rng.integers(2, 8))
+        rows = row_space_basis(rng.standard_normal((int(rng.integers(1, d)), d)))
+        e = rng.standard_normal(d)
+        (value,), (upper,), (y,), (w,) = _lp_gauges([(p, rows, e)])
+        exact = (primal_lp_distance(p, e, rows) if p in (1.0, math.inf)
+                 else reference_gauge(LpNorm(p), rows, e)[0])
+        assert np.max(np.abs(rows @ w)) <= 1e-12 * max(1.0, np.abs(w).max())
+        assert _lp_rows(_lp_conjugate(p), w[None])[0] <= 1.0 + 1e-15
+        assert abs(value - w @ e) <= 1e-12 * _lp_rows(p, e[None])[0]
+        assert value <= exact + 1e-9 * max(1.0, exact) <= upper + 2e-9 * max(1.0, exact)
 
 
 def test_simplex_terminates_on_degenerate_ties():
@@ -964,12 +1015,12 @@ def test_simplex_block_bits_do_not_depend_on_the_stack(p):
     rng = np.random.default_rng(2001)
     blocks = [(p, row_space_basis(rng.standard_normal((2, 4))), rng.standard_normal(4))
               for _ in range(2000)]
-    stacked = _polyhedral_gauges(blocks)
+    stacked = _lp_gauges(blocks)
     for i in (0, 777, 1999):
-        ((value, y, w),) = _polyhedral_gauges([blocks[i]])
-        assert value == stacked[i][0]
-        assert np.array_equal(y, stacked[i][1])
-        assert np.array_equal(w, stacked[i][2])
+        (value,), _, (y,), (w,) = _lp_gauges([blocks[i]])
+        assert value == stacked.value[i]
+        assert np.array_equal(y, stacked.points[i])
+        assert np.array_equal(w, stacked.duals[i])
 
 
 def reference_gauge(norm, rows, e):
@@ -1053,13 +1104,13 @@ def test_lp_gauge_kernel_near_p_one_certifies_or_raises(monkeypatch):
         assert on_the_affine_set(norm, rows, e, y)
         assert norm.norm(y) - val <= _GAP_RTOL * max(norm.norm(e), norm.norm(y))
         c = row_space_basis(rows)
-        (dual_val,), _, (w,) = _lp_gauge_values(p, c[None], e[None])
+        (dual_val,), _, _, (w,) = _lp_gauges([(p, c, e)])
         assert dual_val == val
         assert np.max(np.abs(c @ w)) <= 1e-12 * max(1.0, np.abs(w).max())
         assert np.sum(np.abs(w) ** q) ** (1.0 / q) <= 1.0 + 1e-12
         assert abs(w @ e - val) <= 1e-12 * max(1.0, abs(val))
     # Without Newton steps the least-squares point is not certified.
-    monkeypatch.setattr(modules, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(_kernels, "_NEWTON_STEPS", 0)
     with pytest.raises(SolverFailed, match="gauge kernel"):
         _extension_values(problems[:1])
 
