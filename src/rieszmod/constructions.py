@@ -305,7 +305,11 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
     construction; both are re-verified in the test suite.  The module's
     ``psi`` is a copy of psi bound to the structure's space; psi itself is
     left as it was.  The lifts are views of psi's own row stack when every
-    atom keeps all its rows, else of one gather of the kept rows.
+    atom keeps all its rows, else of one gather of the kept rows.  Fibers
+    are in lowest terms: an atom that keeps all its r rows (rank 0
+    included, and every atom of a graph without parallel edges) gets the
+    shared ``Fiber(r, LpNorm(p))``.  A rank-deficient atom keeps a factor
+    R with R lift = M_a: ``ImageLpNorm(R, p)``, or the gram R^T R at p = 2.
     """
     psi = psi.on(structure.space)
     sel = _lift_rows(psi.matrices)
@@ -317,38 +321,26 @@ def generate_module(psi: SublinearMap, structure: FiniteFStructure) -> Generated
         rows = psi._rows[[start + i for start, s in zip(starts, sel) for i in s]]
         rows.setflags(write=False)
         lifts = _row_views(rows, kept)
-    fibers: list[Fiber | None] = []
-    gram_atoms: list[int] = []
-    grams: list[np.ndarray] = []
-    for m_a, s, lift in zip(psi.matrices, sel, lifts):
-        r = len(s)
-        if r == 0:
-            fibers.append(Fiber(0, LpNorm(2.0)))
-            continue
-        # Express every seminorm row through the kept ones: the fiber norm
-        # of coordinates x is then the lp norm of R x.  Kept rows get exact
-        # basis rows, only the rest are solved.  An atom that keeps every
-        # row has R = I, whose gram is I too.
-        full = r == m_a.shape[0]
-        if full:
-            factor = np.eye(r)
-        else:
-            factor = np.zeros((m_a.shape[0], r))
-            factor[s] = np.eye(r)
-            rest = sorted(set(range(m_a.shape[0])).difference(s))
-            factor[rest] = np.linalg.lstsq(lift.T, m_a[rest].T, rcond=None)[0].T
-        if psi.p == 2.0:
-            # Validated below, one ``_check_grams`` call per size.
-            gram_atoms.append(len(fibers))
-            grams.append(factor if full else factor.T @ factor)
-            fibers.append(None)
-        else:
-            fibers.append(Fiber(r, ImageLpNorm(factor, psi.p)))
-    norms, defect = _gram_norms(grams)
+    deficient = np.flatnonzero((kept > 0) & (kept < psi._counts)).tolist()
+    kept = kept.tolist()
+    lp = {r: Fiber(r, LpNorm(psi.p)) for r in set(kept)}
+    fibers = [lp[r] for r in kept]
+    # The factor R of a rank-deficient atom, R lift = M_a: kept rows get
+    # exact basis rows, only the rest are solved.
+    factors = []
+    for a in deficient:
+        m_a, s = psi.matrices[a], sel[a]
+        factor = np.zeros((m_a.shape[0], len(s)))
+        factor[s, range(len(s))] = 1.0
+        rest = sorted(set(range(m_a.shape[0])).difference(s))
+        factor[rest] = np.linalg.lstsq(lifts[a].T, m_a[rest].T, rcond=None)[0].T
+        factors.append(factor)
+    norms, defect = (_gram_norms([f.T @ f for f in factors]) if psi.p == 2.0
+                     else ([ImageLpNorm(f, psi.p) for f in factors], None))
     if defect is not None:
         raise InvalidStructure(defect[1])
-    for a, norm in zip(gram_atoms, norms):
-        fibers[a] = Fiber(norm.gram.shape[0], norm)
+    for a, norm in zip(deficient, norms):
+        fibers[a] = Fiber(kept[a], norm)
     gen = GeneratedModule(FiberModule(structure, tuple(fibers)), psi, lifts)
     object.__setattr__(gen, "_rows", rows)
     return gen

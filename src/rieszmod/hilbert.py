@@ -24,7 +24,7 @@ from .errors import (
     ModuleMismatch,
     NotHilbert,
 )
-from .homdual import bidual_embed, dual_module
+from .homdual import _bidual_embed, dual_module
 from .modules import (
     FiberModule,
     ModuleElement,
@@ -425,9 +425,11 @@ def hilbert_reflexivity_check(h: HilbertModule) -> bool:
     v -> G*_a G_a v, where G*_a is the gram of the dual module's fiber.  Per
     fiber group the matrices are sliced as a stack from J's flat vector, and
     one product and one max-abs residual against 1e-10 compare the two.
+    The dual module is built once, for J and for the grams G*.
     """
-    j = bidual_embed(h.module, h.system)
-    grams_star = _grams(h.dual())
+    dual = h.dual()
+    j = _bidual_embed(h.module, dual, h.system)
+    grams_star = _grams(dual)
     for g in h.module._groups:
         j_stack = j._stack(g.atoms)
         g_star = np.stack([grams_star[a] for a in g.atoms])

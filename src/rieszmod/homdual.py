@@ -628,8 +628,17 @@ def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
 
     An lp fiber's dual is the conjugate exponent, one shared fiber per
     group; a gram group's duals are its inverse grams, from one stacked
-    ``np.linalg.inv`` validated by one ``_check_grams`` call.
+    ``np.linalg.inv`` validated by one ``_check_grams`` call.  The first
+    image-lp fiber is refused; generated modules have them only at
+    rank-deficient atoms with p != 2 (a graph's parallel edges).
     """
+    a = min((g.atoms[0] for g in m._groups if isinstance(g.proto, ImageLpNorm)), default=None)
+    if a is not None:
+        raise UnsupportedHom(
+            f"atom {a} ({m.space.atoms[a]!r}) has an image-l{m.fibers[a].norm.p:g} fiber:"
+            " dual fibers are implemented for lp and gram norms, and a generated module"
+            " has image-lp fibers only at rank-deficient atoms with p != 2"
+        )
     structure = FiniteFStructure(system.space, m.structure.u_kind, system.w_kind)
     fibers = list(m.fibers)
     for g in m._groups:
@@ -637,17 +646,12 @@ def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
             dual = Fiber(g.dim, LpNorm(_lp_conjugate(g.proto.p)))
             for a in g.atoms:
                 fibers[a] = dual
-        elif isinstance(g.proto, GramNorm):
+        else:
             norms, defect = _stack_gram_norms(np.linalg.inv(g.mats) if g.dim else g.mats)
             if defect is not None:
                 raise InvalidStructure(defect[1])
             for a, norm in zip(g.atoms.tolist(), norms):
                 fibers[a] = Fiber(g.dim, norm)
-        else:
-            raise UnsupportedHom(
-                "dual fibers are implemented for lp and gram norms; generated-module"
-                " fibers with p != 2 have no closed dual in this package"
-            )
     return FiberModule(structure, tuple(fibers))
 
 

@@ -406,7 +406,7 @@ class GramNorm(FiberNorm):
 
 @dataclass(frozen=True)
 class ImageLpNorm(FiberNorm):
-    """Seminorm-free composite norm x -> ||A x||_p, used by generated modules.
+    """Composite norm x -> ||A x||_p, of the rank-deficient atoms of generated modules.
 
     Only valid when A is injective on the fiber (the generated-module
     construction guarantees this by building fibers inside the row space).

@@ -1,6 +1,8 @@
 """Graphs, generated modules, universal factorization, transport maps."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from rieszmod import (
     BoundViolated,
     DualSystem,
+    Fiber,
     FiberModule,
     GramNorm,
     Graph,
     HomElement,
+    ImageLpNorm,
     InputError,
     InvalidStructure,
     Kind,
@@ -19,15 +23,18 @@ from rieszmod import (
     ModuleElement,
     StructureHom,
     SublinearMap,
+    UnsupportedHom,
     complete,
     cotangent_module,
     dual_element,
     dual_embed,
     dual_module,
+    dual_vector_norm,
     generate_module,
     graph_gradient,
     hom_norm,
     matrix_rank,
+    norming_functional,
     pairing,
     pointwise_norm,
     pullback_module,
@@ -341,15 +348,34 @@ def test_generated_kernels_are_built_on_first_read():
 
 
 def test_full_row_rank_atoms_keep_every_row():
-    # Graph atoms are of full row rank: the lift is the seminorm matrix, as
-    # a greedy choice of independent rows would keep, and the factor is the
-    # identity.
+    # Graph atoms without parallel edges are of full row rank: the lift is
+    # the seminorm matrix, as a greedy choice of independent rows would
+    # keep, and the fiber is |x|_p, one shared LpNorm(p) fiber per row count.
     rng = np.random.default_rng(617)
-    _, gen = cotangent_module(random_graph(rng, n=15, extra=10), 2.0)
-    for m, lift, fiber in zip(gen.psi.matrices, gen.lifts, gen.module.fibers):
-        assert sequential_independent_rows(m) == list(range(m.shape[0]))
-        assert lift.tobytes() == m.tobytes()
-        assert np.array_equal(fiber.norm.gram, np.eye(m.shape[0]))
+    graph = random_graph(rng, n=15, extra=10)
+    for p in (1.0, 2.0, 3.0, math.inf):
+        _, gen = cotangent_module(graph, p)
+        shared = {}
+        for m, lift, fiber in zip(gen.psi.matrices, gen.lifts, gen.module.fibers):
+            assert sequential_independent_rows(m) == list(range(m.shape[0]))
+            assert lift.tobytes() == m.tobytes()
+            assert fiber == Fiber(m.shape[0], LpNorm(p))
+            assert shared.setdefault(m.shape[0], fiber) is fiber
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_full_row_rank_atoms_build_no_factor(monkeypatch, p):
+    # No identity factor, no identity gram to validate and no solve: the
+    # factor loop sees rank-deficient atoms only, and this graph has none.
+    rng = np.random.default_rng(618)
+    graph = random_graph(rng, n=40, extra=60)
+    calls = [count_calls(monkeypatch, np, "eye"),
+             count_calls(monkeypatch, np.linalg, "eigvalsh"),
+             count_calls(monkeypatch, np.linalg, "lstsq")]
+    _, gen = cotangent_module(graph, p)
+    assert [c[0] for c in calls] == [0, 0, 0]
+    assert {type(f.norm) for f in gen.module.fibers} == {LpNorm}
+    assert len({id(f) for f in gen.module.fibers}) == len(set(gen.module.dims))
 
 
 def test_cotangent_module_makes_one_svd_call_per_row_count(monkeypatch):
@@ -432,12 +458,184 @@ def test_generator_map_checks_length():
 
 
 def test_generated_fibers_exact_on_integer_data():
-    # Kept seminorm rows become exact basis rows of the factor matrix, so
-    # integer graphs give integer gram matrices at p = 2.
+    # A full-row-rank atom gets the lp fiber itself.  Kept seminorm rows
+    # become exact basis rows of a rank-deficient atom's factor matrix: at
+    # vertex a, the parallel edges of weights 4, 1, 1, 1, 1 give the kept
+    # row 2 (e_b - e_a) and four halves of it, so the gram is exactly 2.
     structure, gen = cotangent_module(path_graph(3), 2.0)
-    assert isinstance(gen.module.fibers[1].norm, GramNorm)
-    assert gen.module.fibers[1].norm.gram.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert gen.module.fibers[1] == Fiber(2, LpNorm(2.0))
+    parallel = Graph(("a", "b", "c"), ((0, 1, 4.0),) + ((0, 1, 1.0),) * 4 + ((1, 2, 1.0),))
+    structure, gen = cotangent_module(parallel, 2.0)
+    assert gen.module.dims == (1, 2, 1)
+    assert [type(f.norm) for f in gen.module.fibers] == [GramNorm, GramNorm, LpNorm]
+    assert gen.module.fibers[0].norm.gram.tolist() == [[2.0]]
 
+
+# --------------------------------------------------------------------------
+# Lowest-terms fibers against the identity factor they replace
+# --------------------------------------------------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def identity_factor_norm(r, p):
+    """The fiber norm a full-row-rank atom had as the factor R = I."""
+    return GramNorm(np.eye(r)) if p == 2.0 else ImageLpNorm(np.eye(r), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_cotangent_duals_equal_the_identity_factor_duals(p):
+    # Without parallel edges every fiber is lp, so the dual exists at every p.
+    rng = np.random.default_rng(629)
+    structure, gen = cotangent_module(random_graph(rng, n=30, extra=40), p)
+    dual = dual_module(gen.module, DualSystem.default(structure))
+    for fiber, dual_fiber in zip(gen.module.fibers, dual.fibers):
+        assert isinstance(dual_fiber.norm, LpNorm) and dual_fiber.dim == fiber.dim
+        for row in rng.standard_normal((3, fiber.dim)):
+            want = dual_vector_norm(identity_factor_norm(fiber.dim, p), row)
+            assert abs(dual_fiber.norm.norm(row) - want) <= 1e-12 * want
+
+
+def test_dual_of_a_cotangent_module_with_a_parallel_edge():
+    # The doubled edge v-w makes v and w rank-deficient: image-l3 fibers at
+    # p = 3, refused at the first of them; gram fibers at p = 2, inverted.
+    graph = Graph(("u", "v", "w", "x"), ((0, 1, 1.0), (1, 2, 1.0), (1, 2, 2.0), (2, 3, 1.0)))
+    structure, gen = cotangent_module(graph, 3.0)
+    with pytest.raises(UnsupportedHom, match=r"^atom 1 \('v'\) has an image-l3 fiber"):
+        dual_module(gen.module, DualSystem.default(structure))
+    structure, gen = cotangent_module(graph, 2.0)
+    dual = dual_module(gen.module, DualSystem.default(structure))
+    assert dual.dims == gen.module.dims == (1, 2, 2, 1)
+    for fiber, dual_fiber in zip(gen.module.fibers, dual.fibers):
+        if isinstance(fiber.norm, GramNorm):
+            assert np.allclose(dual_fiber.norm.gram @ fiber.norm.gram, np.eye(2), atol=1e-12)
+        else:
+            assert dual_fiber == fiber == Fiber(1, LpNorm(2.0))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_df_is_bit_equal_to_the_identity_factor_norm(p):
+    # Full-rank atoms against their old fiber norm, rank-deficient ones
+    # (the parallel edges of graph_huge_parallel.json) against their own.
+    rng = np.random.default_rng(631)
+    graphs = [Graph.from_json(json.loads(path.read_text()))
+              for path in sorted(DATA.glob("*.json")) if "edges" in path.read_text()]
+    assert len(graphs) == 2
+    graphs += [random_graph(rng, n=40, extra=60), path_graph(5, w=3.0)]
+    for graph in graphs:
+        _, gen = cotangent_module(graph, p)
+        n = len(graph.vertices)
+        for f in (rng.uniform(0.0, 1.0, n), rng.integers(-3, 4, n).astype(float)):
+            df = gen.generator_map(f)
+            got = pointwise_norm(df).values
+            for a, (fiber, v) in enumerate(zip(gen.module.fibers, df.vectors)):
+                old = identity_factor_norm(fiber.dim, p) if type(fiber.norm) is LpNorm else fiber.norm
+                assert got[a].tobytes() == np.float64(old.norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_cotangent_hom_norms_take_closed_forms(monkeypatch, p):
+    # lp fibers of at most 16 dimensions: exact vertex maxima, no power method.
+    from rieszmod import homdual
+
+    def refuse(*args):
+        raise AssertionError("power method")
+
+    monkeypatch.setattr(homdual, "_power_norms", refuse)
+    rng = np.random.default_rng(637)
+    m = cotangent_module(random_graph(rng, n=40, extra=60), p)[1].module
+    assert max(m.dims) <= 16
+    assert np.all(hom_norm(HomElement.identity(m)).values == 1.0)
+    t = HomElement([rng.standard_normal((d, d)) for d in m.dims], m, m)
+    assert np.all(hom_norm(t).values > 0.0)
+
+
+def hub_graph(rng):
+    """Two hubs of degree 50 and random chords among the other vertices.
+
+    Hub 0 also has parallel edges to vertices 1 and 2 (52 rows of rank 50,
+    so an image-lp or gram fiber of dimension 50); hub 79 has none (an lp
+    fiber of dimension 50).
+    """
+    edges = [(0, y) for y in range(1, 51)] + [(0, 1), (0, 2)]
+    edges += [(y, 79) for y in range(29, 79)]
+    while len(edges) < 160:
+        u, v = sorted(rng.choice(np.arange(1, 79), size=2, replace=False).tolist())
+        edges.append((u, v))
+    return Graph(tuple(f"v{i}" for i in range(80)),
+                 tuple((u, v, float(rng.uniform(0.5, 2.0))) for u, v in edges))
+
+
+def module_gradient(gen, mu, f, power):
+    """R^T (mu |df|^power omega), R the lifts' row stack and omega the
+    norming functional of df."""
+    df = gen.generator_map(f)
+    omega = norming_functional(df)
+    weight = mu * pointwise_norm(df).values ** power
+    return np.concatenate(gen.lifts).T @ (np.repeat(weight, gen.module.dims) * omega.flat)
+
+
+@pytest.mark.parametrize("p, ties", [
+    (1.5, False), (2.0, False), (3.0, False), (7.0, False),
+    pytest.param(1.5, True, marks=pytest.mark.xfail(
+        strict=True, reason="known defect: at p < 2 the inexact least-squares factor of"
+        " a parallel edge with equal ends moves the norming functional by ~1e-8")),
+    (2.0, True), (3.0, True), (7.0, True),
+])
+def test_cheeger_energy_gradient_is_the_graph_p_laplacian(p, ties):
+    # E(f) = (1/p) sum_x mu_x |df|(x)^p has the gradient R^T(mu |df|^(p-1) omega),
+    # which must be sum_y w_xy |f(y) - f(x)|^(p-2) (f(y) - f(x)), each edge
+    # counted at both its ends and weighted by the mass of the end owning the row.
+    # With ties (f in half-integers, and f equal at the ends of the parallel
+    # edges) some edges have equal ends.
+    rng = np.random.default_rng(641)
+    graph = hub_graph(rng)
+    mu = rng.uniform(0.5, 2.0, 80)
+    structure, gen = cotangent_module(graph, p, weights=mu)
+    assert max(gen.module.dims) == 50
+    assert {type(gen.module.fibers[0].norm), type(gen.module.fibers[79].norm)} == {
+        GramNorm if p == 2.0 else ImageLpNorm, LpNorm}
+    mu = structure.space.mu
+    u, v, w = (np.array(c) for c in zip(*graph.edges))
+    f = rng.integers(-2, 3, 80) * 0.5 if ties else rng.standard_normal(80)
+    if ties:
+        f[[1, 2]] = f[0]
+    # scale bounds the terms the module side sums at each vertex: a row
+    # w^(1/p) (e_y - e_x) times mu_x |df|(x)^(p-1) times |omega| <= 1.
+    weight = mu * pointwise_norm(gen.generator_map(f)).values ** (p - 1.0)
+    laplacian, scale = np.zeros(80), np.zeros(80)
+    for x, y in ((u, v), (v, u)):
+        d = f[y] - f[x]
+        t = mu[x] * w * np.sign(d) * np.abs(d) ** (p - 1.0)
+        np.add.at(laplacian, y, t)
+        np.add.at(laplacian, x, -t)
+        np.add.at(scale, y, weight[x] * w ** (1.0 / p))
+        np.add.at(scale, x, weight[x] * w ** (1.0 / p))
+    got = module_gradient(gen, mu, f, p - 1.0)
+    assert np.all(np.abs(got - laplacian) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_norming_functionals_give_subgradients_of_the_energy(p):
+    # At p in {1, inf} the energy E(f) = sum_x mu_x |df|(x) is not smooth;
+    # L = R^T(mu omega) must satisfy E(f + g) >= E(f) + <L, g>.
+    rng = np.random.default_rng(643)
+    graph = hub_graph(rng)
+    mu = rng.uniform(0.5, 2.0, 80)
+    structure, gen = cotangent_module(graph, p, weights=mu)
+    mu = structure.space.mu
+
+    def energy(f):
+        return float(mu @ pointwise_norm(gen.generator_map(f)).values)
+
+    ties = rng.integers(-2, 3, 80).astype(float)
+    ties[[1, 2]] = ties[0]   # kinks on the parallel edges too
+    for f in (rng.standard_normal(80), ties):
+        sub = module_gradient(gen, mu, f, 0.0)
+        for scale in (1e-3, 1.0, 1e3):
+            for g in rng.standard_normal((5, 80)) * scale:
+                lhs, rhs = energy(f + g), energy(f) + sub @ g
+                assert lhs >= rhs - 1e-12 * (abs(lhs) + abs(rhs))
 
 # --------------------------------------------------------------------------
 # Universal factorization

@@ -540,19 +540,42 @@ def test_hilbert_reflexivity():
     assert hilbert_reflexivity_check(big)
 
 
+def test_hilbert_reflexivity_builds_the_dual_module_once(monkeypatch):
+    # M* serves both the bidual embedding and the dual grams: two
+    # dual_module calls in all, M* and M**, from whichever module calls them.
+    import json
+    from pathlib import Path
+    from rieszmod import homdual
+
+    path = Path(__file__).parent / "data" / "module_221.json"
+    h = HilbertModule(FiberModule.from_json(json.loads(path.read_text())))
+    real = homdual.dual_module
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for owner in (rieszmod.hilbert, homdual):
+        monkeypatch.setattr(owner, "dual_module", counted)
+    assert hilbert_reflexivity_check(h)
+    assert len(calls) == 2
+    assert calls[0] is h.module
+
+
 def test_hilbert_reflexivity_catches_a_perturbed_embedding(monkeypatch):
     rng = np.random.default_rng(251)
     h = hilbert(n=4, grams=[random_spd(rng, d) for d in (2, 3, 0, 2)],
                 structure=make_structure(4))
-    real = rieszmod.hilbert.bidual_embed
+    real = rieszmod.hilbert._bidual_embed
 
-    def perturbed(m, system=None):
-        j = real(m, system)
+    def perturbed(m, dual, system):
+        j = real(m, dual, system)
         mats = list(j.matrices)
         mats[3] = mats[3] + np.array([[0.0, 0.0], [1e-6, 0.0]])
         return HomElement(mats, j.source, j.target)
 
-    monkeypatch.setattr(rieszmod.hilbert, "bidual_embed", perturbed)
+    monkeypatch.setattr(rieszmod.hilbert, "_bidual_embed", perturbed)
     assert not hilbert_reflexivity_check(h)
 
 
@@ -562,13 +585,13 @@ def test_hilbert_reflexivity_when_v_is_l1(monkeypatch):
     h = HilbertModule(lp_module(make_structure(2, v="l1", weights=[0.25, 0.25]), (2, 1)))
     assert h.compat_constant == 0.5
     assert hilbert_reflexivity_check(h) is True
-    real = rieszmod.hilbert.bidual_embed
+    real = rieszmod.hilbert._bidual_embed
 
-    def perturbed(m, system=None):
-        j = real(m, system)
+    def perturbed(m, dual, system):
+        j = real(m, dual, system)
         mats = list(j.matrices)
         mats[0] = mats[0] + np.array([[0.0, 1e-6], [0.0, 0.0]])
         return HomElement(mats, j.source, j.target)
 
-    monkeypatch.setattr(rieszmod.hilbert, "bidual_embed", perturbed)
+    monkeypatch.setattr(rieszmod.hilbert, "_bidual_embed", perturbed)
     assert hilbert_reflexivity_check(h) is False

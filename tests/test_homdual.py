@@ -786,9 +786,10 @@ def test_image_l1_dual_norms_of_a_group_share_one_program(monkeypatch):
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_image_polyhedral_power_steps_share_one_program(monkeypatch, p):
-    # Generated modules with p in {1, inf} have image-l1 and image-linf
-    # fibers; the power method's LMO solves all rows of a step as one linear
-    # program.  30 vertices and 70 edges: a path plus 41 random chords.
+    # On image-l1 and image-linf fibers the power method's LMO solves all
+    # rows of a step as one linear program.  The fibers have the dims of a
+    # cotangent module on 30 vertices and 70 edges (a path plus 41 random
+    # chords) and the injective image matrix I.
     from rieszmod.constructions import Graph, cotangent_module
     from rieszmod import homdual
 
@@ -798,7 +799,8 @@ def test_image_polyhedral_power_steps_share_one_program(monkeypatch, p):
         edges.add(tuple(sorted(rng.choice(30, size=2, replace=False).tolist())))
     graph = Graph(tuple(f"v{i}" for i in range(30)),
                   tuple((u, v, float(rng.uniform(0.5, 2.0))) for u, v in sorted(edges)))
-    m = cotangent_module(graph, p)[1].module
+    cot = cotangent_module(graph, p)[1].module
+    m = FiberModule(cot.structure, tuple(Fiber(d, ImageLpNorm(np.eye(d), p)) for d in cot.dims))
     steps = [0]
     lmo = homdual._lmo
 
