@@ -4,19 +4,41 @@ The quotient norm, the Hahn-Banach extension of least dual norm and the
 dual norm of an image-lp fiber each minimise a gauge over an affine
 subspace.  ``modules._lp_factor`` writes their fiber norms in lp
 coordinates, and ``_lp_gauges`` answers the problems (p, rows, e) with one
-record.  Products run row by row (``_matvec_rows``, ``_matmul_rows``), so
-an answer has the same bits whatever else shares its stack.
+record: a simplex for p in {1, infinity}, else one damped Newton objective
+whose dual proposals are completed on the coordinates a minimiser drives to
+zero, so that exponents near 1 (and, through the dual norms of image-lp
+fibers, large ones) are certified too.  Products run row by row
+(``_matvec_rows``, ``_matmul_rows``), so an answer has the same bits
+whatever else shares its stack.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SolverFailed
 from .spaces import _lp_rows
+
+
+#: Relative singular-value cutoff for every rank decision in the package.
+RANK_RTOL = 1e-9
+
+
+def _svd_ranks(s: np.ndarray) -> np.ndarray:
+    """The package's rank rule on singular values (descending along the last
+    axis): how many exceed RANK_RTOL * (largest sigma or 1)."""
+    return np.add.reduce(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
+
+
+def _shape_groups(mats: Sequence[np.ndarray]) -> list[list[int]]:
+    """The indices of ``mats`` grouped by shape, in order of first use."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    return list(groups.values())
 
 
 def _matvec_rows(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -64,8 +86,9 @@ def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]) -> _Gau
     upper are both |y|_2.  The other problems are grouped by (p, rows
     shape), and each group makes one ``_simplex`` call (p in {1, infinity})
     or one ``_gauge_newton`` call, which proposes t and a dual direction w.
-    The one certificate step then projects w onto the null space of the
-    rows and scales it into the dual unit ball, so value = w.e never
+    The one certificate step (``_dual_points``) then projects w onto the
+    null space of the rows and scales it into the dual unit ball, so
+    value = w.e never
     exceeds the minimum, and raises SolverFailed when |y|_p exceeds it by
     more than the solver's tolerance (``_SIMPLEX_GAP``, ``_GAP_RTOL``)
     times |e|_p, the value at t = 0.
@@ -85,14 +108,11 @@ def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]) -> _Gau
             groups.setdefault((p, *rows.shape), []).append(i)
     for (p, *_), members in groups.items():
         r, e = (np.array(part) for part in zip(*(problems[i][1:] for i in members)))
-        rt = np.swapaxes(r, 1, 2)
         solve, gap = ((_simplex, _SIMPLEX_GAP) if p in (1.0, math.inf)
                       else (_gauge_newton, _GAP_RTOL))
         t, w = solve(p, r, e)
-        y = e + _matvec_rows(rt, t)
-        w -= _matvec_rows(rt, _matvec_rows(r, w))
-        w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
-        v = np.add.reduce(w * e, axis=1)
+        y = e + _matvec_rows(np.swapaxes(r, 1, 2), t)
+        w, v = _dual_points(p, r, e, w)
         n = _lp_rows(p, y)
         bad = np.flatnonzero(n - v > gap * _lp_rows(p, e))
         if bad.size:
@@ -102,6 +122,16 @@ def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]) -> _Gau
         for i, y_i, w_i in zip(members, y, w):
             points[i], duals[i] = y_i, w_i
     return _Gauges(value, upper, points, duals)
+
+
+def _dual_points(p: float, r: np.ndarray, e: np.ndarray, w: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate step on raw dual directions w: each projected onto
+    the null space of its rows and scaled into the dual unit ball, with
+    its dual value w.e."""
+    w = w - _matvec_rows(np.swapaxes(r, 1, 2), _matvec_rows(r, w))
+    w /= np.maximum(1.0, _lp_rows(_lp_conjugate(p), w))[:, None]
+    return w, np.add.reduce(w * e, axis=1)
 
 
 #: ``_simplex``: at most ``_PIVOTS_PER_COLUMN`` lockstep pivots per tableau
@@ -206,83 +236,115 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, blocks: np.ndarray, rows: np.ndar
 #: ``_gauge_newton``.
 _GAP_RTOL = 1e-6
 
-
-def _gauge_newton(p: float, c: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t and a raw dual direction w for min |e[i] + c[i]^T t|_p per problem
-    i (1 < p < infinity, the rows of each c[i] orthonormal).
-
-    ``_newton`` runs from the least-squares point t = -c e; w is the
-    gradient of |.|_p at y = e + c^T t.
-    """
-    ct = np.swapaxes(c, 1, 2)
-    reg = 1e-12 * np.eye(c.shape[1])
-
-    def at(rows: np.ndarray | slice, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = e[rows] + _matvec_rows(ct[rows], t)
-        n = _lp_rows(p, y)
-        return n, y / np.where(n > 0.0, n, 1.0)[:, None]
-
-    def objective(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return at(rows, t)[0]
-
-    def derivatives(rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The Hessian (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights
-        # floored at 1e-12 of the largest, plus 1e-12/|y| c c^T (= I), so
-        # that a nearly flat direction (large p) still has a bounded step.
-        n, u = at(rows, t)
-        au = np.abs(u)
-        cj = _matvec_rows(c[rows], np.sign(u) * au ** (p - 1.0))
-        floor = 1e-12 * np.maximum.reduce(au, axis=1)
-        floor[floor == 0.0] = 1.0
-        weight = np.maximum(au, floor[:, None]) ** (p - 2.0)
-        hess = _matmul_rows(c[rows] * weight[:, None, :], ct[rows]) - cj[:, :, None] * cj[:, None, :]
-        hess = (p - 1.0) * hess + reg
-        hess /= np.where(n > 0.0, n, 1.0)[:, None, None]
-        return cj, hess
-
-    t = _newton(-_matvec_rows(c, e), objective, derivatives, _lp_rows(p, e))
-    u = at(slice(None), t)[1]
-    return t, np.sign(u) * np.abs(u) ** (p - 1.0)
-
-
-#: ``_newton``: step cap, and the Newton decrements, relative to a row's
-#: scale, below which a step is taken in full and at which the row stops.
+#: ``_newton``: step cap, and the Newton decrements, relative to a
+#: problem's |e|_p, below which a step is taken in full and at which the
+#: problem stops.
 _NEWTON_STEPS = 100
 _NEWTON_FULL = 1e-14
 _NEWTON_RTOL = 1e-20
 
+#: ``_gauge_newton``: the gap, relative to |e|_p, up to which the first
+#: Newton point and its gradient are kept as they are.
+_TIGHT_GAP = 1e-10
 
-def _newton(x: np.ndarray, objective: Callable, derivatives: Callable,
-            scale: np.ndarray) -> np.ndarray:
-    """Minimise a convex objective from each row of x, in place, by damped Newton.
 
-    ``objective(rows, z)`` is the objective of problems ``rows`` at points
-    z, ``derivatives(rows, z)`` their gradients and positive definite
-    Hessians.  A step is halved until the Armijo condition with fraction
+def _gauge_newton(p: float, c: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t and a raw dual direction w for min |e[i] + c[i]^T t|_p per problem
+    i (1 < p < infinity, the rows of each c[i] orthonormal, k of them).
+
+    ``_newton`` from the least-squares point, and w = sign(u)|u|^(p-1), the
+    gradient at u = y/|y|_p.  Near p = 1 a minimiser has exact zeros, where
+    the gauge's kink stalls Newton and the gradient reads |u_i|^(p-1), far
+    from 0 unless |u_i| is tiny (1e-70 at p = 1.05).  So where the gap of w
+    exceeds ``_TIGHT_GAP``, for j = 1..k and Z the j smallest |u_i|,
+    ``_newton`` reruns on the face y_Z = 0, where the gauge is smooth:
+    t = t0 + N s, c_Z^T t0 = -e_Z and N an orthonormal null basis of c_Z^T
+    (one stacked SVD of c_Z).  There w_S is the gradient and w_Z completes
+    it, the least-squares solution of c_Z w_Z = -c_S w_S by the rank rule.
+    The t of least |y|_p (none from a c_Z of rank below j) and the first w
+    of largest certified value (``_dual_points``) are returned.
+    """
+    t = _newton(p, c, e, -_matvec_rows(c, e))
+    top, u = _unit_points(p, c, e, t)
+    w = np.sign(u) * np.abs(u) ** (p - 1.0)
+    best = _dual_points(p, c, e, w)[1]
+    loose = np.flatnonzero(top - best > _TIGHT_GAP * _lp_rows(p, e))
+    c, ct, e = c[loose], np.swapaxes(c[loose], 1, 2), e[loose]
+    order = np.argsort(np.abs(u[loose]), axis=1, kind="stable")
+    for j in range(1, c.shape[1] + 1 if loose.size else 1):
+        z = order[:, :j]
+        vecs, sv, vt = np.linalg.svd(np.take_along_axis(c, z[:, None, :], axis=2))
+        rank = _svd_ranks(sv)
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=np.arange(j) < rank[:, None])
+        t0 = -_matvec_rows(vecs[:, :, :j], inv * _matvec_rows(vt, np.take_along_axis(e, z, axis=1)))
+        null = np.swapaxes(vecs[:, :, j:], 1, 2)
+        s = _newton(p, _matmul_rows(null, c), e + _matvec_rows(ct, t0),
+                    _matvec_rows(null, t[loose] - t0))
+        face = t0 + _matvec_rows(vecs[:, :, j:], s)
+        nf, uf = _unit_points(p, c, e, face)
+        closer = (nf < top[loose]) & (rank == j)
+        t[loose[closer]], top[loose[closer]] = face[closer], nf[closer]
+        cand = np.sign(uf) * np.abs(uf) ** (p - 1.0)
+        np.put_along_axis(cand, z, 0.0, axis=1)
+        coef = inv * _matvec_rows(np.swapaxes(vecs[:, :, :j], 1, 2), -_matvec_rows(c, cand))
+        np.put_along_axis(cand, z, _matvec_rows(np.swapaxes(vt, 1, 2), coef), axis=1)
+        value = _dual_points(p, c, e, cand)[1]
+        better = value > best[loose]
+        w[loose[better]], best[loose[better]] = cand[better], value[better]
+    return t, w
+
+
+def _unit_points(p: float, c: np.ndarray, e: np.ndarray, t: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """n = |y|_p and u = y / n (0 where n = 0), y = e + c^T t, per problem."""
+    y = e + _matvec_rows(np.swapaxes(c, 1, 2), t)
+    n = _lp_rows(p, y)
+    return n, y / np.where(n > 0.0, n, 1.0)[:, None]
+
+
+def _newton(p: float, c: np.ndarray, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t minimising |e[i] + c[i]^T t|_p per problem by damped Newton from t,
+    in place.  A step is halved until the Armijo condition with fraction
     1/4 holds (Boyd & Vandenberghe, Convex Optimization, 9.5), or taken in
     full when the decrement and any rise are below ``_NEWTON_FULL``, where
-    rounding hides the decrease.  A row stops at a decrement of ``_NEWTON_RTOL``, when a damped
-    step fails, or after ``_NEWTON_STEPS`` steps; rows never mix.
-    """
-    act = np.arange(x.shape[0])
-    fx = objective(act, x)
+    rounding hides the decrease.  A problem stops at a decrement of
+    ``_NEWTON_RTOL``, when a damped step fails, or after ``_NEWTON_STEPS``
+    steps; problems never mix."""
+    ct = np.swapaxes(c, 1, 2)
+    reg = 1e-12 * np.eye(c.shape[1])
+    scale = _lp_rows(p, e)
+    act = np.arange(t.shape[0])
+    ft = _unit_points(p, c, e, t)[0]
     for _ in range(_NEWTON_STEPS):
-        grad, hess = derivatives(act, x[act])
+        # The gradient c j, j = sign(u)|u|^(p-1) at u = y/|y|_p, and the
+        # Hessian (p-1)/|y| c (diag |u|^(p-2) - j j^T) c^T, weights floored
+        # at 1e-12 of the largest, plus 1e-12/|y| c c^T (= I), so that a
+        # nearly flat direction (large p) still has a bounded step.
+        n, u = _unit_points(p, c[act], e[act], t[act])
+        au = np.abs(u)
+        grad = _matvec_rows(c[act], np.sign(u) * au ** (p - 1.0))
+        floor = 1e-12 * np.maximum.reduce(au, axis=1)
+        floor[floor == 0.0] = 1.0
+        weight = np.maximum(au, floor[:, None]) ** (p - 2.0)
+        hess = _matmul_rows(c[act] * weight[:, None, :], ct[act]) - grad[:, :, None] * grad[:, None, :]
+        hess = (p - 1.0) * hess + reg
+        hess /= np.where(n > 0.0, n, 1.0)[:, None, None]
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
         dec = np.add.reduce(grad * step, axis=1)
-        t = np.ones(act.size)
-        fn = objective(act, x[act] - step)
-        full = (dec <= _NEWTON_FULL * scale[act]) & (fn <= fx[act] + _NEWTON_FULL * scale[act])
+        h = np.ones(act.size)
+        fn = _unit_points(p, c[act], e[act], t[act] - step)[0]
+        full = (dec <= _NEWTON_FULL * scale[act]) & (fn <= ft[act] + _NEWTON_FULL * scale[act])
         for _ in range(60):
-            short = (fn > fx[act] - 0.25 * t * dec) & ~full
+            short = (fn > ft[act] - 0.25 * h * dec) & ~full
             if not short.any():
                 break
-            t[short] *= 0.5
-            fn[short] = objective(act[short], x[act[short]] - t[short, None] * step[short])
-        go = (dec > _NEWTON_RTOL * scale[act]) & (full | (fn < fx[act]))
-        act, step, t, fn = act[go], step[go], t[go], fn[go]
+            h[short] *= 0.5
+            rows = act[short]
+            fn[short] = _unit_points(p, c[rows], e[rows], t[rows] - h[short, None] * step[short])[0]
+        go = (dec > _NEWTON_RTOL * scale[act]) & (full | (fn < ft[act]))
+        act, step, h, fn = act[go], step[go], h[go], fn[go]
         if act.size == 0:
             break
-        x[act] -= t[:, None] * step
-        fx[act] = fn
-    return x
+        t[act] -= h[:, None] * step
+        ft[act] = fn
+    return t

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -123,6 +124,11 @@ class HilbertModule:
         object.__setattr__(self, "grams", grams)
 
     def dual(self) -> FiberModule:
+        """M* = ``dual_module(module, system)``, built on the first call."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> FiberModule:
         return dual_module(self.module, self.system)
 
 

@@ -8,11 +8,12 @@ bound that is not certified.  Duals are Hom into the scalar fibers of the
 pairing space Z, with closed-form dual norms for lp and gram fibers.  The
 Hahn-Banach extension is one solve of min { dual norm : restriction = f }
 on every atom, whose value decides domination and whose minimiser is the
-extension.  It and the dual norms of image-lp fibers run the batched lp
-gauge kernel ``_kernels._lp_gauges`` in the lp coordinates of
-``_lp_factor``: a closed form for euclidean gauges, and otherwise one
-simplex or damped-Newton call per group whose duality gap one
-certificate step checks."""
+extension.  It, the dual norms of image-lp fibers and the power
+iteration's maximisation step on image-lp balls run the batched lp gauge
+kernel ``_kernels._lp_gauges`` in the lp coordinates of ``_lp_factor``: a
+closed form for euclidean gauges, and otherwise one simplex or
+damped-Newton call per group whose duality gap one certificate step
+checks."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._kernels import _lp_conjugate, _lp_gauges, _matmul_rows, _matvec_rows, _newton
+from ._kernels import _lp_conjugate, _lp_gauges, _matmul_rows, _matvec_rows, _shape_groups, _svd_ranks
 from .errors import (
     DimensionMismatch,
     DominationViolated,
@@ -45,6 +46,7 @@ from .modules import (
     ModuleElement,
     Submodule,
     _as_gram,
+    _check_grams,
     _FiberGroup,
     _finite_matrix,
     _gram_rows,
@@ -53,7 +55,6 @@ from .modules import (
     _split_atoms,
     _stack_gram_norms,
     _stack_ranks,
-    _svd_ranks,
     kernel_basis,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
@@ -384,8 +385,10 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, so
     dual_norm(w) = min { |u|_q : M^T u = w } with q the conjugate exponent
     (M = I for lp fibers), the whole is min { |u|_q : rows M^T u = r }, and
-    w = M^T u for its minimiser u.  One SVD of rows M^T cut at
-    ``RANK_RTOL`` gives the least-norm solution u0, so a direction that the
+    w = M^T u for its minimiser u.  An SVD of rows M^T cut at
+    ``RANK_RTOL``, one stacked call per shape (LAPACK runs per matrix, so
+    the bits do not depend on the stack), gives the least-norm solution
+    u0, so a direction that the
     null space counts as zero is never inverted into u0.  The minimiser is
     the lq nearest point to 0 of u0 plus the null space of rows M^T, whose
     basis from the SVD is orthonormal: ``_lp_gauges``, one call for all
@@ -396,20 +399,21 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     """
     out = np.full(len(problems), math.inf)
     found: list[tuple[np.ndarray, float, np.ndarray] | None] = [None] * len(problems)
+    lp = [_lp_factor(norm) for norm, _, _ in problems]
+    mats = [rows if m is None else rows @ m.T for (_, m), (_, rows, _) in zip(lp, problems)]
     live: list[int] = []
     factors = []
     dual = []
-    for i, (norm, rows, r) in enumerate(problems):
-        p, m = _lp_factor(norm)
-        a = rows if m is None else rows @ m.T
-        u, sv, vt = np.linalg.svd(a)
-        rank = int(_svd_ranks(sv))
-        u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
-        if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
-            continue
-        live.append(i)
-        factors.append((m, rows.T @ u[:, :rank], sv[:rank], vt[:rank]))
-        dual.append((_lp_conjugate(p), vt[rank:], u0))
+    for idx in _shape_groups(mats):
+        stack = np.linalg.svd(np.stack([mats[i] for i in idx]))
+        for i, u, sv, vt, rank in zip(idx, *stack, _svd_ranks(stack[1]).tolist()):
+            (p, m), a, (_, rows, r) = lp[i], mats[i], problems[i]
+            u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
+            if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
+                continue
+            live.append(i)
+            factors.append((m, rows.T @ u[:, :rank], sv[:rank], vt[:rank]))
+            dual.append((_lp_conjugate(p), vt[rank:], u0))
     if dual:
         gauges = _lp_gauges(dual)
         out[live] = gauges.value
@@ -547,10 +551,11 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
     src, up to a positive factor (g[i] != 0).
 
     Closed forms for lp sources (the vector norming g in the conjugate
-    exponent) and euclidean ones (G^-1 g); on image-lp balls |B x|_p <= 1
-    the certificate of the dual norm of g from ``_min_dual_norms`` (p in
-    {1, infinity}: the simplex's dual point v = B x, so x = B^+ v) or
-    ``_image_newton``.
+    exponent) and euclidean ones (G^-1 g).  On an image-lp ball
+    |B x|_p <= 1 it is the certificate x of the dual norm of g from
+    ``_min_dual_norms``, at every p: g.x is the certified dual value, within
+    the gauge kernel's gap of the dual norm, and B x = v the kernel's dual
+    point.
     """
     if isinstance(src.proto, LpNorm):
         q = _lp_conjugate(src.proto.p)
@@ -558,44 +563,10 @@ def _lmo(src: _FiberGroup, g: np.ndarray) -> np.ndarray:
     gram = _as_gram(src.proto, src.dim, src.mats)
     if gram is not None:
         return np.linalg.solve(gram, g[..., None])[..., 0]
-    if src.proto.p not in (1.0, math.inf):
-        return _image_newton(src.mats, src.proto.p, g)
     _, found = _min_dual_norms([(norm, np.eye(src.dim), row) for norm, row in zip(src.norms, g)])
     if any(f is None for f in found):   # B is not injective
         raise SolverFailed("operator-norm program: an image-lp unit ball is unbounded")
     return np.array([x for _, _, x in found])
-
-
-def _image_newton(b: np.ndarray, p: float, g: np.ndarray) -> np.ndarray:
-    """Per row, the minimiser of |B x|_p^p / p - g.x (1 < p < infinity).
-
-    Its gradient condition B^T J(B x) = g says that g norms x, so by
-    homogeneity it points at the maximiser of g.x over |B x|_p <= 1.
-    ``_newton`` from the p = 2 minimiser scaled to the best point of its ray.
-    A trial point whose objective overflows reads +inf, so the line search
-    rejects it; a singular Newton system (large p) raises SolverFailed.
-    """
-    bt = np.swapaxes(b, 1, 2)
-
-    def f(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            powers = np.abs(_matvec_rows(b[rows], z)) ** p
-        return np.add.reduce(powers, axis=1) / p - np.add.reduce(g[rows] * z, axis=1)
-
-    def derivatives(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = _matvec_rows(b[rows], z)
-        ay = np.abs(y)
-        grad = _matvec_rows(bt[rows], np.sign(y) * ay ** (p - 1.0)) - g[rows]
-        weight = (p - 1.0) * np.maximum(ay, 1e-12 * ay.max(axis=1, keepdims=True)) ** (p - 2.0)
-        return grad, _matmul_rows(bt[rows] * weight[:, None, :], b[rows])
-
-    x = np.linalg.solve(_matmul_rows(bt, b), g[..., None])[..., 0]
-    ray = np.add.reduce(g * x, axis=1) / np.add.reduce(np.abs(_matvec_rows(b, x)) ** p, axis=1)
-    x = x * (ray ** (1.0 / (p - 1.0)))[:, None]
-    try:
-        return _newton(x, f, derivatives, np.abs(f(np.arange(g.shape[0]), x)))
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailed(f"image-l{p:g} Newton kernel: singular Newton system") from exc
 
 
 def hom_norm(t: HomElement) -> Fn:
@@ -627,17 +598,19 @@ def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
     """Hom(M, Z) as a W-normed module: dual fibers with dual norms.
 
     An lp fiber's dual is the conjugate exponent, one shared fiber per
-    group; a gram group's duals are its inverse grams, from one stacked
-    ``np.linalg.inv`` validated by one ``_check_grams`` call.  The first
-    image-lp fiber is refused; generated modules have them only at
-    rank-deficient atoms with p != 2 (a graph's parallel edges).
+    group; a euclidean group (gram or image-l2, its gram from ``_as_gram``)
+    has the inverse grams as duals, from one stacked ``np.linalg.inv``
+    validated by one ``_check_grams`` call.  The first image-lp fiber with
+    p != 2 is refused; generated modules have them only at rank-deficient
+    atoms (a graph's parallel edges).
     """
-    a = min((g.atoms[0] for g in m._groups if isinstance(g.proto, ImageLpNorm)), default=None)
+    a = min((g.atoms[0] for g in m._groups
+             if isinstance(g.proto, ImageLpNorm) and g.proto.p != 2.0), default=None)
     if a is not None:
         raise UnsupportedHom(
             f"atom {a} ({m.space.atoms[a]!r}) has an image-l{m.fibers[a].norm.p:g} fiber:"
-            " dual fibers are implemented for lp and gram norms, and a generated module"
-            " has image-lp fibers only at rank-deficient atoms with p != 2"
+            " dual fibers are implemented for lp, gram and image-l2 norms, and a generated"
+            " module has image-lp fibers only at rank-deficient atoms with p != 2"
         )
     structure = FiniteFStructure(system.space, m.structure.u_kind, system.w_kind)
     fibers = list(m.fibers)
@@ -646,12 +619,16 @@ def dual_module(m: FiberModule, system: DualSystem) -> FiberModule:
             dual = Fiber(g.dim, LpNorm(_lp_conjugate(g.proto.p)))
             for a in g.atoms:
                 fibers[a] = dual
-        else:
-            norms, defect = _stack_gram_norms(np.linalg.inv(g.mats) if g.dim else g.mats)
-            if defect is not None:
-                raise InvalidStructure(defect[1])
-            for a, norm in zip(g.atoms.tolist(), norms):
-                fibers[a] = Fiber(g.dim, norm)
+            continue
+        gram = _as_gram(g.proto, g.dim, g.mats)
+        singular = np.flatnonzero(_check_grams(gram)[1]) if isinstance(g.proto, ImageLpNorm) else ()
+        if len(singular):
+            raise InvalidStructure(f"atom {g.atoms[singular[0]]}: image-l2 matrix is not injective")
+        norms, defect = _stack_gram_norms(np.linalg.inv(gram) if g.dim else gram)
+        if defect is not None:
+            raise InvalidStructure(defect[1])
+        for a, norm in zip(g.atoms.tolist(), norms):
+            fibers[a] = Fiber(g.dim, norm)
     return FiberModule(structure, tuple(fibers))
 
 

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._kernels import _lp_gauges, _matvec_rows
+from ._kernels import RANK_RTOL, _lp_gauges, _matvec_rows, _shape_groups, _svd_ranks
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -46,19 +46,10 @@ from .spaces import (
     _rescaled_rows,
 )
 
-#: Relative singular-value cutoff for every rank decision in the package.
-RANK_RTOL = 1e-9
-
 #: The largest fiber dimension a module read from JSON may declare, so that
 #: the d x d blocks of its duals and homs (d^2 doubles) stay allocatable.
 #: Modules built in the library, such as generated ones, are not capped.
 MAX_FIBER_DIM = 4096
-
-
-def _svd_ranks(s: np.ndarray) -> np.ndarray:
-    """The package's rank rule on singular values (descending along the last
-    axis): how many exceed RANK_RTOL * (largest sigma or 1)."""
-    return np.add.reduce(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
 def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
@@ -71,10 +62,7 @@ def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
     Empty matrices have rank 0.
     """
     ranks = [0] * len(mats)
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, m in enumerate(mats):
-        by_shape.setdefault(m.shape, []).append(i)
-    for idx in by_shape.values():
+    for idx in _shape_groups(mats):
         for i, r in zip(idx, _stack_ranks(np.stack([mats[i] for i in idx])).tolist()):
             ranks[i] = r
     return ranks

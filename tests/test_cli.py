@@ -246,6 +246,35 @@ def test_hahn_banach_golden_and_deterministic(capsys):
     assert [next(iter(f["norm"])) for f in fibers] == ["lp"] * 4 + ["gram", "image_lp"]
 
 
+def test_dual_command_dualizes_an_image_l2_fiber(capsys, tmp_path):
+    # |A x|_2 is euclidean with the gram A^T A, so its dual fiber has the
+    # gram inv(A^T A), and the module is reflexive.
+    a = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    problem = json.loads((DATA / "hb_problem.json").read_text())["module"]
+    problem["fibers"] = [{"dim": 2, "norm": {"image_lp": {"matrix": a, "p": 2.0}}}]
+    path = tmp_path / "image_l2.json"
+    path.write_text(json.dumps(problem))
+    code, out = run(capsys, "dual", "--module", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["reflexive"] is True
+    gram = np.array(report["dual"]["fibers"][0]["norm"]["gram"])
+    assert np.allclose(gram, np.linalg.inv(np.array(a).T @ np.array(a)), rtol=0.0, atol=1e-15)
+
+
+def test_hahn_banach_on_an_l21_fiber_is_certified(capsys):
+    # The least dual norm of the extension is an l(21/20) gauge whose
+    # minimiser has zero coordinates; the kernel once refused it with
+    # solver_failed.  The CI console-script step runs the same problem.
+    code, out = run(capsys, "hahn-banach", "--problem", str(DATA / "hb_l21.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["restriction_values"][0][0] - 0.632) <= 1e-9
+    problem = json.loads((DATA / "hb_l21.json").read_text())
+    extension = np.array(report["extension"][0])
+    assert LpNorm(21.0 / 20.0).norm(extension) <= problem["gauge"][0] * (1.0 + 1e-9)
+
+
 def wide_pushforward_inputs(tmp_path):
     """A 500-atom module of about 2,000 coordinates, lp, gram and image-lp
     fibers of dimensions 0-7, and a map of 400 target atoms with repeats:
@@ -968,6 +997,7 @@ def test_report_schema_file_matches_the_cli():
 #: The input schema of every file in tests/data.
 DATA_SCHEMAS = {
     "element_34.json": "element",
+    "hb_l21.json": "hahn_banach_problem",
     "hb_mixed.json": "hahn_banach_problem",
     "hb_problem.json": "hahn_banach_problem",
     "hb_violating.json": "hahn_banach_problem",

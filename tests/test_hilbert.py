@@ -502,6 +502,41 @@ def test_riesz_map_is_isometric_and_invertible():
         assert module_distance(back, w) <= 1e-10 * max(1.0, nw.sup_abs)
 
 
+def test_riesz_round_trip_on_an_image_l2_fiber():
+    # An image-l2 fiber |A x|_2 is euclidean: the Riesz map goes into the
+    # dual module of gram inv(A^T A) and back.
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    h = HilbertModule(FiberModule(make_structure(1), (Fiber(2, ImageLpNorm(a, 2.0)),)))
+    w = ModuleElement([[0.5, -2.0]], h.module)
+    eta = riesz_map(h, w)
+    assert np.allclose(eta.vectors[0], a.T @ a @ w.vectors[0], rtol=0.0, atol=1e-15)
+    assert np.allclose(h.dual().fibers[0].norm.gram, np.linalg.inv(a.T @ a), rtol=0.0, atol=1e-15)
+    assert abs(pointwise_norm(eta).values[0] - pointwise_norm(w).values[0]) <= 1e-12
+    assert module_distance(riesz_inverse(h, eta), w) <= 1e-12
+
+
+def test_riesz_maps_build_the_dual_module_once(monkeypatch):
+    # h.dual() keeps M*: five round trips make one dual_module call.
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / "module_221.json"
+    h = HilbertModule(FiberModule.from_json(json.loads(path.read_text())))
+    real = rieszmod.hilbert.dual_module
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(rieszmod.hilbert, "dual_module", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        w = random_element(rng, h.module)
+        assert module_distance(riesz_inverse(h, riesz_map(h, w)), w) <= 1e-12
+    assert len(calls) == 1 and calls[0] is h.module
+
+
 def test_riesz_pairing_identity():
     rng = np.random.default_rng(233)
     h = hilbert(grams=[random_spd(rng, 3)])

@@ -821,17 +821,46 @@ def test_image_polyhedral_power_steps_share_one_program(monkeypatch, p):
     assert 0 < calls[0] <= steps[0]
 
 
-def test_singular_image_lp_newton_system_raises_a_typed_error():
-    # At p = 20 the Newton Hessian of the image-lp LMO is singular here;
-    # numpy's LinAlgError and an overflow warning used to escape hom_norm.
+def test_image_l20_hom_norm_answers_where_a_newton_system_was_singular():
+    # At p = 20 the Hessian of a second, image-lp Newton objective was
+    # singular here, and its LinAlgError and an overflow warning escaped
+    # hom_norm.  The LMO now reads the gauge kernel's certificate: an answer
+    # without a warning (RuntimeWarnings are errors under pytest), at least
+    # the best of a dense sample of the source unit sphere.
     rng = np.random.default_rng(3)
     b = rng.standard_normal((3, 2))
     a = rng.standard_normal((2, 2))
     structure = make_structure(1)
     t = HomElement([a], FiberModule(structure, (Fiber(2, ImageLpNorm(b, 20.0)),)),
                    FiberModule(structure, (Fiber(2, LpNorm(3.0)),)))
-    with pytest.raises(SolverFailed, match="image-l20 Newton kernel"):
-        hom_norm(t)
+    theta = np.linspace(0.0, 2.0 * math.pi, 400_001)
+    x = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    swept = np.max(np.linalg.norm(x @ a.T, 3.0, axis=1) / np.linalg.norm(x @ b.T, 20.0, axis=1))
+    assert hom_norm(t).values[0] >= swept * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0, 20.0, 50.0])
+def test_image_lp_lmo_attains_the_certified_dual_norm(p):
+    # On |B x|_p <= 1 the LMO's x is the certificate of the dual norm of g
+    # from _min_dual_norms: inside the ball, and g.x is within the gauge
+    # kernel's gap (_GAP_RTOL times |u0|_q, u0 = pinv(B^T) g, the value at
+    # t = 0) of the certified upper bound, never above it.  B has d to
+    # d + 3 rows, so q = p / (p - 1) is near 1 at large p.
+    from rieszmod._kernels import _GAP_RTOL
+    from rieszmod.homdual import _FiberGroup, _lmo, _min_dual_norms
+
+    rng = np.random.default_rng(int(10 * p))
+    q = p / (p - 1.0)
+    for _ in range(30):
+        d = int(rng.integers(2, 6))
+        b = rng.standard_normal((d + int(rng.integers(0, 4)), d))
+        g = rng.standard_normal(d)
+        norm = ImageLpNorm(b, p)
+        (x,) = _lmo(_FiberGroup.single(norm, d), g[None])
+        _, ((_, bound, _),) = _min_dual_norms([(norm, np.eye(d), g)])
+        scale = np.linalg.norm(np.linalg.pinv(b.T) @ g, q)
+        assert norm.norm(x) <= 1.0 + 1e-12
+        assert bound - _GAP_RTOL * scale <= g @ x <= bound * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])

@@ -1115,6 +1115,52 @@ def test_lp_gauge_kernel_near_p_one_certifies_or_raises(monkeypatch):
         _extension_values(problems[:1])
 
 
+def slsqp_gauge(p, rows, e):
+    """min over t of |e + rows^T t|_p by scipy's SLSQP on the smooth program
+    min sum s_i^p subject to -s <= e + rows^T t <= s, from the
+    least-squares point: the gauge at the t found, a primal value."""
+    from scipy.optimize import minimize
+
+    k, d = rows.shape
+    up, down = np.c_[rows.T, np.eye(d)], np.c_[-rows.T, np.eye(d)]
+    cons = [{"type": "ineq", "fun": lambda z: e + up @ z, "jac": lambda z: up},
+            {"type": "ineq", "fun": lambda z: down @ z - e, "jac": lambda z: down}]
+    t0 = np.linalg.lstsq(rows.T, -e, rcond=None)[0]
+    res = minimize(lambda z: (np.sum(z[k:] ** p), np.r_[np.zeros(k), p * z[k:] ** (p - 1.0)]),
+                   np.r_[t0, np.abs(e + rows.T @ t0) + 1e-3], jac=True, method="SLSQP",
+                   constraints=cons, bounds=[(None, None)] * k + [(0.0, None)] * d,
+                   options={"ftol": 1e-16, "maxiter": 1000})
+    return LpNorm(p).norm(e + rows.T @ res.x[:k])
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.2])
+def test_lp_gauge_kernel_near_p_one_matches_a_reference_solve(p):
+    # Random problems whose minimisers have coordinates that are exactly
+    # zero: the kernel certifies every one (no SolverFailed), and its value,
+    # a dual value, is within 1e-6 |e|_p of an independent SLSQP solve and
+    # never above that primal value.
+    rng = np.random.default_rng(int(1000 * p))
+    problems = random_gauge_problems(rng, p, False, 60)
+    values, _ = _extension_values(problems)
+    for (norm, rows, e), val in zip(problems, values):
+        ref = slsqp_gauge(p, rows, e)
+        assert val <= ref + 1e-12 * norm.norm(e)
+        assert ref - val <= 1e-6 * norm.norm(e)
+
+
+def test_min_dual_norm_bits_do_not_depend_on_the_stack():
+    # One stacked SVD per shape: a problem's need, minimiser, bound and
+    # certificate have the same bits alone and among others of its shape.
+    rng = np.random.default_rng(2024)
+    problems = [(ImageLpNorm(rng.standard_normal((5, 3)), p), np.eye(3), rng.standard_normal(3))
+                for p in (1.0, 3.0, math.inf) for _ in range(8)]
+    needs, found = _min_dual_norms(problems)
+    for i in (0, 11, 23):
+        (need,), ((w, bound, x),) = _min_dual_norms([problems[i]])
+        assert need == needs[i] and bound == found[i][1]
+        assert np.array_equal(w, found[i][0]) and np.array_equal(x, found[i][2])
+
+
 def test_lp_hahn_banach_extensions_are_fast_and_dominated():
     rng = np.random.default_rng(906)
     start = time.perf_counter()
