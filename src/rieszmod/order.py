@@ -43,8 +43,10 @@ class LatticeElement(Protocol):
     ``deviation`` return one result per element, an array of shape ``(S,)``,
     instead of a single bool or float.  :func:`riesz_law_suite` relies on
     this: it reads a carrier's ``values`` (shape ``(n,)`` for one element,
-    ``(S, n)`` for a batch) and ``space``, and stacks S samples into one
-    carrier as ``type(u)(values, space)``.
+    ``(S, n)`` for a batch) and ``space``.  ``_trusted(values, space)``
+    wraps a float array the library has just built, of one of those shapes,
+    without copying or checking it; the law suite, the partition check and
+    the refinement wrap their stacks with it.
     """
 
     def __add__(self, other: Any) -> Any: ...
@@ -72,6 +74,9 @@ class LatticeElement(Protocol):
     def one(self) -> Any: ...
 
     def chi_pos(self) -> Any: ...
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, space: Any) -> Any: ...
 
 
 def positive_part(u):
@@ -161,7 +166,7 @@ class FinitePartition:
             cover._check(e)
         # A zero row, then one row per part: accumulating down the stack adds
         # the parts in the order 0 + u_1 + u_2 + ..., as a loop would.
-        stack = np.stack([np.zeros(cover.values.shape)] + [e.values for e in elems])
+        stack = np.array([np.zeros(cover.values.shape)] + [e.values for e in elems])
         if len(elems) > 1:
             # On each atom the largest |u_i u_j| over pairs i < j is the product
             # of the two largest |u_i|: IEEE products are sign-symmetric and
@@ -170,7 +175,7 @@ class FinitePartition:
             top = np.partition(np.abs(stack[1:]), -2, axis=0)
             if np.any(top[-2] * top[-1] > RING_TOL):
                 raise NotAPartition("partition parts are not pairwise disjoint")
-        total = type(cover)(np.add.accumulate(stack)[-1], cover.space)
+        total = type(cover)._trusted(np.add.accumulate(stack)[-1], cover.space)
         if total.deviation(cover) > RING_TOL:
             raise NotAPartition("partition parts do not sum to the covered idempotent")
 
@@ -241,16 +246,17 @@ def _cross_products(p: FinitePartition, q: FinitePartition) -> tuple[list[Idempo
     if not p.parts or not q.parts:
         return [], []
     u0, v0 = p.parts[0].element, q.parts[0].element
-    us = type(u0)(np.repeat(np.stack([u.element.values for u in p.parts]), len(q.parts), axis=0),
-                  u0.space)
-    vs = type(v0)(np.tile(np.stack([v.element.values for v in q.parts]), (len(p.parts), 1)),
-                  v0.space)
+    us = type(u0)._trusted(
+        np.repeat(np.array([u.element.values for u in p.parts]), len(q.parts), axis=0), u0.space)
+    vs = type(v0)._trusted(
+        np.tile(np.array([v.element.values for v in q.parts]), (len(p.parts), 1)), v0.space)
     prods = us * vs
     # Written so that a NaN deviation is refused too.
     if not np.all((prods * prods).deviation(prods) <= RING_TOL):
         raise NonIdempotentInput("element is not idempotent: u*u != u")
     kept = np.flatnonzero(~prods.equals(prods.zero())).tolist()
-    return [Idempotent._trusted(type(u0)(prods.values[k], u0.space)) for k in kept], kept
+    wrap = type(u0)._trusted
+    return [Idempotent._trusted(wrap(row, u0.space)) for row in prods.values[kept]], kept
 
 
 _SIMPLE_OPS = {
@@ -334,101 +340,140 @@ class LawReport:
         return {"laws": [r.to_json() for r in self.laws]}
 
 
-def _pairs_riesz_1(u, v, w):
-    out = []
-    for lam in (0.5, 3.0):
-        out.append(((u.join(v)).scale(lam), u.scale(lam).join(v.scale(lam)), "eq"))
-    return out
+class _term:
+    """A law-suite term, built on first use and then kept on the instance
+    (a non-data descriptor: the instance attribute shadows it afterwards).
+    Unlike ``functools.cached_property`` on Python 3.11, it takes no lock."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, terms, owner):
+        value = terms.__dict__[self.name] = self.build(terms)
+        return value
 
 
-def _pairs_riesz_1b(u, v, w):
-    return [
-        (abs_value(u.scale(lam)), abs_value(u).scale(lam), "eq")
-        for lam in (0.0, 0.5, 3.0)
-    ]
+class LawTerms:
+    """The sample triple (u, v, w) of one law-suite batch and the terms
+    several laws share, each built once, on first use.
+
+    The law evaluators read every shared term from here, so a batch builds
+    |u|, u⁺, u∨v or u+v once however many laws use it, and a law subset
+    builds only the terms its laws need.  The terms live as long as the
+    batch does.
+    """
+
+    def __init__(self, u, v, w):
+        self.u, self.v, self.w = u, v, w
+
+    zero = _term(lambda t: t.u.zero())
+    #: The positive and negative parts u⁺ = u ∨ 0, u⁻ = (−u) ∨ 0 and v⁺.
+    pos_u = _term(lambda t: t.u.join(t.zero))
+    neg_u = _term(lambda t: (-t.u).join(t.zero))
+    pos_v = _term(lambda t: t.v.join(t.zero))
+    abs_u = _term(lambda t: abs_value(t.u))
+    abs_v = _term(lambda t: abs_value(t.v))
+    abs_w = _term(lambda t: abs_value(t.w))
+    u_join_v = _term(lambda t: t.u.join(t.v))
+    u_meet_v = _term(lambda t: t.u.meet(t.v))
+    v_join_w = _term(lambda t: t.v.join(t.w))
+    v_meet_w = _term(lambda t: t.v.meet(t.w))
+    u_plus_v = _term(lambda t: t.u + t.v)
+    u_plus_w = _term(lambda t: t.u + t.w)
+    #: λu for λ in 0, 1/2 and 3, keyed by λ.
+    u_scaled = _term(lambda t: {lam: t.u.scale(lam) for lam in (0.0, 0.5, 3.0)})
+    #: χ(w > 0) and 1 − χ(w > 0), the support split that makes pairs disjoint.
+    chi_w = _term(lambda t: t.w.chi_pos())
+    chi_w_c = _term(lambda t: t.chi_w.one() - t.chi_w)
 
 
-def _pairs_riesz_2(u, v, w):
-    return [(-(u.join(v)), (-u).meet(-v), "eq")]
+def _pairs_riesz_1(t):
+    return [(t.u_join_v.scale(lam), t.u_scaled[lam].join(t.v.scale(lam)), "eq")
+            for lam in (0.5, 3.0)]
 
 
-def _pairs_riesz_3(u, v, w):
-    return [(u + v.join(w), (u + v).join(u + w), "eq")]
+def _pairs_riesz_1b(t):
+    return [(abs_value(t.u_scaled[lam]), t.abs_u.scale(lam), "eq") for lam in (0.0, 0.5, 3.0)]
 
 
-def _pairs_riesz_4(u, v, w):
-    return [(u + v.meet(w), (u + v).meet(u + w), "eq")]
+def _pairs_riesz_2(t):
+    return [(-t.u_join_v, (-t.u).meet(-t.v), "eq")]
 
 
-def _pairs_riesz_4b(u, v, w):
-    return [(u.join(v) + u.meet(v), u + v, "eq")]
+def _pairs_riesz_3(t):
+    return [(t.u + t.v_join_w, t.u_plus_v.join(t.u_plus_w), "eq")]
 
 
-def _pairs_riesz_5(u, v, w):
-    return [(u, positive_part(u) - negative_part(u), "eq")]
+def _pairs_riesz_4(t):
+    return [(t.u + t.v_meet_w, t.u_plus_v.meet(t.u_plus_w), "eq")]
 
 
-def _pairs_riesz_6(u, v, w):
-    p, n = positive_part(u), negative_part(u)
-    return [(abs_value(u), p.join(n), "eq"), (p.join(n), p + n, "eq")]
+def _pairs_riesz_4b(t):
+    return [(t.u_join_v + t.u_meet_v, t.u_plus_v, "eq")]
 
 
-def _pairs_riesz_6b(u, v, w):
-    return [(positive_part(u).meet(negative_part(u)), u.zero(), "eq")]
+def _pairs_riesz_5(t):
+    return [(t.u, t.pos_u - t.neg_u, "eq")]
 
 
-def _pairs_riesz_6c(u, v, w):
-    return [(positive_part(u + v), positive_part(u) + positive_part(v), "leq")]
+def _pairs_riesz_6(t):
+    p_join_n = t.pos_u.join(t.neg_u)
+    return [(t.abs_u, p_join_n, "eq"), (p_join_n, t.pos_u + t.neg_u, "eq")]
 
 
-def _pairs_riesz_6d(u, v, w):
-    return [(abs_value(u + v), abs_value(u) + abs_value(v), "leq")]
+def _pairs_riesz_6b(t):
+    return [(t.pos_u.meet(t.neg_u), t.zero, "eq")]
 
 
-def _pairs_riesz_6e(u, v, w):
-    a, b, c = abs_value(u), abs_value(v), abs_value(w)
+def _pairs_riesz_6c(t):
+    return [(t.u_plus_v.join(t.zero), t.pos_u + t.pos_v, "leq")]
+
+
+def _pairs_riesz_6d(t):
+    return [(abs_value(t.u_plus_v), t.abs_u + t.abs_v, "leq")]
+
+
+def _pairs_riesz_6e(t):
+    a, b, c = t.abs_u, t.abs_v, t.abs_w
     return [(a.meet(b + c), a.meet(b) + a.meet(c), "leq")]
 
 
-def _pairs_falg_7(u, v, w):
-    return [(positive_part(u) * negative_part(u), u.zero(), "eq")]
+def _pairs_falg_7(t):
+    return [(t.pos_u * t.neg_u, t.zero, "eq")]
 
 
-def _pairs_falg_8(u, v, w):
-    a = abs_value(u)
-    return [(positive_part(a * v), a * positive_part(v), "eq")]
+def _pairs_falg_8(t):
+    return [((t.abs_u * t.v).join(t.zero), t.abs_u * t.pos_v, "eq")]
 
 
-def _disjoint_pair(u, v, w):
-    # Split u and v onto complementary supports derived from w so that the
-    # resulting pair has pointwise-disjoint carriers.
-    m = w.chi_pos()
-    mc = m.one() - m
-    return u * m, v * mc
+# falg-8b and falg-8c split u and v onto the complementary supports of
+# χ(w > 0), so that each pair they check has pointwise-disjoint carriers.
 
-
-def _pairs_falg_8b(u, v, w):
-    a, b = _disjoint_pair(positive_part(u), positive_part(v), w)
+def _pairs_falg_8b(t):
+    a, b = t.pos_u * t.chi_w, t.pos_v * t.chi_w_c
     return [(abs_value(a - b), abs_value(a + b), "eq")]
 
 
-def _pairs_falg_8c(u, v, w):
-    a, b = _disjoint_pair(u, v, w)
+def _pairs_falg_8c(t):
+    a, b = t.u * t.chi_w, t.v * t.chi_w_c
     return [(abs_value(a + b), abs_value(a) + abs_value(b), "eq")]
 
 
-def _pairs_falg_prod(u, v, w):
-    return [(abs_value(u * v), abs_value(u) * abs_value(v), "eq")]
+def _pairs_falg_prod(t):
+    return [(abs_value(t.u * t.v), t.abs_u * t.abs_v, "eq")]
 
 
-def _pairs_falg_9(u, v, w):
-    a = abs_value(u)
-    return [(a * v.meet(w), a * v.join(w), "leq")]
+def _pairs_falg_9(t):
+    return [(t.abs_u * t.v_meet_w, t.abs_u * t.v_join_w, "leq")]
 
 
-#: Law table: (stable id, tolerance class, evaluator).  Each evaluator takes a
-#: sample triple (u, v, w), derives any hypothesis-satisfying inputs it needs
-#: deterministically from the triple, and returns (lhs, rhs, relation) checks.
+#: Law table: (stable id, tolerance class, evaluator).  Each evaluator takes
+#: the :class:`LawTerms` of a sample triple (u, v, w), derives any
+#: hypothesis-satisfying inputs it needs deterministically from the triple,
+#: and returns (lhs, rhs, relation) checks.
 #: Lattice-class laws must hold exactly (joins, meets and sums of shared
 #: inputs commute with IEEE rounding); ring-class laws involve products and
 #: are allowed RING_TOL slack.
@@ -487,18 +532,24 @@ def _witness(lhs, rhs, sample_index: int, row: int) -> dict:
 
 
 def _batch_key(triple) -> tuple:
-    return tuple(type(x) for x in triple) + tuple(x.space for x in triple)
+    u, v, w = triple
+    return type(u), type(v), type(w), u.space, v.space, w.space
 
 
 def _stack(run: Sequence[tuple]) -> tuple:
     """One carrier per role holding the stacked values of a run of samples.
 
-    Each role takes the class and space of the run's first sample.
+    Each role takes the class and space of the run's first sample, and
+    wraps the new stack without a copy.  A sample that is itself a batch
+    is refused with ``SpaceMismatch``.
     """
-    return tuple(
-        type(x)(np.stack([t[i].values for t in run]), x.space)
-        for i, x in enumerate(run[0])
-    )
+    out = []
+    for i, x in enumerate(run[0]):
+        values = np.array([t[i].values for t in run])
+        if values.ndim != 2:
+            raise SpaceMismatch(f"expected {values.shape[-1]} values, got shape {values.shape}")
+        out.append(type(x)._trusted(values, x.space))
+    return tuple(out)
 
 
 def _batches(samples: Iterable[tuple[Any, Any, Any]]) -> Iterable[tuple[int, tuple]]:
@@ -529,11 +580,11 @@ def riesz_law_suite(
     Each sample is a triple of single elements of a batch-capable carrier
     (``values`` of shape ``(n,)`` on a ``space``, see
     :class:`LatticeElement`).  Consecutive samples on the same spaces and
-    carrier classes are stacked into one batch, built as
-    ``type(u)(stacked values, space)``, and each law is evaluated once per
-    batch.  The reported counterexample of a law is its lowest failing
-    sample, the first failing check at that sample, and the atom where that
-    check's sides differ most.
+    carrier classes are stacked into one batch, wrapped as
+    ``type(u)._trusted(stacked values, space)``, and each law is evaluated
+    once per batch, on the batch's :class:`LawTerms`.  The reported
+    counterexample of a law is its lowest failing sample, the first failing
+    check at that sample, and the atom where that check's sides differ most.
     """
     wanted = set(law_ids) if law_ids is not None else None
     table = [
@@ -542,15 +593,17 @@ def riesz_law_suite(
     status: dict[str, LawResult] = {
         law_id: LawResult(law_id, True, None) for law_id, _, _ in table
     }
-    for offset, (u, v, w) in _batches(samples):
+    for offset, batch in _batches(samples):
+        terms = LawTerms(*batch)
         for law_id, klass, evaluate in table:
             if not status[law_id].passed:
                 continue
             tol = 0.0 if klass == "lattice" else ring_tol
-            checks = evaluate(u, v, w)
-            hit = _first_failure([~_check_one(lhs, rhs, rel, tol) for lhs, rhs, rel in checks])
-            if hit is not None:
-                row, c = hit
-                lhs, rhs, _ = checks[c]
-                status[law_id] = LawResult(law_id, False, _witness(lhs, rhs, offset + row, row))
+            checks = evaluate(terms)
+            ok = [_check_one(lhs, rhs, rel, tol) for lhs, rhs, rel in checks]
+            if all(k.all() for k in ok):
+                continue
+            row, c = _first_failure([~k for k in ok])
+            lhs, rhs, _ = checks[c]
+            status[law_id] = LawResult(law_id, False, _witness(lhs, rhs, offset + row, row))
     return LawReport(tuple(status[law_id] for law_id, _, _ in table))

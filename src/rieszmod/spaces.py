@@ -122,22 +122,26 @@ class FiniteMeasureSpace:
             raise InvalidStructure("atoms, weights, and aux_weights must have equal length")
         if len(self.atoms) < 1:
             raise InvalidStructure("a measure space needs at least one atom")
-        if any(w <= 0 or not math.isfinite(w) for w in self.weights):
+        # One test per array, on the arrays every distance reads; NaN fails it.
+        if not (self.mu.min() > 0.0 and self.mu.max() < math.inf):
             raise InvalidStructure("all weights must be strictly positive and finite")
-        if any(w <= 0 or not math.isfinite(w) for w in self.aux_weights):
+        if not (self.mu_aux.min() > 0.0 and self.mu_aux.max() < math.inf):
             raise InvalidStructure("all aux_weights must be strictly positive and finite")
 
     @staticmethod
     def make(atoms: Sequence[str], weights: Sequence[float],
              aux_weights: Sequence[float] | None = None) -> "FiniteMeasureSpace":
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(map(float, weights))
         if aux_weights is None:
             total = sum(weights)
             # Degenerate weights fall through so __post_init__ reports them.
-            aux_weights = tuple(w / total for w in weights) if total > 0 else weights
+            aux_weights = tuple((np.array(weights) / total).tolist()) if total > 0 else weights
         else:
-            aux_weights = tuple(float(w) for w in aux_weights)
-        return FiniteMeasureSpace(tuple(str(a) for a in atoms), weights, aux_weights)
+            aux_weights = tuple(map(float, aux_weights))
+        atoms = tuple(atoms)
+        if set(map(type, atoms)) != {str}:
+            atoms = tuple(map(str, atoms))
+        return FiniteMeasureSpace(atoms, weights, aux_weights)
 
     @property
     def n(self) -> int:
@@ -184,7 +188,7 @@ class FiniteMeasureSpace:
         _require("weights" in obj, "space is missing 'weights'", where + ".weights")
         atoms = obj["atoms"]
         weights = obj["weights"]
-        _require(isinstance(atoms, list) and all(isinstance(a, str) for a in atoms),
+        _require(isinstance(atoms, list) and all(issubclass(t, str) for t in set(map(type, atoms))),
                  "atoms must be a list of strings", where + ".atoms")
         aux = obj.get("aux_weights")
         for key in ("weights", "aux_weights") if aux is not None else ("weights",):
@@ -197,14 +201,48 @@ class FiniteMeasureSpace:
             raise InputError(exc.message, path=where) from exc
 
 
+_new = object.__new__
+
+
+def _pointwise(ufunc: Callable, ring: bool) -> Callable:
+    """The ``Fn`` operation ``ufunc(self.values, other.values)``.
+
+    Its type, space and shape checks and the read-only wrap of the result
+    are written out in the operation rather than called, since every term
+    of a law suite pays them.  A ring operation returns NotImplemented for
+    an operand that is not an ``Fn``, so module elements dispatch to their
+    reflected method; a lattice operation raises TypeError.
+    """
+
+    def op(self: "Fn", other: "Fn") -> "Fn":
+        if not isinstance(other, Fn):
+            if ring:
+                return NotImplemented
+            raise TypeError(f"expected Fn, got {type(other).__name__}")
+        space, a, b = self.space, self.values, other.values
+        if other.space is not space and other.space != space:
+            raise SpaceMismatch("operands live on different measure spaces")
+        if a.shape != b.shape:
+            raise SpaceMismatch(f"operand shapes differ: {a.shape} and {b.shape}")
+        out = ufunc(a, b)
+        out.setflags(write=False)
+        f = _new(Fn)
+        f.values, f.space = out, space
+        return f
+
+    return op
+
+
 class Fn:
     """Real-valued functions on a finite measure space (the shipped carrier).
 
     Implements the full lattice/f-algebra interface: pointwise ring and
     lattice operations, order, and the strictly-positive-part indicator.
     Values are read-only numpy arrays, of shape ``(n,)`` for one function or
-    ``(S, n)`` for a batch of S functions on the same space; the constructor
-    copies them, so they never alias the caller's data.  Elementwise
+    ``(S, n)`` for a batch of S functions on the same space.  The
+    constructor copies and checks them, so they never alias the caller's
+    data; ``_trusted`` wraps an array the library has just built, without a
+    copy, and the operations wrap their results the same way.  Elementwise
     operations keep the shape and need operands of equal shape; ``leq``,
     ``equals``, ``deviation`` and ``sup_abs`` reduce over the atoms, giving a
     Python bool or float for one function and an array of shape ``(S,)`` for
@@ -250,38 +288,25 @@ class Fn:
     def __repr__(self) -> str:
         return f"Fn({self.values.tolist()!r})"
 
-    def __add__(self, other: "Fn") -> "Fn":
-        if not isinstance(other, Fn):
-            return NotImplemented
-        self._check(other)
-        return Fn._trusted(self.values + other.values, self.space)
-
-    def __sub__(self, other: "Fn") -> "Fn":
-        if not isinstance(other, Fn):
-            return NotImplemented
-        self._check(other)
-        return Fn._trusted(self.values - other.values, self.space)
+    __add__ = _pointwise(np.add, ring=True)
+    __sub__ = _pointwise(np.subtract, ring=True)
+    __mul__ = _pointwise(np.multiply, ring=True)
+    join = _pointwise(np.maximum, ring=False)
+    meet = _pointwise(np.minimum, ring=False)
 
     def __neg__(self) -> "Fn":
-        return Fn._trusted(-self.values, self.space)
-
-    def __mul__(self, other: "Fn") -> Any:
-        # Non-Fn right operands (module elements) dispatch to their __rmul__.
-        if not isinstance(other, Fn):
-            return NotImplemented
-        self._check(other)
-        return Fn._trusted(self.values * other.values, self.space)
+        out = -self.values
+        out.setflags(write=False)
+        f = _new(Fn)
+        f.values, f.space = out, self.space
+        return f
 
     def scale(self, lam: float) -> "Fn":
-        return Fn._trusted(self.values * float(lam), self.space)
-
-    def join(self, other: "Fn") -> "Fn":
-        self._check(other)
-        return Fn._trusted(np.maximum(self.values, other.values), self.space)
-
-    def meet(self, other: "Fn") -> "Fn":
-        self._check(other)
-        return Fn._trusted(np.minimum(self.values, other.values), self.space)
+        out = self.values * float(lam)
+        out.setflags(write=False)
+        f = _new(Fn)
+        f.values, f.space = out, self.space
+        return f
 
     def leq(self, other: "Fn") -> Any:
         self._check(other)
@@ -647,7 +672,7 @@ def stone_atoms(
     # Column a of member is atom a's signature; atom k of the algebra is the
     # k-th distinct signature in order of first occurrence.  Each signature
     # is packed into one byte string, so a single sort labels every atom.
-    member = np.stack([g.element.values > 0.5 for g in gens])
+    member = np.array([g.element.values > 0.5 for g in gens])
     packed = np.ascontiguousarray(np.packbits(member, axis=0).T)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -761,7 +786,7 @@ def check_fstructure_laws(
             fail(law_id, k, lhs[k], rhs[k])
 
     # Unit smallness: d_V(eps * 1, 0) decreases to ~0 along eps = 2^-k.
-    eps = Fn(np.ldexp(np.ones((41, space.n)), -np.arange(41)[:, None]), space)
+    eps = Fn._trusted(np.ldexp(np.ones((41, space.n)), -np.arange(41)[:, None]), space)
     seq = dv(eps, eps.zero())
     floor = 1e-6 * max(1.0, seq[0])
     if not (np.all(seq[1:] <= seq[:-1] + _METRIC_TOL) and seq[-1] <= floor):
@@ -776,10 +801,12 @@ def check_fstructure_laws(
         return LawReport(tuple(status[law_id] for law_id in FSTRUCT_LAW_IDS))
     u, v, w = _stack(samples)
     zero = u.zero()
+    abs_u, abs_v = abs_value(u), abs_value(v)
     tol = _METRIC_TOL * _fmax(u.sup_abs, v.sup_abs, w.sup_abs)
 
     # d(x, 0) = d(|x|, 0) for both distances.
-    pairs = [(dist(x, zero), dist(abs_value(x), zero)) for dist in (du, dv) for x in (u, v)]
+    pairs = [(dist(x, zero), dist(abs_x, zero))
+             for dist in (du, dv) for x, abs_x in ((u, abs_u), (v, abs_v))]
     record("fstruct-abs", [(lhs, rhs, np.abs(lhs - rhs) > tol) for lhs, rhs in pairs])
 
     # d(x + w, y + w) = d(x, y).
@@ -787,9 +814,8 @@ def check_fstructure_laws(
     record("fstruct-translation", [(lhs, rhs, np.abs(lhs - rhs) > tol) for lhs, rhs in pairs])
 
     # 0 <= f <= g implies d(f, 0) <= d(g, 0).
-    f = abs_value(u).meet(abs_value(v))
-    g = abs_value(u)
-    pairs = [(dist(f, zero), dist(g, zero)) for dist in (du, dv)]
+    f = abs_u.meet(abs_v)
+    pairs = [(dist(f, zero), dist(abs_u, zero)) for dist in (du, dv)]
     record("fstruct-monotone", [(lhs, rhs, lhs > rhs + tol) for lhs, rhs in pairs])
 
     # Continuity of multiplication with an explicit local modulus:
@@ -812,7 +838,7 @@ def check_fstructure_laws(
     # the glued element is at most the sum of the blockwise distances.
     mask = w.chi_pos()
     blocks = [mask, mask.one() - mask]
-    pieces = [blocks[0] * abs_value(u), blocks[1] * abs_value(v)]
+    pieces = [blocks[0] * abs_u, blocks[1] * abs_v]
     glued = pieces[0].join(pieces[1])
     total = sum(dv(piece, zero) for piece in pieces)
     lhs = dv(glued, zero)

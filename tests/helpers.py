@@ -35,7 +35,15 @@ from rieszmod import (
     pushforward_module,
 )
 from rieszmod._kernels import _matvec_rows
-from rieszmod.order import _SIMPLE_OPS, LAW_TABLE, RING_TOL, LawReport, LawResult, abs_value
+from rieszmod.order import (
+    _SIMPLE_OPS,
+    LAW_TABLE,
+    RING_TOL,
+    LawReport,
+    LawResult,
+    LawTerms,
+    abs_value,
+)
 from rieszmod.spaces import _METRIC_TOL, FSTRUCT_LAW_IDS, _space_constant
 
 
@@ -197,6 +205,32 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+#: The ``Fn`` methods of the carrier protocol that build or compare elements.
+CARRIER_OPS = ("__add__", "__sub__", "__neg__", "__mul__", "scale", "join", "meet", "leq",
+               "equals", "deviation", "zero", "one", "chi_pos")
+
+
+def counting_fn():
+    """A fresh ``Fn`` subclass that counts its carrier calls, and its
+    one-entry count list.  Every ``Fn`` result is rewrapped in the subclass,
+    which keeps its bits, so the terms built from counted elements are
+    counted too."""
+    calls = [0]
+
+    def counted(name):
+        real = getattr(Fn, name)
+
+        def op(self, *args):
+            calls[0] += 1
+            out = real(self, *args)
+            return counting._trusted(out.values, out.space) if isinstance(out, Fn) else out
+
+        return op
+
+    counting = type("CountingFn", (Fn,), {"__slots__": (), **{n: counted(n) for n in CARRIER_OPS}})
+    return counting, calls
+
+
 def count_solver_calls(monkeypatch):
     """Count the library's gauge-kernel calls: every l1 and l-infinity
     program of the library, like every other lp gauge, is solved inside one
@@ -287,17 +321,19 @@ def sequential_law_report(samples, law_ids=None, ring_tol=RING_TOL):
     A reference for ``riesz_law_suite``: for each sample in order, each law
     that has not failed yet runs its checks on that one triple, and the first
     failing check fixes the counterexample at the atom where its sides differ
-    most.
+    most.  Each sample gets one ``LawTerms``, which its laws share, as the
+    laws of a batch share theirs.
     """
     table = [e for e in LAW_TABLE if law_ids is None or e[0] in law_ids]
     laws = {law_id: {"id": law_id, "passed": True, "counterexample": None}
             for law_id, _, _ in table}
-    for k, (u, v, w) in enumerate(samples):
+    for k, sample in enumerate(samples):
+        terms = LawTerms(*sample)
         for law_id, klass, evaluate in table:
             if not laws[law_id]["passed"]:
                 continue
             tol = 0.0 if klass == "lattice" else ring_tol
-            for lhs, rhs, relation in evaluate(u, v, w):
+            for lhs, rhs, relation in evaluate(terms):
                 if relation == "eq":
                     ok = lhs.equals(rhs) if tol == 0.0 else lhs.deviation(rhs) <= tol
                 else:

@@ -381,6 +381,7 @@ def test_stone_command(capsys):
         capsys, "stone", "--structure", str(DATA / "structure_l2.json"),
         "--generators", str(DATA / "stone_gens.json"))
     assert code == 0
+    assert out == (GOLDEN / "stone.json").read_text()
     report = json.loads(out)
     assert report["atoms"] == [[1, 0], [0, 1]]
     assert report["embedding"] == [[0], [0, 1]]
@@ -987,7 +988,8 @@ def test_report_schema_file_matches_the_cli():
     assert schema["properties"]["command"]["enum"] == sorted(_REFS)
     goldens = sorted(GOLDEN.glob("*.json"))
     assert [g.name for g in goldens] == ["cotangent.json", "decompose.json", "dual.json",
-                                         "hahn_banach.json", "laws.json", "pushforward.json"]
+                                         "hahn_banach.json", "laws.json", "pushforward.json",
+                                         "stone.json"]
     for golden in goldens:
         report = json.loads(golden.read_text())
         assert set(schema["required"]) <= set(report)

@@ -19,6 +19,7 @@ from rieszmod import (
     abs_value,
     check_disjoint,
     check_disjoint_products,
+    check_fstructure_laws,
     disjointify,
     negative_part,
     positive_part,
@@ -30,7 +31,10 @@ from rieszmod import (
 from rieszmod.order import RING_TOL
 from helpers import (
     count_calls,
+    counting_fn,
+    indicator,
     make_space,
+    make_structure,
     random_fn,
     sequential_law_report,
     sequential_refine,
@@ -161,6 +165,45 @@ def test_law_suite_matches_sequential_reference():
     report = riesz_law_suite(two_spaces).to_json()["laws"]
     failed_at = [e["counterexample"]["sample"] for e in report if not e["passed"]]
     assert 6 <= min(failed_at) <= 10 and max(failed_at) <= 15
+
+
+def test_law_suite_refuses_a_batch_passed_as_one_sample():
+    # The suite stacks its samples without copying them through the
+    # constructor, whose shape check once refused such a sample.
+    space = make_space(2)
+    one, batch = Fn([1.0, 2.0], space), Fn([[1.0, 2.0], [3.0, 4.0]], space)
+    for sample in [(batch, one, one), (one, one, batch)]:
+        with pytest.raises(SpaceMismatch, match=r"expected 2 values, got shape \(1, 2, 2\)"):
+            riesz_law_suite([sample])
+
+
+def test_law_suites_share_their_terms_and_wrap_their_batches(monkeypatch):
+    # One law-suite batch once made 180 carrier calls and one f-structure
+    # batch 57, about a third of them rebuilding terms such as |u|, u+ or
+    # u v v that another law had built.
+    counting, calls = counting_fn()
+    space = make_space(3, [1.0, 0.5, 2.0])
+    plain = triples(space, 10, seed=23)
+    samples = [tuple(counting(x.values, space) for x in t) for t in plain]
+    structure = make_structure(3, v="l2", weights=[1.0, 0.5, 2.0])
+    masks = [[1, 0, 0], [0, 1, 1], [0, 1, 0], [1, 0, 1]]
+    parts = [Idempotent(indicator(space, m)) for m in masks]
+    one = Idempotent(space.one_fn())
+    p, q = FinitePartition(tuple(parts[:2]), one), FinitePartition(tuple(parts[2:]), one)
+    inits = count_calls(monkeypatch, Fn, "__init__")
+
+    calls[0] = 0
+    report = riesz_law_suite(samples)
+    assert calls[0] <= 120
+    assert report == riesz_law_suite(plain) and report.all_passed()
+    calls[0] = 0
+    assert check_fstructure_laws(structure, samples).all_passed()
+    assert calls[0] <= 45
+    assert len(refine_partitions(p, q)) == 3
+    combined = simple_combine(SimpleElement((1.0, 2.0), p), SimpleElement((3.0, 4.0), q), "+")
+    assert combined.coefficients == (5.0, 5.0, 6.0)
+    # Stacks the library has just built are wrapped, not copied.
+    assert inits[0] == 0
 
 
 def test_law_report_json_shape():
