@@ -7,8 +7,10 @@ coordinates, and ``_lp_gauges`` answers the problems (p, rows, e) with one
 record: a simplex for p in {1, infinity}, else one damped Newton objective
 whose dual proposals are completed on the coordinates a minimiser drives to
 zero, so that exponents near 1 (and, through the dual norms of image-lp
-fibers, large ones) are certified too.  Products run row by row
-(``_matvec_rows``, ``_matmul_rows``), so an answer has the same bits
+fibers, large ones) are certified too.  The simplex pivots a group's
+tableaux in lockstep and in place, gathering the live ones only after some
+block is optimal.  Its updates are elementwise and products run row by
+row (``_matvec_rows``, ``_matmul_rows``), so an answer has the same bits
 whatever else shares its stack.
 """
 
@@ -114,10 +116,11 @@ def _lp_gauges(problems: Sequence[tuple[float, np.ndarray, np.ndarray]]) -> _Gau
         y = e + _matvec_rows(np.swapaxes(r, 1, 2), t)
         w, v = _dual_points(p, r, e, w)
         n = _lp_rows(p, y)
-        bad = np.flatnonzero(n - v > gap * _lp_rows(p, e))
-        if bad.size:
-            raise SolverFailed(f"l{p:g} gauge kernel: primal value {n[bad[0]]:.17g} exceeds the"
-                               f" dual value {v[bad[0]]:.17g} by more than {gap:g} |e|_p")
+        bad = n - v > gap * _lp_rows(p, e)
+        if np.logical_or.reduce(bad):
+            i = bad.argmax()
+            raise SolverFailed(f"l{p:g} gauge kernel: primal value {n[i]:.17g} exceeds the"
+                               f" dual value {v[i]:.17g} by more than {gap:g} |e|_p")
         value[members], upper[members] = v, n
         for i, y_i, w_i in zip(members, y, w):
             points[i], duals[i] = y_i, w_i
@@ -155,10 +158,15 @@ def _simplex(p: float, r: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.nda
     tableau simplex under Bland's rule (Bland 1977), which cannot cycle:
     the entering column is the first with a negative reduced cost, the
     leaving row the one of least ratio whose basic column comes first.
-    Blocks pivot in lockstep, every update elementwise, so a block's bits
-    do not depend on the stack.  The start is t = 0, so a minimiser at
-    t = 0 is kept when the first optimal basis sits there.  SolverFailed is
-    raised when a block is not optimal within the pivot budget.
+    The start is t = 0, so a minimiser at t = 0 is kept when the first
+    optimal basis sits there.  SolverFailed is raised when a block is not
+    optimal within the pivot budget.
+
+    Blocks pivot in lockstep, in place: while every block is live each
+    pivot updates the whole stack where it lies, and once some block is
+    optimal it is written back and the live blocks are gathered into a
+    smaller stack, which pivots in place in turn.  Every update is
+    elementwise, so a block's bits do not depend on the stack.
 
     The tableau holds the constraint rows, then the reduced costs; its
     last column is the right-hand side.  Columns: t+, t-, then for p = 1
@@ -169,67 +177,76 @@ def _simplex(p: float, r: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.nda
     w = 1 - d_u for p = 1 and the reduced costs of the first slacks less
     those of the second for p = infinity.
     """
-    rt = np.swapaxes(r, 1, 2)
+    rt = r.swapaxes(1, 2)
     scale = np.maximum.reduce(np.abs(e), axis=1)
     e = e / scale[:, None]
     n, m, k = rt.shape
-    eye = np.broadcast_to(np.eye(m), (n, m, m))
+    eye = np.eye(m)
     if p == 1.0:
-        sign = np.where(e >= 0.0, 1.0, -1.0)[:, :, None]
-        body = np.concatenate([-sign * rt, sign * rt, sign * eye, -sign * eye,
-                               np.abs(e)[:, :, None]], axis=2)
-        cost = np.concatenate([np.zeros(2 * k), np.ones(2 * m), [0.0]]) - np.add.reduce(body, axis=1)
-        basis = 2 * k + np.arange(m) + np.where(sign[:, :, 0] > 0.0, 0, m)
+        tab = np.empty((n, m + 1, 2 * k + 2 * m + 1))
+        pos = e >= 0.0
+        sign = np.where(pos, 1.0, -1.0)[:, :, None]
+        np.multiply(-sign, rt, out=tab[:, :m, :k])
+        np.multiply(sign, rt, out=tab[:, :m, k:2 * k])
+        np.multiply(sign, eye, out=tab[:, :m, 2 * k:2 * k + m])
+        np.multiply(-sign, eye, out=tab[:, :m, 2 * k + m:-1])
+        np.abs(e, out=tab[:, :m, -1])
+        cost = np.zeros(tab.shape[2])
+        cost[2 * k:-1] = 1.0
+        np.subtract(cost, np.add.reduce(tab[:, :m], axis=1), out=tab[:, m])
+        basis = 2 * k + np.arange(m) + np.where(pos, 0, m)
     else:
-        ones, zero = np.ones((n, m, 1)), np.zeros((n, m, m))
-        body = np.concatenate([
-            np.concatenate([rt, -rt, -ones, eye, zero, -e[:, :, None]], axis=2),
-            np.concatenate([-rt, rt, -ones, zero, eye, e[:, :, None]], axis=2)], axis=1)
-        cost = np.zeros((n, body.shape[2]))
-        cost[:, 2 * k] = 1.0
+        tab = np.zeros((n, 2 * m + 1, 2 * k + 2 * m + 2))
+        up, down = tab[:, :m], tab[:, m:-1]
+        up[:, :, :k] = down[:, :, k:2 * k] = rt
+        np.negative(rt, out=up[:, :, k:2 * k])
+        np.negative(rt, out=down[:, :, :k])
+        tab[:, :-1, 2 * k] = -1.0
+        up[:, :, 2 * k + 1:2 * k + 1 + m] = down[:, :, 2 * k + 1 + m:-1] = eye
+        np.negative(e, out=up[:, :, -1])
+        down[:, :, -1] = e
+        tab[:, -1, 2 * k] = 1.0
         basis = np.broadcast_to(2 * k + 1 + np.arange(2 * m), (n, 2 * m)).copy()
-    tab = np.concatenate([body, cost[:, None, :]], axis=1)
-    if p == math.inf:
-        _pivot(tab, basis, np.arange(n), np.argmin(tab[:, :-1, -1], axis=1), np.full(n, 2 * k))
-    act = np.arange(n)
-    budget = _PIVOTS_PER_COLUMN * (tab.shape[2] - 1)
-    for step in range(budget + 1):
-        neg = tab[act, -1, :-1] < -_COST_TOL
-        live = neg.any(axis=1)
-        act, neg = act[live], neg[live]
-        if act.size == 0:
-            break
-        if step == budget:
-            raise SolverFailed(f"l{p:g} simplex: {act.size} of {n} blocks not optimal after"
-                               f" {budget} pivots")
-        col = np.argmax(neg, axis=1)
-        entries = tab[act, :-1, col]
-        ok = entries > _PIVOT_TOL
-        if not ok.any(axis=1).all():
-            raise SolverFailed(f"l{p:g} simplex: an entering column has no pivot")
-        ratio = np.where(ok, tab[act, :-1, -1] / np.where(ok, entries, 1.0), math.inf)
-        tied = ratio == np.minimum.reduce(ratio, axis=1)[:, None]
-        _pivot(tab, basis, act, np.argmin(np.where(tied, basis[act], tab.shape[2]), axis=1), col)
-    x = np.zeros((n, tab.shape[2]))
-    np.put_along_axis(x, basis, tab[:, :-1, -1], axis=1)
+        leave, col = tab[:, :-1, -1].argmin(axis=1), np.full(n, 2 * k)
+    width = tab.shape[2]
+    budget = _PIVOTS_PER_COLUMN * (width - 1)
+    work, bwork = tab, basis   # the live tableaux and bases: blocks act, at in work
+    act = at = np.arange(n)
+    infs = np.full(basis.shape, math.inf)   # the ratio of a row that is no pivot
+    for step in range(-(p == math.inf), budget + 1):
+        if step >= 0:
+            neg = work[:, -1, :-1] < -_COST_TOL
+            live = np.logical_or.reduce(neg, axis=1)
+            if not np.logical_and.reduce(live):
+                if work is not tab:
+                    tab[act], basis[act] = work, bwork
+                if not np.logical_or.reduce(live):
+                    break
+                work, bwork, act, neg = work[live], bwork[live], act[live], neg[live]
+                at, infs = np.arange(act.size), infs[live]
+            if step == budget:
+                raise SolverFailed(f"l{p:g} simplex: {act.size} of {n} blocks not optimal after"
+                                   f" {budget} pivots")
+            col = neg.argmax(axis=1)
+            entries = work[at, :-1, col]
+            ok = entries > _PIVOT_TOL
+            if not np.logical_and.reduce(np.logical_or.reduce(ok, axis=1)):
+                raise SolverFailed(f"l{p:g} simplex: an entering column has no pivot")
+            ratio = np.divide(work[:, :-1, -1], entries, out=infs.copy(), where=ok)
+            tied = ratio == np.minimum.reduce(ratio, axis=1, keepdims=True)
+            leave = np.where(tied, bwork, width).argmin(axis=1)
+        prow = work[at, leave] / work[at, leave, col][:, None]
+        work -= work[at, :, col][:, :, None] * prow[:, None, :]
+        work[at, leave] = prow
+        bwork[at, leave] = col
+    x = np.zeros((n, width))
+    x[np.arange(n)[:, None], basis] = tab[:, :-1, -1]
     d = tab[:, -1, :-1]
     if p == 1.0:
         w = 1.0 - d[:, 2 * k:2 * k + m]
     else:
         w = d[:, 2 * k + 1:2 * k + 1 + m] - d[:, 2 * k + 1 + m:]
     return (x[:, :k] - x[:, k:2 * k]) * scale[:, None], w
-
-
-def _pivot(tab: np.ndarray, basis: np.ndarray, blocks: np.ndarray, rows: np.ndarray,
-           cols: np.ndarray) -> None:
-    """Pivot tableau blocks[i] on (rows[i], cols[i]), in place, elementwise."""
-    t = tab[blocks]
-    at = np.arange(blocks.size)
-    prow = t[at, rows] / t[at, rows, cols][:, None]
-    t -= t[at, :, cols][:, :, None] * prow[:, None, :]
-    t[at, rows] = prow
-    tab[blocks] = t
-    basis[blocks, rows] = cols
 
 
 #: Largest gap, relative to |e|_p, that ``_lp_gauges`` certifies for

@@ -950,18 +950,23 @@ def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray
     space.  In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, the
     problem is the lp gauge of rows @ M^T and M e, which ``_lp_gauges``
     solves once the rows are replaced by an orthonormal basis of their span,
-    cut by the package's rank rule (``row_space_basis``) for every exponent.
-    Returns the values and, per problem, a minimiser y = M (e + rows^T t) in
-    the lp coordinates, from the kernel's record.
+    cut by the package's rank rule for every exponent: one stacked thin SVD
+    per rows shape (LAPACK runs per matrix, so the bits do not depend on
+    the stack).  Returns the values and, per problem, a minimiser
+    y = M (e + rows^T t) in the lp coordinates, from the kernel's record.
     """
-    lp = []
+    lp, shapes = [], {}
     for norm, rows, e in problems:
         p, m = _lp_factor(norm)
         if m is not None:
             rows, e = rows @ m.T, m @ e
-        if e.any():
-            rows = row_space_basis(rows)
+        if rows.size and e.any():
+            shapes.setdefault(rows.shape, []).append(len(lp))
         lp.append((p, rows, e))
+    for members in shapes.values():
+        _, s, vt = np.linalg.svd(np.array([lp[i][1] for i in members]), full_matrices=False)
+        for i, basis, rank in zip(members, vt, _svd_ranks(s).tolist()):
+            lp[i] = (lp[i][0], basis[:rank], lp[i][2])
     gauges = _lp_gauges(lp)
     return gauges.value, gauges.points
 

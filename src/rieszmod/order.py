@@ -601,7 +601,7 @@ def riesz_law_suite(
             tol = 0.0 if klass == "lattice" else ring_tol
             checks = evaluate(terms)
             ok = [_check_one(lhs, rhs, rel, tol) for lhs, rhs, rel in checks]
-            if all(k.all() for k in ok):
+            if all(np.logical_and.reduce(k) for k in ok):
                 continue
             row, c = _first_failure([~k for k in ok])
             lhs, rhs, _ = checks[c]

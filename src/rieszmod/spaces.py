@@ -96,6 +96,15 @@ def _integer(raw: Any, what: str, where: str) -> int:
     return int(raw)
 
 
+def _overflows(raw: Any) -> bool:
+    """Whether float(raw) overflows, as for a JSON integer beyond the float range."""
+    try:
+        float(raw)
+    except OverflowError:
+        return True
+    return False
+
+
 def _frozen(values: Sequence[float]) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -191,7 +200,8 @@ class FiniteMeasureSpace:
         _require(isinstance(atoms, list) and all(issubclass(t, str) for t in set(map(type, atoms))),
                  "atoms must be a list of strings", where + ".atoms")
         aux = obj.get("aux_weights")
-        for key in ("weights", "aux_weights") if aux is not None else ("weights",):
+        keys = ("weights", "aux_weights") if aux is not None else ("weights",)
+        for key in keys:
             here, message = f"{where}.{key}", f"{key} must be a list of numbers"
             _require(isinstance(obj[key], list), message, here)
             _require_numbers(obj[key], message, here, 1)
@@ -199,6 +209,9 @@ class FiniteMeasureSpace:
             return cls.make(atoms, weights, aux)
         except InvalidStructure as exc:
             raise InputError(exc.message, path=where) from exc
+        except OverflowError as exc:
+            key, i = next((key, i) for key in keys for i, w in enumerate(obj[key]) if _overflows(w))
+            raise InputError(f"{key} must be finite numbers", path=f"{where}.{key}[{i}]") from exc
 
 
 _new = object.__new__
@@ -310,11 +323,11 @@ class Fn:
 
     def leq(self, other: "Fn") -> Any:
         self._check(other)
-        return self._reduced((self.values <= other.values).all(axis=-1))
+        return self._reduced(np.logical_and.reduce(self.values <= other.values, axis=-1))
 
     def equals(self, other: "Fn") -> Any:
         self._check(other)
-        return self._reduced((self.values == other.values).all(axis=-1))
+        return self._reduced(np.logical_and.reduce(self.values == other.values, axis=-1))
 
     def deviation(self, other: "Fn") -> Any:
         self._check(other)

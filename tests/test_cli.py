@@ -407,6 +407,22 @@ def test_huge_stone_generator_is_refused_without_a_warning(capfd, tmp_path):
               "--generators", str(gens), code="non_idempotent_input", path=None)
 
 
+@pytest.mark.parametrize("command", ["laws", "stone"])
+@pytest.mark.parametrize("key", ["weights", "aux_weights"])
+def test_weight_beyond_the_float_range_is_an_input_error_at_its_path(capsys, tmp_path,
+                                                                    command, key):
+    # float() overflows on a JSON integer of 10^400; the envelope names the
+    # entry, as structure_huge_weight.json does for the console script.
+    structure = json.loads((DATA / "structure_l2.json").read_text())
+    structure["space"][key] = [1.0, 10 ** 400]
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure))
+    gens = ["--generators", str(DATA / "stone_gens.json")] if command == "stone" else []
+    cli_error(capsys, command, "--structure", str(path), *gens, path=f"$.space.{key}[1]")
+    cli_error(capsys, command, "--structure", str(DATA / "structure_huge_weight.json"), *gens,
+              path="$.space.weights[0]")
+
+
 def test_missing_file_is_an_input_error(capsys):
     cli_error(capsys, "laws", "--structure", "/does/not/exist.json",
               path="/does/not/exist.json")
@@ -1013,11 +1029,12 @@ DATA_SCHEMAS = {
     "structure_l2.json": "structure",
     "module_huge_dim.json": "module",
     "graph_huge_parallel.json": "graph",
+    "structure_huge_weight.json": "structure",
 }
 
 #: The files of tests/data that are bad input: their schema refuses them, as
 #: the CLI does.
-REFUSED_DATA = {"module_huge_dim.json"}
+REFUSED_DATA = {"module_huge_dim.json", "structure_huge_weight.json"}
 
 
 def test_data_files_and_goldens_validate_against_the_schemas(capfd, tmp_path):

@@ -1,5 +1,6 @@
 """Fiberwise modules: pointwise norms, glueing, quotients, dimensions."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -1012,15 +1013,55 @@ def test_simplex_answers_the_d20_linf_domination_case():
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_simplex_block_bits_do_not_depend_on_the_stack(p):
+    # The blocks stop after different numbers of pivots, so the stacked
+    # call pivots both the whole stack and a gathered one.  Bytes, not
+    # values, are compared, so a signed zero counts.
     rng = np.random.default_rng(2001)
     blocks = [(p, row_space_basis(rng.standard_normal((2, 4))), rng.standard_normal(4))
               for _ in range(2000)]
     stacked = _lp_gauges(blocks)
-    for i in (0, 777, 1999):
-        (value,), _, (y,), (w,) = _lp_gauges([blocks[i]])
-        assert value == stacked.value[i]
-        assert np.array_equal(y, stacked.points[i])
-        assert np.array_equal(w, stacked.duals[i])
+    for i in range(0, 2000, 40):
+        (value,), (upper,), (y,), (w,) = _lp_gauges([blocks[i]])
+        assert value.tobytes() == stacked.value[i].tobytes()
+        assert upper.tobytes() == stacked.upper[i].tobytes()
+        assert y.tobytes() == stacked.points[i].tobytes()
+        assert w.tobytes() == stacked.duals[i].tobytes()
+
+
+def simplex_digest_stacks():
+    """Seeded (p, r, e) stacks for ``_simplex``: random orthonormal rows
+    with zero, signed-zero and small-integer coordinates of e, and
+    axis-aligned or all-ones rows with repeated |e_i|, whose ratio and
+    reduced-cost ties Bland's rule breaks."""
+    rng = np.random.default_rng(2029)
+    stacks = []
+    for p in (1.0, math.inf):
+        for d, k in ((2, 1), (3, 1), (4, 2), (5, 3), (8, 2), (12, 5)):
+            r = np.stack([row_space_basis(rng.standard_normal((k, d))) for _ in range(16)])
+            e = rng.standard_normal((16, d))
+            e[::3, 1:] = 0.0
+            e[1::4] = rng.integers(-2, 3, e[1::4].shape)
+            e[1::4, 0] = np.where(e[1::4, 0] == 0.0, -1.0, e[1::4, 0])
+            e[2::5, -1] = -0.0
+            stacks.append((p, r, e))
+        for d in (3, 6):
+            axis = np.stack([np.eye(d)[:1], np.eye(d)[1:2], np.full((1, d), d ** -0.5),
+                             (np.eye(d)[:1] + np.eye(d)[1:2]) / math.sqrt(2.0)])
+            for e in (np.ones(d), np.resize([2.0, -2.0, 1.0], d), np.resize([1.0, -0.0], d)):
+                stacks.append((p, axis, np.broadcast_to(e, (4, d)).copy()))
+    return stacks
+
+
+def test_simplex_bits_are_pinned():
+    # A SHA-256 of the simplex's (t, w) bytes on ``simplex_digest_stacks``,
+    # written from the kernel that gathered the live tableaux before every
+    # pivot: the in-place lockstep pivots keep every bit, signed zeros too.
+    digest = hashlib.sha256()
+    for p, r, e in simplex_digest_stacks():
+        t, w = _kernels._simplex(p, r, e)
+        digest.update(t.tobytes())
+        digest.update(w.tobytes())
+    assert digest.hexdigest() == "6cd7b030b8c22c2734bad4ade4771b99c37fc0b01678ab916a44074b47ffa6e5"
 
 
 def reference_gauge(norm, rows, e):
@@ -1146,6 +1187,26 @@ def test_lp_gauge_kernel_near_p_one_matches_a_reference_solve(p):
         ref = slsqp_gauge(p, rows, e)
         assert val <= ref + 1e-12 * norm.norm(e)
         assert ref - val <= 1e-6 * norm.norm(e)
+
+
+def test_extension_value_bits_do_not_depend_on_the_stack():
+    # One stacked SVD per rows shape: a quotient norm has the same bytes
+    # on a module with four atoms of each fiber kind, their submodule
+    # bases of one shape (one of rank 1), as on the atom's module alone.
+    rng = np.random.default_rng(2029)
+    a = rng.standard_normal((3, 3))
+    norms = [LpNorm(1.0), LpNorm(math.inf), LpNorm(2.0), GramNorm(a @ a.T + np.eye(3)),
+             ImageLpNorm(rng.standard_normal((5, 3)), 1.0)]
+    fibers = [Fiber(3, norm) for norm in norms for _ in range(4)]
+    bases = [rng.standard_normal((2, 3)) for _ in fibers]
+    bases[5] = np.outer([1.0, -2.0], rng.standard_normal(3))
+    vectors = [rng.standard_normal(3) for _ in fibers]
+    m = FiberModule(make_structure(len(fibers)), tuple(fibers))
+    stacked = quotient_norm(ModuleElement(vectors, m), Submodule(m, tuple(bases))).values
+    for i, fiber in enumerate(fibers):
+        alone = FiberModule(make_structure(1), (fiber,))
+        value = quotient_norm(ModuleElement([vectors[i]], alone), Submodule(alone, (bases[i],)))
+        assert value.values.tobytes() == stacked[i:i + 1].tobytes()
 
 
 def test_min_dual_norm_bits_do_not_depend_on_the_stack():
