@@ -25,14 +25,34 @@ from .errors import SolverFailed
 from .spaces import _lp_rows
 
 
-#: Relative singular-value cutoff for every rank decision in the package.
+#: Relative singular-value cutoff of the package's one rank rule, which
+#: ``_svd`` applies to every SVD that decides a rank, span or null space and
+#: retries in range by a power of two; the ``lstsq`` solves keep LAPACK's.
 RANK_RTOL = 1e-9
 
 
-def _svd_ranks(s: np.ndarray) -> np.ndarray:
-    """The package's rank rule on singular values (descending along the last
-    axis): how many exceed RANK_RTOL * (largest sigma or 1)."""
-    return np.add.reduce(s > RANK_RTOL * np.maximum(s[..., :1], 1.0), axis=-1)
+def _svd(stack: np.ndarray, full_matrices: bool = True, compute_uv: bool = True) -> tuple:
+    """(u, s, vt, rank, shift) of a (k, rows, cols) stack by one stacked
+    LAPACK call, which runs per matrix, so an answer does not depend on the
+    stack; u and vt are None without ``compute_uv``.  rank counts the
+    singular values above RANK_RTOL * max(sigma_1, 1).  The matrices whose
+    sigma_1 overflows are redone in one more call, each scaled by the
+    2^-shift that brings its largest entry into [1, 2): u and vt stay, s is
+    2^-shift times the true one, and the rule stays relative.  shift is 0,
+    and every bit kept, for the other matrices."""
+    def svd(a: np.ndarray) -> tuple:
+        out = np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        return tuple(out) if compute_uv else (None, out, None)
+
+    u, s, vt = svd(stack)
+    shift = np.zeros(len(stack), dtype=np.intp)
+    if not np.maximum.reduce(s[:, :1], axis=None, initial=0.0) < math.inf:  # NaN fails it
+        huge = np.flatnonzero(~(s[:, 0] < math.inf))
+        shift[huge] = np.frexp(np.maximum.reduce(np.abs(stack[huge]), axis=(1, 2)))[1] - 1
+        for whole, part in zip((u, s, vt), svd(np.ldexp(stack[huge], -shift[huge, None, None]))):
+            if whole is not None:
+                whole[huge] = part
+    return u, s, vt, np.add.reduce(s > RANK_RTOL * np.maximum(s[:, :1], 1.0), axis=1), shift
 
 
 def _shape_groups(mats: Sequence[np.ndarray]) -> list[list[int]]:
@@ -276,8 +296,9 @@ def _gauge_newton(p: float, c: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, n
     exceeds ``_TIGHT_GAP``, for j = 1..k and Z the j smallest |u_i|,
     ``_newton`` reruns on the face y_Z = 0, where the gauge is smooth:
     t = t0 + N s, c_Z^T t0 = -e_Z and N an orthonormal null basis of c_Z^T
-    (one stacked SVD of c_Z).  There w_S is the gradient and w_Z completes
-    it, the least-squares solution of c_Z w_Z = -c_S w_S by the rank rule.
+    (one stacked ``_svd`` of c_Z, whose entries are at most 1, so never
+    shifted).  There w_S is the gradient and w_Z completes it, the
+    least-squares solution of c_Z w_Z = -c_S w_S by the rank rule.
     The t of least |y|_p (none from a c_Z of rank below j) and the first w
     of largest certified value (``_dual_points``) are returned.
     """
@@ -290,8 +311,7 @@ def _gauge_newton(p: float, c: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, n
     order = np.argsort(np.abs(u[loose]), axis=1, kind="stable")
     for j in range(1, c.shape[1] + 1 if loose.size else 1):
         z = order[:, :j]
-        vecs, sv, vt = np.linalg.svd(np.take_along_axis(c, z[:, None, :], axis=2))
-        rank = _svd_ranks(sv)
+        vecs, sv, vt, rank, _ = _svd(np.take_along_axis(c, z[:, None, :], axis=2))
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=np.arange(j) < rank[:, None])
         t0 = -_matvec_rows(vecs[:, :, :j], inv * _matvec_rows(vt, np.take_along_axis(e, z, axis=1)))
         null = np.swapaxes(vecs[:, :, j:], 1, 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
@@ -70,7 +71,7 @@ class Graph:
             if u == v:
                 raise InvalidStructure("self-loops are not allowed")
             if w <= 0 or not math.isfinite(w):
-                raise InvalidStructure("edge weights must be strictly positive")
+                raise InvalidStructure("edge weights must be strictly positive and finite")
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         return [(v if u == i else u, w) for u, v, w in self.edges if i in (u, v)]
@@ -87,6 +88,7 @@ class Graph:
         vertices = obj["vertices"]
         _require(isinstance(vertices, list) and all(isinstance(v, str) for v in vertices),
                  "vertices must be a list of strings", where + ".vertices")
+        _require(isinstance(obj["edges"], list), "edges must be a list", where + ".edges")
         index = {name: i for i, name in enumerate(vertices)}
         edges = []
         for i, e in enumerate(obj["edges"]):
@@ -96,6 +98,8 @@ class Graph:
             _require(e["v"] in index, f"unknown vertex {e['v']!r}", here + ".v")
             w = e.get("w", 1.0)
             _require(_number_type(type(w)), "edge weight must be a number", here + ".w")
+            _require(0 < w <= sys.float_info.max,   # exact for JSON integers beyond the range
+                     "edge weights must be strictly positive and finite", here + ".w")
             edges.append((index[e["u"]], index[e["v"]], float(w)))
         try:
             return cls(tuple(vertices), tuple(edges))

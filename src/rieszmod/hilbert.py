@@ -270,8 +270,8 @@ class BoxSet(FiberSet):
 
     def project(self, v: np.ndarray, gram: np.ndarray) -> np.ndarray:
         clamped = np.clip(v, self.lo, self.hi)
-        if np.allclose(gram, np.diag(np.diagonal(gram))):
-            return clamped
+        if np.count_nonzero(gram) == np.count_nonzero(np.diagonal(gram)):
+            return clamped   # a diagonal gram: the clamp is nearest coordinate by coordinate
         # Projected Gauss-Seidel on the quadratic (x-v)^T G (x-v), which
         # converges for positive-definite G with box constraints.
         x = clamped.copy()

@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._kernels import _lp_conjugate, _lp_gauges, _matmul_rows, _matvec_rows, _shape_groups, _svd_ranks
+from ._kernels import _lp_conjugate, _lp_gauges, _matmul_rows, _matvec_rows, _shape_groups, _svd
 from .errors import (
     DimensionMismatch,
     DominationViolated,
@@ -54,7 +54,6 @@ from .modules import (
     _lp_rows,
     _split_atoms,
     _stack_gram_norms,
-    _stack_ranks,
     kernel_basis,
 )
 from .spaces import DualSystem, FiniteFStructure, Fn, _require
@@ -385,11 +384,10 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, so
     dual_norm(w) = min { |u|_q : M^T u = w } with q the conjugate exponent
     (M = I for lp fibers), the whole is min { |u|_q : rows M^T u = r }, and
-    w = M^T u for its minimiser u.  An SVD of rows M^T cut at
-    ``RANK_RTOL``, one stacked call per shape (LAPACK runs per matrix, so
-    the bits do not depend on the stack), gives the least-norm solution
-    u0, so a direction that the
-    null space counts as zero is never inverted into u0.  The minimiser is
+    w = M^T u for its minimiser u.  One stacked ``_svd`` of rows M^T per
+    shape gives the least-norm solution u0, so a direction that the null
+    space counts as zero is never inverted into u0; a shifted SVD solves
+    2^-shift (rows M^T u = r), and scales rows the same way.  The minimiser is
     the lq nearest point to 0 of u0 plus the null space of rows M^T, whose
     basis from the SVD is orthonormal: ``_lp_gauges``, one call for all
     problems.  The bound is |u|_q.  The gauge's dual point v lies in the
@@ -405,9 +403,11 @@ def _min_dual_norms(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray]]
     factors = []
     dual = []
     for idx in _shape_groups(mats):
-        stack = np.linalg.svd(np.stack([mats[i] for i in idx]))
-        for i, u, sv, vt, rank in zip(idx, *stack, _svd_ranks(stack[1]).tolist()):
+        us, ss, vts, ranks, shifts = _svd(np.stack([mats[i] for i in idx]))
+        for i, u, sv, vt, rank, shift in zip(idx, us, ss, vts, ranks.tolist(), shifts.tolist()):
             (p, m), a, (_, rows, r) = lp[i], mats[i], problems[i]
+            if shift:
+                a, rows, r = (np.ldexp(x, -shift) for x in (a, rows, r))
             u0 = vt[:rank].T @ (u[:, :rank].T @ r / sv[:rank])
             if np.any(np.abs(a @ u0 - r) > 1e-9 * max(1.0, float(np.abs(r).max()))):
                 continue
@@ -823,7 +823,7 @@ def _surjective(j: HomElement) -> bool:
     lay = j._layout
     if not np.array_equal(lay.rows, lay.cols):
         return False
-    return all(np.all(_stack_ranks(j._stack(atoms)) == lay.rows[atoms[0]])
+    return all(np.all(_svd(j._stack(atoms), compute_uv=False)[3] == lay.rows[atoms[0]])
                for atoms in _split_atoms(lay.rows))
 
 

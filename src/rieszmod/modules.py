@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._kernels import RANK_RTOL, _lp_gauges, _matvec_rows, _shape_groups, _svd_ranks
+from ._kernels import RANK_RTOL, _lp_gauges, _matvec_rows, _shape_groups, _svd
 from .errors import (
     DimensionMismatch,
     InputError,
@@ -53,36 +53,13 @@ MAX_FIBER_DIM = 4096
 
 
 def row_ranks(mats: Sequence[np.ndarray]) -> list[int]:
-    """The rank of every matrix, with the package-wide threshold
-    RANK_RTOL * (largest sigma or 1).
-
-    Matrices are grouped by shape and each group costs one stacked
-    singular-value call; numpy runs LAPACK per matrix of the stack, so a
-    matrix's singular values, and its rank, do not depend on the others.
-    Empty matrices have rank 0.
-    """
+    """The rank of every matrix by the package's rank rule (``_svd``), one
+    stacked singular-value call per shape.  Empty matrices have rank 0."""
     ranks = [0] * len(mats)
     for idx in _shape_groups(mats):
-        for i, r in zip(idx, _stack_ranks(np.stack([mats[i] for i in idx])).tolist()):
+        for i, r in zip(idx, _svd(np.stack([mats[i] for i in idx]), compute_uv=False)[3].tolist()):
             ranks[i] = r
     return ranks
-
-
-def _stack_ranks(stack: np.ndarray) -> np.ndarray:
-    """The rank of every matrix of a (k, rows, cols) stack, by the rule of
-    ``row_ranks``, with one singular-value call (none when empty).
-
-    A matrix whose largest singular value overflows (inf > 1e-9 * inf is
-    false) is recomputed from the matrix scaled by a power of two that
-    brings its largest entry into [1, 2), where the rule stays relative."""
-    if stack.size == 0:
-        return np.zeros(stack.shape[0], dtype=np.intp)
-    s = np.linalg.svd(stack, compute_uv=False)
-    huge = np.flatnonzero(~np.isfinite(s[:, 0]))
-    if huge.size:
-        _, e = np.frexp(np.maximum.reduce(np.abs(stack[huge]).reshape(huge.size, -1), axis=1))
-        s[huge] = np.linalg.svd(np.ldexp(stack[huge], 1 - e[:, None, None]), compute_uv=False)
-    return _svd_ranks(s)
 
 
 def _split_atoms(*keys: np.ndarray) -> list[np.ndarray]:
@@ -97,27 +74,22 @@ def _split_atoms(*keys: np.ndarray) -> list[np.ndarray]:
 
 
 def matrix_rank(m: np.ndarray) -> int:
-    """Rank with the package-wide threshold 1e-9 * (largest sigma or 1)."""
+    """Rank by the package's rank rule, RANK_RTOL * (largest sigma or 1)."""
     return row_ranks([m])[0]
 
 
 def row_space_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row space, as rows (possibly 0 rows)."""
-    if m.size == 0:
-        return np.zeros((0, m.shape[1] if m.ndim == 2 else 0))
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
-    r = int(_svd_ranks(s))
-    return vt[:r]
+    _, _, vt, rank, _ = _svd(m[None], full_matrices=False)
+    return vt[0, :rank[0]]
 
 
 def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space, as rows (possibly 0 rows)."""
-    n = m.shape[1]
     if m.size == 0 or not np.any(m):
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(m)
-    r = int(_svd_ranks(s))
-    return vt[r:]
+        return np.eye(m.shape[1])
+    _, _, vt, rank, _ = _svd(m[None])
+    return vt[0, rank[0]:]
 
 
 # --------------------------------------------------------------------------
@@ -898,13 +870,14 @@ def quotient_norm(v: ModuleElement, n: Submodule) -> Fn:
 
     This is the pointwise norm of the class of v in the quotient module,
     min over t of |v + basis^T t|, computed by the gauge kernel
-    ``_extension_values``.
+    ``_extension_values``.  Its value, a certified lower bound, can round
+    below 0 for v in the span, so it is clamped at 0.
     """
     if not v.module.same_module(n.module):
         raise DimensionMismatch("element and submodule live in different modules")
-    return Fn(_extension_values([
+    return Fn(np.maximum(_extension_values([
         (fiber.norm, b, vec) for fiber, vec, b in zip(v.module.fibers, v.vectors, n.bases)
-    ])[0], v.module.space)
+    ])[0], 0.0), v.module.space)
 
 
 # --------------------------------------------------------------------------
@@ -950,10 +923,10 @@ def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray
     space.  In the lp coordinates of ``_lp_factor``, norm(x) = |M x|_p, the
     problem is the lp gauge of rows @ M^T and M e, which ``_lp_gauges``
     solves once the rows are replaced by an orthonormal basis of their span,
-    cut by the package's rank rule for every exponent: one stacked thin SVD
-    per rows shape (LAPACK runs per matrix, so the bits do not depend on
-    the stack).  Returns the values and, per problem, a minimiser
-    y = M (e + rows^T t) in the lp coordinates, from the kernel's record.
+    cut by the package's rank rule for every exponent: one stacked thin
+    ``_svd`` per rows shape.  Returns the values and, per problem, a
+    minimiser y = M (e + rows^T t) in the lp coordinates, from the kernel's
+    record.
     """
     lp, shapes = [], {}
     for norm, rows, e in problems:
@@ -964,8 +937,8 @@ def _extension_values(problems: Sequence[tuple[FiberNorm, np.ndarray, np.ndarray
             shapes.setdefault(rows.shape, []).append(len(lp))
         lp.append((p, rows, e))
     for members in shapes.values():
-        _, s, vt = np.linalg.svd(np.array([lp[i][1] for i in members]), full_matrices=False)
-        for i, basis, rank in zip(members, vt, _svd_ranks(s).tolist()):
+        _, _, vt, ranks, _ = _svd(np.array([lp[i][1] for i in members]), full_matrices=False)
+        for i, basis, rank in zip(members, vt, ranks.tolist()):
             lp[i] = (lp[i][0], basis[:rank], lp[i][2])
     gauges = _lp_gauges(lp)
     return gauges.value, gauges.points

@@ -275,6 +275,15 @@ def test_hahn_banach_on_an_l21_fiber_is_certified(capsys):
     assert LpNorm(21.0 / 20.0).norm(extension) <= problem["gauge"][0] * (1.0 + 1e-9)
 
 
+def test_hahn_banach_on_a_basis_row_whose_singular_value_overflows(capsys):
+    # The row (1.5e308, 1.5e308) has sigma = 2.1e308; the domination test
+    # once read its rank as 0 and exited 1 with domination_violated.  The
+    # CI console-script step runs the same problem.
+    code, out = run(capsys, "hahn-banach", "--problem", str(DATA / "hb_huge_basis.json"))
+    assert code == 0
+    assert np.allclose(json.loads(out)["extension"][0], [0.5, 0.5], rtol=0.0, atol=1e-12)
+
+
 def wide_pushforward_inputs(tmp_path):
     """A 500-atom module of about 2,000 coordinates, lp, gram and image-lp
     fibers of dimensions 0-7, and a map of 400 target atoms with repeats:
@@ -421,6 +430,27 @@ def test_weight_beyond_the_float_range_is_an_input_error_at_its_path(capsys, tmp
     cli_error(capsys, command, "--structure", str(path), *gens, path=f"$.space.{key}[1]")
     cli_error(capsys, command, "--structure", str(DATA / "structure_huge_weight.json"), *gens,
               path="$.space.weights[0]")
+
+
+@pytest.mark.parametrize("edges, path, message", [
+    ("5", "$.edges", "edges must be a list"),
+    ('[{"u": "a", "v": "b", "w": -1}]', "$.edges[0].w", "strictly positive and finite"),
+    ('[{"u": "a", "v": "b"}, {"u": "a", "v": "b", "w": 1e400}]', "$.edges[1].w",
+     "strictly positive and finite"),
+    ('[{"u": "a", "v": "b", "w": 1' + "0" * 400 + "}]", "$.edges[0].w",
+     "strictly positive and finite"),
+], ids=["edges_not_a_list", "negative_weight", "infinite_weight", "integer_weight_beyond_range"])
+def test_bad_graph_entries_are_input_errors_at_their_paths(capsys, tmp_path, edges, path,
+                                                          message):
+    # A non-list of edges once failed as "'int' object is not iterable" and
+    # a bad weight was reported at "$"; 1e400 reads as inf.  The graph
+    # schema refuses each of them too.
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"vertices": ["a", "b"], "edges": ' + edges + "}")
+    assert schema_errors(json.loads(graph.read_text()), "graph") != []
+    err = cli_error(capsys, "cotangent", "--graph", str(graph), "--p", "2", "--fn", "[0,1]",
+                    path=path)
+    assert message in err["message"]
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -1015,6 +1045,7 @@ def test_report_schema_file_matches_the_cli():
 #: The input schema of every file in tests/data.
 DATA_SCHEMAS = {
     "element_34.json": "element",
+    "hb_huge_basis.json": "hahn_banach_problem",
     "hb_l21.json": "hahn_banach_problem",
     "hb_mixed.json": "hahn_banach_problem",
     "hb_problem.json": "hahn_banach_problem",

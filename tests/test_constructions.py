@@ -451,6 +451,18 @@ def test_rank_deficient_atoms_of_huge_rows_keep_their_largest_rows(p):
     assert gen.lifts[0].tolist() == [[1e200, 0.0, 0.0], [0.0, 3e200, 0.0]]
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_huge_parallel_edges_split_every_vertex_into_fiber_and_kernel(p):
+    # At p = 1 vertex a's two gradient rows, each 2e308 long, have a
+    # largest singular value that overflows; its null space read 3 rows
+    # next to a 1-dim fiber.
+    graph = Graph.from_json(json.loads((DATA / "graph_huge_parallel.json").read_text()))
+    _, gen = cotangent_module(graph, p)
+    for dim, kernel in zip(gen.module.dims, gen.kernels):
+        assert kernel.shape[1] == 3
+        assert dim + kernel.shape[0] == 3
+
+
 def test_generator_map_checks_length():
     structure, gen = cotangent_module(path_graph(2), 2.0)
     with pytest.raises(InputError):

@@ -362,6 +362,21 @@ def test_project_box_with_cross_terms():
     assert np.allclose(p.vectors[0], [0.5, 0.0], atol=1e-10)
 
 
+def test_box_projection_does_not_change_when_the_gram_is_scaled():
+    # np.allclose's absolute 1e-8 once took this gram for diagonal and
+    # returned the clamp (1, -0.5), whose squared G-distance is 4e-8; the
+    # nearest point (1, 1) has 8.5e-9.  The G-nearest point of a box does
+    # not depend on the scale of G.
+    g = np.array([[1e-8, 9e-9], [9e-9, 1e-8]])
+    box = BoxSet(-np.ones(2), np.ones(2))
+    v = np.array([3.0, -0.5])
+    x = box.project(v, g)
+    assert np.allclose(x, [1.0, 1.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(box.project(v, 1e8 * g), x, rtol=0.0, atol=1e-12)
+    for scale in (2.0 ** -40, 2.0 ** 27, 2.0 ** 60):
+        assert box.project(v, scale * g).tobytes() == x.tobytes()
+
+
 def test_project_intersection_oracle():
     h = hilbert()
     v = ModuleElement([[1.0, 0.0]], h.module)

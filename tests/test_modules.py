@@ -763,6 +763,21 @@ def test_quotient_norm_zero_iff_membership():
         assert quotient_norm(outside, n).values[0] > 1e-6
 
 
+def test_quotient_norm_of_a_vector_in_the_span_is_never_negative():
+    # The kernel's certified lower bound w.e rounds below 0 on some of these
+    # (down to -4e-15); the quotient norm is clamped at 0.
+    rng = np.random.default_rng(71)
+    for p in (1.0, 1.5, 3.0, math.inf):
+        q = []
+        for _ in range(300):
+            d = int(rng.integers(2, 7))
+            basis = rng.standard_normal((int(rng.integers(1, d)), d))
+            m = lp_module(make_structure(1), (d,), p=p)
+            v = ModuleElement([basis.T @ rng.standard_normal(basis.shape[0])], m)
+            q.append(quotient_norm(v, Submodule(m, (basis,))).values[0])
+        assert 0.0 <= min(q) and max(q) <= 1e-9, p
+
+
 def test_quotient_norm_cuts_a_nearly_dependent_span_by_one_rank_rule():
     # (0, 1) modulo span{(1, 0), (1, eps)}: RANK_RTOL counts the span as
     # one-dimensional on every fiber kind, so each distance is 1, up to the
@@ -1364,6 +1379,85 @@ def test_row_ranks_of_matrices_whose_largest_singular_value_overflows():
     unit = [m / np.abs(m).max() if m.any() else m for m in mats]
     assert row_ranks(huge) == row_ranks(unit) == [sequential_rank(m) for m in unit]
     assert row_ranks(mats + huge) == row_ranks(mats) + row_ranks(unit)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_spans_of_a_row_whose_largest_singular_value_overflows(p):
+    # Only the ranks were once redone in range: the row space read 0 rows,
+    # the null space 2, and (1, 1), which lies in the span, had the
+    # quotient norm |(1, 1)|_p; the extension of f = 1.5e308 on the row
+    # needed "a gauge of at least inf".  sigma = 1.5e308 * sqrt(2) overflows.
+    row = np.array([[1.5e308, 1.5e308]])
+    assert matrix_rank(row) == 1
+    assert np.allclose(row_space_basis(row) ** 2, 0.5, rtol=1e-15, atol=0.0)
+    kern = kernel_basis(row)
+    assert kern.shape == (1, 2)
+    assert np.allclose(kern * np.sign(kern[0, 0]), [[0.5 ** 0.5, -0.5 ** 0.5]], rtol=1e-15)
+    m = lp_module(make_structure(1), (2,), p=p)
+    n = Submodule(m, (row,))
+    assert quotient_norm(ModuleElement([[1.0, 1.0]], m), n).values[0] <= 1e-15
+    ext = hahn_banach_extend(n, [[1.5e308]], Fn(np.array([10.0]), m.space))
+    assert np.allclose(ext.functional.matrices[0][0], [0.5, 0.5], rtol=0.0, atol=1e-12)
+
+
+def test_svd_shifts_only_the_matrices_out_of_range():
+    # A shifted matrix keeps u and vt, and 2^shift s is its true spectrum;
+    # the others keep every bit of numpy's SVD.
+    rng = np.random.default_rng(3031)
+    stack = rng.standard_normal((6, 3, 4))
+    stack[[1, 4]] *= 1.6e308 / np.abs(stack[[1, 4]]).max(axis=(1, 2))[:, None, None]
+    u, s, vt, rank, shift = _kernels._svd(stack)
+    assert shift.tolist() == [0, 1023, 0, 0, 1023, 0]
+    assert rank.tolist() == [3] * 6
+    for i in (0, 2, 3, 5):
+        for got, want in zip((u, s, vt), np.linalg.svd(stack[i])):
+            assert got[i].tobytes() == want.tobytes()
+    for i in (1, 4):
+        scaled = np.linalg.svd(np.ldexp(stack[i], -1023))
+        for got, want in zip((u, s, vt), scaled):
+            assert got[i].tobytes() == want.tobytes()
+    _, s_only, _, rank_only, shift_only = _kernels._svd(stack, compute_uv=False)
+    assert np.allclose(s_only, s, rtol=1e-14, atol=0.0)
+    assert (rank_only == rank).all() and (shift_only == shift).all()
+
+
+def rank_rule_digest():
+    """A SHA-256 of in-range answers that run through the rank rule, on
+    seeded problems: quotient norms (vectors off the span), the needs,
+    minimisers, bounds and certificates of ``_min_dual_norms`` (feasible and
+    infeasible right-hand sides) and null-space bases, over lp, gram and
+    image-lp fibers with full-rank and rank-deficient bases."""
+    rng = np.random.default_rng(3030)
+    digest = hashlib.sha256()
+    for d, k in ((2, 1), (3, 2), (4, 2), (5, 3), (6, 4)):
+        norms = [LpNorm(p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
+        norms += [GramNorm(random_spd(rng, d)), ImageLpNorm(rng.standard_normal((d + 1, d)), 1.0),
+                  ImageLpNorm(rng.standard_normal((d + 1, d)), 3.0)]
+        fibers = tuple(Fiber(d, norm) for norm in norms for _ in range(3))
+        bases = [rng.standard_normal((k, d)) for _ in fibers]
+        for b in bases[1::3]:
+            b[-1] = rng.standard_normal(k - 1) @ b[:-1] if k > 1 else 0.0
+        m = FiberModule(make_structure(len(fibers)), fibers)
+        vectors = [rng.standard_normal(d) for _ in fibers]
+        q = quotient_norm(ModuleElement(vectors, m), Submodule(m, tuple(bases)))
+        digest.update(q.values.tobytes())
+        rhs = [b @ rng.standard_normal(d) if i % 3 else rng.standard_normal(k)
+               for i, b in enumerate(bases)]
+        needs, found = _min_dual_norms([(f.norm, b, r) for f, b, r in zip(fibers, bases, rhs)])
+        digest.update(needs.tobytes())
+        for entry in found:
+            if entry is not None:
+                w, bound, x = entry
+                digest.update(w.tobytes() + np.float64(bound).tobytes() + x.tobytes())
+        for b in bases:
+            digest.update(kernel_basis(b).tobytes())
+    return digest.hexdigest()
+
+
+def test_rank_rule_bits_are_pinned():
+    # Written from the kernels that each cut their own SVD: one helper for
+    # every rank decision keeps every bit in range.
+    assert rank_rule_digest() == "a32465a92e4baa963a4b99a0a3aa7b68906e2e415b4bd38ad9f58b74f82b28f5"
 
 
 def test_rank_deficient_lifts_keep_as_many_rows_as_the_rank():
